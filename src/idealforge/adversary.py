@@ -488,6 +488,17 @@ def _shifted_image_free(f: PairColoring, anchor: int, pool: Sequence[int],
     return find_fs_subset(shifted, fs_size) is None
 
 
+def _conflict_union(D: SparseBasis, ys: Sequence[int]) -> NatSet:
+    """Union of the conflict sets of ys: the sums whose decomposition meets
+    some alpha(y)."""
+    if not ys:
+        return NatSet()
+    reach = 0
+    for y in ys:
+        reach |= D.mask(y)
+    return D.sums_meeting(reach)
+
+
 def defeat_r_hindman(f: PairColoring, D: SparseBasis,
                      budget: SearchBudget = SearchBudget(max_element=32,
                                                          max_steps=4,
@@ -502,7 +513,7 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis,
     conditions and still containing a point above the last pick.
     """
     window = min(f.n, budget.max_element)
-    fsD = set(D.fs_set())
+    fsD = D.fs_set()
     for p in itertools.combinations(range(window), 2):
         if f(p) not in fsD:
             raise ValueError(
@@ -516,9 +527,7 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis,
     for n in range(1, budget.max_steps):
         prev = reservoirs[-1].elements
         ys = sorted({f(p) for p in itertools.combinations(b, 2)})
-        conflicts: set = set()
-        for y in ys:
-            conflicts |= set(conflict_set(D, y))
+        conflicts = _conflict_union(D, ys)
 
         def pairs_ok(subset: List[int], new: int) -> bool:
             return all(f((u, new)) not in conflicts for u in subset)
@@ -617,9 +626,7 @@ def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,
     ok_d, detail_d = True, ""
     for n in range(len(b)):
         ys = sorted({f(p) for p in itertools.combinations(b[:n], 2)})
-        conflicts: set = set()
-        for y in ys:
-            conflicts |= set(conflict_set(D, y))
+        conflicts = _conflict_union(D, ys)
         if ok_c:
             for p in itertools.combinations(B[n].elements, 2):
                 if f(p) in conflicts:
@@ -672,7 +679,8 @@ def replay_final_contradiction(transcript: Transcript, C: NatSet) -> Report:
                 break
         if pivot:
             break
-    assert pivot is not None
+    if pivot is None:
+        raise NoSuchC(f"no pair of the grown points maps to c = {c}")
     _, n_idx = pivot
 
     lower = pts[: n_idx + 1]
@@ -696,15 +704,14 @@ def replay_final_contradiction(transcript: Transcript, C: NatSet) -> Report:
                f"witnesses {overlap[:5]}" if overlap else "empty as required")
 
     ok_alpha, detail_alpha = True, "no in-basis sums to inspect"
-    fsD = set(D.fs_set())
-    alpha_c = set(D.alpha(c)) if c in fsD else set()
+    fsD = D.fs_set()
+    mask_c = D.mask(c) if c in fsD else 0
     for a in rest:
         if a in fsD and (a + c) in fsD:
-            aa = set(D.alpha(a))
-            if aa & alpha_c:
+            mask_a = D.mask(a)
+            if mask_a & mask_c:
                 continue  # additivity only applies to disjoint decompositions
-            union = aa | alpha_c
-            if set(D.alpha(a + c)) != union:
+            if D.mask(a + c) != mask_a | mask_c:
                 ok_alpha = False
                 detail_alpha = f"alpha({a}+{c}) != alpha({a}) | alpha({c})"
                 break
@@ -768,10 +775,8 @@ class RnhCase2Bundle:
     Ds: List[SparseBasis]
 
 
-def _alpha_or_empty(basis: SparseBasis, x: int) -> set:
-    if x in basis:
-        return set(basis.alpha(x))
-    return set()
+def _mask_or_zero(basis: SparseBasis, x: int) -> int:
+    return basis.mask(x) if x in basis else 0
 
 
 def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Report:
@@ -806,8 +811,7 @@ def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Rep
             fail("(a)", f"x_{n} repeats an earlier point")
         for i in range(n):
             for j in range(n):
-                aj = _alpha_or_empty(Ds[j], xs[i])
-                if aj and xn in Ds[j] and set(Ds[j].alpha(xn)) & aj:
+                if _mask_or_zero(Ds[j], xs[i]) & _mask_or_zero(Ds[j], xn):
                     fail("(a)", f"x_{n} meets the conflict set of x_{i} over D_{j}")
         flag = is_very_sparse(NatSet(Ds[n].elements))
         if not flag:
@@ -943,11 +947,9 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
             for u in range(i + 1):
                 if xs[u] not in Dt:
                     continue
-                au = set(Dt.alpha(xs[u]))
-                for y in Ds[i].fs_set():
-                    if y in Dt and set(Dt.alpha(y)) & au:
-                        fail("(f)", f"FS(D_{i}) meets the conflict set of x_{u} over D_{t}")
-                        break
+                hits = conflict_set(Dt, xs[u])
+                if any(y in hits for y in Ds[i].fs_set()):
+                    fail("(f)", f"FS(D_{i}) meets the conflict set of x_{u} over D_{t}")
         # (g)
         allowed_incl = [t for t in range(i + 1) if t not in banned(i)]
         if not fs(NatSet(xs[t] for t in allowed_incl)).issubset(X.fs_set()):

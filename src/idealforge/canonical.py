@@ -14,7 +14,7 @@ import itertools
 from enum import Enum
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .errors import Incomplete, TooSmall, WindowExceeded
+from .errors import Incomplete, InvariantViolated, TooSmall, WindowExceeded
 from .ideals import NatSet
 from .sparse import fs
 
@@ -247,7 +247,8 @@ def classify_pairs_on(phi: PairColoring, T) -> Optional[CanonicalCase]:
     values = [phi(p) for p in pairs]
     flags = _pair_case_flags(pairs, values)
     holding = [c for c in PAIR_CASES if flags[c]]
-    assert len(holding) <= 1, f"exclusivity violated on {T}: {holding}"
+    if len(holding) > 1:
+        raise InvariantViolated(f"exclusivity violated on {T}: {holding}")
     return holding[0] if holding else None
 
 
@@ -272,7 +273,8 @@ def find_canonical_subset(phi: PairColoring, m: int) -> Optional[Tuple[NatSet, C
     def dfs(points: list, nxt: int) -> Optional[Tuple[Tuple[int, ...], CanonicalCase]]:
         if len(points) == m:
             alive = survivors(points)
-            assert len(alive) == 1
+            if len(alive) != 1:
+                raise InvariantViolated(f"expected one pair case on {points}, got {alive}")
             return tuple(points), alive[0]
         for v in range(nxt, phi.n):
             if phi.n - v < m - len(points):
@@ -334,7 +336,8 @@ def classify_fs_on(phi: NatColoring, C: BlockBasis) -> Optional[CanonicalCase]:
         raise TooSmall(f"|C| = {len(C)} < 3")
     points = C.fs_set().elements
     holding = _classify_fs_points(phi, points)
-    assert len(holding) <= 1, f"exclusivity violated on {C}: {holding}"
+    if len(holding) > 1:
+        raise InvariantViolated(f"exclusivity violated on {C}: {holding}")
     return holding[0] if holding else None
 
 
@@ -354,7 +357,8 @@ def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
     def dfs(points: list, nxt: int):
         if len(points) == m:
             alive = _classify_fs_points(phi, fs(NatSet(points)).elements)
-            assert len(alive) <= 1
+            if len(alive) > 1:
+                raise InvariantViolated(f"exclusivity violated on {points}: {alive}")
             return (tuple(points), alive[0]) if alive else None
         for idx in range(nxt, len(xs)):
             if len(xs) - idx < m - len(points):

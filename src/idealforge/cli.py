@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -149,25 +148,28 @@ def load_coloring(spec: str, window: int, kind: str):
     return PairColoring.from_table(window, table)
 
 
+def _given(args: argparse.Namespace, fields: Dict[str, str]) -> Dict[str, Any]:
+    """Options the user set, keyed by field name; unset ones (None) are left
+    to the dataclass defaults, and a given 0 reaches its validation."""
+    values = {field: getattr(args, option, None) for option, field in fields.items()}
+    return {field: value for field, value in values.items() if value is not None}
+
+
 def _scale_params(args: argparse.Namespace, ground: Optional[NatSet] = None) -> ScaleParams:
     window = getattr(args, "window", None)
     if window is None:
         window = (ground.max() + 1) if ground else ScaleParams().window
-    return ScaleParams(
-        ap_len=getattr(args, "ap_len", None) or 5,
-        clique_size=getattr(args, "clique_size", None) or 4,
-        fs_size=getattr(args, "fs_size", None) or 3,
-        tau=Fraction(getattr(args, "tau", None) or 2),
-        window=window,
-    )
+    return ScaleParams(window=window, **_given(args, {
+        "ap_len": "ap_len", "clique_size": "clique_size", "fs_size": "fs_size",
+        "tau": "tau",
+    }))
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(
-        max_element=getattr(args, "budget_max_element", None) or 32768,
-        max_steps=getattr(args, "nmax", None) or 10,
-        candidate_cap=getattr(args, "candidate_cap", None) or 8,
-    )
+    return SearchBudget(**_given(args, {
+        "budget_max_element": "max_element", "nmax": "max_steps",
+        "candidate_cap": "candidate_cap",
+    }))
 
 
 def _edge_set(args: argparse.Namespace) -> EdgeSet:
@@ -206,7 +208,8 @@ def _cmd_oracle(args) -> Dict[str, Any]:
         hit = find_clique(carrier, args.k if args.k is not None else params.clique_size)
         body["clique"] = None if hit is None else list(hit.elements)
     elif op == "heavy-columns":
-        body["heavy_columns"] = list(heavy_columns(carrier, args.k or params.fs_size).elements)
+        threshold = params.fs_size if args.k is None else args.k
+        body["heavy_columns"] = list(heavy_columns(carrier, threshold).elements)
     elif op == "tall-witness":
         witness = tall_witness(carrier, ideal, params, args.target)
         body["witness"] = jsonable(witness)
@@ -283,24 +286,25 @@ def _cmd_adversary(args) -> Dict[str, Any]:
     budget = _budget(args)
     strategy = args.strategy
     if strategy == "w-summable":
-        window = args.window or budget.max_element
+        window = budget.max_element if args.window is None else args.window
         phi = load_coloring(args.phi, window, "nat")
         t = defeat_w_summable(phi, budget)
     elif strategy == "h-summable":
         pool = BlockBasis(parse_set_literal(args.basis))
-        window = args.window or (sum(pool.elements) + 1)
+        window = (sum(pool.elements) + 1) if args.window is None else args.window
         phi = load_coloring(args.phi, window, "nat")
         t = defeat_h_summable(phi, pool, CanonicalCase(args.case), budget)
     elif strategy == "r-summable":
         T = parse_set_literal(args.ground)
-        window = args.window or (T.max() + 1)
+        window = (T.max() + 1) if args.window is None else args.window
         phi = load_coloring(args.phi, window, "pair")
         t = defeat_r_summable(phi, T, CanonicalCase(args.case), budget)
     elif strategy == "r-hindman":
         basis = SparseBasis(parse_set_literal(args.basis))
-        window = args.window or budget.max_element
+        window = budget.max_element if args.window is None else args.window
         phi = load_coloring(args.phi, window, "pair")
-        t = defeat_r_hindman(phi, basis, budget, fs_size=args.fs_size or 2)
+        fs_size = 2 if args.fs_size is None else args.fs_size
+        t = defeat_r_hindman(phi, basis, budget, fs_size=fs_size)
     else:
         raise ParseError(f"unknown strategy {strategy!r}")
     check = verify_transcript(t)

@@ -56,6 +56,10 @@ class CaseMismatch(IdealforgeError):
     """The declared canonical case does not match the classifier's verdict."""
 
 
+class InvariantViolated(IdealforgeError):
+    """An internal invariant failed; this is a bug, never a verdict on input."""
+
+
 class SearchExhausted(IdealforgeError):
     """A bounded construction step found no candidate within its budget.
 

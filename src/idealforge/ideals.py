@@ -37,6 +37,16 @@ class NatSet:
         self.elements: Tuple[int, ...] = tuple(sorted(members))
         self._members = members
 
+    @classmethod
+    def _trusted(cls, elements: Tuple[int, ...]) -> "NatSet":
+        """Wrap a strictly ascending tuple of naturals that the library built
+        itself, skipping validation and sorting.  Outside input goes through
+        ``NatSet(...)``."""
+        self = object.__new__(cls)
+        self.elements = elements
+        self._members = frozenset(elements)
+        return self
+
     def __contains__(self, x) -> bool:
         return x in self._members
 

@@ -9,10 +9,11 @@ Everything here is exact integer arithmetic over immutable values.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import NotInFS, NotSparse, PoolExhausted, TooLarge
+from .errors import InvariantViolated, NotInFS, NotSparse, PoolExhausted, TooLarge
 from .ideals import NatSet
 
 FS_CAP = 24  # 2^|B| enumeration bound for fs / sparseness checks
@@ -36,7 +37,7 @@ def fs(B) -> NatSet:
     for b in xs:
         sums |= {s + b for s in sums}
     sums.discard(0)
-    return NatSet(sums)
+    return NatSet._trusted(tuple(sorted(sums)))
 
 
 def is_sparse(D) -> bool:
@@ -56,40 +57,65 @@ def _is_super_increasing(xs: Tuple[int, ...]) -> bool:
     return bool(xs) and xs[0] > 0
 
 
+def _subset_sums(xs: Tuple[int, ...]) -> List[int]:
+    """The sum of every subset of xs, indexed by mask (bit i means xs[i])."""
+    by_mask = [0]
+    for x in xs:
+        by_mask += [v + x for v in by_mask]
+    return by_mask
+
+
+def _first_collision(xs: Tuple[int, ...]) -> Optional[str]:
+    """Names the first two nonempty combos of xs, in combinations order,
+    that share a sum."""
+    seen: Dict[int, Tuple[int, ...]] = {}
+    for r in range(1, len(xs) + 1):
+        for combo in itertools.combinations(xs, r):
+            s = sum(combo)
+            if s in seen:
+                return f"{s} = sum{seen[s]} = sum{combo}; decompositions collide"
+            seen[s] = combo
+    return None
+
+
 class SparseBasis:
     """Validated ascending basis with unique subset-sum decompositions.
 
-    Construction verifies sparseness.  Super-increasing bases (each element
-    larger than the sum of its predecessors) are accepted without the
-    exponential enumeration and decompose by greedy descent; everything else
-    is table-backed from a full subset-sum sweep.
+    A decomposition is held as an index mask: bit i set means
+    ``elements[i]`` is a summand.  The sum table lists FS(D) in increasing
+    order beside the mask of each sum.  Construction verifies sparseness.
+    Super-increasing bases (each element larger than the sum of its
+    predecessors) are accepted without the exponential enumeration and
+    decompose by greedy descent until the table is first needed; every other
+    basis builds the table up front from a full subset-sum sweep.
     """
 
-    __slots__ = ("elements", "_table", "_fs")
+    __slots__ = ("elements", "_index", "_fs", "_masks")
 
     def __init__(self, elements: Iterable[int]):
         xs = _as_elements(elements)
-        if len(set(xs)) != len(xs):
-            raise NotSparse("duplicate elements")
         self.elements: Tuple[int, ...] = xs
+        self._index: Optional[Dict[int, int]] = None  # sum -> mask, with the table
         self._fs: Optional[NatSet] = None
+        self._masks: Tuple[int, ...] = ()  # _masks[i] decomposes _fs.elements[i]
         if _is_super_increasing(xs):
-            self._table: Optional[Dict[int, Tuple[int, ...]]] = None
             return
         if len(xs) > FS_CAP:
             raise TooLarge(
                 f"|D| = {len(xs)} exceeds the validation cap {FS_CAP}"
             )
-        table: Dict[int, Tuple[int, ...]] = {}
-        for r in range(1, len(xs) + 1):
-            for combo in itertools.combinations(xs, r):
-                s = sum(combo)
-                if s in table:
-                    raise NotSparse(
-                        f"{s} = sum{table[s]} = sum{combo}; decompositions collide"
-                    )
-                table[s] = combo
-        self._table = table
+        by_mask = _subset_sums(xs)
+        if len(set(by_mask[1:])) < len(by_mask) - 1:
+            raise NotSparse(_first_collision(xs))
+        self._tabulate(by_mask)
+
+    def _tabulate(self, by_mask: List[int]) -> None:
+        rows = sorted(zip(by_mask, range(len(by_mask))))[1:]  # drop the empty subset
+        self._index = dict(rows)
+        if rows and rows[0][0] == 0:
+            rows = rows[1:]  # the basis {0}: FS leaves out 0, as fs() does
+        self._fs = NatSet._trusted(tuple([s for s, _ in rows]))
+        self._masks = tuple([m for _, m in rows])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -107,32 +133,43 @@ class SparseBasis:
 
     def fs_set(self) -> NatSet:
         if self._fs is None:
-            self._fs = fs(NatSet(self.elements))
+            if len(self.elements) > FS_CAP:
+                raise TooLarge(
+                    f"|B| = {len(self.elements)} exceeds the fs cap {FS_CAP}"
+                )
+            self._tabulate(_subset_sums(self.elements))
         return self._fs
 
-    def __contains__(self, x: int) -> bool:
-        if self._table is not None:
-            return x in self._table
-        return self._greedy(x) is not None
+    def _find_mask(self, x: int) -> Optional[int]:
+        if self._index is not None:
+            return self._index.get(x)
+        xs = self.elements
+        m, rest = 0, x
+        for i in range(len(xs) - 1, -1, -1):
+            if xs[i] <= rest:
+                m |= 1 << i
+                rest -= xs[i]
+        return m if rest == 0 and m else None
 
-    def _greedy(self, x: int) -> Optional[Tuple[int, ...]]:
-        parts = []
-        rest = x
-        for d in reversed(self.elements):
-            if d <= rest:
-                parts.append(d)
-                rest -= d
-        return tuple(reversed(parts)) if rest == 0 and parts else None
+    def __contains__(self, x: int) -> bool:
+        return self._find_mask(x) is not None
+
+    def mask(self, x: int) -> int:
+        """Index mask of alpha(x): bit i set iff elements[i] is a summand."""
+        m = self._find_mask(x)
+        if m is None:
+            raise NotInFS(f"{x} has no decomposition over {list(self.elements)}")
+        return m
 
     def alpha(self, x: int) -> NatSet:
         """The unique subset of the basis summing to x."""
-        if self._table is not None:
-            combo = self._table.get(x)
-        else:
-            combo = self._greedy(x)
-        if combo is None:
-            raise NotInFS(f"{x} has no decomposition over {list(self.elements)}")
-        return NatSet(combo)
+        m = self.mask(x)
+        return NatSet._trusted(tuple([d for i, d in enumerate(self.elements) if m >> i & 1]))
+
+    def sums_meeting(self, m: int) -> NatSet:
+        """All x in FS(D) whose decomposition shares a summand with mask m."""
+        points = self.fs_set().elements
+        return NatSet._trusted(tuple([x for x, mx in zip(points, self._masks) if mx & m]))
 
 
 @dataclass(frozen=True)
@@ -155,14 +192,18 @@ def is_very_sparse(D) -> VerySparseFlag:
         raise TooLarge(
             f"|D| = {len(xs)} exceeds the very-sparse cap {VERY_SPARSE_CAP}"
         )
-    basis = SparseBasis(xs)  # raises NotSparse if uniqueness fails
+    # raises NotSparse if uniqueness fails
+    basis = D if isinstance(D, SparseBasis) else SparseBasis(NatSet._trusted(xs))
     points = basis.fs_set().elements
-    alphas = {x: set(basis.alpha(x)) for x in points}
-    members = set(points)
-    for i, x in enumerate(points):
-        ax = alphas[x]
-        for y in points[i + 1 :]:
-            if ax & alphas[y] and (x + y) in members:
+    masks = basis._masks
+    members = basis._index
+    top = points[-1] if points else 0
+    for i, (x, mx) in enumerate(zip(points, masks)):
+        hi = bisect_right(points, top - x)  # x + y must stay within FS(D)
+        if hi <= i + 1:
+            break
+        for y, my in zip(points[i + 1 : hi], masks[i + 1 : hi]):
+            if mx & my and (x + y) in members:
                 return VerySparseFlag(False, (x, y))
     return VerySparseFlag(True)
 
@@ -191,64 +232,70 @@ def very_sparse_subset(pool, k: int) -> SparseBasis:
         raise PoolExhausted(
             f"greedy reached {len(chosen)} of {k}; next element must exceed {2 * total}"
         )
-    flag = is_very_sparse(NatSet(chosen)) if k <= VERY_SPARSE_CAP else VerySparseFlag(True)
+    basis = SparseBasis(NatSet._trusted(tuple(chosen)))
+    flag = is_very_sparse(basis) if k <= VERY_SPARSE_CAP else VerySparseFlag(True)
     if not flag.verified:
-        raise AssertionError(
+        raise InvariantViolated(
             f"growth rule produced a non-very-sparse basis {chosen}: {flag.counterexample}"
         )
-    return SparseBasis(chosen)
+    return basis
 
 
 def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
     """Least basis B in A with distinct subset sums and fs(B) inside A.
 
-    Backtracks over candidates in increasing order, pruning as soon as a
-    partial sum escapes A or collides with an earlier sum.  Singletons of
-    FS(B) force B inside A.
+    Backtracks over candidates in increasing order.  Each level carries only
+    the candidates c with s + c in A for every sum s so far; choosing c
+    narrows that list by the sums it adds, so no candidate is checked
+    against an old sum twice.  Singletons of FS(B) force B inside A.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not isinstance(A, NatSet):
         A = NatSet(A)
-    xs = A.elements
-    if len(xs) < k:
-        return None
-    if k == 1:
-        return NatSet([xs[0]])
+    members = frozenset(A.elements)
+    top = A.max() if A else 0
 
-    def dfs(start: int, basis: list, sums: set) -> Optional[Tuple[int, ...]]:
-        if len(basis) == k:
-            return tuple(basis)
-        for idx in range(start, len(xs)):
-            if len(xs) - idx < k - len(basis):
+    def dfs(basis: Tuple[int, ...], sums: frozenset, cands: List[int]
+            ) -> Optional[Tuple[int, ...]]:
+        if 0 in sums:
+            return None  # s + 0 = s: no further element keeps the sums distinct
+        need = k - len(basis)
+        total = sum(basis)
+        for i, c in enumerate(cands):
+            if len(cands) - i < need:
                 break
-            c = xs[idx]
-            fresh = {c}
-            fresh.update(s + c for s in sums)
-            if len(fresh) != len(sums) + 1 or fresh & sums:
+            fresh = [s + c for s in sums]
+            fresh.append(c)
+            if not sums.isdisjoint(fresh):
                 continue  # a subset-sum collision; basis would not be sparse
-            if not all(v in A for v in fresh):
+            if need == 1:
+                return basis + (c,)
+            # the largest new sum, total + c, plus d must stay within A
+            rest = cands[i + 1 : bisect_right(cands, top - total - c)]
+            for f in fresh:
+                rest = [d for d in rest if f + d in members]
+            if len(rest) < need - 1:
                 continue
-            found = dfs(idx + 1, basis + [c], sums | fresh)
+            found = dfs(basis + (c,), sums.union(fresh), rest)
             if found is not None:
                 return found
         return None
 
-    hit = dfs(0, [], set())
-    return NatSet(hit) if hit is not None else None
+    hit = dfs((), frozenset(), list(A.elements))
+    return NatSet._trusted(hit) if hit is not None else None
 
 
 def conflict_set(D: SparseBasis, y: int) -> NatSet:
     """All x in FS(D) whose decomposition meets the decomposition of y."""
-    ay = set(D.alpha(y))
-    return NatSet(x for x in D.fs_set() if ay & set(D.alpha(x)))
+    return D.sums_meeting(D.mask(y))
 
 
 def binary_alpha(x: int) -> NatSet:
     """Decomposition over the base of powers of two: the binary expansion."""
     if x < 0:
         raise ValueError("natural expected")
-    return NatSet(1 << i for i in range(x.bit_length()) if (x >> i) & 1)
+    return NatSet._trusted(tuple([1 << i for i in range(x.bit_length()) if (x >> i) & 1]))
 
 
 def shift(A: NatSet, n: int, direction: str = "up") -> NatSet:

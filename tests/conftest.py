@@ -56,6 +56,74 @@ def subset_sum_counts(elements) -> Counter:
     return counts
 
 
+def enumerated_decompositions(elements) -> dict:
+    """Every nonempty subset sum of the elements mapped to the set of its
+    summands, by combinations; None when two subsets share a sum."""
+    xs = sorted(set(elements))
+    out = {}
+    for r in range(1, len(xs) + 1):
+        for combo in itertools.combinations(xs, r):
+            s = sum(combo)
+            if s in out:
+                return None
+            out[s] = frozenset(combo)
+    return out
+
+
+def first_collision(elements):
+    """(s, combo1, combo2) for the first pair of nonempty combos, in
+    combinations order, that share the sum s; None for a sparse basis."""
+    xs = sorted(set(elements))
+    seen = {}
+    for r in range(1, len(xs) + 1):
+        for combo in itertools.combinations(xs, r):
+            s = sum(combo)
+            if s in seen:
+                return s, seen[s], combo
+            seen[s] = combo
+    return None
+
+
+def naive_conflict_set(elements, y) -> list:
+    """Sorted nonzero sums whose decomposition shares a summand with y's."""
+    decomp = enumerated_decompositions(elements)
+    return sorted(x for x, parts in decomp.items()
+                  if x != 0 and parts & decomp[y])
+
+
+def naive_very_sparse_counterexample(elements):
+    """First pair x < y of nonzero sums, in lexicographic order, whose
+    decompositions overlap while x + y is again a subset sum; None if none."""
+    decomp = enumerated_decompositions(elements)
+    points = sorted(x for x in decomp if x != 0)
+    for i, x in enumerate(points):
+        for y in points[i + 1:]:
+            if decomp[x] & decomp[y] and (x + y) in decomp:
+                return (x, y)
+    return None
+
+
+def naive_fs_subset(A, k):
+    """Lexicographically least k-subset of A whose nonempty subset sums are
+    distinct and all inside A, by enumerating every k-subset."""
+    members = set(A)
+    for B in itertools.combinations(sorted(members), k):
+        sums = [sum(c) for r in range(1, k + 1)
+                for c in itertools.combinations(B, r)]
+        if len(set(sums)) == len(sums) and all(s in members for s in sums):
+            return B
+    return None
+
+
+def assert_canonical_natset(result: NatSet) -> None:
+    """A NatSet built without validation must equal one built with it."""
+    fresh = NatSet(list(result.elements))
+    assert isinstance(result.elements, tuple)
+    assert result == fresh and result.elements == fresh.elements
+    assert all(x in result for x in fresh)
+    assert result.issubset(fresh) and fresh.issubset(result)
+
+
 def harmonic(n: int) -> Fraction:
     total = Fraction(0)
     for i in range(1, n + 1):

@@ -231,6 +231,19 @@ def test_replay_final_contradiction():
         replay_final_contradiction(t, NatSet([1, 9]))
 
 
+def test_replay_final_contradiction_needs_a_pivot_pair():
+    # fs({0, 1}) = {1} sits in the image, but no pair maps to c = 0
+    D = SparseBasis([1, 3, 9])
+    table = {(0, 1): 1, (0, 2): 3, (1, 2): 4}
+    f = PairColoring(3, fn=lambda i, j: table[(i, j)])
+    t = defeat_r_hindman(f, D, SearchBudget(max_element=3, max_steps=1,
+                                            candidate_cap=3))
+    t.witness["b"] = NatSet([0, 1, 2])
+    with pytest.raises(NoSuchC) as err:
+        replay_final_contradiction(t, NatSet([0, 1]))
+    assert str(err.value) == "no pair of the grown points maps to c = 0"
+
+
 def test_gamma_map_validation():
     with pytest.raises(ValueError):
         GammaMap({3: (1, 1)})

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+import idealforge
 from idealforge import NatSet
-from idealforge.cli import build_parser, load_coloring, parse_pair_literal, \
+from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
 from idealforge.errors import Incomplete, ParseError
 from idealforge.report import dumps_stable
@@ -247,6 +248,48 @@ def test_verify_subcommand_bundles(tmp_path):
     assert rep["body"]["report"]["meta"]["sizes"] == {"X": 1, "Y": 4, "Z": 1}
 
 
+def test_zero_nmax_is_rejected_not_defaulted(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["adversary", "--strategy", "w-summable", "--phi", "identity",
+              "--nmax", "0"])
+    assert exit_info.value.code == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["header"]["options"]["nmax"] == 0
+    assert rep["body"]["status"] == "error"
+    assert rep["body"]["error"]["code"] == "ValueError"
+
+
+def test_zero_ap_len_is_rejected_not_defaulted():
+    code, rep = invoke("oracle", "--ideal", "vdw", "--op", "positive",
+                       "--set", "0..9", "--ap-len", "0")
+    assert code == 1
+    assert rep["body"]["error"] == {"code": "ValueError",
+                                    "message": "ap_len must be >= 3"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--ideal", "summable", "--op", "positive", "--set", "1,2",
+     "--tau", "0"),
+    ("oracle", "--ideal", "ramsey", "--op", "positive", "--edges", "0 1",
+     "--clique-size", "0"),
+    ("oracle", "--ideal", "hindman", "--op", "positive", "--set", "1,2,3",
+     "--fs-size", "0"),
+    ("adversary", "--strategy", "w-summable", "--phi", "identity",
+     "--budget-max-element", "0"),
+    ("adversary", "--strategy", "w-summable", "--phi", "identity",
+     "--candidate-cap", "0"),
+    ("adversary", "--strategy", "w-summable", "--phi", "identity",
+     "--window", "0"),
+    ("adversary", "--strategy", "r-hindman", "--basis", "1,3,9",
+     "--phi", "const:1", "--fs-size", "0", "--nmax", "3",
+     "--budget-max-element", "4"),
+])
+def test_other_zero_options_are_rejected(argv):
+    code, rep = invoke(*argv)
+    assert code == 1
+    assert rep["body"]["status"] == "error"
+
+
 def test_report_determinism_in_process():
     first = dumps_stable(invoke("adversary", "--strategy", "w-summable",
                                 "--phi", "identity", "--nmax", "4")[1])
@@ -258,9 +301,13 @@ def test_report_determinism_in_process():
 def test_report_determinism_across_thread_settings(tmp_path):
     cmd = [sys.executable, "-m", "idealforge.cli", "adversary",
            "--strategy", "w-summable", "--phi", "identity", "--nmax", "3"]
+    # The subprocess runs in tmp_path, so a relative PYTHONPATH would not
+    # resolve there; put the absolute package root in front.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(idealforge.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "7"):
-        env = dict(os.environ, IDEALFORGE_THREADS=threads)
+        env = dict(os.environ, IDEALFORGE_THREADS=threads, PYTHONPATH=path)
         res = subprocess.run(cmd, capture_output=True, env=env, cwd=str(tmp_path))
         assert res.returncode == 0
         outputs.append(res.stdout)

@@ -1,0 +1,155 @@
+"""Property tests for the finite-sums core against the conftest oracles.
+
+Bases come in three shapes: arbitrary sparse sets (mostly table-backed),
+greedy very sparse bases drawn from log-uniform pools (super-increasing,
+so greedy descent until the sum table is needed), and arbitrary sets that
+may collide.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from idealforge import (
+    NatSet,
+    SparseBasis,
+    binary_alpha,
+    conflict_set,
+    find_fs_subset,
+    fs,
+    is_very_sparse,
+    very_sparse_subset,
+)
+from idealforge.errors import NotInFS, NotSparse
+
+from conftest import (
+    assert_canonical_natset,
+    enumerated_decompositions,
+    first_collision,
+    naive_conflict_set,
+    naive_fs_subset,
+    naive_very_sparse_counterexample,
+    random_pool,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+raw_bases = st.lists(st.integers(1, 400), min_size=1, max_size=7, unique=True)
+sparse_bases = raw_bases.filter(lambda xs: enumerated_decompositions(xs) is not None)
+greedy_bases = st.builds(
+    lambda seed, k: very_sparse_subset(random_pool(random.Random(seed)), k).elements,
+    st.integers(0, 10**6), st.integers(1, 7),
+)
+bases = st.one_of(sparse_bases, greedy_bases)
+
+
+@SETTINGS
+@given(bases)
+def test_alpha_and_fs_set_match_enumerated_sums(elements):
+    D = SparseBasis(elements)
+    decomp = enumerated_decompositions(elements)
+    assert D.fs_set().elements == tuple(sorted(decomp))
+    assert fs(NatSet(elements)) == D.fs_set()
+    assert_canonical_natset(D.fs_set())
+    for x, parts in decomp.items():
+        alpha = D.alpha(x)
+        assert alpha.elements == tuple(sorted(parts))
+        assert_canonical_natset(alpha)
+        assert x in D
+        assert (x + 1 in D) == (x + 1 in decomp)
+    missing = max(decomp) + 1
+    with pytest.raises(NotInFS) as err:
+        D.alpha(missing)
+    assert str(err.value) == f"{missing} has no decomposition over {sorted(elements)}"
+
+
+@SETTINGS
+@given(bases)
+def test_conflict_sets_match_enumeration(elements):
+    D = SparseBasis(elements)
+    for y in D.fs_set():
+        got = conflict_set(D, y)
+        assert list(got.elements) == naive_conflict_set(elements, y)
+        assert_canonical_natset(got)
+
+
+@SETTINGS
+@given(bases)
+def test_is_very_sparse_finds_the_first_pairwise_counterexample(elements):
+    expected = naive_very_sparse_counterexample(elements)
+    for D in (NatSet(elements), SparseBasis(elements)):
+        flag = is_very_sparse(D)
+        assert flag.counterexample == expected
+        assert flag.verified == (expected is None)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True))
+def test_collisions_name_the_first_colliding_combos(elements):
+    hit = first_collision(elements)
+    if hit is None:
+        assert SparseBasis(elements).elements == tuple(sorted(elements))
+        return
+    s, first, second = hit
+    with pytest.raises(NotSparse) as err:
+        SparseBasis(elements)
+    assert str(err.value) == f"{s} = sum{first} = sum{second}; decompositions collide"
+
+
+ground_sets = st.one_of(
+    st.lists(st.integers(0, 40), max_size=14, unique=True),
+    # finite sums of a small basis plus noise, so that hits are common
+    st.builds(lambda basis, noise: sorted(set(fs(NatSet(basis)).elements) | set(noise)),
+              st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True),
+              st.lists(st.integers(0, 80), max_size=6, unique=True)),
+)
+
+
+@SETTINGS
+@given(ground_sets, st.integers(1, 4))
+def test_find_fs_subset_is_the_least_enumerated_basis(A, k):
+    got = find_fs_subset(NatSet(A), k)
+    expected = naive_fs_subset(A, k)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.elements == expected
+        assert_canonical_natset(got)
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.integers(1, 8))
+def test_very_sparse_subset_follows_the_growth_rule(seed, k):
+    pool = random_pool(random.Random(seed))
+    chosen, total = [], 0
+    for x in pool:
+        if x > 2 * total and len(chosen) < k:
+            chosen.append(x)
+            total += x
+    D = very_sparse_subset(pool, k)
+    assert D.elements == tuple(chosen)
+    assert naive_very_sparse_counterexample(chosen) is None
+    assert_canonical_natset(D.fs_set())
+
+
+@SETTINGS
+@given(st.integers(0, 1 << 40))
+def test_binary_alpha_is_canonical(x):
+    bits = binary_alpha(x)
+    assert sum(bits) == x
+    assert_canonical_natset(bits)
+
+
+def test_zero_basis_keeps_zero_out_of_its_sums():
+    D = SparseBasis([0])
+    assert D.alpha(0) == NatSet([0]) and 0 in D
+    assert D.fs_set() == NatSet() and conflict_set(D, 0) == NatSet()
+    assert is_very_sparse(NatSet([0])).verified
+    with pytest.raises(NotSparse) as err:
+        SparseBasis([0, 5])
+    assert str(err.value) == "5 = sum(5,) = sum(0, 5); decompositions collide"
+    assert find_fs_subset(NatSet([0, 1, 2, 3]), 1) == NatSet([0])
+    assert find_fs_subset(NatSet([0, 1, 2, 3]), 2) == NatSet([1, 2])
