@@ -20,7 +20,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
-from .ideals import NatSet, reciprocal_sum
+from .ideals import NatSet, find_ap, reciprocal_sum
 from .report import Report, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
 
@@ -166,7 +166,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     for n in range(1, budget.max_steps + 1):
         thr = n * (1 << n)
         good = NatSet(x for x in range(bound) if phi(x) >= thr)
-        hit = _find_ap_of(good, n)
+        hit = find_ap(good, n)
         if hit is None:
             raise SearchExhausted(
                 n, f"no {n}-term progression with phi >= {thr} in [0, {bound})"
@@ -197,12 +197,6 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
         majorant=majorant,
         coloring=phi,
     )
-
-
-def _find_ap_of(A: NatSet, k: int):
-    from .ideals import find_ap
-
-    return find_ap(A, k)
 
 
 def _h_majorant(case: CanonicalCase, n_max: int, const_value: Optional[int]) -> Fraction:

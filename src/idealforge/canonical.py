@@ -27,16 +27,6 @@ class CanonicalCase(Enum):
     INJ = "inj"
 
 
-PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX, CanonicalCase.INJ)
-FS_CASES = (
-    CanonicalCase.CONST,
-    CanonicalCase.MIN,
-    CanonicalCase.MAX,
-    CanonicalCase.MINMAX,
-    CanonicalCase.INJ,
-)
-
-
 def cantor_pair(a: int, b: int) -> int:
     """Standard injective encoding of an ordered pair into a natural."""
     return (a + b) * (a + b + 1) // 2 + b
@@ -216,106 +206,34 @@ class BlockBasis:
         return fs(NatSet(self.elements))
 
 
-def _pair_case_flags(pairs, values) -> Dict[CanonicalCase, bool]:
-    flags = {c: True for c in PAIR_CASES}
-    for a, b in itertools.combinations(range(len(pairs)), 2):
-        x, y = pairs[a], pairs[b]
-        eq = values[a] == values[b]
-        if flags[CanonicalCase.CONST] and not eq:
-            flags[CanonicalCase.CONST] = False
-        if flags[CanonicalCase.MIN] and eq != (x[0] == y[0]):
-            flags[CanonicalCase.MIN] = False
-        if flags[CanonicalCase.MAX] and eq != (x[1] == y[1]):
-            flags[CanonicalCase.MAX] = False
-        if flags[CanonicalCase.INJ] and eq:
-            flags[CanonicalCase.INJ] = False
-        if not any(flags.values()):
-            break
-    return flags
+def _case(values, keyed, where) -> Optional[CanonicalCase]:
+    """The one case whose biconditional holds on every pair of points, or None.
 
-
-def classify_pairs_on(phi: PairColoring, T) -> Optional[CanonicalCase]:
-    """The unique exact pattern of phi on the pairs of T, or None.
-
-    Patterns are mutually exclusive once |T| >= 3, so at most one
-    biconditional can survive the full scan.
+    values[i] is the color of point i, and keyed lists (case, keys) with
+    keys[i] the key of point i.  Equal values go with equal keys on every
+    pair of points exactly when |values| = |keys| = |{(value, key)}|.
     """
-    T = T if isinstance(T, NatSet) else NatSet(T)
-    if len(T) < 3:
-        raise TooSmall(f"|T| = {len(T)} < 3")
-    pairs = list(itertools.combinations(T.elements, 2))
-    values = [phi(p) for p in pairs]
-    flags = _pair_case_flags(pairs, values)
-    holding = [c for c in PAIR_CASES if flags[c]]
+    distinct = len(set(values))
+    holding = [CanonicalCase.CONST] if distinct <= 1 else []
+    for case, keys in keyed:
+        if distinct == len(set(keys)) == len(set(zip(values, keys))):
+            holding.append(case)
+    if distinct == len(values):
+        holding.append(CanonicalCase.INJ)
     if len(holding) > 1:
-        raise InvariantViolated(f"exclusivity violated on {T}: {holding}")
+        raise InvariantViolated(f"exclusivity violated on {where}: {holding}")
     return holding[0] if holding else None
 
 
-def find_canonical_subset(phi: PairColoring, m: int) -> Optional[Tuple[NatSet, CanonicalCase]]:
-    """Lexicographically least T of size m that classifies, with its case.
-
-    Backtracking over ascending vertices; a partial set of size >= 3 that
-    fits no pattern cannot be extended (patterns restrict to subsets), so
-    it is pruned.  None when the window has no classified m-subset.
-    """
-    if m < 3:
-        raise TooSmall("m must be >= 3")
-    if m > phi.n:
-        raise ValueError(f"m = {m} exceeds the ground size {phi.n}")
-
-    def survivors(points) -> list:
-        pairs = list(itertools.combinations(points, 2))
-        values = [phi(p) for p in pairs]
-        flags = _pair_case_flags(pairs, values)
-        return [c for c in PAIR_CASES if flags[c]]
-
-    def dfs(points: list, nxt: int) -> Optional[Tuple[Tuple[int, ...], CanonicalCase]]:
-        if len(points) == m:
-            alive = survivors(points)
-            if len(alive) != 1:
-                raise InvariantViolated(f"expected one pair case on {points}, got {alive}")
-            return tuple(points), alive[0]
-        for v in range(nxt, phi.n):
-            if phi.n - v < m - len(points):
-                break
-            cand = points + [v]
-            if len(cand) >= 3 and not survivors(cand):
-                continue
-            found = dfs(cand, v + 1)
-            if found is not None:
-                return found
-        return None
-
-    hit = dfs([], 0)
-    if hit is None:
-        return None
-    points, case = hit
-    return NatSet(points), case
+def _pair_case(phi: PairColoring, points) -> Optional[CanonicalCase]:
+    pairs = list(itertools.combinations(points, 2))
+    values = [phi(p) for p in pairs]
+    return _case(values, ((CanonicalCase.MIN, [i for i, _ in pairs]),
+                          (CanonicalCase.MAX, [j for _, j in pairs])), points)
 
 
-def _fs_case_flags(points, values, alpha_min, alpha_max) -> Dict[CanonicalCase, bool]:
-    flags = {c: True for c in FS_CASES}
-    for a, b in itertools.combinations(range(len(points)), 2):
-        eq = values[a] == values[b]
-        same_min = alpha_min[a] == alpha_min[b]
-        same_max = alpha_max[a] == alpha_max[b]
-        if flags[CanonicalCase.CONST] and not eq:
-            flags[CanonicalCase.CONST] = False
-        if flags[CanonicalCase.MIN] and eq != same_min:
-            flags[CanonicalCase.MIN] = False
-        if flags[CanonicalCase.MAX] and eq != same_max:
-            flags[CanonicalCase.MAX] = False
-        if flags[CanonicalCase.MINMAX] and eq != (same_min and same_max):
-            flags[CanonicalCase.MINMAX] = False
-        if flags[CanonicalCase.INJ] and eq:
-            flags[CanonicalCase.INJ] = False
-        if not any(flags.values()):
-            break
-    return flags
-
-
-def _classify_fs_points(phi: NatColoring, points) -> list:
+def _fs_case(phi: NatColoring, basis) -> Optional[CanonicalCase]:
+    points = fs(NatSet(basis)).elements
     values = []
     for x in points:
         if x >= phi.window:
@@ -323,10 +241,59 @@ def _classify_fs_points(phi: NatColoring, points) -> list:
                 f"finite sum {x} outside coloring window [0, {phi.window})"
             )
         values.append(phi(x))
-    alpha_min = [low_bit(x) for x in points]
-    alpha_max = [high_bit(x) for x in points]
-    flags = _fs_case_flags(points, values, alpha_min, alpha_max)
-    return [c for c in FS_CASES if flags[c]]
+    mins = [low_bit(x) for x in points]
+    maxs = [high_bit(x) for x in points]
+    return _case(values, ((CanonicalCase.MIN, mins), (CanonicalCase.MAX, maxs),
+                          (CanonicalCase.MINMAX, list(zip(mins, maxs)))), basis)
+
+
+def _least_subset(items, m, case_of, chosen=(), start=0):
+    """Lexicographically least m-subset of the ascending items, as (tuple,
+    case), whose every prefix of size >= 3 has a case; None if there is none.
+
+    Patterns restrict to subsets, so a prefix that fits none is pruned.
+    """
+    for idx in range(start, len(items) - (m - len(chosen)) + 1):
+        cand = chosen + (items[idx],)
+        if len(cand) >= 3:
+            case = case_of(cand)
+            if case is None:
+                continue
+            if len(cand) == m:
+                return cand, case
+        found = _least_subset(items, m, case_of, cand, idx + 1)
+        if found is not None:
+            return found
+    return None
+
+
+def classify_pairs_on(phi: PairColoring, T) -> Optional[CanonicalCase]:
+    """The unique exact pattern of phi on the pairs of T, or None.
+
+    Patterns are mutually exclusive once |T| >= 3, so at most one
+    biconditional can hold.
+    """
+    T = T if isinstance(T, NatSet) else NatSet(T)
+    if len(T) < 3:
+        raise TooSmall(f"|T| = {len(T)} < 3")
+    return _pair_case(phi, T.elements)
+
+
+def find_canonical_subset(phi: PairColoring, m: int) -> Optional[Tuple[NatSet, CanonicalCase]]:
+    """Lexicographically least T of size m that classifies, with its case.
+
+    Backtracking over ascending vertices.  None when the window has no
+    classified m-subset.
+    """
+    if m < 3:
+        raise TooSmall("m must be >= 3")
+    if m > phi.n:
+        raise ValueError(f"m = {m} exceeds the ground size {phi.n}")
+    hit = _least_subset(range(phi.n), m, lambda points: _pair_case(phi, points))
+    if hit is None:
+        return None
+    points, case = hit
+    return NatSet._trusted(points), case
 
 
 def classify_fs_on(phi: NatColoring, C: BlockBasis) -> Optional[CanonicalCase]:
@@ -334,11 +301,7 @@ def classify_fs_on(phi: NatColoring, C: BlockBasis) -> Optional[CanonicalCase]:
     binary expansion, or None."""
     if len(C) < 3:
         raise TooSmall(f"|C| = {len(C)} < 3")
-    points = C.fs_set().elements
-    holding = _classify_fs_points(phi, points)
-    if len(holding) > 1:
-        raise InvariantViolated(f"exclusivity violated on {C}: {holding}")
-    return holding[0] if holding else None
+    return _fs_case(phi, C.elements)
 
 
 def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
@@ -350,28 +313,9 @@ def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
     """
     if m < 3:
         raise TooSmall("m must be >= 3")
-    xs = pool.elements
-    if m > len(xs):
+    if m > len(pool):
         return None
-
-    def dfs(points: list, nxt: int):
-        if len(points) == m:
-            alive = _classify_fs_points(phi, fs(NatSet(points)).elements)
-            if len(alive) > 1:
-                raise InvariantViolated(f"exclusivity violated on {points}: {alive}")
-            return (tuple(points), alive[0]) if alive else None
-        for idx in range(nxt, len(xs)):
-            if len(xs) - idx < m - len(points):
-                break
-            cand = points + [xs[idx]]
-            if len(cand) >= 3 and not _classify_fs_points(phi, fs(NatSet(cand)).elements):
-                continue
-            found = dfs(cand, idx + 1)
-            if found is not None:
-                return found
-        return None
-
-    hit = dfs([], 0)
+    hit = _least_subset(pool.elements, m, lambda points: _fs_case(phi, points))
     if hit is None:
         return None
     points, case = hit

@@ -399,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-scale workbench for Ramsey-type ideals.",
     )
     parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into the header for reproducibility")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def scale_flags(p):
@@ -480,17 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("IDEALFORGE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"IDEALFORGE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ParseError("IDEALFORGE_THREADS must be >= 1")
-    return cap
-
-
 def run(args: argparse.Namespace) -> Tuple[int, Dict[str, Any]]:
     """Dispatch one parsed invocation; returns (exit code, report dict)."""
     options = {
@@ -503,7 +490,6 @@ def run(args: argparse.Namespace) -> Tuple[int, Dict[str, Any]]:
         "subcommand": args.subcommand,
         "options": options,
     }
-    _thread_cap()  # validated; execution is sequential either way
     try:
         body = args.func(args)
         body.setdefault("status", "ok")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .ideals import EdgeSet, NatSet
 
@@ -19,10 +19,6 @@ from .ideals import EdgeSet, NatSet
 def rational_str(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def jsonable(value: Any) -> Any:
@@ -80,12 +76,6 @@ class Report:
 
     def failed_names(self) -> List[str]:
         return [item.name for item in self.items if not item.passed]
-
-    def item(self, name: str) -> Optional[CheckItem]:
-        for it in self.items:
-            if it.name == name:
-                return it
-        return None
 
     def __bool__(self) -> bool:
         return self.passed

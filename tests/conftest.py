@@ -5,15 +5,21 @@ programming, full enumeration, counters) so cross-checks are meaningful.
 """
 
 import itertools
+import os
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from idealforge import EdgeSet, NatSet, is_positive
-from idealforge.canonical import PAIR_CASES, _fs_case_flags, \
-    _pair_case_flags, high_bit, low_bit
+import idealforge
+from idealforge import CanonicalCase, EdgeSet, NatSet, is_positive
+from idealforge.canonical import high_bit, low_bit
+
+PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
+              CanonicalCase.INJ)
+FS_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
+            CanonicalCase.MINMAX, CanonicalCase.INJ)
 
 
 def dp_longest_ap(xs) -> int:
@@ -131,12 +137,47 @@ def harmonic(n: int) -> Fraction:
     return total
 
 
+def _biconditional_flags(values, same) -> dict:
+    """For each case, whether values[a] == values[b] iff same[case](a, b) on
+    every two points, by scanning all of them."""
+    flags = {case: True for case in same}
+    for a, b in itertools.combinations(range(len(values)), 2):
+        eq = values[a] == values[b]
+        for case, test in same.items():
+            if flags[case] and eq != test(a, b):
+                flags[case] = False
+    return flags
+
+
+def pair_flags_oracle(pairs, values) -> dict:
+    """Direct biconditional table for the pair cases."""
+    return _biconditional_flags(values, {
+        CanonicalCase.CONST: lambda a, b: True,
+        CanonicalCase.MIN: lambda a, b: pairs[a][0] == pairs[b][0],
+        CanonicalCase.MAX: lambda a, b: pairs[a][1] == pairs[b][1],
+        CanonicalCase.INJ: lambda a, b: False,
+    })
+
+
+def fs_flags_oracle(points, values) -> dict:
+    """Direct biconditional table for the finite-sums cases."""
+    mins = [low_bit(x) for x in points]
+    maxs = [high_bit(x) for x in points]
+    return _biconditional_flags(values, {
+        CanonicalCase.CONST: lambda a, b: True,
+        CanonicalCase.MIN: lambda a, b: mins[a] == mins[b],
+        CanonicalCase.MAX: lambda a, b: maxs[a] == maxs[b],
+        CanonicalCase.MINMAX: lambda a, b: (mins[a], maxs[a]) == (mins[b], maxs[b]),
+        CanonicalCase.INJ: lambda a, b: False,
+    })
+
+
 def naive_find_canonical(phi, m):
     """Full-enumeration oracle for the least classified pair ground set."""
     for T in itertools.combinations(range(phi.n), m):
         pairs = list(itertools.combinations(T, 2))
         values = [phi(p) for p in pairs]
-        flags = _pair_case_flags(pairs, values)
+        flags = pair_flags_oracle(pairs, values)
         alive = [c for c in PAIR_CASES if flags[c]]
         if alive:
             assert len(alive) == 1
@@ -144,11 +185,28 @@ def naive_find_canonical(phi, m):
     return None
 
 
-def fs_flags_oracle(points, values):
-    """Direct biconditional table for the finite-sums cases."""
-    mins = [low_bit(x) for x in points]
-    maxs = [high_bit(x) for x in points]
-    return _fs_case_flags(points, values, mins, maxs)
+def naive_find_block_basis(phi, pool, m):
+    """Full-enumeration oracle for the least classified sub-basis of the pool;
+    phi's window must hold every finite sum of the pool."""
+    from idealforge.canonical import BlockBasis
+
+    for C in itertools.combinations(pool.elements, m):
+        points = sorted(subset_sum_counts(C))
+        flags = fs_flags_oracle(points, [phi(x) for x in points])
+        alive = [c for c in FS_CASES if flags[c]]
+        if alive:
+            assert len(alive) == 1
+            return BlockBasis(C), alive[0]
+    return None
+
+
+def subprocess_env() -> dict:
+    """The current environment with the absolute package root put before any
+    inherited PYTHONPATH, so ``python -m idealforge.cli`` imports this
+    checkout from any working directory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(idealforge.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def naive_search_reduction(src, dst):

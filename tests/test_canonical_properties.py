@@ -1,0 +1,141 @@
+"""Property tests for the canonical classifiers against the conftest oracles.
+
+Colorings come in two shapes: random tables over a small palette, and exact
+patterns (constant, min, max, min-max, injective) with at most one value
+perturbed, so that both classified and unclassified ground sets occur.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealforge import (
+    NatColoring,
+    NatSet,
+    PairColoring,
+    classify_fs_on,
+    classify_pairs_on,
+    find_block_basis,
+    find_canonical_subset,
+)
+from idealforge.canonical import high_bit, low_bit
+from idealforge.errors import WindowExceeded
+
+from conftest import (
+    FS_CASES,
+    PAIR_CASES,
+    fs_flags_oracle,
+    naive_find_block_basis,
+    naive_find_canonical,
+    pair_flags_oracle,
+    random_block_basis,
+    subset_sum_counts,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+PAIR_KEYS = {
+    "const": lambda p: 0,
+    "min": lambda p: p[0],
+    "max": lambda p: p[1],
+    "inj": lambda p: p,
+}
+FS_KEYS = {
+    "const": lambda x: 0,
+    "min": low_bit,
+    "max": high_bit,
+    "minmax": lambda x: (low_bit(x), high_bit(x)),
+    "inj": lambda x: x,
+}
+shapes = st.sampled_from(["table"] + sorted(PAIR_KEYS))
+fs_shapes = st.sampled_from(["table"] + sorted(FS_KEYS))
+
+
+def _colors(rng, points, shape, keys):
+    """Colors of the points: a random table over 0..3, or a pattern's keys
+    sent injectively to naturals, then perhaps one value perturbed."""
+    if shape == "table":
+        return {p: rng.randint(0, 3) for p in points}
+    key = keys[shape]
+    labels = sorted({key(p) for p in points})
+    rho = dict(zip(labels, rng.sample(range(10 ** 6), len(labels))))
+    colors = {p: rho[key(p)] for p in points}
+    if rng.random() < 0.5:
+        colors[rng.choice(list(points))] = rng.randint(0, 3)
+    return colors
+
+
+def _pair_coloring(rng, n, shape):
+    table = _colors(rng, list(itertools.combinations(range(n), 2)), shape, PAIR_KEYS)
+    return PairColoring.from_table(n, table)
+
+
+def _nat_coloring(rng, elements, shape, window):
+    colors = _colors(rng, sorted(subset_sum_counts(elements)), shape, FS_KEYS)
+    return NatColoring(window, fn=lambda x: colors.get(x, 0))
+
+
+def _expected(flags, cases):
+    alive = [c for c in cases if flags[c]]
+    assert len(alive) <= 1
+    return alive[0] if alive else None
+
+
+@SETTINGS
+@given(st.integers(3, 7), shapes, st.randoms(use_true_random=False))
+def test_classify_pairs_matches_the_pairwise_scan(n, shape, rng):
+    phi = _pair_coloring(rng, n, shape)
+    T = sorted(rng.sample(range(n), rng.randint(3, n)))
+    pairs = list(itertools.combinations(T, 2))
+    flags = pair_flags_oracle(pairs, [phi(p) for p in pairs])
+    assert classify_pairs_on(phi, NatSet(T)) is _expected(flags, PAIR_CASES)
+
+
+@SETTINGS
+@given(st.integers(3, 7), shapes, st.randoms(use_true_random=False))
+def test_find_canonical_subset_matches_enumeration(n, shape, rng):
+    phi = _pair_coloring(rng, n, shape)
+    for m in range(3, n + 1):
+        assert find_canonical_subset(phi, m) == naive_find_canonical(phi, m)
+    with pytest.raises(ValueError, match=f"m = {n + 1} exceeds the ground size {n}"):
+        find_canonical_subset(phi, n + 1)
+
+
+@SETTINGS
+@given(st.integers(3, 5), fs_shapes, st.randoms(use_true_random=False))
+def test_classify_fs_matches_the_pairwise_scan(size, shape, rng):
+    C = random_block_basis(rng, size)
+    phi = _nat_coloring(rng, C.elements, shape, sum(C.elements) + 1)
+    points = sorted(subset_sum_counts(C.elements))
+    flags = fs_flags_oracle(points, [phi(x) for x in points])
+    assert classify_fs_on(phi, C) is _expected(flags, FS_CASES)
+
+
+@SETTINGS
+@given(st.integers(3, 6), fs_shapes, st.randoms(use_true_random=False))
+def test_find_block_basis_matches_enumeration(size, shape, rng):
+    pool = random_block_basis(rng, size)
+    phi = _nat_coloring(rng, pool.elements, shape, sum(pool.elements) + 1)
+    for m in range(3, size + 2):
+        assert find_block_basis(phi, pool, m) == naive_find_block_basis(phi, pool, m)
+
+
+@SETTINGS
+@given(st.integers(3, 5), st.randoms(use_true_random=False))
+def test_small_windows_raise_on_the_least_finite_sum_outside(size, rng):
+    C = random_block_basis(rng, size)
+    window = rng.randint(1, sum(C.elements))
+    x = min(p for p in subset_sum_counts(C.elements) if p >= window)
+    message = f"finite sum {x} outside coloring window \\[0, {window}\\)"
+    with pytest.raises(WindowExceeded, match=message):
+        classify_fs_on(NatColoring.identity(window), C)
+
+    # the search classifies the least three elements first
+    first = C.elements[:3]
+    window = rng.randint(1, sum(first))
+    x = min(p for p in subset_sum_counts(first) if p >= window)
+    message = f"finite sum {x} outside coloring window \\[0, {window}\\)"
+    with pytest.raises(WindowExceeded, match=message):
+        find_block_basis(NatColoring.identity(window), C, rng.randint(3, size))

