@@ -199,20 +199,16 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     )
 
 
-def _h_majorant(case: CanonicalCase, n_max: int, const_value: Optional[int]) -> Fraction:
-    if case is CanonicalCase.CONST:
-        return Fraction(1, const_value + 1)
-    if case in (CanonicalCase.MIN, CanonicalCase.MAX):
-        return sum((Fraction(1, (1 << n) + 1) for n in range(n_max)), Fraction(0))
-    if case is CanonicalCase.MINMAX:
-        return sum(
-            (Fraction(n + 1, n * (1 << n) + 1) for n in range(n_max)), Fraction(0)
-        )
-    if case is CanonicalCase.INJ:
-        return sum(
-            (Fraction(1 << n, (1 << (2 * n)) + 1) for n in range(n_max)), Fraction(0)
-        )
-    raise CaseMismatch(f"unknown case {case!r}")
+# The non-constant h-summable cases as (threshold(n), points(n)): step n picks a
+# block with value above threshold(n) (MINMAX and INJ demand it of the block's
+# sums with earlier picks too), and the pick brings at most points(n) new image
+# values, each above threshold(n).  The majorant sums points(n) / (threshold(n) + 1).
+_H_RULES = {
+    CanonicalCase.MIN: (lambda n: 1 << n, lambda n: 1),
+    CanonicalCase.MAX: (lambda n: 1 << n, lambda n: 1),
+    CanonicalCase.MINMAX: (lambda n: n * (1 << n), lambda n: n + 1),
+    CanonicalCase.INJ: (lambda n: 1 << (2 * n), lambda n: 1 << n),
+}
 
 
 def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
@@ -263,20 +259,14 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             checks=tuple(checks), note="constant image",
         ))
         D = chosen
-        const_value = value
+        majorant = Fraction(1, value + 1)
     else:
+        threshold, points = _H_RULES[case]
         chosen = []
         last_idx = -1
         total = 0
-        const_value = None
         for n in range(n_max):
-            if case in (CanonicalCase.MIN, CanonicalCase.MAX):
-                thr = 1 << n
-            elif case is CanonicalCase.MINMAX:
-                thr = n * (1 << n)
-            else:
-                thr = 1 << (2 * n)
-
+            thr = threshold(n)
             scan_floor = -1
             if case is CanonicalCase.INJ:
                 m = thr
@@ -325,11 +315,11 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                     f"selected basis classifies as {got.value if got else 'none'}, "
                     f"not {case.value}"
                 )
+        majorant = sum((Fraction(points(n), threshold(n) + 1) for n in range(n_max)),
+                       Fraction(0))
 
     image = NatSet(phi(x) for x in fs(NatSet(D)))
     certified = reciprocal_sum(image)
-    majorant = _h_majorant(case, len(D) if case is CanonicalCase.CONST else n_max,
-                           const_value)
     return Transcript(
         strategy="h-summable",
         params={"n_max": n_max, "case": case.value, "window": window},
@@ -598,47 +588,37 @@ def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,
     report = Report(meta={"fs_size": fs_size, "depth": len(b)})
     if len(b) != len(B):
         raise MalformedBundle(f"{len(b)} picks vs {len(B)} reservoirs")
+    for key in ("(a)", "(b)", "(c)", "(d)"):
+        report.add(key, True)
 
-    ok_a, detail_a = True, ""
     for n, bn in enumerate(b):
         if bn not in B[n]:
-            ok_a, detail_a = False, f"b_{n} = {bn} not in its reservoir"
+            report.fail("(a)", f"b_{n} = {bn} not in its reservoir")
             break
         if n > 0 and bn <= b[n - 1]:
-            ok_a, detail_a = False, f"b_{n} = {bn} <= b_{n-1} = {b[n - 1]}"
+            report.fail("(a)", f"b_{n} = {bn} <= b_{n-1} = {b[n - 1]}")
             break
-    report.add("(a)", ok_a, detail_a)
 
-    ok_b, detail_b = True, ""
     for n in range(1, len(B)):
         if not B[n].issubset(B[n - 1]):
-            ok_b, detail_b = False, f"B_{n} not inside B_{n-1}"
+            report.fail("(b)", f"B_{n} not inside B_{n-1}")
             break
-    report.add("(b)", ok_b, detail_b)
 
-    ok_c, detail_c = True, ""
-    ok_d, detail_d = True, ""
+    # Once (c) or (d) fails, its scan stops: later steps query f no further.
     for n in range(len(b)):
         ys = sorted({f(p) for p in itertools.combinations(b[:n], 2)})
         conflicts = _conflict_union(D, ys)
-        if ok_c:
+        if "(c)" not in report.failed_names():
             for p in itertools.combinations(B[n].elements, 2):
                 if f(p) in conflicts:
-                    ok_c = False
-                    detail_c = f"f({set(p)}) = {f(p)} hits a conflict set at step {n}"
+                    report.fail("(c)", f"f({set(p)}) = {f(p)} hits a conflict set at step {n}")
                     break
-        if ok_d:
-            for i in range(n):
-                for y in ys:
-                    if not _shifted_image_free(f, b[i], B[n].elements, y, fs_size):
-                        ok_d = False
-                        detail_d = (f"row of b_{i} shifted by {y} carries a "
-                                    f"size-{fs_size} basis at step {n}")
-                        break
-                if not ok_d:
+        if "(d)" not in report.failed_names():
+            for i, y in itertools.product(range(n), ys):
+                if not _shifted_image_free(f, b[i], B[n].elements, y, fs_size):
+                    report.fail("(d)", f"row of b_{i} shifted by {y} carries a "
+                                       f"size-{fs_size} basis at step {n}")
                     break
-    report.add("(c)", ok_c, detail_c)
-    report.add("(d)", ok_d, detail_d)
     return report
 
 
@@ -787,49 +767,41 @@ def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Rep
                "ambient basis very sparse with sums inside the ground sums"
                if base_ok else "ambient basis fails the hypothesis")
 
-    def basis_at(n: int) -> SparseBasis:
-        return D if n < 0 else Ds[n]
-
-    oks = {key: (True, "") for key in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)")}
-
-    def fail(key: str, detail: str):
-        if oks[key][0]:
-            oks[key] = (False, detail)
+    for key in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):
+        report.add(key, True)
+    bases = [D, *Ds]  # bases[n] is the basis before step n
 
     for n in range(len(xs)):
         xn = xs[n]
-        prev = basis_at(n - 1)
+        prev = bases[n]
         if xn not in prev:
-            fail("(a)", f"x_{n} = {xn} not a finite sum of the step-{n-1} basis")
+            report.fail("(a)", f"x_{n} = {xn} not a finite sum of the step-{n-1} basis")
         if xn in xs[:n]:
-            fail("(a)", f"x_{n} repeats an earlier point")
+            report.fail("(a)", f"x_{n} repeats an earlier point")
         for i in range(n):
             for j in range(n):
                 if _mask_or_zero(Ds[j], xs[i]) & _mask_or_zero(Ds[j], xn):
-                    fail("(a)", f"x_{n} meets the conflict set of x_{i} over D_{j}")
+                    report.fail("(a)", f"x_{n} meets the conflict set of x_{i} over D_{j}")
         flag = is_very_sparse(NatSet(Ds[n].elements))
         if not flag:
-            fail("(b)", f"D_{n} not very sparse: {flag.counterexample}")
+            report.fail("(b)", f"D_{n} not very sparse: {flag.counterexample}")
         if not fs(NatSet(xs[: n + 1])).issubset(D.fs_set()):
-            fail("(c)", f"finite sums of x_0..x_{n} escape the ambient sums")
+            report.fail("(c)", f"finite sums of x_0..x_{n} escape the ambient sums")
         if not Ds[n].fs_set().issubset(prev.fs_set()):
-            fail("(d)", f"FS(D_{n}) not inside FS(D_{n-1})")
+            report.fail("(d)", f"FS(D_{n}) not inside FS(D_{n-1})")
         if not Ds[n].fs_set().issubset(D.fs_set()):
-            fail("(d)", f"FS(D_{n}) not inside FS(D)")
+            report.fail("(d)", f"FS(D_{n}) not inside FS(D)")
         fsn = set(Ds[n].fs_set())
         for i in range(1, n + 2):
             col = f.inv_second(k + i)
             for x in fs(NatSet(xs[: n + 1])):
                 for z in col:
                     if z >= x and (z - x) in fsn:
-                        fail("(e)", f"column {k + i} shifted by {x} meets FS(D_{n}) at {z - x}")
+                        report.fail("(e)", f"column {k + i} shifted by {x} meets "
+                                           f"FS(D_{n}) at {z - x}")
             for z in col:
                 if z in fsn:
-                    fail("(f)", f"column {k + i} meets FS(D_{n}) at {z}")
-
-    for key in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):
-        ok, detail = oks[key]
-        report.add(key, ok, detail)
+                    report.fail("(f)", f"column {k + i} meets FS(D_{n}) at {z}")
     return report
 
 
@@ -842,18 +814,11 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
     if any(j not in (0, 1) for j in js):
         raise MalformedBundle("branch flags must be 0 or 1")
     report = Report(meta={"case": 2, "depth": depth})
-
-    def basis_at(i: int) -> SparseBasis:
-        return X if i < 0 else Ds[i]
-
-    keys = ("(a1)", "(a2)", "(b1)", "(b2)", "(c1)", "(c2)", "(c3)", "(c4)",
-            "(d1)", "(d2)", "(d3a)", "(d3b)", "(d4)", "(e1)", "(e2)", "(e3)",
-            "(f)", "(g1)", "(g2)")
-    oks = {key: (True, "") for key in keys}
-
-    def fail(key: str, detail: str):
-        if oks[key][0]:
-            oks[key] = (False, detail)
+    for key in ("(a1)", "(a2)", "(b1)", "(b2)", "(c1)", "(c2)", "(c3)", "(c4)",
+                "(d1)", "(d2)", "(d3a)", "(d3b)", "(d4)", "(e1)", "(e2)", "(e3)",
+                "(f)", "(g1)", "(g2)"):
+        report.add(key, True)
+    bases = [X, *Ds]  # bases[i] is the basis before step i
 
     def banned(i: int) -> set:
         out: set = set()
@@ -862,49 +827,50 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
         return out
 
     for i in range(depth):
-        prev = basis_at(i - 1)
+        prev = bases[i]
         # (a)
         if ns[i] <= (ns[i - 1] if i > 0 else -1):
-            fail("(a1)", f"n_{i} = {ns[i]} does not increase")
+            report.fail("(a1)", f"n_{i} = {ns[i]} does not increase")
         coord_bound = 0
         for x in fs(NatSet(xs[:i])):
             got = f.get(x)  # image of a partial map skips undefined points
             if got is not None:
                 coord_bound = max(coord_bound, got[0])
         if ns[i] <= coord_bound:
-            fail("(a2)", f"n_{i} = {ns[i]} not above the image coordinates {coord_bound}")
+            report.fail("(a2)",
+                        f"n_{i} = {ns[i]} not above the image coordinates {coord_bound}")
         # (b)
         if not Ds[i].fs_set().issubset(prev.fs_set()):
-            fail("(b1)", f"FS(D_{i}) not inside FS(D_{i-1})")
+            report.fail("(b1)", f"FS(D_{i}) not inside FS(D_{i-1})")
         if not Ds[i].fs_set().issubset(X.fs_set()):
-            fail("(b1)", f"FS(D_{i}) not inside FS(X)")
+            report.fail("(b1)", f"FS(D_{i}) not inside FS(X)")
         flag = is_very_sparse(NatSet(Ds[i].elements))
         if not flag:
-            fail("(b2)", f"D_{i} not very sparse: {flag.counterexample}")
+            report.fail("(b2)", f"D_{i} not very sparse: {flag.counterexample}")
         # branch items
         if js[i] == 0:
             if ks[i] != -1:
-                fail("(c1)", f"k_{i} = {ks[i]} but the branch flag is 0")
+                report.fail("(c1)", f"k_{i} = {ks[i]} but the branch flag is 0")
             if set(Fs[i]):
-                fail("(c2)", f"F_{i} nonempty on branch 0")
+                report.fail("(c2)", f"F_{i} nonempty on branch 0")
             got = f.get(xs[i])
             if xs[i] not in prev or got is None or got[1] != ns[i]:
-                fail("(c3)", f"x_{i} not a previous-basis sum landing in column {ns[i]}")
+                report.fail("(c3)", f"x_{i} not a previous-basis sum landing in column {ns[i]}")
             for d in Ds[i].fs_set():
                 got = f.get(xs[i] + d)
                 if got is None or got[1] != ns[i]:
-                    fail("(c4)", f"x_{i} + {d} does not land in column {ns[i]}")
+                    report.fail("(c4)", f"x_{i} + {d} does not land in column {ns[i]}")
                     break
         else:
             eligible = {u for u in range(i)
                         if u not in banned(i - 1) and js[u] == 0}
             if ks[i] not in eligible:
-                fail("(d1)", f"k_{i} = {ks[i]} not an eligible branch-0 index")
+                report.fail("(d1)", f"k_{i} = {ks[i]} not an eligible branch-0 index")
             if set(Fs[i]) != set(range(ks[i], i)):
-                fail("(d2)", f"F_{i} != {{k_{i}, ..., {i - 1}}}")
+                report.fail("(d2)", f"F_{i} != {{k_{i}, ..., {i - 1}}}")
             target = (ns[i], ns[ks[i]]) if 0 <= ks[i] < depth else None
             if target is None or f.get(xs[i]) != target:
-                fail("(d3a)", f"x_{i} does not map to ({ns[i]}, n_k)")
+                report.fail("(d3a)", f"x_{i} does not map to ({ns[i]}, n_k)")
             mids = {0} | set(fs(NatSet(
                 xs[r] for r in range(ks[i] + 1, i) if r not in banned(i - 1)
             )))
@@ -913,11 +879,12 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
                 for mid in mids for d in prev.fs_set()
             ) if 0 <= ks[i] < depth else False
             if not hit:
-                fail("(d3b)", f"x_{i} not reachable from x_k plus middle sums plus FS(D_{i-1})")
+                report.fail("(d3b)", f"x_{i} not reachable from x_k plus middle sums "
+                                     f"plus FS(D_{i-1})")
             if target is not None:
                 for d in Ds[i].fs_set():
                     if f.get(xs[i] + d) != target:
-                        fail("(d4)", f"x_{i} + {d} does not map to {target}")
+                        report.fail("(d4)", f"x_{i} + {d} does not map to {target}")
                         break
         # (e)
         allowed = [t for t in range(i) if t not in banned(i)]
@@ -927,55 +894,49 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
                 target = (ns[i], ns[S[0]])
                 for d in Ds[i].fs_set():
                     if f.get(x + xs[i] + d) == target:
-                        fail("(e1)", f"x + x_{i} + FS(D_{i}) hits {target}")
+                        report.fail("(e1)", f"x + x_{i} + FS(D_{i}) hits {target}")
                         break
                 for d in Ds[i].fs_set():
                     if f.get(x + d) == target:
-                        fail("(e2)", f"x + FS(D_{i}) hits {target}")
+                        report.fail("(e2)", f"x + FS(D_{i}) hits {target}")
                         break
                 if f.get(x + xs[i]) == target:
-                    fail("(e3)", f"x + x_{i} maps to {target}")
+                    report.fail("(e3)", f"x + x_{i} maps to {target}")
         # (f)
-        for t in range(-1, i):
-            Dt = basis_at(t)
+        for t, Dt in enumerate(bases[: i + 1], -1):
             for u in range(i + 1):
                 if xs[u] not in Dt:
                     continue
                 hits = conflict_set(Dt, xs[u])
                 if any(y in hits for y in Ds[i].fs_set()):
-                    fail("(f)", f"FS(D_{i}) meets the conflict set of x_{u} over D_{t}")
+                    report.fail("(f)", f"FS(D_{i}) meets the conflict set of x_{u} over D_{t}")
         # (g)
         allowed_incl = [t for t in range(i + 1) if t not in banned(i)]
         if not fs(NatSet(xs[t] for t in allowed_incl)).issubset(X.fs_set()):
-            fail("(g1)", f"allowed sums up to {i} escape FS(X)")
+            report.fail("(g1)", f"allowed sums up to {i} escape FS(X)")
         for r in range(2, len(allowed_incl) + 1):
             for S in itertools.combinations(allowed_incl, r):
                 total = sum(xs[t] for t in S)
                 t0 = S[0]
-                if (total - xs[t0]) not in basis_at(t0):
-                    fail("(g2)", f"sum over {S} not in x_{t0} + FS(D_{t0})")
-
-    for key in keys:
-        ok, detail = oks[key]
-        report.add(key, ok, detail)
+                if (total - xs[t0]) not in bases[t0 + 1]:
+                    report.fail("(g2)", f"sum over {S} not in x_{t0} + FS(D_{t0})")
     return report
 
 
-def check_rnh_conditions(case: int, bundle, f: GammaMap, X: SparseBasis) -> Report:
+def check_rnh_conditions(bundle, f: GammaMap, X: SparseBasis) -> Report:
     """Itemized verification of a column-construction bundle.
 
-    Case 1 checks items (a) through (f) of the avoidance construction;
-    case 2 checks items (a1) through (g2) of the hitting construction.
+    An RnhCase1Bundle is checked against items (a) through (f) of the
+    avoidance construction; an RnhCase2Bundle against items (a1) through
+    (g2) of the hitting construction.
     """
-    if case == 1:
-        if not isinstance(bundle, RnhCase1Bundle):
-            raise MalformedBundle("case 1 expects an RnhCase1Bundle")
+    if isinstance(bundle, RnhCase1Bundle):
         return _check_rnh_case1(bundle, f, X)
-    if case == 2:
-        if not isinstance(bundle, RnhCase2Bundle):
-            raise MalformedBundle("case 2 expects an RnhCase2Bundle")
+    if isinstance(bundle, RnhCase2Bundle):
         return _check_rnh_case2(bundle, f, X)
-    raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
+    raise MalformedBundle(
+        f"expected an RnhCase1Bundle or an RnhCase2Bundle, got {type(bundle).__name__}"
+    )
 
 
 def verify_transcript(t: Transcript, coloring=None) -> Report:
@@ -983,18 +944,13 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
     must hold on fresh queries, the stored image must equal the recomputed
     one, and the certificate must match and respect its majorant."""
     phi = coloring if coloring is not None else t.coloring
-    report = Report(meta={"strategy": t.strategy})
-
-    ok, detail = True, ""
-    for step in t.steps:
-        for ck in step.checks:
-            fresh = phi(ck.args[0]) if ck.kind == "nat" else phi(ck.args)
-            if fresh != ck.value or not ck.holds():
-                ok, detail = False, f"step {step.index}: {ck.describe()} (fresh {fresh})"
-                break
-        if not ok:
+    report = Report(meta={"strategy": t.strategy}).add("checks", True)
+    # The scan stops at the first bad check: later checks query phi no further.
+    for step, ck in ((step, ck) for step in t.steps for ck in step.checks):
+        fresh = phi(ck.args[0]) if ck.kind == "nat" else phi(ck.args)
+        if fresh != ck.value or not ck.holds():
+            report.fail("checks", f"step {step.index}: {ck.describe()} (fresh {fresh})")
             break
-    report.add("checks", ok, detail)
 
     if t.strategy == "w-summable":
         recomputed = NatSet(phi(x) for x in t.witness["set"])

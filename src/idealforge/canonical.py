@@ -49,10 +49,10 @@ class NatColoring:
     function.  Querying outside the window raises WindowExceeded.
     """
 
-    __slots__ = ("window", "name", "_fn", "_table")
+    __slots__ = ("window", "_fn", "_table")
 
     def __init__(self, window: int, fn: Optional[Callable[[int], int]] = None,
-                 table: Optional[Dict[int, int]] = None, name: str = "custom"):
+                 table: Optional[Dict[int, int]] = None):
         if window <= 0:
             raise ValueError("window must be > 0")
         if (fn is None) == (table is None):
@@ -62,7 +62,6 @@ class NatColoring:
             if missing:
                 raise Incomplete(missing, kind="nat coloring")
         self.window = window
-        self.name = name
         self._fn = fn
         self._table = dict(table) if table is not None else None
 
@@ -76,38 +75,36 @@ class NatColoring:
 
     @classmethod
     def from_table(cls, window: int, table: Dict[int, int]) -> "NatColoring":
-        return cls(window, table=table, name="table")
+        return cls(window, table=table)
 
     @classmethod
     def identity(cls, window: int) -> "NatColoring":
-        return cls(window, fn=lambda x: x, name="identity")
+        return cls(window, fn=lambda x: x)
 
     @classmethod
     def constant(cls, window: int, v: int) -> "NatColoring":
-        return cls(window, fn=lambda x: v, name=f"const:{v}")
+        return cls(window, fn=lambda x: v)
 
     @classmethod
     def min_alpha(cls, window: int) -> "NatColoring":
-        return cls(window, fn=low_bit, name="min-alpha")
+        return cls(window, fn=low_bit)
 
     @classmethod
     def max_alpha(cls, window: int) -> "NatColoring":
-        return cls(window, fn=high_bit, name="max-alpha")
+        return cls(window, fn=high_bit)
 
     @classmethod
     def minmax_alpha(cls, window: int) -> "NatColoring":
-        return cls(window, fn=lambda x: cantor_pair(low_bit(x), high_bit(x)),
-                   name="minmax-alpha")
+        return cls(window, fn=lambda x: cantor_pair(low_bit(x), high_bit(x)))
 
 
 class PairColoring:
     """Total deterministic coloring of the unordered pairs over [0, n)."""
 
-    __slots__ = ("n", "name", "_fn", "_table")
+    __slots__ = ("n", "_fn", "_table")
 
     def __init__(self, n: int, fn: Optional[Callable[[int, int], int]] = None,
-                 table: Optional[Dict[Tuple[int, int], int]] = None,
-                 name: str = "custom"):
+                 table: Optional[Dict[Tuple[int, int], int]] = None):
         if n < 2:
             raise ValueError("pair coloring needs n >= 2")
         if (fn is None) == (table is None):
@@ -123,7 +120,6 @@ class PairColoring:
                 raise Incomplete(missing, kind="pair coloring")
             table = norm
         self.n = n
-        self.name = name
         self._fn = fn
         self._table = table
 
@@ -141,23 +137,23 @@ class PairColoring:
 
     @classmethod
     def from_table(cls, n: int, table: Dict[Tuple[int, int], int]) -> "PairColoring":
-        return cls(n, table=table, name="table")
+        return cls(n, table=table)
 
     @classmethod
     def constant(cls, n: int, v: int) -> "PairColoring":
-        return cls(n, fn=lambda i, j: v, name=f"const:{v}")
+        return cls(n, fn=lambda i, j: v)
 
     @classmethod
     def minimum(cls, n: int) -> "PairColoring":
-        return cls(n, fn=lambda i, j: i, name="min")
+        return cls(n, fn=lambda i, j: i)
 
     @classmethod
     def maximum(cls, n: int) -> "PairColoring":
-        return cls(n, fn=lambda i, j: j, name="max")
+        return cls(n, fn=lambda i, j: j)
 
     @classmethod
     def pairing(cls, n: int) -> "PairColoring":
-        return cls(n, fn=cantor_pair, name="pairing")
+        return cls(n, fn=cantor_pair)
 
 
 class BlockBasis:
@@ -309,12 +305,13 @@ def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
     """Least sub-basis of the pool of size m on which phi classifies.
 
     Bounded backtracking; returns None on exhaustion.  Finite pools give no
-    guarantee of success, so the absence return is honest.
+    guarantee of success, so the absence return is honest; an m above the
+    pool size is an input error.
     """
     if m < 3:
         raise TooSmall("m must be >= 3")
     if m > len(pool):
-        return None
+        raise ValueError(f"m = {m} exceeds the pool size {len(pool)}")
     hit = _least_subset(pool.elements, m, lambda points: _fs_case(phi, points))
     if hit is None:
         return None

@@ -27,7 +27,7 @@ from .adversary import GammaMap, RnhCase1Bundle, RnhCase2Bundle, SearchBudget, \
     replay_final_contradiction, verify_transcript
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, find_block_basis, find_canonical_subset
-from .errors import IdealforgeError, ParseError, SearchExhausted
+from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhausted
 from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, find_ap, find_clique, \
     heavy_columns, is_positive, longest_ap, reciprocal_sum, tall_witness
 from .reduction import FiniteIdealSpec, search_reduction, verify_reduction
@@ -375,20 +375,23 @@ def _cmd_verify(args) -> Dict[str, Any]:
     if what == "rnh":
         f = _gamma_from_rows(bundle["f"])
         X = SparseBasis(bundle["X"])
-        if bundle["case"] == 1:
+        case = bundle["case"]
+        if case == 1:
             data = RnhCase1Bundle(
                 k=bundle["k"], D=SparseBasis(bundle["D"]),
                 xs=list(bundle["x"]),
                 Ds=[SparseBasis(d) for d in bundle["Dn"]],
             )
-        else:
+        elif case == 2:
             data = RnhCase2Bundle(
                 ns=list(bundle["n"]), js=list(bundle["j"]),
                 ks=list(bundle["k"]), Fs=[frozenset(F) for F in bundle["F"]],
                 xs=list(bundle["x"]),
                 Ds=[SparseBasis(d) for d in bundle["Dn"]],
             )
-        report = check_rnh_conditions(bundle["case"], data, f, X)
+        else:
+            raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
+        report = check_rnh_conditions(data, f, X)
         return {"what": what, "report": report.to_json_dict()}
     raise ParseError(f"unknown verify target {what!r}")
 

@@ -89,14 +89,6 @@ class NatSet:
     def union(self, other: Iterable[int]) -> "NatSet":
         return NatSet(itertools.chain(self.elements, other))
 
-    def intersection(self, other: Iterable[int]) -> "NatSet":
-        members = set(other)
-        return NatSet(a for a in self.elements if a in members)
-
-    def difference(self, other: Iterable[int]) -> "NatSet":
-        members = set(other)
-        return NatSet(a for a in self.elements if a not in members)
-
     def issubset(self, other: "NatSet") -> bool:
         return self._members <= other._members
 
@@ -164,10 +156,6 @@ class IdealId(Enum):
     SUMMABLE = "summable"
     FIN = "fin"
     FIN2 = "fin2"
-
-
-# Ideals whose carrier is a set of naturals rather than a set of pairs.
-NAT_IDEALS = (IdealId.VDW, IdealId.HINDMAN, IdealId.SUMMABLE, IdealId.FIN)
 
 
 @dataclass(frozen=True)

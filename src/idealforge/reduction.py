@@ -23,8 +23,6 @@ FINITE_SCALE_CAVEAT = (
     "micro-scale result: evidence about finite truncations only, not a theorem"
 )
 
-_NAT_CARRIERS = (IdealId.VDW, IdealId.HINDMAN, IdealId.SUMMABLE, IdealId.FIN)
-
 
 @dataclass(frozen=True)
 class FiniteIdealSpec:
@@ -168,7 +166,6 @@ class SearchOutcome:
     found: Optional[Dict] = None
     exhausted: bool = False
     nodes: int = 0
-    caveat: str = FINITE_SCALE_CAVEAT
 
     def to_json_dict(self):
         from .report import jsonable
@@ -178,7 +175,7 @@ class SearchOutcome:
             [[jsonable(k), jsonable(v)] for k, v in sorted(self.found.items())],
             "exhausted": self.exhausted,
             "nodes": self.nodes,
-            "caveat": self.caveat,
+            "caveat": FINITE_SCALE_CAVEAT,
         }
 
 

@@ -70,6 +70,13 @@ class Report:
         self.items.append(CheckItem(name, bool(passed), detail))
         return self
 
+    def fail(self, name: str, detail: str) -> None:
+        """Mark the added item ``name`` failed; an item keeps the detail of
+        its first failure."""
+        item = self.items[[it.name for it in self.items].index(name)]
+        if item.passed:
+            item.passed, item.detail = False, detail
+
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.items)

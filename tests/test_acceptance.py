@@ -298,40 +298,40 @@ def test_acceptance_7_constructor_checker_agreement():
 
     # one fully valid bundle per construction case
     Xb, base, bundle = _case2_fixture()
-    assert check_rnh_conditions(2, bundle, GammaMap(base), Xb).passed
+    assert check_rnh_conditions(bundle, GammaMap(base), Xb).passed
     case1 = RnhCase1Bundle(k=0, D=Xb, xs=[1, 10],
                            Ds=[SparseBasis([10, 100]), SparseBasis([100])])
     flat = {x: (1, 0) for x in Xb.fs_set()}
-    assert check_rnh_conditions(1, case1, GammaMap(flat), Xb).passed
+    assert check_rnh_conditions(case1, GammaMap(flat), Xb).passed
 
     # five single-violation bundles, each failing exactly its target item
     violations = []
 
     t1 = dict(flat)
     t1[100] = (5, 1)
-    violations.append(("(f)", check_rnh_conditions(1, case1, GammaMap(t1), Xb)))
+    violations.append(("(f)", check_rnh_conditions(case1, GammaMap(t1), Xb)))
 
     t2_ = dict(flat)
     t2_[111] = (5, 1)
-    violations.append(("(e)", check_rnh_conditions(1, case1, GammaMap(t2_), Xb)))
+    violations.append(("(e)", check_rnh_conditions(case1, GammaMap(t2_), Xb)))
 
     t3 = dict(base)
     t3[10100] = (9, 6)
     b3 = RnhCase2Bundle(
         ns=[1, 6], js=[0, 0], ks=[-1, -1], Fs=[frozenset(), frozenset()],
         xs=[11, 100], Ds=[SparseBasis([100, 1000]), SparseBasis([10000])])
-    violations.append(("(b1)", check_rnh_conditions(2, b3, GammaMap(t3), Xb)))
+    violations.append(("(b1)", check_rnh_conditions(b3, GammaMap(t3), Xb)))
 
     t4 = dict(base)
     t4[111] = (6, 1)
-    violations.append(("(e3)", check_rnh_conditions(2, bundle, GammaMap(t4), Xb)))
+    violations.append(("(e3)", check_rnh_conditions(bundle, GammaMap(t4), Xb)))
 
     t5 = {x: (1, 0) for x in Xb.fs_set()}
     t5.update({11: (5, 1), 111: (6, 1), 1011: (3, 1), 1111: (6, 1)})
     b5 = RnhCase2Bundle(
         ns=[1, 6], js=[0, 1], ks=[-1, 0], Fs=[frozenset(), frozenset([0])],
         xs=[11, 1011], Ds=[SparseBasis([100, 1000]), SparseBasis([100])])
-    violations.append(("(d3a)", check_rnh_conditions(2, b5, GammaMap(t5), Xb)))
+    violations.append(("(d3a)", check_rnh_conditions(b5, GammaMap(t5), Xb)))
 
     for target, report in violations:
         assert report.failed_names() == [target], \

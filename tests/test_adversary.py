@@ -73,7 +73,7 @@ def test_defeat_w_constant_exhausts():
 
 
 def test_defeat_w_square_coloring():
-    phi = NatColoring(20000, fn=lambda x: x * x, name="square")
+    phi = NatColoring(20000, fn=lambda x: x * x)
     t = defeat_w_summable(phi, SearchBudget(max_element=20000, max_steps=4))
     for step in t.steps:
         xs = step.chosen
@@ -276,22 +276,22 @@ def test_rnh_case1_valid_and_breaks():
     base = {x: (1, 0) for x in Xb.fs_set()}
     bundle = RnhCase1Bundle(k=0, D=Xb, xs=[1, 10],
                             Ds=[SparseBasis([10, 100]), SparseBasis([100])])
-    assert check_rnh_conditions(1, bundle, GammaMap(base), Xb).passed
+    assert check_rnh_conditions(bundle, GammaMap(base), Xb).passed
 
     hits_f = dict(base)
     hits_f[100] = (5, 1)  # 100 sits in FS(D_0) and FS(D_1)
-    rep = check_rnh_conditions(1, bundle, GammaMap(hits_f), Xb)
+    rep = check_rnh_conditions(bundle, GammaMap(hits_f), Xb)
     assert rep.failed_names() == ["(f)"]
 
     hits_e = dict(base)
     hits_e[111] = (5, 1)  # 111 only reaches the bases after a shift
-    rep = check_rnh_conditions(1, bundle, GammaMap(hits_e), Xb)
+    rep = check_rnh_conditions(bundle, GammaMap(hits_e), Xb)
     assert rep.failed_names() == ["(e)"]
 
 
 def test_rnh_case2_valid():
     Xb, f, bundle = case2_valid_fixture()
-    rep = check_rnh_conditions(2, bundle, f, Xb)
+    rep = check_rnh_conditions(bundle, f, Xb)
     assert rep.passed, rep.failed_names()
 
 
@@ -304,7 +304,7 @@ def test_rnh_case2_branch1_valid():
         xs=[11, 111],
         Ds=[SparseBasis([100, 1000]), SparseBasis([1000])],
     )
-    rep = check_rnh_conditions(2, bundle, GammaMap(table), Xb)
+    rep = check_rnh_conditions(bundle, GammaMap(table), Xb)
     assert rep.passed, rep.failed_names()
 
 
@@ -328,7 +328,7 @@ def test_rnh_case2_depth_three_with_branch_middle():
         xs=[11, 111, 1000],
         Ds=[D0, SparseBasis([1000, 10000]), SparseBasis([10000])],
     )
-    rep = check_rnh_conditions(2, bundle, GammaMap(table), Xb)
+    rep = check_rnh_conditions(bundle, GammaMap(table), Xb)
     assert rep.passed, rep.failed_names()
     # the final point must actually sit in column 7, not ride a default
     assert GammaMap(table)(1000) == (8, 7)
@@ -345,12 +345,12 @@ def test_rnh_case2_single_violations():
         xs=[11, 100],
         Ds=[SparseBasis([100, 1000]), SparseBasis([10000])],
     )
-    assert check_rnh_conditions(2, broken, GammaMap(t), Xb).failed_names() == ["(b1)"]
+    assert check_rnh_conditions(broken, GammaMap(t), Xb).failed_names() == ["(b1)"]
 
     # (e3): the forbidden point value (n_1, n_0) appears at x_0 + x_1
     t = dict(f.table)
     t[111] = (6, 1)
-    assert check_rnh_conditions(2, bundle, GammaMap(t), Xb).failed_names() == ["(e3)"]
+    assert check_rnh_conditions(bundle, GammaMap(t), Xb).failed_names() == ["(e3)"]
 
     # (d3a): a branch-1 step whose point maps to the wrong column pair
     table = {x: (1, 0) for x in Xb.fs_set()}
@@ -360,18 +360,16 @@ def test_rnh_case2_single_violations():
         xs=[11, 1011],
         Ds=[SparseBasis([100, 1000]), SparseBasis([100])],
     )
-    rep = check_rnh_conditions(2, broken, GammaMap(table), Xb)
+    rep = check_rnh_conditions(broken, GammaMap(table), Xb)
     assert rep.failed_names() == ["(d3a)"]
 
 
 def test_rnh_malformed_bundles():
-    Xb, f, bundle = case2_valid_fixture()
+    Xb, f, _ = case2_valid_fixture()
+    with pytest.raises(MalformedBundle, match="got dict"):
+        check_rnh_conditions({"case": 2}, f, Xb)
     with pytest.raises(MalformedBundle):
-        check_rnh_conditions(3, bundle, f, Xb)
-    with pytest.raises(MalformedBundle):
-        check_rnh_conditions(1, bundle, f, Xb)
-    with pytest.raises(MalformedBundle):
-        check_rnh_conditions(2, RnhCase2Bundle(
+        check_rnh_conditions(RnhCase2Bundle(
             ns=[1], js=[0, 0], ks=[-1, -1], Fs=[frozenset(), frozenset()],
             xs=[11, 100], Ds=[SparseBasis([100])] * 2), f, Xb)
 
@@ -425,7 +423,7 @@ def test_rnh_checker_catches_structural_mutations():
             continue
         bundle = RnhCase2Bundle(ns=ns, js=[0, 0], ks=[-1, -1],
                                 Fs=[frozenset(), frozenset()], xs=xs, Ds=Ds)
-        rep = check_rnh_conditions(2, bundle, f, Xb)
+        rep = check_rnh_conditions(bundle, f, Xb)
         assert not rep.passed, (kind, ns, xs, [d.elements for d in Ds])
         caught += 1
     assert caught > 80

@@ -118,8 +118,10 @@ def test_classify_fs_matches_the_pairwise_scan(size, shape, rng):
 def test_find_block_basis_matches_enumeration(size, shape, rng):
     pool = random_block_basis(rng, size)
     phi = _nat_coloring(rng, pool.elements, shape, sum(pool.elements) + 1)
-    for m in range(3, size + 2):
+    for m in range(3, size + 1):
         assert find_block_basis(phi, pool, m) == naive_find_block_basis(phi, pool, m)
+    with pytest.raises(ValueError, match=f"m = {size + 1} exceeds the pool size {size}"):
+        find_block_basis(phi, pool, size + 1)
 
 
 @SETTINGS

@@ -144,6 +144,15 @@ def test_canonize_subcommand(tmp_path):
     assert rep["body"]["result"] == {"basis": [1, 2, 4], "case": "min"}
 
 
+def test_canonize_find_rejects_m_above_the_pool_size():
+    code, rep = invoke("canonize", "--kind", "fs", "--op", "find",
+                       "--phi", "min-alpha", "--window", "64",
+                       "--ground", "1,2,4", "--m", "5")
+    assert code == 1
+    assert rep["body"]["error"] == {"code": "ValueError",
+                                    "message": "m = 5 exceeds the pool size 3"}
+
+
 def test_adversary_subcommand_and_exit_codes():
     code, rep = invoke("adversary", "--strategy", "w-summable",
                        "--phi", "identity", "--nmax", "3")
@@ -222,6 +231,12 @@ def test_verify_subcommand_bundles(tmp_path):
     path.write_text(json.dumps(rnh))
     code, rep = invoke("verify", "--what", "rnh", "--bundle", str(path))
     assert code == 0 and rep["body"]["report"]["passed"] is True
+
+    path.write_text(json.dumps(dict(rnh, case=3)))
+    code, rep = invoke("verify", "--what", "rnh", "--bundle", str(path))
+    assert code == 1
+    assert rep["body"]["error"] == {"code": "MalformedBundle",
+                                    "message": "case must be 1 or 2, got 3"}
 
     reduction = {
         "src": {"ideal": "vdw", "ground": "0..4"},

@@ -1,0 +1,21 @@
+"""Rules every library module keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import idealforge
+
+PACKAGE = Path(idealforge.__file__).parent
+
+
+def test_no_assert_statements_in_the_library():
+    # `python -O` strips assert statements, so an invariant checked by one
+    # would go unchecked; library code raises a typed error instead.
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
