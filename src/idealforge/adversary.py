@@ -158,14 +158,19 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     """Build progressions F_n inside {x : phi(x) >= n 2^n} for n = 1..n_max.
 
     The witness has unbounded progression length while the image reciprocal
-    mass stays under the exact majorant sum of n / (n 2^n + 1).
+    mass stays under the exact majorant sum of n / (n 2^n + 1).  The window
+    [0, bound) is read once; the thresholds increase, so each step's good
+    set narrows the previous one.
     """
     bound = min(phi.window, budget.max_element)
+    values = [phi(x) for x in range(bound)]
+    survivors = range(bound)
     steps: List[TranscriptStep] = []
     blocks: List[NatSet] = []
     for n in range(1, budget.max_steps + 1):
         thr = n * (1 << n)
-        good = NatSet(x for x in range(bound) if phi(x) >= thr)
+        survivors = [x for x in survivors if values[x] >= thr]
+        good = NatSet._trusted(tuple(survivors))
         hit = find_ap(good, n)
         if hit is None:
             raise SearchExhausted(
@@ -265,17 +270,20 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         chosen = []
         last_idx = -1
         total = 0
+        if case is CanonicalCase.INJ:
+            # The preimage scan window, read once for every step.
+            scan_bound = min(window, budget.max_element)
+            values = [phi(z) for z in range(scan_bound)]
         for n in range(n_max):
             thr = threshold(n)
             scan_floor = -1
+            extras = chosen if case is CanonicalCase.MINMAX else ()
             if case is CanonicalCase.INJ:
-                m = thr
-                for x in fs(NatSet(chosen)):
-                    m = max(m, phi(x))
-                scan_bound = min(window, budget.max_element)
-                for z in range(scan_bound):
-                    if phi(z) <= m:
-                        scan_floor = max(scan_floor, z)
+                extras = fs(NatSet(chosen)).elements
+                m = max([thr, *(phi(x) for x in extras)])
+                scan_floor = next(
+                    (z for z in range(scan_bound - 1, -1, -1) if values[z] <= m), -1
+                )
 
             picked = None
             for idx in range(last_idx + 1, len(cs)):
@@ -285,11 +293,8 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 if c <= scan_floor:
                     continue
                 checks = [_nat_check(phi, c, ">", thr)]
-                if case in (CanonicalCase.MINMAX, CanonicalCase.INJ):
-                    extras = chosen if case is CanonicalCase.MINMAX \
-                        else fs(NatSet(chosen)).elements
-                    for e in extras:
-                        checks.append(_nat_check(phi, c + e, ">", thr))
+                for e in extras:
+                    checks.append(_nat_check(phi, c + e, ">", thr))
                 if all(ck.holds() for ck in checks):
                     picked = (idx, c, checks)
                     break
@@ -363,9 +368,10 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     ts = T.elements
     steps: List[TranscriptStep] = []
     const_value = None
+    position = {t: i for i, t in enumerate(ts)}
 
     def succ(t: int) -> Optional[int]:
-        i = ts.index(t)
+        i = position[t]
         return ts[i + 1] if i + 1 < len(ts) else None
 
     if case is CanonicalCase.CONST:
@@ -606,6 +612,8 @@ def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,
 
     # Once (c) or (d) fails, its scan stops: later steps query f no further.
     for n in range(len(b)):
+        if len(set(b[:n])) < n:
+            break  # a repeated pick fails (a) and has no pair image
         ys = sorted({f(p) for p in itertools.combinations(b[:n], 2)})
         conflicts = _conflict_union(D, ys)
         if "(c)" not in report.failed_names():

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import idealforge
-from idealforge import CanonicalCase, EdgeSet, NatSet, is_positive
+from idealforge import CanonicalCase, EdgeSet, NatSet, find_ap, is_positive
 from idealforge.canonical import high_bit, low_bit
+from idealforge.errors import CaseMismatch, SearchExhausted
 
 PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
               CanonicalCase.INJ)
@@ -199,6 +200,118 @@ def naive_find_block_basis(phi, pool, m):
             return BlockBasis(C), alive[0]
     return None
 
+
+
+def fs_case_oracle(phi, elements):
+    """The case of phi on the nonzero subset sums of the elements, by the
+    pairwise scan; None when no case fits."""
+    points = sorted(subset_sum_counts(elements))
+    flags = fs_flags_oracle(points, [phi(x) for x in points])
+    alive = [c for c in FS_CASES if flags[c]]
+    assert len(alive) <= 1
+    return alive[0] if alive else None
+
+
+def _nat_step_json(index, chosen, threshold, relation, checked, note):
+    """One transcript step in JSON form; checked lists (x, phi(x)) pairs."""
+    return {
+        "index": index, "chosen": list(chosen), "threshold": threshold,
+        "relation": relation,
+        "checks": [{"kind": "nat", "args": [x], "value": v, "relation": relation,
+                    "bound": threshold} for x, v in checked],
+        "note": note,
+    }
+
+
+def _transcript_json(strategy, params, steps, witness, image, majorant):
+    """A transcript in JSON form with its certificate summed here."""
+    certified = sum((Fraction(1, v + 1) for v in image), Fraction(0))
+    return {
+        "strategy": strategy, "params": params, "steps": steps,
+        "witness": witness, "image": image,
+        "certificate": {
+            "sum": f"{certified.numerator}/{certified.denominator}",
+            "majorant": f"{majorant.numerator}/{majorant.denominator}",
+        },
+    }
+
+
+def rescan_defeat_w_summable(phi, budget):
+    """defeat_w_summable with a fresh scan of the window at every step, as
+    the transcript's JSON form."""
+    bound = min(phi.window, budget.max_element)
+    steps, blocks = [], []
+    for n in range(1, budget.max_steps + 1):
+        thr = n * (1 << n)
+        good = NatSet(x for x in range(bound) if phi(x) >= thr)
+        hit = find_ap(good, n)
+        if hit is None:
+            raise SearchExhausted(
+                n, f"no {n}-term progression with phi >= {thr} in [0, {bound})")
+        a, d = hit
+        F = [a + i * d for i in range(n)]
+        steps.append(_nat_step_json(n, F, thr, ">=", [(x, phi(x)) for x in F],
+                                    f"start {a}, difference {d}, scanned [0, {bound})"))
+        blocks.append(F)
+    witness = sorted(set().union(*blocks))
+    majorant = sum((Fraction(n, n * (1 << n) + 1)
+                    for n in range(1, budget.max_steps + 1)), Fraction(0))
+    return _transcript_json(
+        "w-summable", {"n_max": budget.max_steps, "scan_bound": bound}, steps,
+        {"set": witness, "blocks": blocks}, sorted({phi(x) for x in witness}),
+        majorant)
+
+
+def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
+    """The INJ case of defeat_h_summable with a fresh preimage scan of the
+    window at every step, as the transcript's JSON form."""
+    inj = CanonicalCase.INJ
+    got = fs_case_oracle(phi, C.elements[:min(len(C), max(3, check_prefix))])
+    if got is not inj:
+        raise CaseMismatch(
+            f"declared inj, prefix classifies as {got.value if got else 'none'}")
+    window, n_max, cs = phi.window, budget.max_steps, C.elements
+    chosen, steps, last_idx, total = [], [], -1, 0
+    for n in range(n_max):
+        thr = 1 << (2 * n)
+        sums = sorted(subset_sum_counts(chosen))
+        m = max([thr] + [phi(x) for x in sums])
+        scan_floor = -1
+        for z in range(min(window, budget.max_element)):
+            if phi(z) <= m:
+                scan_floor = z
+        picked = None
+        for idx in range(last_idx + 1, len(cs)):
+            c = cs[idx]
+            if total + c >= window:
+                break
+            if c <= scan_floor:
+                continue
+            checked = [(x, phi(x)) for x in [c] + [c + e for e in sums]]
+            if all(v > thr for _, v in checked):
+                picked = (idx, c, checked)
+                break
+        if picked is None:
+            raise SearchExhausted(
+                n, f"no block with phi > {thr} (inj rule) past index {last_idx} "
+                   f"within window {window}")
+        last_idx, c, checked = picked
+        total += c
+        chosen.append(c)
+        note = f"pool index {last_idx}" + (
+            f", preimage scan floor {scan_floor}" if scan_floor >= 0 else "")
+        steps.append(_nat_step_json(n, [c], thr, ">", checked, note))
+    if len(chosen) >= 3:
+        got = fs_case_oracle(phi, chosen)
+        if got is not inj:
+            raise CaseMismatch(f"selected basis classifies as "
+                               f"{got.value if got else 'none'}, not inj")
+    majorant = sum((Fraction(1 << n, (1 << (2 * n)) + 1) for n in range(n_max)),
+                   Fraction(0))
+    image = sorted({phi(x) for x in subset_sum_counts(chosen)})
+    return _transcript_json(
+        "h-summable", {"n_max": n_max, "case": "inj", "window": window}, steps,
+        {"basis": sorted(chosen)}, image, majorant)
 
 def subprocess_env() -> dict:
     """The current environment with the absolute package root put before any

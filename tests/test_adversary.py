@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from idealforge import (
@@ -23,6 +25,7 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
+from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
 
@@ -212,6 +215,21 @@ def test_check_hnr_manual_breaks():
     assert "(b)" in not_nested.failed_names()
     with pytest.raises(MalformedBundle):
         check_hnr_conditions([0, 1], good_B, f, D)
+
+
+def test_check_hnr_reports_a_repeated_pick(tmp_path):
+    # b_1 repeats b_0, so step 2 has no pair image; (a) reports it
+    bundle = {"window": 2, "f": [[0, 1, 1]], "b": [0, 0, 1],
+              "B": [[0, 1], [0, 1], [0, 1]], "D": [1, 3]}
+    path = tmp_path / "hnr.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    code, rep = run(build_parser().parse_args(["verify", "--what", "hnr",
+                                               "--bundle", str(path)]))
+    assert code == 0, rep["body"]
+    items = {item["name"]: item for item in rep["body"]["report"]["items"]}
+    assert items["(a)"] == {"name": "(a)", "passed": False,
+                            "detail": "b_1 = 0 <= b_0 = 0"}
+    assert [name for name, item in items.items() if not item["passed"]] == ["(a)"]
 
 
 def test_replay_final_contradiction():

@@ -1,0 +1,140 @@
+"""Property tests for the window-reading constructions against the conftest
+per-step-rescan references, plus their coloring-query counts.
+
+``defeat_w_summable`` and the INJ case of ``defeat_h_summable`` read the
+coloring window once per run; the references query it afresh at every step.
+Both sides must give byte-identical transcripts, or the same error type and
+message, on colorings from the builtin families and random tables, either
+one perhaps with a negative value planted at some point.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealforge import (
+    BlockBasis,
+    CanonicalCase,
+    NatColoring,
+    SearchBudget,
+    defeat_h_summable,
+    defeat_w_summable,
+)
+from idealforge.canonical import cantor_pair, high_bit, low_bit
+from idealforge.errors import IdealforgeError
+from idealforge.report import dumps_stable
+
+from conftest import rescan_defeat_h_inj, rescan_defeat_w_summable, subset_sum_counts
+
+SETTINGS = settings(max_examples=120, deadline=None)
+
+FAMILIES = {
+    "identity": lambda rng: lambda x: x,
+    "square": lambda rng: lambda x: x * x,
+    "shifted": lambda rng: (lambda s: lambda x: (x + 1) << s)(rng.randint(0, 20)),
+    "const": lambda rng: (lambda v: lambda x: v)(rng.choice([0, 1, 7, 10 ** 6])),
+    "min-alpha": lambda rng: low_bit,
+    "max-alpha": lambda rng: high_bit,
+    "minmax-alpha": lambda rng: lambda x: cantor_pair(low_bit(x), high_bit(x)),
+}
+families = st.sampled_from(sorted(FAMILIES) + ["table"])
+# Mostly injective on the pool's sums, so that most runs pass the prefix check.
+inj_families = st.sampled_from(["identity", "square", "shifted", "shifted", "table",
+                                "table", "const"])
+plants = st.one_of(st.none(), st.none(), st.integers(min_value=0))
+
+
+def _coloring(rng, family, window, plant, distinct=()):
+    """A coloring of [0, window) from a builtin family or a random table
+    (distinct values on the points ``distinct``), with a negative value at
+    ``plant % window`` unless plant is None."""
+    if family == "table":
+        top = 1 << rng.randint(1, 24)
+        table = {x: rng.randrange(top) for x in range(window)}
+        table.update(zip(distinct, rng.sample(range(top, top + 64), len(distinct))))
+        if plant is not None:
+            table[plant % window] = -1
+        return NatColoring.from_table(window, table)
+    fn = FAMILIES[family](rng)
+    if plant is None:
+        return NatColoring(window, fn=fn)
+    bad = plant % window
+    return NatColoring(window, fn=lambda x: -1 if x == bad else fn(x))
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (IdealforgeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", dumps_stable(result)
+
+
+def _counting(fn):
+    """fn plus the list of points it was called on."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    return counted, calls
+
+
+@SETTINGS
+@given(families, plants, st.integers(1, 1000), st.integers(1, 1200),
+       st.integers(1, 10), st.randoms(use_true_random=False))
+def test_defeat_w_matches_the_per_step_rescan(family, plant, window, max_element,
+                                              nmax, rng):
+    phi = _coloring(rng, family, window, plant)
+    budget = SearchBudget(max_element=max_element, max_steps=nmax)
+    assert _outcome(lambda: defeat_w_summable(phi, budget)) == \
+        _outcome(lambda: rescan_defeat_w_summable(phi, budget))
+
+
+@SETTINGS
+@given(inj_families, plants, st.booleans(), st.integers(3, 12), st.integers(1, 3000),
+       st.integers(1, 10), st.randoms(use_true_random=False))
+def test_defeat_h_inj_matches_the_per_step_rescan(family, plant, consecutive, size,
+                                                  extra, nmax, rng):
+    bits = range(size) if consecutive else sorted(rng.sample(range(12), size))
+    C = BlockBasis([1 << j for j in bits])
+    prefix = C.elements[:5]
+    window = sum(prefix) + extra
+    phi = _coloring(rng, family, window, plant, distinct=sorted(subset_sum_counts(prefix)))
+    budget = SearchBudget(max_element=rng.randint(1, 2 * window), max_steps=nmax)
+    assert _outcome(lambda: defeat_h_summable(phi, C, CanonicalCase.INJ, budget)) == \
+        _outcome(lambda: rescan_defeat_h_inj(phi, C, budget))
+
+
+@pytest.mark.parametrize("fn,window,nmax", [
+    (lambda x: x, 40000, 3),
+    (lambda x: x, 3000, 8),
+    (lambda x: (x + 1) << 12, 5000, 10),
+    (lambda x: x * x, 20000, 4),
+])
+def test_defeat_w_reads_the_window_once(fn, window, nmax):
+    counted, calls = _counting(fn)
+    budget = SearchBudget(max_element=32768, max_steps=nmax)
+    t = defeat_w_summable(NatColoring(window, fn=counted), budget)
+    bound = min(window, budget.max_element)
+    assert len(calls) == bound + sum(range(1, nmax + 1)) + len(t.witness["set"])
+
+
+def test_defeat_h_inj_reads_the_scan_window_once():
+    C = BlockBasis([1 << j for j in range(12)])
+    budget = SearchBudget(max_element=4096, max_steps=8)
+    scan_bound = budget.max_element
+
+    counted, calls = _counting(lambda x: (x + 1) << 16)
+    t = defeat_h_summable(NatColoring(1 << 13, fn=counted), C, CanonicalCase.INJ,
+                          budget)
+    assert len(t.steps) == 8
+    assert len(calls) < 2 * scan_bound
+
+    counted, rescan_calls = _counting(lambda x: (x + 1) << 16)
+    assert rescan_defeat_h_inj(NatColoring(1 << 13, fn=counted), C, budget) == \
+        json.loads(dumps_stable(t))
+    assert len(rescan_calls) > 8 * scan_bound
