@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
-    classify_fs_on, classify_pairs_on
+    classify_fs_on, classify_pairs_on, least_subset
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import NatSet, find_ap, reciprocal_sum
@@ -95,8 +95,8 @@ class TranscriptStep:
 class Transcript:
     """Ordered record of a construction plus its exact certificate.
 
-    ``coloring`` and ``basis`` are live references used for re-verification
-    and replay; serialization keeps only the structural content.
+    ``coloring`` is a live reference used for re-verification; serialization
+    keeps only the structural content.
     """
 
     strategy: str
@@ -107,7 +107,6 @@ class Transcript:
     certified_sum: Optional[Fraction]
     majorant: Optional[Fraction]
     coloring: Any = None
-    basis: Any = None
 
     def to_json_dict(self) -> Dict[str, Any]:
         from .report import jsonable
@@ -143,6 +142,32 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
         raise DegeneratePair(f"pair ({a},{b}) has equal endpoints")
     k, i = min(a, b), max(a, b)
     return (k, i - k - 1)
+
+
+def _image_points(strategy: str, witness: Dict[str, Any]):
+    """The points whose colors make up a transcript's image: the witness set
+    (w-summable), the finite sums of the basis (h-summable), or the pairs of
+    the selected or grown points (r-summable, r-hindman)."""
+    if strategy == "w-summable":
+        return witness["set"]
+    if strategy == "h-summable":
+        return fs(witness["basis"])
+    if strategy == "r-summable":
+        return itertools.combinations(witness["h"].elements, 2)
+    if strategy == "r-hindman":
+        return itertools.combinations(witness["b"].elements, 2)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
+                witness: Dict[str, Any], majorant: Optional[Fraction]) -> Transcript:
+    """A finished construction's transcript: its image is phi on the image
+    points, and its certificate is the image's exact reciprocal sum."""
+    image = NatSet(phi(p) for p in _image_points(strategy, witness))
+    return Transcript(
+        strategy=strategy, params=params, steps=steps, witness=witness, image=image,
+        certified_sum=reciprocal_sum(image), majorant=majorant, coloring=phi,
+    )
 
 
 def _nat_check(phi: NatColoring, x: int, relation: str, bound: int) -> StepCheck:
@@ -186,22 +211,12 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
         ))
         blocks.append(F)
     witness = NatSet(itertools.chain.from_iterable(b.elements for b in blocks))
-    image = NatSet(phi(x) for x in witness)
-    certified = reciprocal_sum(image)
     majorant = sum(
         (Fraction(n, n * (1 << n) + 1) for n in range(1, budget.max_steps + 1)),
         Fraction(0),
     )
-    return Transcript(
-        strategy="w-summable",
-        params={"n_max": budget.max_steps, "scan_bound": bound},
-        steps=steps,
-        witness={"set": witness, "blocks": blocks},
-        image=image,
-        certified_sum=certified,
-        majorant=majorant,
-        coloring=phi,
-    )
+    return _transcript(phi, "w-summable", {"n_max": budget.max_steps, "scan_bound": bound},
+                       steps, {"set": witness, "blocks": blocks}, majorant)
 
 
 # The non-constant h-summable cases as (threshold(n), points(n)): step n picks a
@@ -217,19 +232,18 @@ _H_RULES = {
 
 
 def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
-                      budget: SearchBudget = SearchBudget(),
-                      check_prefix: int = 5) -> Transcript:
+                      budget: SearchBudget = SearchBudget()) -> Transcript:
     """Select a sub-basis D of C whose finite-sums image has small mass.
 
     Case rules: CONST takes a prefix; MIN and MAX pick elements with value
     above 2^n; MINMAX demands n 2^n on the element and on all pair sums with
     earlier picks; INJ walks past the finite preimage of [0, m] and demands
     2^(2n) on the element and on all shifted sums.  The declared case is
-    verified on a prefix up front and on the selected D afterwards.
+    verified on the first 5 blocks up front and on the selected D afterwards.
     """
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
-    got = classify_fs_on(phi, C.prefix(min(len(C), max(3, check_prefix))))
+    got = classify_fs_on(phi, C.prefix(5))
     if got is not case:
         raise CaseMismatch(f"declared {case.value}, prefix classifies as "
                            f"{got.value if got else 'none'}")
@@ -263,7 +277,6 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             index=0, chosen=tuple(chosen), threshold=value, relation="==",
             checks=tuple(checks), note="constant image",
         ))
-        D = chosen
         majorant = Fraction(1, value + 1)
     else:
         threshold, points = _H_RULES[case]
@@ -312,9 +325,8 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 note=f"pool index {last_idx}"
                      + (f", preimage scan floor {scan_floor}" if scan_floor >= 0 else ""),
             ))
-        D = chosen
-        if len(D) >= 3:
-            got = classify_fs_on(phi, BlockBasis(D))
+        if len(chosen) >= 3:
+            got = classify_fs_on(phi, BlockBasis(chosen))
             if got is not case:
                 raise CaseMismatch(
                     f"selected basis classifies as {got.value if got else 'none'}, "
@@ -323,51 +335,33 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         majorant = sum((Fraction(points(n), threshold(n) + 1) for n in range(n_max)),
                        Fraction(0))
 
-    image = NatSet(phi(x) for x in fs(NatSet(D)))
-    certified = reciprocal_sum(image)
-    return Transcript(
-        strategy="h-summable",
-        params={"n_max": n_max, "case": case.value, "window": window},
-        steps=steps,
-        witness={"basis": NatSet(D)},
-        image=image,
-        certified_sum=certified,
-        majorant=majorant,
-        coloring=phi,
-        basis=C,
-    )
-
-
-def _r_majorant(case: CanonicalCase, n_max: int, const_value: Optional[int]) -> Fraction:
-    if case is CanonicalCase.CONST:
-        return Fraction(1, const_value + 1)
-    return sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
+    return _transcript(phi, "h-summable",
+                       {"n_max": n_max, "case": case.value, "window": window},
+                       steps, {"basis": NatSet(chosen)}, majorant)
 
 
 def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
-                      budget: SearchBudget = SearchBudget(),
-                      check_prefix: int = 12) -> Transcript:
+                      budget: SearchBudget = SearchBudget()) -> Transcript:
     """Select H inside T whose pair-image has small reciprocal mass.
 
     MIN and MAX exploit that rows (columns) of the coloring are constant on
     T with pairwise distinct values; INJ uses the pigeonhole room above
     n 2^n.  Thresholds are re-recorded against pairs inside H so the
-    certificate depends only on recorded facts plus the verified case.
+    certificate depends only on recorded facts plus the verified case, which
+    is checked on the first 12 points of T up front and on H afterwards.
     """
     if case is CanonicalCase.MINMAX:
         raise CaseMismatch("minmax is not a pair-coloring case")
     T = T if isinstance(T, NatSet) else NatSet(T)
     if len(T) < 3:
         raise CaseMismatch("ground set has fewer than 3 points")
-    prefix = NatSet(T.elements[: max(3, min(len(T), check_prefix))])
-    got = classify_pairs_on(phi, prefix)
+    got = classify_pairs_on(phi, NatSet(T.elements[:12]))
     if got is not case:
         raise CaseMismatch(f"declared {case.value}, prefix classifies as "
                            f"{got.value if got else 'none'}")
     n_max = budget.max_steps
     ts = T.elements
     steps: List[TranscriptStep] = []
-    const_value = None
     position = {t: i for i, t in enumerate(ts)}
 
     def succ(t: int) -> Optional[int]:
@@ -456,19 +450,11 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 f"selected set classifies as {got.value if got else 'none'}, "
                 f"not {case.value}"
             )
-    image = NatSet(phi(p) for p in itertools.combinations(Hset.elements, 2))
-    certified = reciprocal_sum(image)
-    majorant = _r_majorant(case, n_max, const_value)
-    return Transcript(
-        strategy="r-summable",
-        params={"n_max": n_max, "case": case.value, "ground_size": len(T)},
-        steps=steps,
-        witness={"h": Hset},
-        image=image,
-        certified_sum=certified,
-        majorant=majorant,
-        coloring=phi,
-    )
+    majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
+        else sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
+    return _transcript(phi, "r-summable",
+                       {"n_max": n_max, "case": case.value, "ground_size": len(T)},
+                       steps, {"h": Hset}, majorant)
 
 
 def _shifted_image_free(f: PairColoring, anchor: int, pool: Sequence[int],
@@ -519,46 +505,22 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis,
         ys = sorted({f(p) for p in itertools.combinations(b, 2)})
         conflicts = _conflict_union(D, ys)
 
-        def pairs_ok(subset: List[int], new: int) -> bool:
-            return all(f((u, new)) not in conflicts for u in subset)
-
-        def rows_ok(subset: List[int]) -> bool:
-            for bi in b:
-                for y in ys:
-                    if not _shifted_image_free(f, bi, subset, y, fs_size):
-                        return False
-            return True
-
-        def search(size: int) -> Optional[List[int]]:
-            def dfs(acc: List[int], nxt: int) -> Optional[List[int]]:
-                if len(acc) == size:
-                    return acc if max(acc) > b[-1] else None
-                for idx in range(nxt, len(prev)):
-                    if len(prev) - idx < size - len(acc):
-                        break
-                    cand = prev[idx]
-                    if not pairs_ok(acc, cand):
-                        continue
-                    if not rows_ok(acc + [cand]):
-                        continue
-                    hit = dfs(acc + [cand], idx + 1)
-                    if hit is not None:
-                        return hit
-                return None
-
-            return dfs([], 0)
-
-        found = None
+        # A prefix passes when its last point's pairs with the earlier ones miss
+        # the conflict sets and no shifted row carries a basis on it; a full
+        # subset must also reach above the last pick.
         for size in range(min(budget.candidate_cap, len(prev)), 0, -1):
-            found = search(size)
-            if found is not None:
+            hit = least_subset(prev, size, lambda sub: (
+                all(f((u, sub[-1])) not in conflicts for u in sub[:-1])
+                and all(_shifted_image_free(f, bi, sub, y, fs_size) for bi in b for y in ys)
+                and (len(sub) < size or sub[-1] > b[-1])))
+            if hit is not None:
                 break
-        if found is None:
+        else:
             raise SearchExhausted(
                 n, "no reservoir avoids the conflict sets of "
                    f"{ys} while keeping shifted rows basis-free"
             )
-        Bn = NatSet(found)
+        Bn = NatSet(hit[0])
         bn = min(x for x in Bn if x > b[-1])
         steps.append(TranscriptStep(
             index=n, chosen=(bn,), threshold=0, relation=">",
@@ -568,19 +530,9 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis,
         reservoirs.append(Bn)
         b.append(bn)
 
-    image = NatSet(f(p) for p in itertools.combinations(b, 2)) if len(b) > 1 else NatSet()
-    certified = reciprocal_sum(image)
-    return Transcript(
-        strategy="r-hindman",
-        params={"depth": budget.max_steps, "window": window, "fs_size": fs_size},
-        steps=steps,
-        witness={"b": NatSet(b), "reservoirs": reservoirs},
-        image=image,
-        certified_sum=certified,
-        majorant=None,
-        coloring=f,
-        basis=D,
-    )
+    return _transcript(f, "r-hindman",
+                       {"depth": budget.max_steps, "window": window, "fs_size": fs_size},
+                       steps, {"b": NatSet(b), "reservoirs": reservoirs}, None)
 
 
 def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,
@@ -630,19 +582,17 @@ def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,
     return report
 
 
-def replay_final_contradiction(transcript: Transcript, C: NatSet) -> Report:
-    """Partition the pairs of the grown points around the pair producing the
-    least element of C, and check the top block's shifted image misses the
-    finite sums of C minus that element.
+def replay_final_contradiction(f: PairColoring, D: SparseBasis, b: NatSet,
+                               C: NatSet) -> Report:
+    """Partition the pairs of the grown points b around the pair producing the
+    least element of C, and check the top block's shifted image under f misses
+    the finite sums of C minus that element; D's decompositions of those sums
+    must be additive.
 
     Requires fs(C) inside the pair image; failure of that precondition is
     itself evidence and raises NoSuchC.
     """
-    if transcript.strategy != "r-hindman":
-        raise ValueError("final-contradiction replay needs an r-hindman transcript")
-    f: PairColoring = transcript.coloring
-    D: SparseBasis = transcript.basis
-    pts = transcript.witness["b"].elements
+    pts = b.elements
     if len(C) < 2:
         raise NoSuchC(f"|C| = {len(C)} < 2")
     image = {f(p) for p in itertools.combinations(pts, 2)}
@@ -730,9 +680,6 @@ class GammaMap:
     def inv_second(self, m: int) -> NatSet:
         """Preimage of the column {(z0, m) : z0 > m}."""
         return NatSet(x for x, (z0, z1) in self.table.items() if z1 == m)
-
-    def inv_point(self, pair: Tuple[int, int]) -> NatSet:
-        return NatSet(x for x, v in self.table.items() if v == tuple(pair))
 
 
 @dataclass
@@ -960,20 +907,7 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
             report.fail("checks", f"step {step.index}: {ck.describe()} (fresh {fresh})")
             break
 
-    if t.strategy == "w-summable":
-        recomputed = NatSet(phi(x) for x in t.witness["set"])
-    elif t.strategy == "h-summable":
-        recomputed = NatSet(phi(x) for x in fs(t.witness["basis"]))
-    elif t.strategy == "r-summable":
-        recomputed = NatSet(
-            phi(p) for p in itertools.combinations(t.witness["h"].elements, 2)
-        )
-    elif t.strategy == "r-hindman":
-        recomputed = NatSet(
-            phi(p) for p in itertools.combinations(t.witness["b"].elements, 2)
-        )
-    else:
-        raise ValueError(f"unknown strategy {t.strategy!r}")
+    recomputed = NatSet(phi(p) for p in _image_points(t.strategy, t.witness))
     report.add("image", recomputed == t.image,
                "" if recomputed == t.image else "image drifted on re-query")
     report.add("certificate", t.certified_sum == reciprocal_sum(recomputed),

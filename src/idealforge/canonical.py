@@ -243,21 +243,21 @@ def _fs_case(phi: NatColoring, basis) -> Optional[CanonicalCase]:
                           (CanonicalCase.MINMAX, list(zip(mins, maxs)))), basis)
 
 
-def _least_subset(items, m, case_of, chosen=(), start=0):
-    """Lexicographically least m-subset of the ascending items, as (tuple,
-    case), whose every prefix of size >= 3 has a case; None if there is none.
+def least_subset(items, m, accept, chosen=(), start=0):
+    """Lexicographically least m-subset of the ascending items that ``accept``
+    takes at every prefix, as (subset, accept(subset)); None if there is none.
 
-    Patterns restrict to subsets, so a prefix that fits none is pruned.
+    ``accept`` is asked once for each prefix in search order; a prefix it
+    rejects (falsy) is pruned with everything that extends it.
     """
     for idx in range(start, len(items) - (m - len(chosen)) + 1):
         cand = chosen + (items[idx],)
-        if len(cand) >= 3:
-            case = case_of(cand)
-            if case is None:
-                continue
-            if len(cand) == m:
-                return cand, case
-        found = _least_subset(items, m, case_of, cand, idx + 1)
+        verdict = accept(cand)
+        if not verdict:
+            continue
+        if len(cand) == m:
+            return cand, verdict
+        found = least_subset(items, m, accept, cand, idx + 1)
         if found is not None:
             return found
     return None
@@ -285,7 +285,10 @@ def find_canonical_subset(phi: PairColoring, m: int) -> Optional[Tuple[NatSet, C
         raise TooSmall("m must be >= 3")
     if m > phi.n:
         raise ValueError(f"m = {m} exceeds the ground size {phi.n}")
-    hit = _least_subset(range(phi.n), m, lambda points: _pair_case(phi, points))
+    # Patterns restrict to subsets, so a prefix of 3 or more points that
+    # fits none is pruned.
+    hit = least_subset(range(phi.n), m,
+                       lambda points: len(points) < 3 or _pair_case(phi, points))
     if hit is None:
         return None
     points, case = hit
@@ -312,7 +315,8 @@ def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
         raise TooSmall("m must be >= 3")
     if m > len(pool):
         raise ValueError(f"m = {m} exceeds the pool size {len(pool)}")
-    hit = _least_subset(pool.elements, m, lambda points: _fs_case(phi, points))
+    hit = least_subset(pool.elements, m,
+                       lambda points: len(points) < 3 or _fs_case(phi, points))
     if hit is None:
         return None
     points, case = hit

@@ -22,9 +22,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .adversary import GammaMap, RnhCase1Bundle, RnhCase2Bundle, SearchBudget, \
-    Transcript, check_hnr_conditions, check_rnh_conditions, defeat_h_summable, \
-    defeat_r_hindman, defeat_r_summable, defeat_w_summable, \
-    replay_final_contradiction, verify_transcript
+    check_hnr_conditions, check_rnh_conditions, defeat_h_summable, defeat_r_hindman, \
+    defeat_r_summable, defeat_w_summable, replay_final_contradiction, verify_transcript
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, find_block_basis, find_canonical_subset
 from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhausted
@@ -172,9 +171,16 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     }))
 
 
+def _need(args: argparse.Namespace, *options: str) -> None:
+    """Raise ParseError naming the first of these options, all needed by the
+    requested operation, that the user left out."""
+    for option in options:
+        if getattr(args, option) is None:
+            raise ParseError(f"this operation needs --{option}")
+
+
 def _edge_set(args: argparse.Namespace) -> EdgeSet:
-    if args.edges is None:
-        raise ParseError("this operation needs --edges")
+    _need(args, "edges")
     pairs = parse_pair_literal(args.edges)
     n = args.n if args.n is not None else (max((max(p) for p in pairs), default=-1) + 1)
     return EdgeSet(n, pairs)
@@ -191,8 +197,7 @@ def _cmd_oracle(args) -> Dict[str, Any]:
         carrier = frozenset(parse_pair_literal(args.pairs or ""))
         params = _scale_params(args)
     else:
-        if args.set is None:
-            raise ParseError("this ideal needs --set")
+        _need(args, "set")
         carrier = parse_set_literal(args.set)
         params = _scale_params(args, carrier)
     if op == "positive":
@@ -200,6 +205,7 @@ def _cmd_oracle(args) -> Dict[str, Any]:
     elif op == "longest-ap":
         body["longest_ap"] = longest_ap(carrier)
     elif op == "find-ap":
+        _need(args, "k")
         hit = find_ap(carrier, args.k)
         body["progression"] = None if hit is None else {"start": hit[0], "difference": hit[1]}
     elif op == "sum":
@@ -223,9 +229,17 @@ def _cmd_oracle(args) -> Dict[str, Any]:
     return body
 
 
+# The options each fs op needs, where they are not just --set.
+_FS_NEEDS = {
+    "alpha": ("set", "x"), "very-sparse-subset": ("pool", "k"), "fs-subset": ("set", "k"),
+    "conflict": ("set", "y"),
+}
+
+
 def _cmd_fs(args) -> Dict[str, Any]:
     op = args.op
     body: Dict[str, Any] = {"op": op}
+    _need(args, *_FS_NEEDS.get(op, ("set",)))
     if op == "fs":
         body["fs"] = jsonable(fs(parse_set_literal(args.set)))
     elif op == "sparse":
@@ -257,6 +271,8 @@ def _cmd_fs(args) -> Dict[str, Any]:
 
 def _cmd_canonize(args) -> Dict[str, Any]:
     body: Dict[str, Any] = {"kind": args.kind, "op": args.op}
+    if args.kind == "fs" or args.op == "classify":
+        _need(args, "ground")
     if args.kind == "pairs":
         phi = load_coloring(args.phi, args.window, "pair")
         if args.op == "classify":
@@ -290,16 +306,19 @@ def _cmd_adversary(args) -> Dict[str, Any]:
         phi = load_coloring(args.phi, window, "nat")
         t = defeat_w_summable(phi, budget)
     elif strategy == "h-summable":
+        _need(args, "basis", "case")
         pool = BlockBasis(parse_set_literal(args.basis))
         window = (sum(pool.elements) + 1) if args.window is None else args.window
         phi = load_coloring(args.phi, window, "nat")
         t = defeat_h_summable(phi, pool, CanonicalCase(args.case), budget)
     elif strategy == "r-summable":
+        _need(args, "ground", "case")
         T = parse_set_literal(args.ground)
         window = (T.max() + 1) if args.window is None else args.window
         phi = load_coloring(args.phi, window, "pair")
         t = defeat_r_summable(phi, T, CanonicalCase(args.case), budget)
     elif strategy == "r-hindman":
+        _need(args, "basis")
         basis = SparseBasis(parse_set_literal(args.basis))
         window = budget.max_element if args.window is None else args.window
         phi = load_coloring(args.phi, window, "pair")
@@ -333,10 +352,6 @@ def _load_json(path: str) -> Any:
         return json.load(handle)
 
 
-def _gamma_from_rows(rows: List[List[int]]) -> GammaMap:
-    return GammaMap({row[0]: (row[1], row[2]) for row in rows})
-
-
 def _cmd_verify(args) -> Dict[str, Any]:
     what = args.what
     bundle = _load_json(args.bundle)
@@ -351,29 +366,22 @@ def _cmd_verify(args) -> Dict[str, Any]:
             table[key] = value
         report = verify_reduction(table, src, dst)
         return {"what": what, "report": report.to_json_dict()}
-    if what == "hnr":
+    if what in ("hnr", "final"):
         f = PairColoring.from_table(
             bundle["window"], {(i, j): v for i, j, v in bundle["f"]}
         )
-        report = check_hnr_conditions(
-            bundle["b"], [NatSet(B) for B in bundle["B"]], f,
-            SparseBasis(bundle["D"]), fs_size=bundle.get("fs_size", 2),
-        )
-        return {"what": what, "report": report.to_json_dict()}
-    if what == "final":
-        f = PairColoring.from_table(
-            bundle["window"], {(i, j): v for i, j, v in bundle["f"]}
-        )
-        t = Transcript(
-            strategy="r-hindman", params={}, steps=[],
-            witness={"b": NatSet(bundle["b"]), "reservoirs": []},
-            image=None, certified_sum=None, majorant=None,
-            coloring=f, basis=SparseBasis(bundle["D"]),
-        )
-        report = replay_final_contradiction(t, NatSet(bundle["C"]))
+        if what == "hnr":
+            report = check_hnr_conditions(
+                bundle["b"], [NatSet(B) for B in bundle["B"]], f,
+                SparseBasis(bundle["D"]), fs_size=bundle.get("fs_size", 2),
+            )
+        else:
+            b = NatSet(bundle["b"])
+            report = replay_final_contradiction(f, SparseBasis(bundle["D"]), b,
+                                                NatSet(bundle["C"]))
         return {"what": what, "report": report.to_json_dict()}
     if what == "rnh":
-        f = _gamma_from_rows(bundle["f"])
+        f = GammaMap({row[0]: (row[1], row[2]) for row in bundle["f"]})
         X = SparseBasis(bundle["X"])
         case = bundle["case"]
         if case == 1:

@@ -252,6 +252,8 @@ def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:
     Backtracking over ascending vertices with bitset neighborhood
     intersection and a remaining-candidates prune.
     """
+    if not isinstance(G, EdgeSet):
+        raise CarrierMismatch(f"clique search takes an EdgeSet, got {type(G).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
     n = G.n

@@ -16,9 +16,26 @@ from typing import Any, Dict, List
 from .ideals import EdgeSet, NatSet
 
 
+# str() is used only on ints of at most this many bits (about 600 digits).
+# That is under the lowest limit (640 digits) an interpreter may put on
+# int-to-decimal conversion, so certificates of any size serialize.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n >= 0, split by divide and conquer into ints that
+    str() converts under any interpreter limit."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def rational_str(q: Fraction) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    sign = "-" if q.numerator < 0 else ""
+    return f"{sign}{_decimal(abs(q.numerator))}/{_decimal(q.denominator)}"
 
 
 def jsonable(value: Any) -> Any:

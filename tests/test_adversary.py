@@ -121,7 +121,7 @@ def test_defeat_h_exhaustion_on_small_pool():
     pool = BlockBasis([1, 2, 4])
     with pytest.raises(SearchExhausted):
         defeat_h_summable(NatColoring.identity(64), pool, CanonicalCase.INJ,
-                          SearchBudget(max_steps=6), check_prefix=3)
+                          SearchBudget(max_steps=6))
 
 
 R_CASES = [
@@ -236,17 +236,15 @@ def test_replay_final_contradiction():
     D = SparseBasis([1, 3, 9])
     table = {(0, 1): 1, (0, 2): 3, (1, 2): 4, (0, 3): 9, (1, 3): 9, (2, 3): 9}
     f = PairColoring(4, fn=lambda i, j: table[(i, j)])
-    t = defeat_r_hindman(f, D, SearchBudget(max_element=4, max_steps=1,
-                                            candidate_cap=4))
-    t.witness["b"] = NatSet([0, 1, 2, 3])
-    rep = replay_final_contradiction(t, NatSet([1, 3]))
+    b = NatSet([0, 1, 2, 3])
+    rep = replay_final_contradiction(f, D, b, NatSet([1, 3]))
     assert rep.passed
     sizes = rep.meta["sizes"]
     assert sizes["X"] + sizes["Y"] + sizes["Z"] == 6
     with pytest.raises(NoSuchC):
-        replay_final_contradiction(t, NatSet([1]))
+        replay_final_contradiction(f, D, b, NatSet([1]))
     with pytest.raises(NoSuchC):
-        replay_final_contradiction(t, NatSet([1, 9]))
+        replay_final_contradiction(f, D, b, NatSet([1, 9]))
 
 
 def test_replay_final_contradiction_needs_a_pivot_pair():
@@ -254,11 +252,8 @@ def test_replay_final_contradiction_needs_a_pivot_pair():
     D = SparseBasis([1, 3, 9])
     table = {(0, 1): 1, (0, 2): 3, (1, 2): 4}
     f = PairColoring(3, fn=lambda i, j: table[(i, j)])
-    t = defeat_r_hindman(f, D, SearchBudget(max_element=3, max_steps=1,
-                                            candidate_cap=3))
-    t.witness["b"] = NatSet([0, 1, 2])
     with pytest.raises(NoSuchC) as err:
-        replay_final_contradiction(t, NatSet([0, 1]))
+        replay_final_contradiction(f, D, NatSet([0, 1, 2]), NatSet([0, 1]))
     assert str(err.value) == "no pair of the grown points maps to c = 0"
 
 
@@ -267,7 +262,6 @@ def test_gamma_map_validation():
         GammaMap({3: (1, 1)})
     g = GammaMap({3: (2, 1), 7: (9, 1), 8: (5, 2)})
     assert g.inv_second(1) == NatSet([3, 7])
-    assert g.inv_point((5, 2)) == NatSet([8])
     with pytest.raises(MalformedBundle):
         g(4)
 

@@ -1,11 +1,13 @@
-"""Condition-checker reports pinned byte for byte.
+"""Condition-checker reports and construction transcripts pinned byte for byte.
 
-In every input at least one item fails at two places, so each pinned detail
-is that of the item's first failure.  The hnr chain and the transcript also
-put a later coloring query outside the window, so a scan that went on past
-its first failure would raise instead of reporting.  The rnh bundles go
-through ``idealforge verify --what rnh``, which reads their case from the
-bundle.
+In every checker input but the closing replay's, at least one item fails at
+two places, so each pinned detail is that of the item's first failure.  The
+hnr chain and the transcript also put a later coloring query outside the
+window, so a scan that went on past its first failure would raise instead
+of reporting.  The rnh bundles go through ``idealforge verify --what rnh``,
+which reads their case from the bundle, and the closing replay goes through
+``idealforge verify --what final``.  Each engine's transcript is pinned
+together with its re-verification, as the ``adversary`` report embeds both.
 """
 
 import json
@@ -13,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from idealforge import CanonicalCase, NatSet, PairColoring, SearchBudget, SparseBasis, \
-    check_hnr_conditions, defeat_r_summable, verify_transcript
+from idealforge import BlockBasis, CanonicalCase, NatColoring, NatSet, PairColoring, \
+    SearchBudget, SparseBasis, check_hnr_conditions, defeat_h_summable, defeat_r_hindman, \
+    defeat_r_summable, defeat_w_summable, verify_transcript
 from idealforge.cli import build_parser, run
 from idealforge.report import dumps_stable
 from idealforge.sparse import fs
@@ -35,10 +38,10 @@ def hnr_report() -> str:
     return dumps_stable(check_hnr_conditions(b, B, f, SparseBasis([1, 3, 9, 27]), fs_size=1))
 
 
-def rnh_report(tmp_path: Path, bundle: dict) -> str:
-    path = tmp_path / "rnh.json"
+def verify_report(tmp_path: Path, what: str, bundle: dict) -> str:
+    path = tmp_path / f"{what}.json"
     path.write_text(json.dumps(bundle), encoding="utf-8")
-    code, rep = run(build_parser().parse_args(["verify", "--what", "rnh",
+    code, rep = run(build_parser().parse_args(["verify", "--what", what,
                                                "--bundle", str(path)]))
     assert code == 0, rep["body"]
     return dumps_stable(rep["body"]["report"])
@@ -51,7 +54,7 @@ def flat_gamma():
 def rnh_case1_report(tmp_path: Path) -> str:
     # x_1 = 1 misses FS(D_0) and repeats x_0, both (a); column 1 meets FS(D_0)
     # at 100 and 110 and FS(D_1) at 100, all (f).
-    return rnh_report(tmp_path, {
+    return verify_report(tmp_path, "rnh", {
         "case": 1, "X": TEN, "D": TEN, "k": 0, "x": [1, 1], "Dn": [[10, 100], [100]],
         "f": flat_gamma() + [[100, 5, 1], [110, 5, 1]],
     })
@@ -59,7 +62,7 @@ def rnh_case1_report(tmp_path: Path) -> str:
 
 def rnh_case2_report(tmp_path: Path) -> str:
     # FS(D_1) = {100000} escapes both FS(D_0) and FS(X), both (b1).
-    return rnh_report(tmp_path, {
+    return verify_report(tmp_path, "rnh", {
         "case": 2, "X": TEN, "n": [1, 6], "j": [0, 0], "k": [-1, -1], "F": [[], []],
         "x": [11, 100], "Dn": [[100, 1000], [100000]],
         "f": flat_gamma() + [[11, 5, 1], [111, 6, 1], [1011, 3, 1], [1111, 4, 1],
@@ -76,11 +79,58 @@ def transcript_report() -> str:
     return dumps_stable(verify_transcript(t, fresh))
 
 
+def final_report(tmp_path: Path) -> str:
+    # The pivot pair {0, 1} gives c = 1; the pairs of the upper points 2, 3, 4
+    # map to 12, 30 and 4, and 4 - 1 = 3 is a finite sum of C minus c, so
+    # z-intersection fails.  The points arrive unsorted.
+    return verify_report(tmp_path, "final", {
+        "window": 5,
+        "f": [[0, 1, 1], [0, 2, 3], [1, 2, 4], [0, 3, 9], [1, 3, 10], [2, 3, 12],
+              [0, 4, 27], [1, 4, 28], [2, 4, 30], [3, 4, 4]],
+        "D": [1, 3, 9, 27], "b": [4, 0, 1, 2, 3], "C": [1, 3],
+    })
+
+
+def engine_report(t) -> str:
+    return dumps_stable({"transcript": t, "reverified": verify_transcript(t)})
+
+
+def w_summable_report() -> str:
+    return engine_report(defeat_w_summable(NatColoring(512, fn=lambda x: x * x),
+                                           SearchBudget(max_steps=4)))
+
+
+def h_summable_report() -> str:
+    # INJ records a preimage scan floor and the shifted sums of every pick.
+    return engine_report(defeat_h_summable(
+        NatColoring.identity(1 << 12), BlockBasis(1 << j for j in range(12)),
+        CanonicalCase.INJ, SearchBudget(max_steps=4)))
+
+
+def r_summable_report() -> str:
+    return engine_report(defeat_r_summable(
+        PairColoring.pairing(40), NatSet(range(40)), CanonicalCase.INJ,
+        SearchBudget(max_steps=4)))
+
+
+def r_hindman_report() -> str:
+    table = {(0, 1): 1, (0, 2): 3, (0, 3): 9, (1, 2): 27, (1, 3): 81, (2, 3): 243}
+    f = PairColoring(4, fn=lambda i, j: table[(i, j)])
+    return engine_report(defeat_r_hindman(
+        f, SparseBasis([1, 3, 9, 27, 81, 243]),
+        SearchBudget(max_element=4, max_steps=4, candidate_cap=4)))
+
+
 @pytest.mark.parametrize("name, build", [
     ("hnr", lambda tmp_path: hnr_report()),
     ("rnh_case1", rnh_case1_report),
     ("rnh_case2", rnh_case2_report),
     ("transcript", lambda tmp_path: transcript_report()),
+    ("final", final_report),
+    ("w_summable", lambda tmp_path: w_summable_report()),
+    ("h_summable", lambda tmp_path: h_summable_report()),
+    ("r_summable", lambda tmp_path: r_summable_report()),
+    ("r_hindman", lambda tmp_path: r_hindman_report()),
 ])
 def test_checker_report_is_pinned(name, build, tmp_path):
     assert build(tmp_path) == (PINNED / f"{name}.json").read_text(encoding="utf-8")

@@ -305,6 +305,32 @@ def test_other_zero_options_are_rejected(argv):
     assert rep["body"]["status"] == "error"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("oracle", "--ideal", "vdw", "--op", "find-ap", "--set", "1,2,3"),
+     ("ParseError", "this operation needs --k")),
+    (("oracle", "--ideal", "vdw", "--op", "positive"),
+     ("ParseError", "this operation needs --set")),
+    (("oracle", "--ideal", "ramsey", "--op", "clique"),
+     ("ParseError", "this operation needs --edges")),
+    (("fs", "--op", "alpha", "--set", "1,2,4"), ("ParseError", "this operation needs --x")),
+    (("fs", "--op", "fs"), ("ParseError", "this operation needs --set")),
+    (("fs", "--op", "very-sparse-subset", "--k", "2"),
+     ("ParseError", "this operation needs --pool")),
+    (("canonize", "--kind", "pairs", "--op", "classify", "--phi", "min", "--window", "5"),
+     ("ParseError", "this operation needs --ground")),
+    (("adversary", "--strategy", "r-summable", "--phi", "min", "--case", "min"),
+     ("ParseError", "this operation needs --ground")),
+    (("adversary", "--strategy", "h-summable", "--phi", "identity", "--basis", "1,2,4"),
+     ("ParseError", "this operation needs --case")),
+    (("oracle", "--ideal", "vdw", "--op", "clique", "--set", "1,2,3"),
+     ("CarrierMismatch", "clique search takes an EdgeSet, got NatSet")),
+])
+def test_missing_or_mismatched_option_exits_1(argv, error):
+    code, rep = invoke(*argv)
+    assert code == 1
+    assert rep["body"]["error"] == {"code": error[0], "message": error[1]}
+
+
 def test_report_determinism_in_process():
     first = dumps_stable(invoke("adversary", "--strategy", "w-summable",
                                 "--phi", "identity", "--nmax", "4")[1])

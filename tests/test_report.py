@@ -1,0 +1,68 @@
+"""Exact rationals in reports: ``"p/q"`` strings of any size."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealforge.cli import build_parser, run
+from idealforge.report import dumps_stable, rational_str
+
+# CPython's default limit on int-to-decimal conversion, in digits.
+LIMIT = 4300
+
+
+@st.composite
+def below_the_limit(draw):
+    """An int of 1 to LIMIT digits, either sign."""
+    digits = draw(st.integers(min_value=1, max_value=LIMIT))
+    n = draw(st.integers(min_value=10 ** (digits - 1), max_value=10 ** digits - 1))
+    return -n if draw(st.booleans()) else n
+
+
+@settings(max_examples=300, deadline=None)
+@given(below_the_limit(), below_the_limit())
+def test_rational_str_matches_str_below_the_limit(n, d):
+    q = Fraction(n, abs(d))
+    assert rational_str(q) == f"{q.numerator}/{q.denominator}"
+
+
+def parse_digits(text: str) -> int:
+    """int(text) in chunks of 1,000 digits, each under the conversion limit."""
+    value = 0
+    for at in range(0, len(text), 1000):
+        chunk = text[at:at + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_rational_str_above_the_limit():
+    # 10^k + 1 has k + 1 digits, and the zeros inside must survive every split.
+    for k in (LIMIT, 5000, 25000):
+        assert rational_str(Fraction(10 ** k + 1)) == "1" + "0" * (k - 1) + "1/1"
+    num, den = rational_str(Fraction(-(7 ** 40000), 10 ** 25000 + 1)).split("/")
+    assert num[0] == "-" and len(num) == 33805  # 7^40000 has 33,804 digits
+    assert parse_digits(num[1:]) == 7 ** 40000
+    assert den == "1" + "0" * 24999 + "1"
+
+
+def test_certificate_above_the_limit_prints_and_reverifies(tmp_path):
+    # The INJ run picks 11 blocks of pow2(13); FS of 11 blocks has 2,047
+    # values, and their reciprocal sum has a denominator of over 4,300 digits.
+    table = tmp_path / "square.txt"
+    table.write_text("".join(f"{x} {x * x + 1}\n" for x in range(8192)), encoding="utf-8")
+    code, rep = run(build_parser().parse_args([
+        "adversary", "--strategy", "h-summable", "--case", "inj", "--basis", "pow2(13)",
+        "--window", "8192", "--nmax", "11", "--budget-max-element", "64",
+        "--phi", str(table),
+    ]))
+    assert code == 0, rep["body"]
+    body = json.loads(dumps_stable(rep))["body"]
+    assert body["reverified"]["passed"] is True
+    transcript = body["transcript"]
+    assert len(transcript["image"]) == 2047
+    num, den = transcript["certificate"]["sum"].split("/")
+    assert len(den) > LIMIT
+    assert Fraction(parse_digits(num), parse_digits(den)) == sum(
+        (Fraction(1, v + 1) for v in transcript["image"]), Fraction(0))

@@ -19,3 +19,11 @@ def test_no_assert_statements_in_the_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_global_int_digit_limit_changes_in_the_library():
+    # The limit on int-to-decimal conversion is process-wide state; reports
+    # of big certificates convert in pieces instead of raising it.
+    found = [path.name for path in sorted(PACKAGE.rglob("*.py"))
+             if "set_int_max_str_digits" in path.read_text(encoding="utf-8")]
+    assert found == []
