@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .adversary import GammaMap, RnhCase1Bundle, RnhCase2Bundle, SearchBudget, \
@@ -194,7 +194,8 @@ def _cmd_oracle(args) -> Dict[str, Any]:
         carrier = _edge_set(args)
         params = _scale_params(args)
     elif ideal is IdealId.FIN2:
-        carrier = frozenset(parse_pair_literal(args.pairs or ""))
+        _need(args, "pairs")
+        carrier = frozenset(parse_pair_literal(args.pairs))
         params = _scale_params(args)
     else:
         _need(args, "set")
@@ -404,22 +405,15 @@ def _cmd_verify(args) -> Dict[str, Any]:
     raise ParseError(f"unknown verify target {what!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="idealforge",
-        description="Finite-scale workbench for Ramsey-type ideals.",
-    )
-    parser.add_argument("--out", help="write the report to this path")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _scale_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--window", type=int)
+    p.add_argument("--ap-len", dest="ap_len", type=int)
+    p.add_argument("--clique-size", dest="clique_size", type=int)
+    p.add_argument("--fs-size", dest="fs_size", type=int)
+    p.add_argument("--tau", type=str)
 
-    def scale_flags(p):
-        p.add_argument("--window", type=int)
-        p.add_argument("--ap-len", dest="ap_len", type=int)
-        p.add_argument("--clique-size", dest="clique_size", type=int)
-        p.add_argument("--fs-size", dest="fs_size", type=int)
-        p.add_argument("--tau", type=str)
 
-    p = sub.add_parser("oracle", help="positivity and witness queries")
+def _oracle_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal", required=True,
                    choices=[i.value for i in IdealId])
     p.add_argument("--op", default="positive",
@@ -431,10 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count for edge sets")
     p.add_argument("--k", type=int, help="progression/clique/threshold size")
     p.add_argument("--target", type=int, default=2, help="tall-witness size")
-    scale_flags(p)
+    _scale_options(p)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("fs", help="finite sums and sparse bases")
+
+def _fs_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True,
                    choices=["fs", "sparse", "alpha", "very-sparse",
                             "very-sparse-subset", "fs-subset", "conflict", "shift"])
@@ -447,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["up", "down"], default="up")
     p.set_defaults(func=_cmd_fs)
 
-    p = sub.add_parser("canonize", help="canonical coloring classification")
+
+def _canonize_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["pairs", "fs"])
     p.add_argument("--op", default="classify", choices=["classify", "find"])
     p.add_argument("--phi", required=True, help="builtin name or table file")
@@ -456,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.set_defaults(func=_cmd_canonize)
 
-    p = sub.add_parser("adversary", help="construction strategies")
+
+def _adversary_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", required=True,
                    choices=["w-summable", "h-summable", "r-summable", "r-hindman"])
     p.add_argument("--phi", required=True, help="builtin name or table file")
@@ -471,21 +468,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs-size", dest="fs_size", type=int)
     p.set_defaults(func=_cmd_adversary)
 
-    p = sub.add_parser("search", help="micro-scale reduction-map search")
+
+def _search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--src-ideal", required=True, choices=[i.value for i in IdealId])
     p.add_argument("--src-ground", required=True,
                    help="set literal, or vertex count for ramsey")
     p.add_argument("--dst-ideal", required=True, choices=[i.value for i in IdealId])
     p.add_argument("--dst-ground", required=True)
-    scale_flags(p)
+    _scale_options(p)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify", help="re-verify maps, chains, and bundles")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--what", required=True,
                    choices=["reduction", "hnr", "rnh", "final"])
     p.add_argument("--bundle", required=True, help="JSON bundle path")
-    scale_flags(p)
+    _scale_options(p)
     p.set_defaults(func=_cmd_verify)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its options, by calling ``options``
+    on itself, the first time it parses: a call builds only the options of
+    the subcommand it names.  The root parser hands each subcommand's
+    arguments, ``-h`` included, to that subcommand's ``parse_known_args``."""
+
+    def __init__(self, *args, options: Callable[[argparse.ArgumentParser], None],
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            add_options(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="idealforge",
+        description="Finite-scale workbench for Ramsey-type ideals.",
+    )
+    parser.add_argument("--out", help="write the report to this path")
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    sub.add_parser("oracle", help="positivity and witness queries", options=_oracle_options)
+    sub.add_parser("fs", help="finite sums and sparse bases", options=_fs_options)
+    sub.add_parser("canonize", help="canonical coloring classification",
+                   options=_canonize_options)
+    sub.add_parser("adversary", help="construction strategies", options=_adversary_options)
+    sub.add_parser("search", help="micro-scale reduction-map search", options=_search_options)
+    sub.add_parser("verify", help="re-verify maps, chains, and bundles",
+                   options=_verify_options)
     return parser
 
 

@@ -192,6 +192,8 @@ def longest_ap(A: NatSet) -> int:
     0 for the empty set, 1 for singletons.  Scans all (start, difference)
     pairs and extends each maximal start, so O(|A|^2 * L).
     """
+    if not isinstance(A, NatSet):
+        raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     xs = A.elements
     if not xs:
         return 0
@@ -220,6 +222,8 @@ def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
     difference is reported as 1 by convention.  Only realized differences
     are scanned (the second term must itself lie in A), so O(|A|^2 k).
     """
+    if not isinstance(A, NatSet):
+        raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
     xs = A.elements
@@ -240,6 +244,8 @@ def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
 
 def reciprocal_sum(A: NatSet) -> Fraction:
     """Exact value of sum over a in A of 1/(a+1)."""
+    if not isinstance(A, NatSet):
+        raise CarrierMismatch(f"reciprocal sum takes a NatSet, got {type(A).__name__}")
     total = Fraction(0)
     for a in A:
         total += Fraction(1, a + 1)
@@ -289,6 +295,8 @@ def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:
 
 def heavy_columns(pairs: Iterable[Tuple[int, int]], t: int) -> NatSet:
     """Columns n with at least t members k among the given (n, k) pairs."""
+    if isinstance(pairs, NatSet):
+        raise CarrierMismatch("heavy columns take (n, k) pairs, got NatSet")
     if t < 1:
         raise ValueError("threshold must be >= 1")
     counts: Counter = Counter()

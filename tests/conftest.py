@@ -8,6 +8,7 @@ import itertools
 import os
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -223,16 +224,20 @@ def _nat_step_json(index, chosen, threshold, relation, checked, note):
     }
 
 
+def _ratio(q: Fraction) -> str:
+    # Decimal(int) prints every digit, unlike str(int), which refuses ints of
+    # more than 4,300 digits (an image of 1,023 large values has a longer
+    # certificate denominator).
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
 def _transcript_json(strategy, params, steps, witness, image, majorant):
     """A transcript in JSON form with its certificate summed here."""
     certified = sum((Fraction(1, v + 1) for v in image), Fraction(0))
     return {
         "strategy": strategy, "params": params, "steps": steps,
         "witness": witness, "image": image,
-        "certificate": {
-            "sum": f"{certified.numerator}/{certified.denominator}",
-            "majorant": f"{majorant.numerator}/{majorant.denominator}",
-        },
+        "certificate": {"sum": _ratio(certified), "majorant": _ratio(majorant)},
     }
 
 

@@ -324,6 +324,19 @@ def test_other_zero_options_are_rejected(argv):
      ("ParseError", "this operation needs --case")),
     (("oracle", "--ideal", "vdw", "--op", "clique", "--set", "1,2,3"),
      ("CarrierMismatch", "clique search takes an EdgeSet, got NatSet")),
+    (("oracle", "--ideal", "ramsey", "--op", "longest-ap", "--edges", "0 1"),
+     ("CarrierMismatch", "progression search takes a NatSet, got EdgeSet")),
+    (("oracle", "--ideal", "fin2", "--op", "find-ap", "--pairs", "0 1", "--k", "3"),
+     ("CarrierMismatch", "progression search takes a NatSet, got frozenset")),
+    (("oracle", "--ideal", "ramsey", "--op", "sum", "--edges", "0 1"),
+     ("CarrierMismatch", "reciprocal sum takes a NatSet, got EdgeSet")),
+    (("oracle", "--ideal", "fin2", "--op", "sum", "--pairs", "0 1"),
+     ("CarrierMismatch", "reciprocal sum takes a NatSet, got frozenset")),
+    (("oracle", "--ideal", "vdw", "--op", "heavy-columns", "--set", "1,2"),
+     ("CarrierMismatch", "heavy columns take (n, k) pairs, got NatSet")),
+    (("oracle", "--ideal", "fin2", "--op", "heavy-columns", "--k", "1"),
+     ("ParseError", "this operation needs --pairs")),
+    (("oracle", "--ideal", "fin2"), ("ParseError", "this operation needs --pairs")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error):
     code, rep = invoke(*argv)

@@ -1,0 +1,116 @@
+"""The command line's help, usage errors and parsed options, pinned byte for
+byte, and the argparse work one call does.
+
+Each subcommand's options are added the first time that subcommand parses,
+so the pinned help and namespaces catch an option that lazy attachment
+drops, and the action counts catch work done for subcommands not named.
+
+Regenerate the pinned file with ``python tests/test_cli_surface.py`` (only
+for a deliberate change to the command line).
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from idealforge.cli import build_parser, main
+
+PINNED = Path(__file__).parent / "pinned_reports" / "cli_surface.json"
+
+SUBCOMMANDS = ("oracle", "fs", "canonize", "adversary", "search", "verify")
+
+INVOCATIONS = [("help", ["-h"]), ("no_subcommand", [])] + [
+    (f"{name}_help", [name, "-h"]) for name in SUBCOMMANDS
+] + [
+    ("unknown_subcommand", ["nosuch"]),
+    ("oracle_without_ideal", ["oracle", "--set", "1,2"]),
+    ("oracle_bad_choice", ["oracle", "--ideal", "nope"]),
+    ("fs_unknown_option", ["fs", "--op", "fs", "--bogus", "1"]),
+]
+
+# One parse per subcommand, root option included.
+PARSES = {
+    "oracle": ["--out", "r.json", "oracle", "--ideal", "vdw", "--set", "1,2,3"],
+    "fs": ["fs", "--op", "fs", "--set", "1,2"],
+    "canonize": ["canonize", "--kind", "pairs", "--phi", "min", "--window", "5"],
+    "adversary": ["adversary", "--strategy", "w-summable", "--phi", "identity"],
+    "search": ["search", "--src-ideal", "vdw", "--src-ground", "0..3",
+               "--dst-ideal", "vdw", "--dst-ground", "0..3"],
+    "verify": ["verify", "--what", "hnr", "--bundle", "b.json"],
+}
+
+
+def invocation(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def namespace(argv):
+    args = vars(build_parser().parse_args(argv))
+    return {key: value.__name__ if key == "func" else value
+            for key, value in sorted(args.items())}
+
+
+def surface() -> str:
+    """The pinned document; needs COLUMNS=80 so help wraps the same way."""
+    return json.dumps({
+        "invocations": {name: invocation(argv) for name, argv in INVOCATIONS},
+        "namespaces": {name: namespace(argv) for name, argv in PARSES.items()},
+    }, indent=2) + "\n"
+
+
+def test_help_usage_and_namespaces_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert surface() == PINNED.read_text(encoding="utf-8")
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_a_call_adds_only_the_named_subcommands_options():
+    parser = build_parser()
+    parser.parse_args(PARSES["fs"])
+    for name, sub in subparsers(parser).items():
+        dests = [action.dest for action in sub._actions]
+        if name == "fs":
+            assert dests == ["help", "op", "set", "pool", "k", "x", "y", "offset",
+                             "direction"]
+        else:
+            assert dests == ["help"], name
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("name, added", [
+    ("oracle", 21), ("fs", 16), ("canonize", 14), ("adversary", 18), ("search", 17),
+    ("verify", 15),
+])
+def test_add_argument_calls_per_parse(name, added, monkeypatch):
+    # Two root options and six -h actions are common to every call; the rest
+    # are the named subcommand's own options.
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    build_parser().parse_args(PARSES[name])
+    assert len(calls) == added
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    PINNED.write_text(surface(), encoding="utf-8")
