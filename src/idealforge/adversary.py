@@ -21,7 +21,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import NatSet, find_ap, reciprocal_sum
-from .report import Report, rational_str
+from .report import Report, jsonable, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
 
 
@@ -109,8 +109,6 @@ class Transcript:
     coloring: Any = None
 
     def to_json_dict(self) -> Dict[str, Any]:
-        from .report import jsonable
-
         return {
             "strategy": self.strategy,
             "params": jsonable(self.params),
@@ -391,8 +389,6 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 if t in chosen:
                     continue
                 partner = succ(t) if case is CanonicalCase.MIN else ts[0]
-                if partner == t:
-                    continue
                 if phi((t, partner)) > thr:
                     picked = t
                     break

@@ -43,39 +43,34 @@ def high_bit(x: int) -> int:
 
 
 class NatColoring:
-    """Total deterministic coloring of [0, window).
+    """Total deterministic coloring of [0, window), given by one evaluator.
 
-    Backed either by a table (totality validated) or by an evaluator
-    function.  Querying outside the window raises WindowExceeded.
+    ``from_table`` builds the evaluator from a table and checks its
+    totality.  Querying outside the window raises WindowExceeded.
     """
 
-    __slots__ = ("window", "_fn", "_table")
+    __slots__ = ("window", "_fn")
 
-    def __init__(self, window: int, fn: Optional[Callable[[int], int]] = None,
-                 table: Optional[Dict[int, int]] = None):
+    def __init__(self, window: int, fn: Callable[[int], int]):
         if window <= 0:
             raise ValueError("window must be > 0")
-        if (fn is None) == (table is None):
-            raise ValueError("exactly one of fn/table required")
-        if table is not None:
-            missing = [x for x in range(window) if x not in table]
-            if missing:
-                raise Incomplete(missing, kind="nat coloring")
         self.window = window
         self._fn = fn
-        self._table = dict(table) if table is not None else None
 
     def __call__(self, x: int) -> int:
         if not (0 <= x < self.window):
             raise WindowExceeded(f"{x} outside coloring window [0, {self.window})")
-        value = self._table[x] if self._table is not None else self._fn(x)
+        value = self._fn(x)
         if value < 0:
             raise ValueError(f"coloring value {value} at {x} is not a natural")
         return value
 
     @classmethod
     def from_table(cls, window: int, table: Dict[int, int]) -> "NatColoring":
-        return cls(window, table=table)
+        missing = [x for x in range(window) if x not in table]
+        if missing:
+            raise Incomplete(missing, kind="nat coloring")
+        return cls(window, dict(table).__getitem__)
 
     @classmethod
     def identity(cls, window: int) -> "NatColoring":
@@ -99,29 +94,16 @@ class NatColoring:
 
 
 class PairColoring:
-    """Total deterministic coloring of the unordered pairs over [0, n)."""
+    """Total deterministic coloring of the unordered pairs over [0, n),
+    given by one evaluator of (min, max)."""
 
-    __slots__ = ("n", "_fn", "_table")
+    __slots__ = ("n", "_fn")
 
-    def __init__(self, n: int, fn: Optional[Callable[[int, int], int]] = None,
-                 table: Optional[Dict[Tuple[int, int], int]] = None):
+    def __init__(self, n: int, fn: Callable[[int, int], int]):
         if n < 2:
             raise ValueError("pair coloring needs n >= 2")
-        if (fn is None) == (table is None):
-            raise ValueError("exactly one of fn/table required")
-        if table is not None:
-            norm = {}
-            for (i, j), v in table.items():
-                if i == j or not (0 <= i < n and 0 <= j < n):
-                    raise ValueError(f"bad pair ({i},{j}) for n={n}")
-                norm[(min(i, j), max(i, j))] = v
-            missing = [p for p in itertools.combinations(range(n), 2) if p not in norm]
-            if missing:
-                raise Incomplete(missing, kind="pair coloring")
-            table = norm
         self.n = n
         self._fn = fn
-        self._table = table
 
     def __call__(self, pair) -> int:
         i, j = pair
@@ -130,14 +112,24 @@ class PairColoring:
         i, j = min(i, j), max(i, j)
         if not (0 <= i and j < self.n):
             raise WindowExceeded(f"pair ({i},{j}) outside [0, {self.n})^2")
-        value = self._table[(i, j)] if self._table is not None else self._fn(i, j)
+        value = self._fn(i, j)
         if value < 0:
             raise ValueError(f"coloring value {value} at ({i},{j}) is not a natural")
         return value
 
     @classmethod
     def from_table(cls, n: int, table: Dict[Tuple[int, int], int]) -> "PairColoring":
-        return cls(n, table=table)
+        """Checks n, then each pair, then totality; pairs in either order."""
+        norm: Dict[Tuple[int, int], int] = {}
+        coloring = cls(n, lambda i, j: norm[i, j])
+        for (i, j), v in table.items():
+            if i == j or not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"bad pair ({i},{j}) for n={n}")
+            norm[(min(i, j), max(i, j))] = v
+        missing = [p for p in itertools.combinations(range(n), 2) if p not in norm]
+        if missing:
+            raise Incomplete(missing, kind="pair coloring")
+        return coloring
 
     @classmethod
     def constant(cls, n: int, v: int) -> "PairColoring":

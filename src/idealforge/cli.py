@@ -95,17 +95,19 @@ def _table_lines(path: str) -> List[List[int]]:
     return rows
 
 
-_NAT_BUILTINS = {
-    "identity": NatColoring.identity,
-    "min-alpha": NatColoring.min_alpha,
-    "max-alpha": NatColoring.max_alpha,
-    "minmax-alpha": NatColoring.minmax_alpha,
-}
-
-_PAIR_BUILTINS = {
-    "min": PairColoring.minimum,
-    "max": PairColoring.maximum,
-    "pairing": PairColoring.pairing,
+# Per coloring kind: its class, the shape of a table row, and its builtins.
+_KINDS = {
+    "nat": (NatColoring, "x value", {
+        "identity": NatColoring.identity,
+        "min-alpha": NatColoring.min_alpha,
+        "max-alpha": NatColoring.max_alpha,
+        "minmax-alpha": NatColoring.minmax_alpha,
+    }),
+    "pair": (PairColoring, "i j value", {
+        "min": PairColoring.minimum,
+        "max": PairColoring.maximum,
+        "pairing": PairColoring.pairing,
+    }),
 }
 
 
@@ -116,35 +118,26 @@ def load_coloring(spec: str, window: int, kind: str):
     tables have lines ``i j value``; '#' starts a comment.  Totality over
     the window is enforced, missing entries are an error.
     """
-    if kind not in ("nat", "pair"):
+    if kind not in _KINDS:
         raise ValueError(f"kind must be nat or pair, got {kind!r}")
+    cls, row_shape, builtins = _KINDS[kind]
     if spec.startswith("const:"):
         v = spec.split(":", 1)[1]
         if not v.isdigit():
             raise ParseError(f"bad constant {spec!r}")
-        if kind == "nat":
-            return NatColoring.constant(window, int(v))
-        return PairColoring.constant(window, int(v))
-    builtins = _NAT_BUILTINS if kind == "nat" else _PAIR_BUILTINS
+        return cls.constant(window, int(v))
     if spec in builtins:
         return builtins[spec](window)
     if not os.path.exists(spec):
         known = ", ".join(sorted(builtins) + ["const:v"])
         raise ParseError(f"{spec!r} is neither a file nor a builtin ({known})")
-    rows = _table_lines(spec)
-    if kind == "nat":
-        table = {}
-        for row in rows:
-            if len(row) != 2:
-                raise ParseError(f"nat table rows are 'x value', got {row}")
-            table[row[0]] = row[1]
-        return NatColoring.from_table(window, table)
+    width = len(row_shape.split())
     table = {}
-    for row in rows:
-        if len(row) != 3:
-            raise ParseError(f"pair table rows are 'i j value', got {row}")
-        table[(row[0], row[1])] = row[2]
-    return PairColoring.from_table(window, table)
+    for row in _table_lines(spec):
+        if len(row) != width:
+            raise ParseError(f"{kind} table rows are '{row_shape}', got {row}")
+        table[row[0] if width == 2 else tuple(row[:2])] = row[-1]
+    return cls.from_table(window, table)
 
 
 def _given(args: argparse.Namespace, fields: Dict[str, str]) -> Dict[str, Any]:
@@ -549,7 +542,7 @@ def run(args: argparse.Namespace) -> Tuple[int, Dict[str, Any]]:
             "code": exc.code(), "message": str(exc),
         }}
         return 1, {"header": header, "body": body}
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         body = {"status": "error", "error": {
             "code": type(exc).__name__, "message": str(exc),
         }}

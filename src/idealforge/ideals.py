@@ -295,8 +295,8 @@ def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:
 
 def heavy_columns(pairs: Iterable[Tuple[int, int]], t: int) -> NatSet:
     """Columns n with at least t members k among the given (n, k) pairs."""
-    if isinstance(pairs, NatSet):
-        raise CarrierMismatch("heavy columns take (n, k) pairs, got NatSet")
+    if isinstance(pairs, (NatSet, EdgeSet)):
+        raise CarrierMismatch(f"heavy columns take (n, k) pairs, got {type(pairs).__name__}")
     if t < 1:
         raise ValueError("threshold must be >= 1")
     counts: Counter = Counter()
@@ -308,22 +308,28 @@ def heavy_columns(pairs: Iterable[Tuple[int, int]], t: int) -> NatSet:
     return NatSet(n for n, c in counts.items() if c >= t)
 
 
-def _as_pair_collection(A) -> frozenset:
-    if isinstance(A, EdgeSet):
-        return A.gamma()
-    if isinstance(A, (set, frozenset, list, tuple)):
+def _carrier(A, ideal: IdealId, params: ScaleParams):
+    """A as the carrier the ideal judges, or CarrierMismatch.
+
+    RAMSEY takes an EdgeSet; FIN2 takes a set, frozenset, list or tuple of
+    (n, k) pairs, returned as a frozenset of tuples (an EdgeSet's view as
+    pairs is ``G.gamma()``); the others take a NatSet inside the window.
+    """
+    if not isinstance(ideal, IdealId):
+        raise CarrierMismatch(f"unknown ideal {ideal!r}")
+    if ideal is IdealId.RAMSEY:
+        kind, ok = "an EdgeSet", isinstance(A, EdgeSet)
+    elif ideal is IdealId.FIN2:
+        kind, ok = "a pair collection", isinstance(A, (set, frozenset, list, tuple))
+    else:
+        kind, ok = "a NatSet", isinstance(A, NatSet)
+    if not ok:
+        raise CarrierMismatch(f"{ideal.value} takes {kind}, got {type(A).__name__}")
+    if ideal is IdealId.FIN2:
         return frozenset(map(tuple, A))
-    raise CarrierMismatch(f"pair collection expected, got {type(A).__name__}")
-
-
-def _require_natset(A, ideal: IdealId, window: int) -> NatSet:
-    if not isinstance(A, NatSet):
-        raise CarrierMismatch(
-            f"{ideal.value} takes a NatSet, got {type(A).__name__}"
-        )
-    if A and A.max() >= window:
+    if isinstance(A, NatSet) and A and A.max() >= params.window:
         raise ValueError(
-            f"set reaches {A.max()} but the window is {window}; raise --window"
+            f"set reaches {A.max()} but the window is {params.window}; raise --window"
         )
     return A
 
@@ -336,28 +342,20 @@ def is_positive(A, ideal: IdealId, params: ScaleParams = ScaleParams()) -> bool:
     clique.  SUMMABLE: reciprocal mass at least tau.  FIN: at least half the
     window.  FIN2: some column with fs_size members.
     """
+    A = _carrier(A, ideal, params)
     if ideal is IdealId.VDW:
-        return longest_ap(_require_natset(A, ideal, params.window)) >= params.ap_len
+        return longest_ap(A) >= params.ap_len
     if ideal is IdealId.HINDMAN:
         from .sparse import find_fs_subset
 
-        A = _require_natset(A, ideal, params.window)
         return find_fs_subset(A, params.fs_size) is not None
     if ideal is IdealId.SUMMABLE:
-        return reciprocal_sum(_require_natset(A, ideal, params.window)) >= params.tau
+        return reciprocal_sum(A) >= params.tau
     if ideal is IdealId.FIN:
-        return 2 * len(_require_natset(A, ideal, params.window)) >= params.window
+        return 2 * len(A) >= params.window
     if ideal is IdealId.RAMSEY:
-        if not isinstance(A, EdgeSet):
-            raise CarrierMismatch(
-                f"ramsey takes an EdgeSet, got {type(A).__name__}"
-            )
         return find_clique(A, params.clique_size) is not None
-    if ideal is IdealId.FIN2:
-        if isinstance(A, NatSet):
-            raise CarrierMismatch("fin2 takes a pair collection, not a NatSet")
-        return bool(heavy_columns(_as_pair_collection(A), params.fs_size))
-    raise CarrierMismatch(f"unknown ideal {ideal!r}")
+    return bool(heavy_columns(A, params.fs_size))
 
 
 def _greedy_ap_free(A: NatSet, target: int) -> NatSet:
@@ -415,36 +413,30 @@ def tall_witness(A, ideal: IdealId, params: ScaleParams, target: int):
     """
     if target < 0:
         raise ValueError("target must be >= 0")
+    A = _carrier(A, ideal, params)
     if len(A) < target:
         raise CannotAvoid(f"input has {len(A)} elements, target is {target}")
 
     if ideal is IdealId.VDW:
-        B = _greedy_ap_free(_require_natset(A, ideal, params.window), target)
+        B = _greedy_ap_free(A, target)
     elif ideal is IdealId.HINDMAN:
-        B = _greedy_sum_free(_require_natset(A, ideal, params.window), target)
+        B = _greedy_sum_free(A, target)
     elif ideal is IdealId.SUMMABLE:
-        A = _require_natset(A, ideal, params.window)
         B = NatSet(A.elements[-target:]) if target else NatSet()
     elif ideal is IdealId.FIN:
-        A = _require_natset(A, ideal, params.window)
         B = NatSet(A.elements[:target])
     elif ideal is IdealId.RAMSEY:
-        if not isinstance(A, EdgeSet):
-            raise CarrierMismatch("ramsey takes an EdgeSet")
         B = _greedy_matching(A, target)
-    elif ideal is IdealId.FIN2:
-        pairs = sorted(_as_pair_collection(A))
+    else:
         per_col: Counter = Counter()
         picked = []
-        for (n, k) in pairs:
+        for (n, k) in sorted(A):
             if per_col[n] < params.fs_size - 1:
                 per_col[n] += 1
                 picked.append((n, k))
                 if len(picked) == target:
                     break
         B = frozenset(picked)
-    else:
-        raise CarrierMismatch(f"unknown ideal {ideal!r}")
 
     if len(B) < target:
         raise CannotAvoid(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Union
 
-from .errors import TooLarge
+from .errors import CarrierMismatch, TooLarge
 from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_positive
-from .report import Report
+from .report import Report, jsonable
 from .sparse import fs, is_sparse
 
 FINITE_SCALE_CAVEAT = (
@@ -40,15 +40,15 @@ class FiniteIdealSpec:
     def carrier(self) -> List:
         if self.ideal is IdealId.RAMSEY:
             if not isinstance(self.ground, int):
-                raise TypeError("ramsey ground is a vertex count")
+                raise CarrierMismatch("ramsey ground is a vertex count")
             return list(itertools.combinations(range(self.ground), 2))
         if self.ideal is IdealId.FIN2:
-            raise TypeError(
+            raise CarrierMismatch(
                 "fin2 truncations have no canonical carrier enumeration; "
                 "check explicit maps with verify_reduction"
             )
         if not isinstance(self.ground, NatSet):
-            raise TypeError(f"{self.ideal.value} ground is a NatSet")
+            raise CarrierMismatch(f"{self.ideal.value} ground is a NatSet")
         return list(self.ground.elements)
 
     def as_carrier_set(self, elements: Iterable):
@@ -148,7 +148,7 @@ def verify_reduction(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Report:
     family = positive_family(dst)
     report.meta["minimal_sets"] = len(family)
     for B in family:
-        elems = sorted(B.edges) if isinstance(B, EdgeSet) else list(B.elements)
+        elems = list(B)
         image = src.as_carrier_set(mapping(x) for x in elems)
         if not is_positive(image, src.ideal, src.params):
             report.add("positive-images", False,
@@ -168,8 +168,6 @@ class SearchOutcome:
     nodes: int = 0
 
     def to_json_dict(self):
-        from .report import jsonable
-
         return {
             "found": None if self.found is None else
             [[jsonable(k), jsonable(v)] for k, v in sorted(self.found.items())],
@@ -199,7 +197,7 @@ def search_reduction(src: FiniteIdealSpec, dst: FiniteIdealSpec,
     completes_at: List[List[int]] = [[] for _ in dst_carrier]
     family_elems = []
     for fi, B in enumerate(family):
-        elems = sorted(B.edges) if isinstance(B, EdgeSet) else list(B.elements)
+        elems = list(B)
         family_elems.append(elems)
         last = max(index[x] for x in elems)
         completes_at[last].append(fi)

@@ -6,6 +6,7 @@ perturbed, so that both classified and unclassified ground sets occur.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from idealforge import (
     find_canonical_subset,
 )
 from idealforge.canonical import high_bit, low_bit
-from idealforge.errors import WindowExceeded
+from idealforge.errors import Incomplete, WindowExceeded
 
 from conftest import (
     FS_CASES,
@@ -141,3 +142,63 @@ def test_small_windows_raise_on_the_least_finite_sum_outside(size, rng):
     message = f"finite sum {x} outside coloring window \\[0, {window}\\)"
     with pytest.raises(WindowExceeded, match=message):
         find_block_basis(NatColoring.identity(window), C, rng.randint(3, size))
+
+
+def _outcome(phi, point):
+    try:
+        return phi(point)
+    except (ValueError, WindowExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_a_table_coloring_is_the_same_coloring_given_as_fn(n, rng):
+    # negative values are allowed in both forms and rejected when queried
+    values = {x: rng.randint(-1, 3) for x in range(n)}
+    nat_table = NatColoring.from_table(n, values)
+    nat_fn = NatColoring(n, fn=lambda x: values[x])
+    for x in range(-1, n + 1):
+        assert _outcome(nat_table, x) == _outcome(nat_fn, x)
+    if n < 2:
+        return
+    colors = {p: rng.randint(-1, 3) for p in itertools.combinations(range(n), 2)}
+    table = {(p if rng.random() < 0.5 else p[::-1]): v for p, v in colors.items()}
+    pair_table = PairColoring.from_table(n, table)
+    pair_fn = PairColoring(n, fn=lambda i, j: colors[i, j])
+    for p in itertools.product(range(-1, n + 1), repeat=2):
+        assert _outcome(pair_table, p) == _outcome(pair_fn, p)
+
+
+@SETTINGS
+@given(st.integers(-1, 6), st.randoms(use_true_random=False))
+def test_table_errors_come_in_order_size_pair_totality(n, rng):
+    pairs = list(itertools.combinations(range(max(n, 0)), 2))
+    items = [(p, 0) for p in pairs if rng.random() < 0.8]
+    for bad in rng.sample([(1, 1), (0, n), (n + 1, 0)], rng.randint(0, 2)):
+        items.insert(rng.randint(0, len(items)), (bad, 0))
+    table = dict(items)
+    bad = [(i, j) for i, j in table if i == j or not (0 <= i < n and 0 <= j < n)]
+    missing = [p for p in pairs if p not in table]
+    if n < 2:
+        with pytest.raises(ValueError, match="pair coloring needs n >= 2"):
+            PairColoring.from_table(n, table)
+    elif bad:
+        i, j = bad[0]
+        with pytest.raises(ValueError, match=re.escape(f"bad pair ({i},{j}) for n={n}")):
+            PairColoring.from_table(n, table)
+    elif missing:
+        with pytest.raises(Incomplete) as exc:
+            PairColoring.from_table(n, table)
+        assert exc.value.missing == missing
+    else:
+        assert PairColoring.from_table(n, table).n == n
+
+    points = [x for x in range(max(n, 0)) if rng.random() < 0.8]
+    if n <= 0:
+        with pytest.raises(ValueError, match="window must be > 0"):
+            NatColoring.from_table(n, dict.fromkeys(points, 0))
+    elif len(points) < n:
+        with pytest.raises(Incomplete) as exc:
+            NatColoring.from_table(n, dict.fromkeys(points, 0))
+        assert exc.value.missing == [x for x in range(n) if x not in points]

@@ -337,6 +337,16 @@ def test_other_zero_options_are_rejected(argv):
     (("oracle", "--ideal", "fin2", "--op", "heavy-columns", "--k", "1"),
      ("ParseError", "this operation needs --pairs")),
     (("oracle", "--ideal", "fin2"), ("ParseError", "this operation needs --pairs")),
+    (("oracle", "--ideal", "ramsey", "--op", "heavy-columns", "--edges", "0 1, 0 2", "--k", "2"),
+     ("CarrierMismatch", "heavy columns take (n, k) pairs, got EdgeSet")),
+    (("search", "--src-ideal", "fin2", "--src-ground", "1,2", "--dst-ideal", "vdw",
+      "--dst-ground", "0..4", "--ap-len", "3"),
+     ("CarrierMismatch", "fin2 truncations have no canonical carrier enumeration; "
+                         "check explicit maps with verify_reduction")),
+    (("search", "--src-ideal", "vdw", "--src-ground", "0..4", "--dst-ideal", "fin2",
+      "--dst-ground", "1,2", "--ap-len", "3"),
+     ("CarrierMismatch", "fin2 truncations have no canonical carrier enumeration; "
+                         "check explicit maps with verify_reduction")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error):
     code, rep = invoke(*argv)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -255,3 +256,92 @@ def test_tall_witness_postcondition_oracle(rng):
 def test_tall_witness_too_greedy():
     with pytest.raises(CannotAvoid):
         tall_witness(NatSet([1, 2]), IdealId.VDW, ScaleParams(window=10), 5)
+
+
+# Every ideal against five carriers; the ideal's own kind is the only one it
+# accepts (fin2 takes any set, frozenset, list or tuple of pairs, and an
+# EdgeSet's pair view only through G.gamma()).
+CARRIERS = {
+    "NatSet": NatSet([1, 2, 3, 5]),
+    "EdgeSet": EdgeSet(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "frozenset": frozenset({(0, 0), (0, 1), (1, 4)}),
+    "list": [(0, 0), (0, 1), (1, 4)],
+    "range": range(4),
+}
+# what each ideal takes, as its error message names it, and which carriers
+TAKES = {
+    IdealId.VDW: ("a NatSet", {"NatSet"}), IdealId.HINDMAN: ("a NatSet", {"NatSet"}),
+    IdealId.SUMMABLE: ("a NatSet", {"NatSet"}), IdealId.FIN: ("a NatSet", {"NatSet"}),
+    IdealId.RAMSEY: ("an EdgeSet", {"EdgeSet"}),
+    IdealId.FIN2: ("a pair collection", {"frozenset", "list"}),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@pytest.mark.parametrize("ideal", list(IdealId), ids=lambda i: i.value)
+def test_each_ideal_takes_only_its_own_carrier(ideal, carrier):
+    A = CARRIERS[carrier]
+    p = ScaleParams(ap_len=3, clique_size=3, fs_size=2, window=10)
+    kind, accepted = TAKES[ideal]
+    if carrier in accepted:
+        assert isinstance(is_positive(A, ideal, p), bool)
+        try:
+            B = tall_witness(A, ideal, p, 1)
+        except CannotAvoid:
+            return
+        assert len(B) >= 1 and not is_positive(B, ideal, p)
+        return
+    message = f"{ideal.value} takes {kind}, got {type(A).__name__}"
+    with pytest.raises(CarrierMismatch) as exc:
+        is_positive(A, ideal, p)
+    assert str(exc.value) == message
+    # the carrier is checked before its size is compared with the target
+    with pytest.raises(CarrierMismatch) as exc:
+        tall_witness(A, ideal, p, 99)
+    assert str(exc.value) == message
+
+
+def test_unknown_ideal_is_a_carrier_mismatch():
+    for call in (lambda: is_positive(NatSet([1]), "vdw"),
+                 lambda: tall_witness(NatSet([1]), "vdw", ScaleParams(), 5)):
+        with pytest.raises(CarrierMismatch, match="unknown ideal 'vdw'"):
+            call()
+
+
+def test_fin2_reads_an_edge_set_only_through_gamma():
+    G = EdgeSet(5, [(0, 3), (1, 3), (2, 4)])
+    p = ScaleParams(fs_size=2)
+    with pytest.raises(CarrierMismatch, match="got EdgeSet"):
+        is_positive(G, IdealId.FIN2, p)
+    assert is_positive(G.gamma(), IdealId.FIN2, p)  # column 3 holds 0 and 1
+    with pytest.raises(CarrierMismatch, match="got EdgeSet"):
+        heavy_columns(G, 1)
+
+
+def test_tall_witness_fin():
+    p = ScaleParams(window=12)
+    A = NatSet([1, 3, 4, 6, 8, 9, 10, 11])
+    for target in range(6):
+        B = tall_witness(A, IdealId.FIN, p, target)
+        # FIN is positive from half the window: 6 of 12 points
+        assert B.issubset(A) and len(B) == target
+        assert B.elements == A.elements[:target]
+        assert 2 * len(B) < 12 and not is_positive(B, IdealId.FIN, p)
+    with pytest.raises(CannotAvoid, match="still positive"):
+        tall_witness(A, IdealId.FIN, p, 6)
+
+
+def test_tall_witness_fin2():
+    p = ScaleParams(fs_size=3)
+    A = [(0, k) for k in range(5)] + [(2, 7), (2, 1), (2, 4), (5, 0)]
+    B = tall_witness(A, IdealId.FIN2, p, 5)
+    assert B <= set(A) and len(B) == 5
+    # at most fs_size - 1 = 2 pairs per column, least pairs first
+    columns = Counter(n for n, _ in B)
+    assert max(columns.values()) <= 2
+    assert B == {(0, 0), (0, 1), (2, 1), (2, 4), (5, 0)}
+    assert not is_positive(B, IdealId.FIN2, p)
+    # three columns give at most 2 + 2 + 1 pairs
+    with pytest.raises(CannotAvoid, match="reached only 5 of 6"):
+        tall_witness(A, IdealId.FIN2, p, 6)
+    assert tall_witness(tuple(A), IdealId.FIN2, p, 5) == B

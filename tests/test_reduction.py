@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,7 +14,7 @@ from idealforge import (
     search_reduction,
     verify_reduction,
 )
-from idealforge.errors import TooLarge
+from idealforge.errors import CarrierMismatch, TooLarge
 
 from conftest import naive_search_reduction
 
@@ -64,6 +65,42 @@ def test_positive_family_minimality():
             for x in B:
                 smaller = NatSet(e for e in B if e != x)
                 assert not is_positive(smaller, spec.ideal, spec.params)
+
+
+def test_positive_family_fin():
+    ground = NatSet([0, 1, 2, 4, 5])
+    spec = FiniteIdealSpec(IdealId.FIN, ScaleParams(window=6), ground)
+    family = positive_family(spec)
+    # FIN is positive from half the window, so the minimal sets are the
+    # 3-subsets of the ground, in lexicographic order
+    assert len(family) == comb(5, 3) == 10
+    assert [B.elements for B in family] == sorted(B.elements for B in family)
+    for B in family:
+        assert B.issubset(ground) and len(B) == 3
+        assert is_positive(B, IdealId.FIN, spec.params)
+        for x in B:
+            smaller = NatSet(e for e in B if e != x)
+            assert not is_positive(smaller, IdealId.FIN, spec.params)
+    odd = FiniteIdealSpec(IdealId.FIN, ScaleParams(window=7), ground)
+    assert len(positive_family(odd)) == comb(5, 4)
+    with pytest.raises(TooLarge, match="half-window subset family too large"):
+        positive_family(FiniteIdealSpec(IdealId.FIN, ScaleParams(window=40),
+                                        NatSet(range(40))))
+
+
+@pytest.mark.parametrize("ideal, ground, message", [
+    (IdealId.FIN2, NatSet([1, 2]), "fin2 truncations have no canonical carrier enumeration; "
+                                   "check explicit maps with verify_reduction"),
+    (IdealId.RAMSEY, NatSet([1, 2]), "ramsey ground is a vertex count"),
+    (IdealId.VDW, 4, "vdw ground is a NatSet"),
+], ids=["fin2", "ramsey", "vdw"])
+def test_search_rejects_a_carrier_it_cannot_enumerate(ideal, ground, message):
+    odd = FiniteIdealSpec(ideal, P3, ground)
+    fine = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
+    for src, dst in ((odd, fine), (fine, odd)):
+        with pytest.raises(CarrierMismatch) as exc:
+            search_reduction(src, dst)
+        assert str(exc.value) == message
 
 
 def test_positive_family_caps():
