@@ -11,16 +11,17 @@ nothing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, least_subset
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
-from .ideals import NatSet, find_ap, reciprocal_sum
+from .ideals import NatSet, reciprocal_sum, scan_ap
 from .report import Report, jsonable, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
 
@@ -183,18 +184,18 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     The witness has unbounded progression length while the image reciprocal
     mass stays under the exact majorant sum of n / (n 2^n + 1).  The window
     [0, bound) is read once; the thresholds increase, so each step's good
-    set narrows the previous one.
+    set narrows the previous one, and membership in it is read off the
+    values.
     """
     bound = min(phi.window, budget.max_element)
-    values = [phi(x) for x in range(bound)]
+    values = phi.read(bound)
     survivors = range(bound)
     steps: List[TranscriptStep] = []
     blocks: List[NatSet] = []
     for n in range(1, budget.max_steps + 1):
         thr = n * (1 << n)
         survivors = [x for x in survivors if values[x] >= thr]
-        good = NatSet._trusted(tuple(survivors))
-        hit = find_ap(good, n)
+        hit = scan_ap(survivors, lambda x: values[x] >= thr, n)
         if hit is None:
             raise SearchExhausted(
                 n, f"no {n}-term progression with phi >= {thr} in [0, {bound})"
@@ -215,6 +216,18 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     )
     return _transcript(phi, "w-summable", {"n_max": budget.max_steps, "scan_bound": bound},
                        steps, {"set": witness, "blocks": blocks}, majorant)
+
+
+def preimage_floor(values: Sequence[int]) -> Callable[[int], int]:
+    """The lookup m -> last z with values[z] <= m (-1 if none), in O(log n).
+
+    The suffix minima of values ascend, and the last z with values[z] <= m
+    is the last z whose suffix minimum is <= m.
+    """
+    suffix_min = list(itertools.accumulate(reversed(values),
+                                           lambda a, b: b if b < a else a))
+    suffix_min.reverse()
+    return lambda m: bisect.bisect_right(suffix_min, m) - 1
 
 
 # The non-constant h-summable cases as (threshold(n), points(n)): step n picks a
@@ -283,8 +296,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         total = 0
         if case is CanonicalCase.INJ:
             # The preimage scan window, read once for every step.
-            scan_bound = min(window, budget.max_element)
-            values = [phi(z) for z in range(scan_bound)]
+            floor_of = preimage_floor(phi.read(min(window, budget.max_element)))
         for n in range(n_max):
             thr = threshold(n)
             scan_floor = -1
@@ -292,9 +304,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             if case is CanonicalCase.INJ:
                 extras = fs(NatSet(chosen)).elements
                 m = max([thr, *(phi(x) for x in extras)])
-                scan_floor = next(
-                    (z for z in range(scan_bound - 1, -1, -1) if values[z] <= m), -1
-                )
+                scan_floor = floor_of(m)
 
             picked = None
             for idx in range(last_idx + 1, len(cs)):

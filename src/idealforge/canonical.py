@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import Incomplete, InvariantViolated, TooSmall, WindowExceeded
 from .ideals import NatSet
@@ -64,6 +64,18 @@ class NatColoring:
         if value < 0:
             raise ValueError(f"coloring value {value} at {x} is not a natural")
         return value
+
+    def read(self, stop: int) -> List[int]:
+        """[phi(0), ..., phi(stop - 1)] in one pass of the evaluator, with
+        the error of querying those points in order.  The evaluator runs on
+        every point of the window below stop before the values are checked."""
+        values = list(map(self._fn, range(min(stop, self.window))))
+        if values and min(values) < 0:
+            x = next(x for x, v in enumerate(values) if v < 0)
+            raise ValueError(f"coloring value {values[x]} at {x} is not a natural")
+        if stop > self.window:
+            raise WindowExceeded(f"{self.window} outside coloring window [0, {self.window})")
+        return values
 
     @classmethod
     def from_table(cls, window: int, table: Dict[int, int]) -> "NatColoring":

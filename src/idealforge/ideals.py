@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import CannotAvoid, CarrierMismatch
 
@@ -226,18 +226,28 @@ def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
         raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    xs = A.elements
+    return scan_ap(A.elements, A.__contains__, k)
+
+
+def scan_ap(xs: Sequence[int], member: Callable[[int], bool], k: int
+            ) -> Optional[Tuple[int, int]]:
+    """``find_ap`` over the strictly ascending elements xs of a set whose
+    membership test is ``member``, for k >= 1.
+
+    The scan asks ``member`` only about points between two elements of xs,
+    so a caller can test membership without building the set.
+    """
     if len(xs) < k:
         return None
     if k == 1:
         return (xs[0], 1)
     top = xs[-1]
     for i, a in enumerate(xs):
-        for b in xs[i + 1 :]:
+        for b in itertools.islice(xs, i + 1, None):
             d = b - a
             if a + (k - 1) * d > top:
                 break
-            if all(a + j * d in A for j in range(2, k)):
+            if all(member(a + j * d) for j in range(2, k)):
                 return (a, d)
     return None
 
@@ -308,12 +318,19 @@ def heavy_columns(pairs: Iterable[Tuple[int, int]], t: int) -> NatSet:
     return NatSet(n for n, c in counts.items() if c >= t)
 
 
+def is_nat_pair(p) -> bool:
+    """Whether p is a Fin x Fin point: a tuple or list of two naturals."""
+    return isinstance(p, (tuple, list)) and len(p) == 2 and all(
+        isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in p)
+
+
 def _carrier(A, ideal: IdealId, params: ScaleParams):
     """A as the carrier the ideal judges, or CarrierMismatch.
 
     RAMSEY takes an EdgeSet; FIN2 takes a set, frozenset, list or tuple of
-    (n, k) pairs, returned as a frozenset of tuples (an EdgeSet's view as
-    pairs is ``G.gamma()``); the others take a NatSet inside the window.
+    (n, k) pairs of naturals, returned as a frozenset of tuples (an
+    EdgeSet's view as pairs is ``G.gamma()``); the others take a NatSet
+    inside the window.
     """
     if not isinstance(ideal, IdealId):
         raise CarrierMismatch(f"unknown ideal {ideal!r}")
@@ -326,6 +343,9 @@ def _carrier(A, ideal: IdealId, params: ScaleParams):
     if not ok:
         raise CarrierMismatch(f"{ideal.value} takes {kind}, got {type(A).__name__}")
     if ideal is IdealId.FIN2:
+        for p in A:
+            if not is_nat_pair(p):
+                raise CarrierMismatch(f"fin2 takes {kind}, got member {p!r}")
         return frozenset(map(tuple, A))
     if isinstance(A, NatSet) and A and A.max() >= params.window:
         raise ValueError(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Union
 
-from .errors import CarrierMismatch, TooLarge
-from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_positive
+from .errors import CarrierMismatch, MalformedBundle, TooLarge
+from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_nat_pair, is_positive
 from .report import Report, jsonable
 from .sparse import fs, is_sparse
 
@@ -139,17 +139,51 @@ def positive_family(spec: FiniteIdealSpec) -> List:
     raise TooLarge(f"no minimal-family enumeration for {spec.ideal.value}")
 
 
+def _checked_map(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Dict:
+    """f as a table from the dst carrier into the src carrier, or
+    MalformedBundle naming its first bad entry.
+
+    A table's keys must be exactly the dst carrier's elements; a callable
+    is asked once for each of them.  A fin2 src has no carrier enumeration,
+    so its values need only be pairs of naturals.
+    """
+    points = dst.carrier()
+    if callable(f):
+        table = {x: f(x) for x in points}
+    else:
+        table = dict(f)
+        for x in table:
+            if x not in points:
+                raise MalformedBundle(f"map key {x!r} is not an element of the dst carrier")
+        for x in points:
+            if x not in table:
+                raise MalformedBundle(f"map has no image for dst element {x!r}")
+    if src.ideal is IdealId.FIN2:
+        kind, ok = "a pair of naturals", is_nat_pair
+    else:
+        kind, values = "an element of the src carrier", src.carrier()
+        ok = lambda v: v in values
+    for x, v in table.items():
+        if not ok(v):
+            raise MalformedBundle(f"map sends {x!r} to {v!r}, which is not {kind}")
+    return table
+
+
 def verify_reduction(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Report:
     """Check the contrapositive form on minimal sets: the image of every
-    minimal dst-positive set must be src-positive."""
-    mapping = f if callable(f) else (lambda x, table=dict(f): table[x])
+    minimal dst-positive set must be src-positive.
+
+    f is a callable or a table (a dict or its items) on the dst carrier; see
+    ``_checked_map`` for what it must satisfy.
+    """
     report = Report(meta={"caveat": FINITE_SCALE_CAVEAT,
                           "src": src.ideal.value, "dst": dst.ideal.value})
     family = positive_family(dst)
+    table = _checked_map(f, src, dst)
     report.meta["minimal_sets"] = len(family)
     for B in family:
         elems = list(B)
-        image = src.as_carrier_set(mapping(x) for x in elems)
+        image = src.as_carrier_set(table[x] for x in elems)
         if not is_positive(image, src.ideal, src.params):
             report.add("positive-images", False,
                        f"minimal set {elems} has non-positive image")

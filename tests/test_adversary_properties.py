@@ -22,6 +22,7 @@ from idealforge import (
     defeat_h_summable,
     defeat_w_summable,
 )
+from idealforge.adversary import preimage_floor
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError
 from idealforge.report import dumps_stable
@@ -92,6 +93,44 @@ def test_defeat_w_matches_the_per_step_rescan(family, plant, window, max_element
     budget = SearchBudget(max_element=max_element, max_steps=nmax)
     assert _outcome(lambda: defeat_w_summable(phi, budget)) == \
         _outcome(lambda: rescan_defeat_w_summable(phi, budget))
+
+
+@SETTINGS
+@given(st.integers(2, 3000), st.integers(2, 40), st.integers(1, 10), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_defeat_w_matches_the_per_step_rescan_on_sparse_survivors(window, gap, nmax,
+                                                                   planted, rng):
+    """Colorings high only on a random set with no two consecutive points,
+    so every progression of 2 or more terms has difference > 1, and the
+    survivors thin out as the thresholds pass their values."""
+    high, x = [], rng.randrange(gap)
+    while x < window:
+        high.append(x)
+        x += rng.randint(2, gap)
+    table = {x: rng.randint(0, 1) for x in range(window)}
+    table.update((x, rng.randint(2, 12000)) for x in high)
+    if planted:
+        table[rng.randrange(window)] = -1
+    phi = NatColoring.from_table(window, table)
+    budget = SearchBudget(max_element=rng.randint(1, window), max_steps=nmax)
+    assert _outcome(lambda: defeat_w_summable(phi, budget)) == \
+        _outcome(lambda: rescan_defeat_w_summable(phi, budget))
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 12), max_size=40) | st.lists(st.integers(0, 1 << 70)),
+       st.lists(st.integers(-2, 1 << 71), max_size=8))
+def test_preimage_floor_equals_the_downward_scan(values, ms):
+    """The floor for m is the last z with values[z] <= m, or -1: checked below
+    every value, above every value, at every value (repeats included) and
+    at random m."""
+    floor_of = preimage_floor(values)
+    top = max(values, default=0)
+    for m in [-1, min(values, default=0) - 1, top, top + 1, *values, *ms]:
+        want = next((z for z in range(len(values) - 1, -1, -1) if values[z] <= m), -1)
+        assert floor_of(m) == want
+    assert floor_of(-1) == -1
+    assert floor_of(top) == len(values) - 1
 
 
 @SETTINGS

@@ -202,3 +202,43 @@ def test_table_errors_come_in_order_size_pair_totality(n, rng):
         with pytest.raises(Incomplete) as exc:
             NatColoring.from_table(n, dict.fromkeys(points, 0))
         assert exc.value.missing == [x for x in range(n) if x not in points]
+
+
+READ_BUILTINS = {
+    "identity": NatColoring.identity,
+    "min-alpha": NatColoring.min_alpha,
+    "max-alpha": NatColoring.max_alpha,
+    "minmax-alpha": NatColoring.minmax_alpha,
+}
+
+
+def _result(call):
+    try:
+        return "ok", call()
+    except (WindowExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(READ_BUILTINS) + ["const", "table"]), st.integers(1, 300),
+       st.integers(0, 320), st.one_of(st.none(), st.integers(0, 299)),
+       st.randoms(use_true_random=False))
+def test_bulk_read_equals_the_per_point_loop(family, window, stop, plant, rng):
+    """read(stop) gives the values, or the error, of querying 0..stop-1 in order."""
+    if family == "table":
+        table = {x: rng.randrange(1 << rng.randint(1, 40)) for x in range(window)}
+        if plant is not None:
+            for x in rng.sample(range(window), rng.randint(1, min(3, window))):
+                table[x] = -rng.randint(1, 9)
+        phi = NatColoring.from_table(window, table)
+    else:
+        phi = NatColoring.constant(window, rng.randint(0, 64)) if family == "const" \
+            else READ_BUILTINS[family](window)
+        if plant is not None:
+            bad, fn = plant % window, phi._fn
+            phi = NatColoring(window, fn=lambda x: -1 if x == bad else fn(x))
+    if stop > window and plant is None:
+        with pytest.raises(WindowExceeded):
+            phi.read(stop)
+    assert _result(lambda: phi.read(stop)) == \
+        _result(lambda: [phi(x) for x in range(stop)])

@@ -347,9 +347,30 @@ def test_other_zero_options_are_rejected(argv):
       "--dst-ground", "1,2", "--ap-len", "3"),
      ("CarrierMismatch", "fin2 truncations have no canonical carrier enumeration; "
                          "check explicit maps with verify_reduction")),
+    # A dict stands for a verification bundle, written to a file first.
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "fin2", "ground": "1,2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
+       "map": [[0, 1], [1, 1], [2, 2], [3, 1], [4, 2]]}),
+     ("MalformedBundle", "map sends 0 to 1, which is not a pair of naturals")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "ramsey", "ground": "4"}, "dst": {"ideal": "vdw", "ground": "0..4"},
+       "map": [[0, 1], [1, 1], [2, 2], [3, 1], [4, 2]]}),
+     ("MalformedBundle", "map sends 0 to 1, which is not an element of the src carrier")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "vdw", "ground": "0..2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
+       "map": [[0, 0], [1, 1], [2, 2], [3, 1]]}),
+     ("MalformedBundle", "map has no image for dst element 4")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "vdw", "ground": "0..2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
+       "map": [[0, 7], [1, 1], [2, 2], [3, 1], [4, 2]]}),
+     ("MalformedBundle", "map sends 0 to 7, which is not an element of the src carrier")),
 ])
-def test_missing_or_mismatched_option_exits_1(argv, error):
-    code, rep = invoke(*argv)
+def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            bundle.write_text(json.dumps(arg), encoding="utf-8")
+    code, rep = invoke(*(str(bundle) if isinstance(a, dict) else a for a in argv))
     assert code == 1
     assert rep["body"]["error"] == {"code": error[0], "message": error[1]}
 

@@ -174,6 +174,20 @@ def test_is_positive_carrier_mismatch():
         is_positive(NatSet([1]), IdealId.FIN2, p)
 
 
+@pytest.mark.parametrize("A, member", [
+    ((1, 2, 3), "1"),
+    ([(0, 1, 2)], "(0, 1, 2)"),
+    ([(0, 1), (2, -1)], "(2, -1)"),
+    ({(0, 1), ("0", 1)}, "('0', 1)"),
+    ([[0, 1], [True, 1]], "[True, 1]"),
+])
+def test_fin2_members_must_be_pairs_of_naturals(A, member):
+    with pytest.raises(CarrierMismatch) as exc:
+        is_positive(A, IdealId.FIN2, ScaleParams(fs_size=2))
+    assert str(exc.value) == f"fin2 takes a pair collection, got member {member}"
+    assert is_positive([[0, 1], (0, 2)], IdealId.FIN2, ScaleParams(fs_size=2))
+
+
 def test_is_positive_upward_closed(rng):
     p = ScaleParams(ap_len=3, window=100)
     for _ in range(40):

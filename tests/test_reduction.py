@@ -14,7 +14,7 @@ from idealforge import (
     search_reduction,
     verify_reduction,
 )
-from idealforge.errors import CarrierMismatch, TooLarge
+from idealforge.errors import CarrierMismatch, MalformedBundle, TooLarge
 
 from conftest import naive_search_reduction
 
@@ -125,6 +125,29 @@ def test_verify_reduction_fin2_to_h():
     rep = verify_reduction(fin2_to_h_map, src, dst)
     assert rep.passed
     assert "micro-scale" in rep.meta["caveat"]
+
+
+def test_verify_reduction_checks_the_map_before_any_image():
+    vdw3 = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(3)))
+    vdw5 = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
+    ramsey = FiniteIdealSpec(IdealId.RAMSEY, P3, 3)
+    fin2 = FiniteIdealSpec(IdealId.FIN2, P3, NatSet(range(3)))
+    identity = {x: x for x in range(5)}
+    for f, src, message in [
+        ({**identity, 9: 0}, vdw5, "map key 9 is not an element of the dst carrier"),
+        ({x: x for x in range(4)}, vdw5, "map has no image for dst element 4"),
+        ({**identity, 3: 7}, vdw5, "map sends 3 to 7, which is not an element of the src carrier"),
+        (lambda x: x, vdw3, "map sends 3 to 3, which is not an element of the src carrier"),
+        ({x: (x, x) for x in range(5)}, ramsey,
+         "map sends 0 to (0, 0), which is not an element of the src carrier"),
+        ({x: (0, x - 1) for x in range(5)}, fin2,
+         "map sends 0 to (0, -1), which is not a pair of naturals"),
+    ]:
+        with pytest.raises(MalformedBundle) as exc:
+            verify_reduction(f, src, vdw5)
+        assert str(exc.value) == message
+    assert verify_reduction(list(identity.items()), vdw5, vdw5).passed
+    assert verify_reduction({x: (0, x) for x in range(5)}, fin2, vdw5).passed
 
 
 def test_search_identity_style_instance():
