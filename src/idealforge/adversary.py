@@ -178,6 +178,27 @@ def _pair_check(phi: PairColoring, pair, relation: str, bound: int) -> StepCheck
     return StepCheck("pair", (i, j), phi((i, j)), relation, bound)
 
 
+def _require_case(got: Optional[CanonicalCase], case: CanonicalCase, message: str) -> None:
+    """Raise CaseMismatch unless the classifier gave the declared case; the
+    message is formatted with the declared ``case`` and the ``got`` one."""
+    if got is not case:
+        raise CaseMismatch(message.format(case=case.value, got=got.value if got else "none"))
+
+
+def _constant_step(chosen: Sequence[int], checks, broken: Callable[[StepCheck], str]
+                   ) -> TranscriptStep:
+    """The one step of a CONST run.  The checks, all of relation "==" against
+    the constant value, are drawn until one fails, which raises
+    CaseMismatch(broken(check))."""
+    kept = []
+    for ck in checks:
+        if not ck.holds():
+            raise CaseMismatch(broken(ck))
+        kept.append(ck)
+    return TranscriptStep(index=0, chosen=tuple(chosen), threshold=kept[0].bound,
+                          relation="==", checks=tuple(kept), note="constant image")
+
+
 def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -> Transcript:
     """Build progressions F_n inside {x : phi(x) >= n 2^n} for n = 1..n_max.
 
@@ -254,10 +275,8 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
     """
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
-    got = classify_fs_on(phi, C.prefix(5))
-    if got is not case:
-        raise CaseMismatch(f"declared {case.value}, prefix classifies as "
-                           f"{got.value if got else 'none'}")
+    _require_case(classify_fs_on(phi, C.prefix(5)), case,
+                  "declared {case}, prefix classifies as {got}")
     n_max = budget.max_steps
     cs = C.elements
     window = phi.window
@@ -276,17 +295,9 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         if not chosen:
             raise SearchExhausted(0, "window too small for any block")
         value = phi(chosen[0])
-        checks = []
-        for x in fs(NatSet(chosen)):
-            ck = _nat_check(phi, x, "==", value)
-            if not ck.holds():
-                raise CaseMismatch(
-                    f"constant case broken at {x}: phi = {ck.value} != {value}"
-                )
-            checks.append(ck)
-        steps.append(TranscriptStep(
-            index=0, chosen=tuple(chosen), threshold=value, relation="==",
-            checks=tuple(checks), note="constant image",
+        steps.append(_constant_step(
+            chosen, (_nat_check(phi, x, "==", value) for x in fs(NatSet(chosen))),
+            lambda ck: f"constant case broken at {ck.args[0]}: phi = {ck.value} != {value}",
         ))
         majorant = Fraction(1, value + 1)
     else:
@@ -334,12 +345,8 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                      + (f", preimage scan floor {scan_floor}" if scan_floor >= 0 else ""),
             ))
         if len(chosen) >= 3:
-            got = classify_fs_on(phi, BlockBasis(chosen))
-            if got is not case:
-                raise CaseMismatch(
-                    f"selected basis classifies as {got.value if got else 'none'}, "
-                    f"not {case.value}"
-                )
+            _require_case(classify_fs_on(phi, BlockBasis(chosen)), case,
+                          "selected basis classifies as {got}, not {case}")
         majorant = sum((Fraction(points(n), threshold(n) + 1) for n in range(n_max)),
                        Fraction(0))
 
@@ -363,58 +370,42 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     T = T if isinstance(T, NatSet) else NatSet(T)
     if len(T) < 3:
         raise CaseMismatch("ground set has fewer than 3 points")
-    got = classify_pairs_on(phi, NatSet(T.elements[:12]))
-    if got is not case:
-        raise CaseMismatch(f"declared {case.value}, prefix classifies as "
-                           f"{got.value if got else 'none'}")
+    _require_case(classify_pairs_on(phi, NatSet(T.elements[:12])), case,
+                  "declared {case}, prefix classifies as {got}")
     n_max = budget.max_steps
     ts = T.elements
     steps: List[TranscriptStep] = []
-    position = {t: i for i, t in enumerate(ts)}
-
-    def succ(t: int) -> Optional[int]:
-        i = position[t]
-        return ts[i + 1] if i + 1 < len(ts) else None
 
     if case is CanonicalCase.CONST:
-        H = list(ts[: max(2, n_max)])
+        H = ts[: max(2, n_max)]
         const_value = phi((H[0], H[1]))
-        checks = []
-        for p in itertools.combinations(H, 2):
-            ck = _pair_check(phi, p, "==", const_value)
-            if not ck.holds():
-                raise CaseMismatch(f"constant case broken at {p}")
-            checks.append(ck)
-        steps.append(TranscriptStep(
-            index=0, chosen=tuple(H), threshold=const_value, relation="==",
-            checks=tuple(checks), note="constant image",
+        steps.append(_constant_step(
+            H, (_pair_check(phi, p, "==", const_value) for p in itertools.combinations(H, 2)),
+            lambda ck: f"constant case broken at {ck.args}",
         ))
     elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
-        chosen: List[int] = []
-        pool = [t for t in ts[:-1]] if case is CanonicalCase.MIN else [t for t in ts[1:]]
+        # MIN reads the row of ts[i] at its successor, MAX the column of ts[i]
+        # at ts[0].  The thresholds grow with n, so a point that fails one step
+        # fails every later one (in INJ too, whose checks only gain pairs): each
+        # step scans on from the index after the last pick, and the picks ascend.
+        is_min = case is CanonicalCase.MIN
+        H = []
+        last = -1 if is_min else 0
         for n in range(n_max):
             thr = 1 << n
-            picked = None
-            for t in pool:
-                if t in chosen:
-                    continue
-                partner = succ(t) if case is CanonicalCase.MIN else ts[0]
-                if phi((t, partner)) > thr:
-                    picked = t
+            for i in range(last + 1, len(ts) - 1 if is_min else len(ts)):
+                if phi((ts[i], ts[i + 1] if is_min else ts[0])) > thr:
                     break
-            if picked is None:
-                raise SearchExhausted(
-                    n, f"no row value above {thr} left in the ground set"
-                )
-            chosen.append(picked)
-        H = sorted(chosen)
-        # Re-record thresholds against partners inside H where possible.
-        hi, lo = H[-1], H[0]
-        for n, t in enumerate(chosen):
-            if case is CanonicalCase.MIN:
-                partner = hi if t != hi else succ(t)
             else:
-                partner = lo if t != lo else ts[0]
+                raise SearchExhausted(n, f"no row value above {thr} left in the ground set")
+            last = i
+            H.append(ts[i])
+        # Re-record thresholds against partners inside H where possible.
+        for n, t in enumerate(H):
+            if is_min:
+                partner = H[-1] if n + 1 < len(H) else ts[last + 1]
+            else:
+                partner = H[0] if n else ts[0]
             ck = _pair_check(phi, (t, partner), ">", 1 << n)
             if not ck.holds():
                 raise CaseMismatch(
@@ -425,37 +416,27 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 checks=(ck,), note="row value witness",
             ))
     else:  # INJ
-        chosen = []
+        H = []
+        last = -1
         for n in range(n_max):
             thr = n * (1 << n)
-            picked = None
-            for t in ts:
-                if t in chosen:
-                    continue
-                checks = [_pair_check(phi, (ti, t), ">", thr) for ti in chosen]
+            for i in range(last + 1, len(ts)):
+                checks = [_pair_check(phi, (ti, ts[i]), ">", thr) for ti in H]
                 if all(ck.holds() for ck in checks):
-                    picked = (t, checks)
                     break
-            if picked is None:
-                raise SearchExhausted(
-                    n, f"no point with all pair values above {thr}"
-                )
-            t, checks = picked
-            chosen.append(t)
+            else:
+                raise SearchExhausted(n, f"no point with all pair values above {thr}")
+            last = i
+            H.append(ts[i])
             steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=thr, relation=">",
+                index=n, chosen=(ts[i],), threshold=thr, relation=">",
                 checks=tuple(checks), note="pairs against earlier picks",
             ))
-        H = sorted(chosen)
 
     Hset = NatSet(H)
     if len(Hset) >= 3:
-        got = classify_pairs_on(phi, Hset)
-        if got is not case:
-            raise CaseMismatch(
-                f"selected set classifies as {got.value if got else 'none'}, "
-                f"not {case.value}"
-            )
+        _require_case(classify_pairs_on(phi, Hset), case,
+                      "selected set classifies as {got}, not {case}")
     majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
         else sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
     return _transcript(phi, "r-summable",

@@ -29,7 +29,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
 from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhausted
 from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, find_ap, find_clique, \
     heavy_columns, is_positive, longest_ap, reciprocal_sum, tall_witness
-from .reduction import FiniteIdealSpec, search_reduction, verify_reduction
+from .reduction import FiniteIdealSpec, one_each, search_reduction, verify_reduction
 from .report import dumps_stable, jsonable, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_sparse, \
     is_very_sparse, shift, very_sparse_subset
@@ -81,7 +81,8 @@ def parse_pair_literal(text: str) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _table_lines(path: str) -> List[List[int]]:
+def _table_lines(path: str) -> List[Tuple[int, List[int]]]:
+    """The (line number, row) of each non-blank line of a table file."""
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -91,7 +92,7 @@ def _table_lines(path: str) -> List[List[int]]:
             parts = line.split()
             if not all(p.isdigit() for p in parts):
                 raise ParseError(f"line {lineno}: bad entry {line!r}", lineno)
-            rows.append([int(p) for p in parts])
+            rows.append((lineno, [int(p) for p in parts]))
     return rows
 
 
@@ -115,8 +116,9 @@ def load_coloring(spec: str, window: int, kind: str):
     """A coloring from a builtin name or a table file.
 
     ``kind`` is "nat" or "pair".  Nat tables have lines ``x value``; pair
-    tables have lines ``i j value``; '#' starts a comment.  Totality over
-    the window is enforced, missing entries are an error.
+    tables have lines ``i j value``, a pair in either order; '#' starts a
+    comment.  Each point is given once, and totality over the window is
+    enforced: missing entries are an error.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be nat or pair, got {kind!r}")
@@ -133,10 +135,13 @@ def load_coloring(spec: str, window: int, kind: str):
         raise ParseError(f"{spec!r} is neither a file nor a builtin ({known})")
     width = len(row_shape.split())
     table = {}
-    for row in _table_lines(spec):
+    for lineno, row in _table_lines(spec):
         if len(row) != width:
             raise ParseError(f"{kind} table rows are '{row_shape}', got {row}")
-        table[row[0] if width == 2 else tuple(row[:2])] = row[-1]
+        key = row[0] if width == 2 else (min(row[:2]), max(row[:2]))
+        if key in table:
+            raise ParseError(f"line {lineno}: {kind} table gives {key} twice", lineno)
+        table[key] = row[-1]
     return cls.from_table(window, table)
 
 
@@ -349,21 +354,19 @@ def _load_json(path: str) -> Any:
 def _cmd_verify(args) -> Dict[str, Any]:
     what = args.what
     bundle = _load_json(args.bundle)
+    if not isinstance(bundle, dict):
+        raise MalformedBundle(f"bundle must be a JSON object, got {type(bundle).__name__}")
     if what == "reduction":
         params = _scale_params(args)
         src = _finite_spec(bundle["src"]["ideal"], bundle["src"]["ground"], params)
         dst = _finite_spec(bundle["dst"]["ideal"], bundle["dst"]["ground"], params)
-        table = {}
-        for key, value in bundle["map"]:
-            key = tuple(key) if isinstance(key, list) else key
-            value = tuple(value) if isinstance(value, list) else value
-            table[key] = value
-        report = verify_reduction(table, src, dst)
+        tupled = lambda v: tuple(v) if isinstance(v, list) else v
+        entries = [(tupled(key), tupled(value)) for key, value in bundle["map"]]
+        report = verify_reduction(entries, src, dst)
         return {"what": what, "report": report.to_json_dict()}
     if what in ("hnr", "final"):
-        f = PairColoring.from_table(
-            bundle["window"], {(i, j): v for i, j, v in bundle["f"]}
-        )
+        f = PairColoring.from_table(bundle["window"], one_each(
+            (((min(i, j), max(i, j)), v) for i, j, v in bundle["f"]), "f gives pair"))
         if what == "hnr":
             report = check_hnr_conditions(
                 bundle["b"], [NatSet(B) for B in bundle["B"]], f,
@@ -375,7 +378,7 @@ def _cmd_verify(args) -> Dict[str, Any]:
                                                 NatSet(bundle["C"]))
         return {"what": what, "report": report.to_json_dict()}
     if what == "rnh":
-        f = GammaMap({row[0]: (row[1], row[2]) for row in bundle["f"]})
+        f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in bundle["f"]), "f gives point"))
         X = SparseBasis(bundle["X"])
         case = bundle["case"]
         if case == 1:

@@ -364,7 +364,7 @@ def is_positive(A, ideal: IdealId, params: ScaleParams = ScaleParams()) -> bool:
     """
     A = _carrier(A, ideal, params)
     if ideal is IdealId.VDW:
-        return longest_ap(A) >= params.ap_len
+        return scan_ap(A.elements, A.__contains__, params.ap_len) is not None
     if ideal is IdealId.HINDMAN:
         from .sparse import find_fs_subset
 

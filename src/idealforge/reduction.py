@@ -139,19 +139,30 @@ def positive_family(spec: FiniteIdealSpec) -> List:
     raise TooLarge(f"no minimal-family enumeration for {spec.ideal.value}")
 
 
+def one_each(entries, what: str) -> Dict:
+    """The (key, value) entries as a dict, or MalformedBundle("<what> <key>
+    twice") at the first key that comes again."""
+    table: Dict = {}
+    for key, value in entries:
+        if key in table:
+            raise MalformedBundle(f"{what} {key!r} twice")
+        table[key] = value
+    return table
+
+
 def _checked_map(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Dict:
     """f as a table from the dst carrier into the src carrier, or
     MalformedBundle naming its first bad entry.
 
-    A table's keys must be exactly the dst carrier's elements; a callable
-    is asked once for each of them.  A fin2 src has no carrier enumeration,
-    so its values need only be pairs of naturals.
+    A table's keys must be exactly the dst carrier's elements, each given
+    once; a callable is asked once for each of them.  A fin2 src has no
+    carrier enumeration, so its values need only be pairs of naturals.
     """
     points = dst.carrier()
     if callable(f):
         table = {x: f(x) for x in points}
     else:
-        table = dict(f)
+        table = one_each(f.items() if isinstance(f, dict) else f, "map gives dst element")
         for x in table:
             if x not in points:
                 raise MalformedBundle(f"map key {x!r} is not an element of the dst carrier")

@@ -10,12 +10,15 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from typing import List, Optional
 
 import pytest
 
 import idealforge
-from idealforge import CanonicalCase, EdgeSet, NatSet, find_ap, is_positive
-from idealforge.canonical import high_bit, low_bit
+from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudget, \
+    Transcript, find_ap, is_positive
+from idealforge.adversary import TranscriptStep, _pair_check, _transcript
+from idealforge.canonical import classify_pairs_on, high_bit, low_bit
 from idealforge.errors import CaseMismatch, SearchExhausted
 
 PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
@@ -317,6 +320,125 @@ def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
     return _transcript_json(
         "h-summable", {"n_max": n_max, "case": "inj", "window": window}, steps,
         {"basis": sorted(chosen)}, image, majorant)
+
+
+# defeat_r_summable as it stood while every MIN/MAX and INJ step rescanned the
+# ground from its first point, skipping earlier picks by membership.  The
+# engine now resumes after the last pick; transcripts and errors must agree.
+def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
+                             budget: SearchBudget = SearchBudget()) -> Transcript:
+    """Select H inside T whose pair-image has small reciprocal mass.
+
+    MIN and MAX exploit that rows (columns) of the coloring are constant on
+    T with pairwise distinct values; INJ uses the pigeonhole room above
+    n 2^n.  Thresholds are re-recorded against pairs inside H so the
+    certificate depends only on recorded facts plus the verified case, which
+    is checked on the first 12 points of T up front and on H afterwards.
+    """
+    if case is CanonicalCase.MINMAX:
+        raise CaseMismatch("minmax is not a pair-coloring case")
+    T = T if isinstance(T, NatSet) else NatSet(T)
+    if len(T) < 3:
+        raise CaseMismatch("ground set has fewer than 3 points")
+    got = classify_pairs_on(phi, NatSet(T.elements[:12]))
+    if got is not case:
+        raise CaseMismatch(f"declared {case.value}, prefix classifies as "
+                           f"{got.value if got else 'none'}")
+    n_max = budget.max_steps
+    ts = T.elements
+    steps: List[TranscriptStep] = []
+    position = {t: i for i, t in enumerate(ts)}
+
+    def succ(t: int) -> Optional[int]:
+        i = position[t]
+        return ts[i + 1] if i + 1 < len(ts) else None
+
+    if case is CanonicalCase.CONST:
+        H = list(ts[: max(2, n_max)])
+        const_value = phi((H[0], H[1]))
+        checks = []
+        for p in itertools.combinations(H, 2):
+            ck = _pair_check(phi, p, "==", const_value)
+            if not ck.holds():
+                raise CaseMismatch(f"constant case broken at {p}")
+            checks.append(ck)
+        steps.append(TranscriptStep(
+            index=0, chosen=tuple(H), threshold=const_value, relation="==",
+            checks=tuple(checks), note="constant image",
+        ))
+    elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
+        chosen: List[int] = []
+        pool = [t for t in ts[:-1]] if case is CanonicalCase.MIN else [t for t in ts[1:]]
+        for n in range(n_max):
+            thr = 1 << n
+            picked = None
+            for t in pool:
+                if t in chosen:
+                    continue
+                partner = succ(t) if case is CanonicalCase.MIN else ts[0]
+                if phi((t, partner)) > thr:
+                    picked = t
+                    break
+            if picked is None:
+                raise SearchExhausted(
+                    n, f"no row value above {thr} left in the ground set"
+                )
+            chosen.append(picked)
+        H = sorted(chosen)
+        # Re-record thresholds against partners inside H where possible.
+        hi, lo = H[-1], H[0]
+        for n, t in enumerate(chosen):
+            if case is CanonicalCase.MIN:
+                partner = hi if t != hi else succ(t)
+            else:
+                partner = lo if t != lo else ts[0]
+            ck = _pair_check(phi, (t, partner), ">", 1 << n)
+            if not ck.holds():
+                raise CaseMismatch(
+                    f"row value of {t} differs between partners; case unstable"
+                )
+            steps.append(TranscriptStep(
+                index=n, chosen=(t,), threshold=1 << n, relation=">",
+                checks=(ck,), note="row value witness",
+            ))
+    else:  # INJ
+        chosen = []
+        for n in range(n_max):
+            thr = n * (1 << n)
+            picked = None
+            for t in ts:
+                if t in chosen:
+                    continue
+                checks = [_pair_check(phi, (ti, t), ">", thr) for ti in chosen]
+                if all(ck.holds() for ck in checks):
+                    picked = (t, checks)
+                    break
+            if picked is None:
+                raise SearchExhausted(
+                    n, f"no point with all pair values above {thr}"
+                )
+            t, checks = picked
+            chosen.append(t)
+            steps.append(TranscriptStep(
+                index=n, chosen=(t,), threshold=thr, relation=">",
+                checks=tuple(checks), note="pairs against earlier picks",
+            ))
+        H = sorted(chosen)
+
+    Hset = NatSet(H)
+    if len(Hset) >= 3:
+        got = classify_pairs_on(phi, Hset)
+        if got is not case:
+            raise CaseMismatch(
+                f"selected set classifies as {got.value if got else 'none'}, "
+                f"not {case.value}"
+            )
+    majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
+        else sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
+    return _transcript(phi, "r-summable",
+                       {"n_max": n_max, "case": case.value, "ground_size": len(T)},
+                       steps, {"h": Hset}, majorant)
+
 
 def subprocess_env() -> dict:
     """The current environment with the absolute package root put before any

@@ -6,8 +6,14 @@ coloring window once per run; the references query it afresh at every step.
 Both sides must give byte-identical transcripts, or the same error type and
 message, on colorings from the builtin families and random tables, either
 one perhaps with a negative value planted at some point.
+
+``defeat_r_summable`` scans on from its last pick; its reference rescans the
+ground from the first point at every step.  Both sides must agree in the
+same way on pair colorings with no negative value, and the engine never
+queries the coloring more often than the reference.
 """
 
+import itertools
 import json
 
 import pytest
@@ -18,8 +24,11 @@ from idealforge import (
     BlockBasis,
     CanonicalCase,
     NatColoring,
+    NatSet,
+    PairColoring,
     SearchBudget,
     defeat_h_summable,
+    defeat_r_summable,
     defeat_w_summable,
 )
 from idealforge.adversary import preimage_floor
@@ -27,7 +36,8 @@ from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError
 from idealforge.report import dumps_stable
 
-from conftest import rescan_defeat_h_inj, rescan_defeat_w_summable, subset_sum_counts
+from conftest import rescan_defeat_h_inj, rescan_defeat_r_summable, \
+    rescan_defeat_w_summable, subset_sum_counts
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -77,9 +87,9 @@ def _counting(fn):
     """fn plus the list of points it was called on."""
     calls = []
 
-    def counted(x):
-        calls.append(x)
-        return fn(x)
+    def counted(*point):
+        calls.append(point)
+        return fn(*point)
 
     return counted, calls
 
@@ -146,6 +156,71 @@ def test_defeat_h_inj_matches_the_per_step_rescan(family, plant, consecutive, si
     budget = SearchBudget(max_element=rng.randint(1, 2 * window), max_steps=nmax)
     assert _outcome(lambda: defeat_h_summable(phi, C, CanonicalCase.INJ, budget)) == \
         _outcome(lambda: rescan_defeat_h_inj(phi, C, budget))
+
+
+def _random_rows(rng, n):
+    """n random values, distinct unless the draw says otherwise."""
+    top = 1 << rng.randint(1, 20)
+    if rng.random() < 0.2:
+        return [rng.randrange(top) for _ in range(n)]
+    return rng.sample(range(top + n), n)
+
+
+# Pair colorings of [0, n) as (the case they fit, a maker from (rng, n) to an
+# evaluator of i < j): the builtin families and random tables keyed like them.
+PAIR_FAMILIES = {
+    "min": (CanonicalCase.MIN, lambda rng, n: lambda i, j: i),
+    "max": (CanonicalCase.MAX, lambda rng, n: lambda i, j: j),
+    "pairing": (CanonicalCase.INJ, lambda rng, n: cantor_pair),
+    "const": (CanonicalCase.CONST,
+              lambda rng, n: (lambda v: lambda i, j: v)(rng.choice([0, 1, 7, 10 ** 6]))),
+    "row-table": (CanonicalCase.MIN,
+                  lambda rng, n: (lambda rows: lambda i, j: rows[i])(_random_rows(rng, n))),
+    "column-table": (CanonicalCase.MAX,
+                     lambda rng, n: (lambda rows: lambda i, j: rows[j])(_random_rows(rng, n))),
+    "table": (CanonicalCase.INJ, lambda rng, n: (lambda table: lambda i, j: table[i, j])(
+        dict(zip(itertools.combinations(range(n), 2), _random_rows(rng, n * (n - 1) // 2))))),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(PAIR_FAMILIES)), st.none() | st.sampled_from(CanonicalCase),
+       st.integers(3, 60), st.integers(0, 20), st.integers(0, 4), st.integers(1, 10),
+       st.randoms(use_true_random=False))
+def test_defeat_r_matches_the_per_step_rescan(family, declared, size, spare, noise, nmax,
+                                              rng):
+    """declared None stands for the case the family fits; noise is the number
+    of pairs whose value is redrawn, which may break that case past the
+    prefix the engine classifies."""
+    n = size + spare
+    ground = NatSet(rng.sample(range(n), size))
+    fits, make = PAIR_FAMILIES[family]
+    fn = make(rng, n)
+    redrawn = {tuple(sorted(rng.sample(range(n), 2))): rng.randrange(1 << 12)
+               for _ in range(noise)}
+    case = declared or fits
+    budget = SearchBudget(max_steps=nmax)
+    counted, calls = _counting(lambda i, j: redrawn[i, j] if (i, j) in redrawn else fn(i, j))
+    phi = PairColoring(n, fn=counted)
+    got = _outcome(lambda: defeat_r_summable(phi, ground, case, budget))
+    engine_calls = len(calls)
+    assert got == _outcome(lambda: rescan_defeat_r_summable(phi, ground, case, budget))
+    assert engine_calls <= len(calls) - engine_calls
+
+
+@pytest.mark.parametrize("fn,case", [
+    (lambda i, j: i, CanonicalCase.MIN),
+    (lambda i, j: j, CanonicalCase.MAX),
+    (cantor_pair, CanonicalCase.INJ),
+])
+def test_defeat_r_queries_fewer_points_than_the_rescan(fn, case):
+    budget = SearchBudget(max_steps=9)
+    counted, calls = _counting(fn)
+    t = defeat_r_summable(PairColoring(400, fn=counted), NatSet(range(400)), case, budget)
+    engine_calls = len(calls)
+    assert rescan_defeat_r_summable(PairColoring(400, fn=counted), NatSet(range(400)), case,
+                                    budget).to_json_dict() == t.to_json_dict()
+    assert engine_calls < len(calls) - engine_calls
 
 
 @pytest.mark.parametrize("fn,window,nmax", [

@@ -47,8 +47,12 @@ def verify_report(tmp_path: Path, what: str, bundle: dict) -> str:
     return dumps_stable(rep["body"]["report"])
 
 
-def flat_gamma():
-    return [[x, 1, 0] for x in fs(NatSet(TEN))]
+def gamma_rows(*rows):
+    """f rows, one per point: the given rows, and (1, 0) at every other
+    point of FS(TEN), in the order of FS(TEN) and then of the rows."""
+    table = {x: [x, 1, 0] for x in fs(NatSet(TEN))}
+    table.update((row[0], row) for row in rows)
+    return list(table.values())
 
 
 def rnh_case1_report(tmp_path: Path) -> str:
@@ -56,7 +60,7 @@ def rnh_case1_report(tmp_path: Path) -> str:
     # at 100 and 110 and FS(D_1) at 100, all (f).
     return verify_report(tmp_path, "rnh", {
         "case": 1, "X": TEN, "D": TEN, "k": 0, "x": [1, 1], "Dn": [[10, 100], [100]],
-        "f": flat_gamma() + [[100, 5, 1], [110, 5, 1]],
+        "f": gamma_rows([100, 5, 1], [110, 5, 1]),
     })
 
 
@@ -65,8 +69,8 @@ def rnh_case2_report(tmp_path: Path) -> str:
     return verify_report(tmp_path, "rnh", {
         "case": 2, "X": TEN, "n": [1, 6], "j": [0, 0], "k": [-1, -1], "F": [[], []],
         "x": [11, 100], "Dn": [[100, 1000], [100000]],
-        "f": flat_gamma() + [[11, 5, 1], [111, 6, 1], [1011, 3, 1], [1111, 4, 1],
-                             [100, 7, 6], [1100, 8, 6]],
+        "f": gamma_rows([11, 5, 1], [111, 6, 1], [1011, 3, 1], [1111, 4, 1],
+                        [100, 7, 6], [1100, 8, 6]),
     })
 
 

@@ -13,6 +13,11 @@ from idealforge.report import dumps_stable
 from conftest import subprocess_env
 
 
+# A case-1 rnh bundle over X = {1, 10} that verifies, one f row per point.
+RNH_BUNDLE = {"case": 1, "X": [1, 10], "D": [1, 10], "k": 0, "x": [1], "Dn": [[10]],
+              "f": [[1, 1, 0], [10, 1, 0], [11, 1, 0]]}
+
+
 def invoke(*argv):
     args = build_parser().parse_args(list(argv))
     return run(args)
@@ -347,7 +352,8 @@ def test_other_zero_options_are_rejected(argv):
       "--dst-ground", "1,2", "--ap-len", "3"),
      ("CarrierMismatch", "fin2 truncations have no canonical carrier enumeration; "
                          "check explicit maps with verify_reduction")),
-    # A dict stands for a verification bundle, written to a file first.
+    # A dict or a list stands for a verification bundle and a str with a newline
+    # for a coloring table file, each written to a file first.
     (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
       {"src": {"ideal": "fin2", "ground": "1,2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
        "map": [[0, 1], [1, 1], [2, 2], [3, 1], [4, 2]]}),
@@ -364,13 +370,52 @@ def test_other_zero_options_are_rejected(argv):
       {"src": {"ideal": "vdw", "ground": "0..2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
        "map": [[0, 7], [1, 1], [2, 2], [3, 1], [4, 2]]}),
      ("MalformedBundle", "map sends 0 to 7, which is not an element of the src carrier")),
+    # Each point of a bundle's table or a coloring table file is given once.
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "vdw", "ground": "0..2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
+       "map": [[0, 0], [1, 1], [2, 2], [3, 1], [4, 2], [0, 2]]}),
+     ("MalformedBundle", "map gives dst element 0 twice")),
+    (("verify", "--what", "hnr", "--bundle",
+      {"window": 2, "f": [[0, 1, 0], [1, 0, 9]], "b": [0, 1], "B": [[0, 1], [0, 1]],
+       "D": [1, 3]}),
+     ("MalformedBundle", "f gives pair (0, 1) twice")),
+    (("verify", "--what", "final", "--bundle",
+      {"window": 4, "f": [[0, 1, 1], [0, 2, 3], [1, 2, 4], [0, 3, 9], [1, 3, 9], [2, 3, 9],
+                          [3, 0, 9]],
+       "D": [1, 3, 9], "b": [0, 1, 2, 3], "C": [1, 3]}),
+     ("MalformedBundle", "f gives pair (0, 3) twice")),
+    (("verify", "--what", "rnh", "--bundle",
+      dict(RNH_BUNDLE, f=RNH_BUNDLE["f"] + [[10, 2, 1]])),
+     ("MalformedBundle", "f gives point 10 twice")),
+    (("adversary", "--strategy", "w-summable", "--window", "2", "--nmax", "1",
+      "--phi", "0 1\n1 1\n0 2\n"),
+     ("ParseError", "line 3: nat table gives 0 twice (at position 3)")),
+    (("adversary", "--strategy", "r-summable", "--case", "const", "--ground", "0..3",
+      "--window", "4", "--phi", "0 1 5\n0 2 5\n0 3 5\n1 2 5\n1 3 5\n2 3 5\n1 0 5\n"),
+     ("ParseError", "line 7: pair table gives (0, 1) twice (at position 7)")),
+    # A bundle is a JSON object, and each rnh f row is exactly x, z0, z1.
+    (("verify", "--what", "hnr", "--bundle", [1, 2, 3]),
+     ("MalformedBundle", "bundle must be a JSON object, got list")),
+    (("verify", "--what", "rnh", "--bundle",
+      dict(RNH_BUNDLE, f=[[1, 1]] + RNH_BUNDLE["f"][1:])),
+     ("ValueError", "not enough values to unpack (expected 3, got 2)")),
+    (("verify", "--what", "rnh", "--bundle",
+      dict(RNH_BUNDLE, f=[[1, 1, 0, 5]] + RNH_BUNDLE["f"][1:])),
+     ("ValueError", "too many values to unpack (expected 3)")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
-    bundle = tmp_path / "bundle.json"
-    for arg in argv:
-        if isinstance(arg, dict):
-            bundle.write_text(json.dumps(arg), encoding="utf-8")
-    code, rep = invoke(*(str(bundle) if isinstance(a, dict) else a for a in argv))
+    path = tmp_path / "input"
+
+    def written(arg):
+        if isinstance(arg, (dict, list)):
+            path.write_text(json.dumps(arg), encoding="utf-8")
+        elif "\n" in arg:
+            path.write_text(arg, encoding="utf-8")
+        else:
+            return arg
+        return str(path)
+
+    code, rep = invoke(*map(written, argv))
     assert code == 1
     assert rep["body"]["error"] == {"code": error[0], "message": error[1]}
 
