@@ -204,19 +204,22 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
 
     The witness has unbounded progression length while the image reciprocal
     mass stays under the exact majorant sum of n / (n 2^n + 1).  The window
-    [0, bound) is read once; the thresholds increase, so each step's good
-    set narrows the previous one, and membership in it is read off the
-    values.
+    [0, bound) is read once, and membership in each step's good set is read
+    off the values.  The scan filters the window only as far as it reads,
+    and bounds its progressions by the good set's last point, found by
+    scanning down from the previous step's: the thresholds increase, so
+    each good set lies inside the previous one.
     """
     bound = min(phi.window, budget.max_element)
     values = phi.read(bound)
-    survivors = range(bound)
+    top = bound - 1
     steps: List[TranscriptStep] = []
     blocks: List[NatSet] = []
     for n in range(1, budget.max_steps + 1):
         thr = n * (1 << n)
-        survivors = [x for x in survivors if values[x] >= thr]
-        hit = scan_ap(survivors, lambda x: values[x] >= thr, n)
+        top = next((x for x in range(top, -1, -1) if values[x] >= thr), -1)
+        hit = scan_ap((x for x in range(top + 1) if values[x] >= thr),
+                      lambda x: values[x] >= thr, n, top)
         if hit is None:
             raise SearchExhausted(
                 n, f"no {n}-term progression with phi >= {thr} in [0, {bound})"

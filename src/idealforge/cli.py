@@ -351,6 +351,25 @@ def _load_json(path: str) -> Any:
         return json.load(handle)
 
 
+def _field(bundle: Dict[str, Any], name: str, row: Optional[str] = None) -> Any:
+    """bundle[name] if it has its field's type: an int, or with ``row`` a
+    list of rows that are each ``row`` ("a list" or "a list of ints");
+    else MalformedBundle("<name>: ...").  A missing field stays a KeyError,
+    and a row's width is left to the reader that unpacks it."""
+    value = bundle[name]
+    if row is None:
+        if not isinstance(value, int):
+            raise MalformedBundle(f"{name}: must be an int, got {json.dumps(value)}")
+        return value
+    if not isinstance(value, list):
+        raise MalformedBundle(f"{name}: must be a list of rows, got {json.dumps(value)}")
+    for i, r in enumerate(value):
+        if not isinstance(r, list) or (row == "a list of ints"
+                                       and not all(isinstance(x, int) for x in r)):
+            raise MalformedBundle(f"{name}: row {i} must be {row}, got {json.dumps(r)}")
+    return value
+
+
 def _cmd_verify(args) -> Dict[str, Any]:
     what = args.what
     bundle = _load_json(args.bundle)
@@ -361,12 +380,14 @@ def _cmd_verify(args) -> Dict[str, Any]:
         src = _finite_spec(bundle["src"]["ideal"], bundle["src"]["ground"], params)
         dst = _finite_spec(bundle["dst"]["ideal"], bundle["dst"]["ground"], params)
         tupled = lambda v: tuple(v) if isinstance(v, list) else v
-        entries = [(tupled(key), tupled(value)) for key, value in bundle["map"]]
+        entries = [(tupled(key), tupled(value))
+                   for key, value in _field(bundle, "map", "a list")]
         report = verify_reduction(entries, src, dst)
         return {"what": what, "report": report.to_json_dict()}
     if what in ("hnr", "final"):
-        f = PairColoring.from_table(bundle["window"], one_each(
-            (((min(i, j), max(i, j)), v) for i, j, v in bundle["f"]), "f gives pair"))
+        rows = _field(bundle, "f", "a list of ints")
+        f = PairColoring.from_table(_field(bundle, "window"), one_each(
+            (((min(i, j), max(i, j)), v) for i, j, v in rows), "f gives pair"))
         if what == "hnr":
             report = check_hnr_conditions(
                 bundle["b"], [NatSet(B) for B in bundle["B"]], f,
@@ -378,7 +399,8 @@ def _cmd_verify(args) -> Dict[str, Any]:
                                                 NatSet(bundle["C"]))
         return {"what": what, "report": report.to_json_dict()}
     if what == "rnh":
-        f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in bundle["f"]), "f gives point"))
+        rows = _field(bundle, "f", "a list of ints")
+        f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in rows), "f gives point"))
         X = SparseBasis(bundle["X"])
         case = bundle["case"]
         if case == 1:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CannotAvoid, CarrierMismatch
 
@@ -226,30 +226,40 @@ def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
         raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return scan_ap(A.elements, A.__contains__, k)
+    return scan_ap(A.elements, A.__contains__, k, A.elements[-1] if A else -1)
 
 
-def scan_ap(xs: Sequence[int], member: Callable[[int], bool], k: int
+def scan_ap(xs: Iterable[int], member: Callable[[int], bool], k: int, top: int
             ) -> Optional[Tuple[int, int]]:
-    """``find_ap`` over the strictly ascending elements xs of a set whose
-    membership test is ``member``, for k >= 1.
+    """``find_ap`` over the members xs, in strictly ascending order, of a
+    set whose membership test is ``member``, for k >= 1, among the
+    progressions whose terms are all at most ``top``.
 
-    The scan asks ``member`` only about points between two elements of xs,
-    so a caller can test membership without building the set.
+    xs is read only as far as the scan reaches, once: the members read so
+    far are kept in ``got``.  The scan asks ``member`` only about points
+    between two members, so a caller can test membership without building
+    the set.
     """
-    if len(xs) < k:
-        return None
-    if k == 1:
-        return (xs[0], 1)
-    top = xs[-1]
-    for i, a in enumerate(xs):
-        for b in itertools.islice(xs, i + 1, None):
+    got: List[int] = []
+
+    def pulled() -> Iterator[int]:
+        for x in xs:
+            got.append(x)
+            yield x
+
+    fresh = pulled()
+    for i in itertools.count():
+        a = got[i] if i < len(got) else next(fresh, None)
+        if a is None or a + (k - 1) > top:
+            return None
+        if k == 1:
+            return (a, 1)
+        for b in itertools.chain(itertools.islice(got, i + 1, None), fresh):
             d = b - a
             if a + (k - 1) * d > top:
                 break
             if all(member(a + j * d) for j in range(2, k)):
                 return (a, d)
-    return None
 
 
 def reciprocal_sum(A: NatSet) -> Fraction:
@@ -364,7 +374,8 @@ def is_positive(A, ideal: IdealId, params: ScaleParams = ScaleParams()) -> bool:
     """
     A = _carrier(A, ideal, params)
     if ideal is IdealId.VDW:
-        return scan_ap(A.elements, A.__contains__, params.ap_len) is not None
+        top = A.elements[-1] if A else -1
+        return scan_ap(A.elements, A.__contains__, params.ap_len, top) is not None
     if ideal is IdealId.HINDMAN:
         from .sparse import find_fs_subset
 

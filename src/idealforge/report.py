@@ -62,8 +62,44 @@ def jsonable(value: Any) -> Any:
 
 
 def dumps_stable(obj: Any) -> str:
-    """JSON with fixed (insertion) key order and a trailing newline."""
-    return json.dumps(jsonable(obj), indent=2, sort_keys=False) + "\n"
+    """JSON with fixed (insertion) key order and a trailing newline: the
+    bytes of ``json.dumps(jsonable(obj), indent=2) + "\\n"``."""
+    return _indented(jsonable(obj), "") + "\n"
+
+
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _indented(value: Any, indent: str) -> str:
+    """A jsonable value as json.dumps(value, indent=2) writes it, nested at
+    ``indent``.  json.dumps runs its pure-Python encoder whenever indent is
+    set; this builds the same layout by joins, one join for a list of ints."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_indented(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quoted(k)}: {_indented(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass

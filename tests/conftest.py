@@ -16,7 +16,7 @@ import pytest
 
 import idealforge
 from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudget, \
-    Transcript, find_ap, is_positive
+    Transcript, is_positive
 from idealforge.adversary import TranscriptStep, _pair_check, _transcript
 from idealforge.canonical import classify_pairs_on, high_bit, low_bit
 from idealforge.errors import CaseMismatch, SearchExhausted
@@ -45,6 +45,24 @@ def dp_longest_ap(xs) -> int:
                 L[j][k] = L[i][j] + 1
             best = max(best, L[j][k])
     return best
+
+
+def least_ap(members, k: int, top: int):
+    """Least (start, difference), by start and then difference, of a k-term
+    progression inside members whose terms are all at most top, or None.
+
+    For each start a it keeps the set of differences d that put the terms
+    a + d, ..., a + j d in the set, shrinking it term by term, rather than
+    pairing a with later members as the library's scan does.
+    """
+    S = {m for m in members if m <= top}
+    for a in sorted(S):
+        ds = {1} if k == 1 else {s - a for s in S if s > a}
+        for j in range(2, k):
+            ds = {d for d in ds if a + j * d in S}
+        if ds:
+            return (a, min(ds))
+    return None
 
 
 def naive_clique(G: EdgeSet, k: int):
@@ -251,8 +269,7 @@ def rescan_defeat_w_summable(phi, budget):
     steps, blocks = [], []
     for n in range(1, budget.max_steps + 1):
         thr = n * (1 << n)
-        good = NatSet(x for x in range(bound) if phi(x) >= thr)
-        hit = find_ap(good, n)
+        hit = least_ap([x for x in range(bound) if phi(x) >= thr], n, bound - 1)
         if hit is None:
             raise SearchExhausted(
                 n, f"no {n}-term progression with phi >= {thr} in [0, {bound})")

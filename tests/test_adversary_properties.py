@@ -33,7 +33,7 @@ from idealforge import (
 )
 from idealforge.adversary import preimage_floor
 from idealforge.canonical import cantor_pair, high_bit, low_bit
-from idealforge.errors import IdealforgeError
+from idealforge.errors import IdealforgeError, SearchExhausted
 from idealforge.report import dumps_stable
 
 from conftest import rescan_defeat_h_inj, rescan_defeat_r_summable, \
@@ -235,6 +235,25 @@ def test_defeat_w_reads_the_window_once(fn, window, nmax):
     t = defeat_w_summable(NatColoring(window, fn=counted), budget)
     bound = min(window, budget.max_element)
     assert len(calls) == bound + sum(range(1, nmax + 1)) + len(t.witness["set"])
+
+
+def test_defeat_w_exhausts_on_a_set_with_no_3_term_progression():
+    """High exactly on the naturals with base-3 digits 0 and 1: steps 1 and 2
+    pass, and step 3 scans every pair of the set's 1,024 points in the
+    window before it gives up."""
+    def no_3_ap(x):
+        while x:
+            if x % 3 == 2:
+                return False
+            x //= 3
+        return True
+
+    phi = NatColoring(32768, fn=lambda x: 1 << 20 if no_3_ap(x) else 0)
+    with pytest.raises(SearchExhausted) as info:
+        defeat_w_summable(phi, SearchBudget(max_element=32768, max_steps=6))
+    assert info.value.step == 3
+    assert str(info.value) == ("construction exhausted at step 3: no 3-term "
+                               "progression with phi >= 24 in [0, 32768)")
 
 
 def test_defeat_h_inj_reads_the_scan_window_once():

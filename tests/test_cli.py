@@ -402,6 +402,23 @@ def test_other_zero_options_are_rejected(argv):
     (("verify", "--what", "rnh", "--bundle",
       dict(RNH_BUNDLE, f=[[1, 1, 0, 5]] + RNH_BUNDLE["f"][1:])),
      ("ValueError", "too many values to unpack (expected 3)")),
+    # Each kind reads its window and tables through one typed field check.
+    (("verify", "--what", "hnr", "--bundle",
+      {"window": 2, "f": [5], "b": [0, 1], "B": [[0, 1], [0, 1]], "D": [1, 3]}),
+     ("MalformedBundle", "f: row 0 must be a list of ints, got 5")),
+    (("verify", "--what", "hnr", "--bundle",
+      {"window": "2", "f": [[0, 1, 0]], "b": [0, 1], "B": [[0, 1], [0, 1]], "D": [1, 3]}),
+     ("MalformedBundle", 'window: must be an int, got "2"')),
+    (("verify", "--what", "final", "--bundle",
+      {"window": 4, "f": {"0": 1}, "D": [1, 3, 9], "b": [0, 1, 2, 3], "C": [1, 3]}),
+     ("MalformedBundle", 'f: must be a list of rows, got {"0": 1}')),
+    (("verify", "--what", "rnh", "--bundle",
+      dict(RNH_BUNDLE, f=[[1, "1", 0]] + RNH_BUNDLE["f"][1:])),
+     ("MalformedBundle", 'f: row 0 must be a list of ints, got [1, "1", 0]')),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "vdw", "ground": "0..2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
+       "map": [[0, 0], 5]}),
+     ("MalformedBundle", "map: row 1 must be a list, got 5")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"

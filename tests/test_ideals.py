@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealforge import (
     EdgeSet,
@@ -18,8 +20,9 @@ from idealforge import (
     tall_witness,
 )
 from idealforge.errors import CannotAvoid, CarrierMismatch
+from idealforge.ideals import scan_ap
 
-from conftest import dp_longest_ap, harmonic, naive_clique
+from conftest import dp_longest_ap, harmonic, least_ap, naive_clique
 
 
 def test_natset_canonical_form():
@@ -102,6 +105,56 @@ def test_find_ap_examples():
     assert find_ap(NatSet([0, 1, 2, 3, 4]), 3) == (0, 1)  # least start, least step
     with pytest.raises(ValueError):
         find_ap(NatSet([1]), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 120), max_size=40), st.integers(1, 6), st.integers(-1, 130))
+def test_scan_ap_over_a_filtered_generator_matches_the_least_ap_oracle(members, k, top):
+    # Members above top stay in xs: the scan must stop at top on its own.
+    xs = (x for x in range(140) if x in members)
+    assert scan_ap(xs, members.__contains__, k, top) == least_ap(members, k, top)
+
+
+@pytest.mark.parametrize("members, k, top, want", [
+    ((), 1, 10, None),
+    ((), 3, 10, None),
+    ((7, 9), 1, 10, (7, 1)),
+    ((7, 9), 1, 6, None),               # the only members lie above top
+    ((2, 5, 8, 11), 4, 10, None),       # the progression's last term passes top
+    ((2, 5, 8, 11), 3, 10, (2, 3)),
+    ((0, 4, 8, 12, 13), 3, 13, (0, 4)),
+])
+def test_scan_ap_edges(members, k, top, want):
+    assert scan_ap(iter(members), set(members).__contains__, k, top) == want
+    assert least_ap(members, k, top) == want
+
+
+def _no_3_ap(x: int) -> bool:
+    """x has only the base-3 digits 0 and 1, so this set holds no 3-term
+    progression."""
+    while x:
+        if x % 3 == 2:
+            return False
+        x //= 3
+    return True
+
+
+@pytest.mark.parametrize("members, k, n", [
+    ({x for x in range(3 ** 7) if _no_3_ap(x)}, 3, 3 ** 7),
+    ({x * x for x in range(100)}, 4, 100 ** 2),  # the squares hold no 4-term progression
+    ({x * x for x in range(100)}, 3, 100 ** 2),
+])
+def test_scan_ap_tests_each_point_of_its_filter_at_most_once(members, k, n):
+    tested = []
+
+    def kept(x):
+        tested.append(x)
+        return x in members
+
+    top = max(members)
+    hit = scan_ap((x for x in range(n) if kept(x)), members.__contains__, k, top)
+    assert hit == least_ap(members, k, top)
+    assert len(tested) == len(set(tested)) <= n
 
 
 def test_reciprocal_sum_examples():

@@ -1,7 +1,9 @@
-"""Exact rationals in reports: ``"p/q"`` strings of any size."""
+"""Reports: exact rationals as ``"p/q"`` strings of any size, and the
+writer's bytes, which are ``json.dumps(indent=2)``'s."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,35 @@ from idealforge.report import dumps_stable, rational_str
 
 # CPython's default limit on int-to-decimal conversion, in digits.
 LIMIT = 4300
+
+PINNED = Path(__file__).parent / "pinned_reports"
+
+# Strings with any code point, lone surrogates included, since the writer
+# escapes them as json.dumps does; ints well past 64 bits, either sign.
+leaves = (st.none() | st.booleans() | st.integers(-(1 << 200), 1 << 200)
+          | st.text(st.characters(exclude_categories=())))
+trees = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.lists(st.integers(-(1 << 70), 1 << 70), max_size=6)
+                   | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4),
+                                     inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trees)
+def test_dumps_stable_writes_the_bytes_of_json_dumps_indent_2(tree):
+    assert dumps_stable(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_every_pinned_report_redumps_to_its_bytes():
+    paths = sorted(PINNED.glob("*.json"))
+    assert len(paths) == 10
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert dumps_stable(json.loads(text)) == text, path.name
 
 
 @st.composite

@@ -27,3 +27,17 @@ def test_no_global_int_digit_limit_changes_in_the_library():
     found = [path.name for path in sorted(PACKAGE.rglob("*.py"))
              if "set_int_max_str_digits" in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+def test_dumps_stable_is_the_only_indented_json_writer():
+    # Reports are written by report.dumps_stable, whose bytes equal
+    # json.dumps(indent=2)'s; a second indented writer would be a second
+    # code path for the same bytes, and json's slow pure-Python one.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+                  and any(kw.arg == "indent" for kw in node.keywords)]
+    assert found == []
