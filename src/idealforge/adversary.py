@@ -706,7 +706,7 @@ def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Rep
         raise MalformedBundle("k must be >= 0")
     report = Report(meta={"case": 1, "depth": len(xs), "k": k})
 
-    base_ok = bool(is_very_sparse(NatSet(D.elements))) and \
+    base_ok = bool(is_very_sparse(D)) and \
         D.fs_set().issubset(X.fs_set())
     report.add("(base)", base_ok,
                "ambient basis very sparse with sums inside the ground sums"
@@ -727,7 +727,7 @@ def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Rep
             for j in range(n):
                 if _mask_or_zero(Ds[j], xs[i]) & _mask_or_zero(Ds[j], xn):
                     report.fail("(a)", f"x_{n} meets the conflict set of x_{i} over D_{j}")
-        flag = is_very_sparse(NatSet(Ds[n].elements))
+        flag = is_very_sparse(Ds[n])
         if not flag:
             report.fail("(b)", f"D_{n} not very sparse: {flag.counterexample}")
         if not fs(NatSet(xs[: n + 1])).issubset(D.fs_set()):
@@ -789,7 +789,7 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
             report.fail("(b1)", f"FS(D_{i}) not inside FS(D_{i-1})")
         if not Ds[i].fs_set().issubset(X.fs_set()):
             report.fail("(b1)", f"FS(D_{i}) not inside FS(X)")
-        flag = is_very_sparse(NatSet(Ds[i].elements))
+        flag = is_very_sparse(Ds[i])
         if not flag:
             report.fail("(b2)", f"D_{i} not very sparse: {flag.counterexample}")
         # branch items

@@ -351,23 +351,46 @@ def _load_json(path: str) -> Any:
         return json.load(handle)
 
 
-def _field(bundle: Dict[str, Any], name: str, row: Optional[str] = None) -> Any:
-    """bundle[name] if it has its field's type: an int, or with ``row`` a
-    list of rows that are each ``row`` ("a list" or "a list of ints");
-    else MalformedBundle("<name>: ...").  A missing field stays a KeyError,
-    and a row's width is left to the reader that unpacks it."""
+# The JSON type of each bundle field.  A "flat list" is one that holds no
+# list or object; its items go to NatSet, which reports any that are not
+# naturals.  Fields whose items are used as ints directly are "a list of ints".
+_FIELD_TYPES: Dict[str, Callable[[Any], bool]] = {
+    "an int": lambda v: isinstance(v, int),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a flat list": lambda v: isinstance(v, list)
+    and not any(isinstance(x, (list, dict)) for x in v),
+    "a list of ints": lambda v: isinstance(v, list) and all(isinstance(x, int) for x in v),
+}
+
+
+def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
+           row: Optional[str] = None) -> Any:
+    """bundle[name] if it is ``kind``, or with ``row`` a list of rows that are
+    each ``row`` (both keys of _FIELD_TYPES); else MalformedBundle("<name>: ...").
+    A missing field stays a KeyError, and a row's width is left to the
+    reader that unpacks it."""
     value = bundle[name]
     if row is None:
-        if not isinstance(value, int):
-            raise MalformedBundle(f"{name}: must be an int, got {json.dumps(value)}")
+        if not _FIELD_TYPES[kind](value):
+            raise MalformedBundle(f"{name}: must be {kind}, got {json.dumps(value)}")
         return value
     if not isinstance(value, list):
         raise MalformedBundle(f"{name}: must be a list of rows, got {json.dumps(value)}")
     for i, r in enumerate(value):
-        if not isinstance(r, list) or (row == "a list of ints"
-                                       and not all(isinstance(x, int) for x in r)):
+        if not _FIELD_TYPES[row](r):
             raise MalformedBundle(f"{name}: row {i} must be {row}, got {json.dumps(r)}")
     return value
+
+
+def _bundle_spec(bundle: Dict[str, Any], side: str, params: ScaleParams) -> FiniteIdealSpec:
+    spec = _field(bundle, side, "an object")
+    return _finite_spec(spec["ideal"], _field(spec, "ground", "a string"), params)
+
+
+def _bundle_bases(bundle: Dict[str, Any], name: str) -> List[SparseBasis]:
+    return [SparseBasis(d) for d in _field(bundle, name, row="a flat list")]
 
 
 def _cmd_verify(args) -> Dict[str, Any]:
@@ -377,44 +400,47 @@ def _cmd_verify(args) -> Dict[str, Any]:
         raise MalformedBundle(f"bundle must be a JSON object, got {type(bundle).__name__}")
     if what == "reduction":
         params = _scale_params(args)
-        src = _finite_spec(bundle["src"]["ideal"], bundle["src"]["ground"], params)
-        dst = _finite_spec(bundle["dst"]["ideal"], bundle["dst"]["ground"], params)
+        src = _bundle_spec(bundle, "src", params)
+        dst = _bundle_spec(bundle, "dst", params)
         tupled = lambda v: tuple(v) if isinstance(v, list) else v
         entries = [(tupled(key), tupled(value))
-                   for key, value in _field(bundle, "map", "a list")]
+                   for key, value in _field(bundle, "map", row="a list")]
         report = verify_reduction(entries, src, dst)
         return {"what": what, "report": report.to_json_dict()}
     if what in ("hnr", "final"):
-        rows = _field(bundle, "f", "a list of ints")
+        rows = _field(bundle, "f", row="a list of ints")
         f = PairColoring.from_table(_field(bundle, "window"), one_each(
             (((min(i, j), max(i, j)), v) for i, j, v in rows), "f gives pair"))
         if what == "hnr":
             report = check_hnr_conditions(
-                bundle["b"], [NatSet(B) for B in bundle["B"]], f,
-                SparseBasis(bundle["D"]), fs_size=bundle.get("fs_size", 2),
+                _field(bundle, "b", "a list of ints"),
+                [NatSet(B) for B in _field(bundle, "B", row="a flat list")], f,
+                SparseBasis(_field(bundle, "D", "a flat list")),
+                fs_size=_field(bundle, "fs_size") if "fs_size" in bundle else 2,
             )
         else:
-            b = NatSet(bundle["b"])
-            report = replay_final_contradiction(f, SparseBasis(bundle["D"]), b,
-                                                NatSet(bundle["C"]))
+            b = NatSet(_field(bundle, "b", "a flat list"))
+            report = replay_final_contradiction(
+                f, SparseBasis(_field(bundle, "D", "a flat list")), b,
+                NatSet(_field(bundle, "C", "a flat list")))
         return {"what": what, "report": report.to_json_dict()}
     if what == "rnh":
-        rows = _field(bundle, "f", "a list of ints")
+        rows = _field(bundle, "f", row="a list of ints")
         f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in rows), "f gives point"))
-        X = SparseBasis(bundle["X"])
+        X = SparseBasis(_field(bundle, "X", "a flat list"))
         case = bundle["case"]
         if case == 1:
             data = RnhCase1Bundle(
-                k=bundle["k"], D=SparseBasis(bundle["D"]),
-                xs=list(bundle["x"]),
-                Ds=[SparseBasis(d) for d in bundle["Dn"]],
+                k=_field(bundle, "k"), D=SparseBasis(_field(bundle, "D", "a flat list")),
+                xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
             )
         elif case == 2:
             data = RnhCase2Bundle(
-                ns=list(bundle["n"]), js=list(bundle["j"]),
-                ks=list(bundle["k"]), Fs=[frozenset(F) for F in bundle["F"]],
-                xs=list(bundle["x"]),
-                Ds=[SparseBasis(d) for d in bundle["Dn"]],
+                ns=_field(bundle, "n", "a list of ints"),
+                js=_field(bundle, "j", "a list of ints"),
+                ks=_field(bundle, "k", "a list of ints"),
+                Fs=[frozenset(F) for F in _field(bundle, "F", row="a list of ints")],
+                xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
             )
         else:
             raise MalformedBundle(f"case must be 1 or 2, got {case!r}")

@@ -24,7 +24,9 @@ class NatSet:
 
     Supports O(1) membership, iteration in increasing order, and the two
     shift operations ``A + n`` and ``A - n`` where the downward shift keeps
-    only elements ``a >= n``.
+    only elements ``a >= n``.  A set the library built itself
+    (``_trusted``) makes its member frozenset on the first membership or
+    subset test, since most such sets are only ever iterated.
     """
 
     __slots__ = ("elements", "_members")
@@ -44,11 +46,19 @@ class NatSet:
         ``NatSet(...)``."""
         self = object.__new__(cls)
         self.elements = elements
-        self._members = frozenset(elements)
+        self._members = None
         return self
 
+    def _member_set(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(self.elements)
+        return self._members
+
     def __contains__(self, x) -> bool:
-        return x in self._members
+        members = self._members
+        if members is None:
+            members = self._member_set()
+        return x in members
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -90,7 +100,7 @@ class NatSet:
         return NatSet(itertools.chain(self.elements, other))
 
     def issubset(self, other: "NatSet") -> bool:
-        return self._members <= other._members
+        return self._member_set() <= other._member_set()
 
 
 class EdgeSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolated, NotInFS, NotSparse, PoolExhausted, TooLarge
 from .ideals import NatSet
@@ -88,16 +88,24 @@ class SparseBasis:
     predecessors) are accepted without the exponential enumeration and
     decompose by greedy descent until the table is first needed; every other
     basis builds the table up front from a full subset-sum sweep.
+
+    A super-increasing basis lists FS(D) ascending in mask order, so the sum
+    with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``;
+    ``sums_meeting`` then copies the runs between the sums that avoid its
+    mask instead of testing every mask.  The basis is immutable, so the
+    first ``is_very_sparse`` call stores its verdict here and later calls on
+    the same basis reuse it: one pairwise scan per basis.
     """
 
-    __slots__ = ("elements", "_index", "_fs", "_masks")
+    __slots__ = ("elements", "_index", "_fs", "_masks", "_verdict")
 
     def __init__(self, elements: Iterable[int]):
         xs = _as_elements(elements)
         self.elements: Tuple[int, ...] = xs
         self._index: Optional[Dict[int, int]] = None  # sum -> mask, with the table
         self._fs: Optional[NatSet] = None
-        self._masks: Tuple[int, ...] = ()  # _masks[i] decomposes _fs.elements[i]
+        self._masks: Sequence[int] = ()  # _masks[i] decomposes _fs.elements[i]
+        self._verdict: Optional[VerySparseFlag] = None  # set by is_very_sparse
         if _is_super_increasing(xs):
             return
         if len(xs) > FS_CAP:
@@ -107,9 +115,6 @@ class SparseBasis:
         by_mask = _subset_sums(xs)
         if len(set(by_mask[1:])) < len(by_mask) - 1:
             raise NotSparse(_first_collision(xs))
-        self._tabulate(by_mask)
-
-    def _tabulate(self, by_mask: List[int]) -> None:
         rows = sorted(zip(by_mask, range(len(by_mask))))[1:]  # drop the empty subset
         self._index = dict(rows)
         if rows and rows[0][0] == 0:
@@ -137,7 +142,11 @@ class SparseBasis:
                 raise TooLarge(
                     f"|B| = {len(self.elements)} exceeds the fs cap {FS_CAP}"
                 )
-            self._tabulate(_subset_sums(self.elements))
+            # only a super-increasing basis gets here: its sums ascend by mask
+            sums = _subset_sums(self.elements)[1:]
+            self._masks = range(1, len(sums) + 1)
+            self._index = dict(zip(sums, self._masks))
+            self._fs = NatSet._trusted(tuple(sums))
         return self._fs
 
     def _find_mask(self, x: int) -> Optional[int]:
@@ -169,7 +178,22 @@ class SparseBasis:
     def sums_meeting(self, m: int) -> NatSet:
         """All x in FS(D) whose decomposition shares a summand with mask m."""
         points = self.fs_set().elements
-        return NatSet._trusted(tuple([x for x, mx in zip(points, self._masks) if mx & m]))
+        masks = self._masks
+        if type(masks) is not range:
+            return NatSet._trusted(tuple([x for x, mx in zip(points, masks) if mx & m]))
+        # Mask order: the sums avoiding m sit at s - 1 for the nonempty
+        # subsets s of the complement c, which s = (s - c) & c visits in
+        # increasing order; the runs between them are the sums meeting m.
+        c = len(masks) & ~m  # len(masks) = 2^k - 1 is the full mask
+        out: List[int] = []
+        lo = 0
+        s = c & -c
+        while s:
+            out += points[lo : s - 1]
+            lo = s
+            s = (s - c) & c
+        out += points[lo:]
+        return NatSet._trusted(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -186,14 +210,23 @@ def is_very_sparse(D) -> VerySparseFlag:
 
     Scans distinct pairs x < y of FS(D) in lexicographic order and reports
     the first pair with alpha(x) meeting alpha(y) but x + y back in FS(D).
+    A SparseBasis keeps the verdict of its first scan; any other argument
+    builds a fresh basis and is scanned.
     """
     xs = _as_elements(D)
     if len(xs) > VERY_SPARSE_CAP:
         raise TooLarge(
             f"|D| = {len(xs)} exceeds the very-sparse cap {VERY_SPARSE_CAP}"
         )
-    # raises NotSparse if uniqueness fails
-    basis = D if isinstance(D, SparseBasis) else SparseBasis(NatSet._trusted(xs))
+    if not isinstance(D, SparseBasis):
+        return _pairwise_scan(SparseBasis(NatSet._trusted(xs)))  # NotSparse if not sparse
+    if D._verdict is None:
+        D._verdict = _pairwise_scan(D)
+    return D._verdict
+
+
+def _pairwise_scan(basis: SparseBasis) -> VerySparseFlag:
+    """The very-sparse verdict of a basis, by the scan ``is_very_sparse`` names."""
     points = basis.fs_set().elements
     masks = basis._masks
     members = basis._index

@@ -16,6 +16,16 @@ from conftest import subprocess_env
 # A case-1 rnh bundle over X = {1, 10} that verifies, one f row per point.
 RNH_BUNDLE = {"case": 1, "X": [1, 10], "D": [1, 10], "k": 0, "x": [1], "Dn": [[10]],
               "f": [[1, 1, 0], [10, 1, 0], [11, 1, 0]]}
+# An hnr chain, a closing replay and a reduction that each verify.
+HNR_BUNDLE = {"window": 4, "f": [[0, 1, 1], [0, 2, 4], [0, 3, 3], [1, 2, 13], [1, 3, 9],
+                                 [2, 3, 4]],
+              "b": [0, 1], "B": [[0, 1, 2, 3], [1, 2, 3]], "D": [1, 3, 9, 27]}
+FINAL_BUNDLE = {"window": 4, "f": [[0, 1, 1], [0, 2, 3], [1, 2, 4], [0, 3, 9], [1, 3, 9],
+                                   [2, 3, 9]],
+                "D": [1, 3, 9], "b": [0, 1, 2, 3], "C": [1, 3]}
+REDUCTION_BUNDLE = {"src": {"ideal": "vdw", "ground": "0..4"},
+                    "dst": {"ideal": "vdw", "ground": "0..4"},
+                    "map": [[x, x] for x in range(5)]}
 
 
 def invoke(*argv):
@@ -419,6 +429,58 @@ def test_other_zero_options_are_rejected(argv):
       {"src": {"ideal": "vdw", "ground": "0..2"}, "dst": {"ideal": "vdw", "ground": "0..4"},
        "map": [[0, 0], 5]}),
      ("MalformedBundle", "map: row 1 must be a list, got 5")),
+    # Every other field goes through the same check: a wrong container, or a
+    # non-int where the checker reads ints, names the field.  Sets go to
+    # NatSet, which still reports an element that is not a natural.
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, src=5)),
+     ("MalformedBundle", "src: must be an object, got 5")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, dst=[["vdw", "0..4"]])),
+     ("MalformedBundle", 'dst: must be an object, got [["vdw", "0..4"]]')),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, dst={"ideal": "vdw", "ground": [0, 1, 2, 3, 4]})),
+     ("MalformedBundle", "ground: must be a string, got [0, 1, 2, 3, 4]")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, B=[5, 6])),
+     ("MalformedBundle", "B: row 0 must be a flat list, got 5")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, b=5)),
+     ("MalformedBundle", "b: must be a list of ints, got 5")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, b=[0, "1"])),
+     ("MalformedBundle", 'b: must be a list of ints, got [0, "1"]')),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, D=5)),
+     ("MalformedBundle", "D: must be a flat list, got 5")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, D=[[1], 3])),
+     ("MalformedBundle", "D: must be a flat list, got [[1], 3]")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, fs_size="2")),
+     ("MalformedBundle", 'fs_size: must be an int, got "2"')),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, D=[1, -3])),
+     ("ValueError", "natural number expected, got -3")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, B=[[0, 1], ["x"]])),
+     ("ValueError", "natural number expected, got 'x'")),
+    (("verify", "--what", "final", "--bundle", dict(FINAL_BUNDLE, b="0123")),
+     ("MalformedBundle", 'b: must be a flat list, got "0123"')),
+    (("verify", "--what", "final", "--bundle", dict(FINAL_BUNDLE, C=3)),
+     ("MalformedBundle", "C: must be a flat list, got 3")),
+    (("verify", "--what", "final", "--bundle", dict(FINAL_BUNDLE, C=[1, -3])),
+     ("ValueError", "natural number expected, got -3")),
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, X={"1": 10})),
+     ("MalformedBundle", 'X: must be a flat list, got {"1": 10}')),
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, D=None)),
+     ("MalformedBundle", "D: must be a flat list, got null")),
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, Dn=[10])),
+     ("MalformedBundle", "Dn: row 0 must be a flat list, got 10")),
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, x=1)),
+     ("MalformedBundle", "x: must be a list of ints, got 1")),
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, k="0")),
+     ("MalformedBundle", 'k: must be an int, got "0"')),
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, case="1")),
+     ("MalformedBundle", "case must be 1 or 2, got '1'")),
+    (("verify", "--what", "rnh", "--bundle",
+      dict(RNH_BUNDLE, case=2, n=[1], j=[0], k=-1, F=[[]])),
+     ("MalformedBundle", "k: must be a list of ints, got -1")),
+    (("verify", "--what", "rnh", "--bundle",
+      dict(RNH_BUNDLE, case=2, n=[1], j=[0], k=[-1], F=[["0"]])),
+     ("MalformedBundle", 'F: row 0 must be a list of ints, got ["0"]')),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"

@@ -34,6 +34,28 @@ def test_natset_canonical_form():
         NatSet([-1])
 
 
+small_sets = st.lists(st.integers(0, 30), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_sets, small_sets, st.lists(st.integers(-2, 32), max_size=6))
+def test_trusted_natsets_agree_with_frozenset(xs, ys, probes):
+    # A library-built set makes its member set on first use; every order of
+    # first uses, on either side of issubset, gives frozenset's answers.
+    def lazy(items):
+        return NatSet._trusted(tuple(sorted(set(items))))
+
+    X, Y = frozenset(xs), frozenset(ys)
+    for A, B in ((lazy(xs), lazy(ys)), (lazy(xs), NatSet(ys)), (NatSet(xs), lazy(ys))):
+        assert A.issubset(B) == (X <= Y) and B.issubset(A) == (Y <= X)
+    for A in (lazy(xs), NatSet(xs)):
+        assert [p in A for p in probes] == [p in X for p in probes]
+        assert A.issubset(NatSet(ys)) == (X <= Y)
+    assert lazy(xs) == NatSet(xs) and hash(lazy(xs)) == hash(NatSet(xs))
+    assert (lazy(xs) == lazy(ys)) == (X == Y)
+    assert lazy(xs)._members is None  # nothing is built before the first use
+
+
 def test_natset_shifts():
     assert (NatSet([3, 5]) - 4) == NatSet([1])
     assert (NatSet([0, 1]) + 2) == NatSet([2, 3])

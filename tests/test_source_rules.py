@@ -41,3 +41,17 @@ def test_dumps_stable_is_the_only_indented_json_writer():
                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
                   and any(kw.arg == "indent" for kw in node.keywords)]
     assert found == []
+
+
+def test_only_ideals_reads_the_natset_member_set():
+    # NatSet makes its member frozenset lazily for the sets the library
+    # builds itself; a module reading ``_members`` directly could see it
+    # unbuilt, so membership goes through ``in`` and ``issubset``.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "ideals.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_members"]
+    assert found == []

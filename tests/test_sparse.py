@@ -14,6 +14,7 @@ from idealforge import (
     shift,
     very_sparse_subset,
 )
+from idealforge import sparse
 from idealforge.errors import NotInFS, NotSparse, PoolExhausted, TooLarge
 
 from conftest import random_pool, subset_sum_counts
@@ -91,6 +92,40 @@ def test_is_very_sparse_examples():
         is_very_sparse(NatSet([1, 2, 3]))
     with pytest.raises(TooLarge):
         is_very_sparse(NatSet(range(1, 19)))
+
+
+def counted_scans(monkeypatch) -> list:
+    """The bases that is_very_sparse's pairwise scan runs on, in order."""
+    scanned = []
+    scan = sparse._pairwise_scan
+
+    def counted(basis):
+        scanned.append(basis.elements)
+        return scan(basis)
+
+    monkeypatch.setattr(sparse, "_pairwise_scan", counted)
+    return scanned
+
+
+def test_one_pairwise_scan_per_basis(monkeypatch):
+    scanned = counted_scans(monkeypatch)
+    D = very_sparse_subset(NatSet(range(1, 200)), 4)
+    assert scanned == [(1, 3, 9, 27)]
+    assert is_very_sparse(D).verified and is_very_sparse(D).verified
+    assert scanned == [(1, 3, 9, 27)]
+    # a NatSet argument builds a fresh basis, so it is scanned again
+    assert is_very_sparse(NatSet(D.elements)).verified
+    assert scanned == [(1, 3, 9, 27)] * 2
+
+
+def test_a_stored_false_verdict_keeps_its_counterexample(monkeypatch):
+    scanned = counted_scans(monkeypatch)
+    D = SparseBasis([1, 2, 4])
+    first, again = is_very_sparse(D), is_very_sparse(D)
+    fresh = is_very_sparse(NatSet([1, 2, 4]))
+    assert first == again == fresh
+    assert not again.verified and again.counterexample == fresh.counterexample == (1, 3)
+    assert scanned == [(1, 2, 4)] * 2
 
 
 def test_very_sparse_subset_examples():

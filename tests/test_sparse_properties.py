@@ -9,7 +9,7 @@ may collide.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from idealforge import (
@@ -74,6 +74,64 @@ def test_conflict_sets_match_enumeration(elements):
         got = conflict_set(D, y)
         assert list(got.elements) == naive_conflict_set(elements, y)
         assert_canonical_natset(got)
+
+
+def is_super_increasing(elements) -> bool:
+    total = 0
+    for x in sorted(elements):
+        if x <= total:
+            return False
+        total += x
+    return True
+
+
+def super_increasing(gaps) -> list:
+    """Each element one more than the sum before it, plus its gap."""
+    out, total = [], 0
+    for gap in gaps:
+        out.append(total + 1 + gap)
+        total += out[-1]
+    return out
+
+
+# Super-increasing bases take the run path of sums_meeting (FS(D) ascends
+# in mask order); every other sparse basis takes the per-sum mask test.
+super_increasing_bases = st.lists(st.integers(0, 40), min_size=1, max_size=10).map(
+    super_increasing)
+ordinary_sparse_bases = sparse_bases.filter(lambda xs: not is_super_increasing(xs))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(super_increasing_bases, ordinary_sparse_bases))
+@example([3, 5, 6])
+@example([1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+@example([7])
+def test_sums_meeting_matches_enumeration_on_every_mask(elements):
+    D = SparseBasis(elements)
+    xs = D.elements
+    decomp = enumerated_decompositions(elements)
+    mask_of = {x: sum(1 << xs.index(p) for p in parts) for x, parts in decomp.items()}
+    points = sorted(mask_of)
+    assert D.fs_set().elements == tuple(points)
+    assert isinstance(D._masks, range) == is_super_increasing(elements)
+    full = (1 << len(xs)) - 1
+    for m in range(full + 1):
+        got = D.sums_meeting(m)
+        assert got.elements == tuple(x for x in points if mask_of[x] & m)
+        assert_canonical_natset(got)
+    # the full mask and each single bit, through conflict_set and the oracle
+    for y in [sum(xs)] + list(xs):
+        assert list(conflict_set(D, y).elements) == naive_conflict_set(elements, y)
+
+
+def test_sums_meeting_on_empty_sums():
+    for D in (SparseBasis([0]), SparseBasis([])):
+        assert D.fs_set() == NatSet()
+        assert D.sums_meeting(0) == NatSet() and D.sums_meeting(1) == NatSet()
+    assert conflict_set(SparseBasis([0]), 0) == NatSet()
+    with pytest.raises(NotInFS):
+        conflict_set(SparseBasis([]), 0)
 
 
 @SETTINGS
