@@ -351,26 +351,31 @@ def _load_json(path: str) -> Any:
         return json.load(handle)
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer: bool is an int subclass, but ``true`` is not a number."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 # The JSON type of each bundle field.  A "flat list" is one that holds no
 # list or object; its items go to NatSet, which reports any that are not
 # naturals.  Fields whose items are used as ints directly are "a list of ints".
 _FIELD_TYPES: Dict[str, Callable[[Any], bool]] = {
-    "an int": lambda v: isinstance(v, int),
+    "an int": _is_int,
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
     "a flat list": lambda v: isinstance(v, list)
     and not any(isinstance(x, (list, dict)) for x in v),
-    "a list of ints": lambda v: isinstance(v, list) and all(isinstance(x, int) for x in v),
+    "a list of ints": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
 
 
 def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
-           row: Optional[str] = None) -> Any:
+           row: Optional[str] = None, width: Optional[int] = None) -> Any:
     """bundle[name] if it is ``kind``, or with ``row`` a list of rows that are
-    each ``row`` (both keys of _FIELD_TYPES); else MalformedBundle("<name>: ...").
-    A missing field stays a KeyError, and a row's width is left to the
-    reader that unpacks it."""
+    each ``row`` (both keys of _FIELD_TYPES) and, with ``width``, each have
+    exactly that many items; else MalformedBundle("<name>: ...").  A missing
+    field stays a KeyError."""
     value = bundle[name]
     if row is None:
         if not _FIELD_TYPES[kind](value):
@@ -381,6 +386,9 @@ def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
     for i, r in enumerate(value):
         if not _FIELD_TYPES[row](r):
             raise MalformedBundle(f"{name}: row {i} must be {row}, got {json.dumps(r)}")
+        if width is not None and len(r) != width:
+            raise MalformedBundle(
+                f"{name}: row {i} must have {width} items, got {json.dumps(r)}")
     return value
 
 
@@ -404,11 +412,11 @@ def _cmd_verify(args) -> Dict[str, Any]:
         dst = _bundle_spec(bundle, "dst", params)
         tupled = lambda v: tuple(v) if isinstance(v, list) else v
         entries = [(tupled(key), tupled(value))
-                   for key, value in _field(bundle, "map", row="a list")]
+                   for key, value in _field(bundle, "map", row="a list", width=2)]
         report = verify_reduction(entries, src, dst)
         return {"what": what, "report": report.to_json_dict()}
     if what in ("hnr", "final"):
-        rows = _field(bundle, "f", row="a list of ints")
+        rows = _field(bundle, "f", row="a list of ints", width=3)
         f = PairColoring.from_table(_field(bundle, "window"), one_each(
             (((min(i, j), max(i, j)), v) for i, j, v in rows), "f gives pair"))
         if what == "hnr":
@@ -425,16 +433,18 @@ def _cmd_verify(args) -> Dict[str, Any]:
                 NatSet(_field(bundle, "C", "a flat list")))
         return {"what": what, "report": report.to_json_dict()}
     if what == "rnh":
-        rows = _field(bundle, "f", row="a list of ints")
+        rows = _field(bundle, "f", row="a list of ints", width=3)
         f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in rows), "f gives point"))
         X = SparseBasis(_field(bundle, "X", "a flat list"))
         case = bundle["case"]
+        if not _is_int(case) or case not in (1, 2):
+            raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
         if case == 1:
             data = RnhCase1Bundle(
                 k=_field(bundle, "k"), D=SparseBasis(_field(bundle, "D", "a flat list")),
                 xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
             )
-        elif case == 2:
+        else:
             data = RnhCase2Bundle(
                 ns=_field(bundle, "n", "a list of ints"),
                 js=_field(bundle, "j", "a list of ints"),
@@ -442,8 +452,6 @@ def _cmd_verify(args) -> Dict[str, Any]:
                 Fs=[frozenset(F) for F in _field(bundle, "F", row="a list of ints")],
                 xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
             )
-        else:
-            raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
         report = check_rnh_conditions(data, f, X)
         return {"what": what, "report": report.to_json_dict()}
     raise ParseError(f"unknown verify target {what!r}")
@@ -531,22 +539,26 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_verify)
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its options, by calling ``options``
-    on itself, the first time it parses: a call builds only the options of
-    the subcommand it names.  The root parser hands each subcommand's
-    arguments, ``-h`` included, to that subcommand's ``parse_known_args``."""
+class _Subcommands(argparse._SubParsersAction):
+    """The root parser's subcommand action.  ``add_parser`` records a
+    subcommand's help line and ``options`` (a function that adds its options
+    to a parser) under its name; the first call that names the subcommand
+    replaces that record with a parser holding those options, so a call
+    builds only the parser it uses.  The choice check, usage and "invalid
+    choice" message read only the names."""
 
-    def __init__(self, *args, options: Callable[[argparse.ArgumentParser], None],
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_options = options
+    def add_parser(self, name, *, help, options):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = options
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_options is not None:
-            add_options, self._add_options = self._add_options, None
-            add_options(self)
-        return super().parse_known_args(args, namespace)
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        options = self._name_parser_map[name]
+        if not isinstance(options, argparse.ArgumentParser):
+            sub = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}")
+            options(sub)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-scale workbench for Ramsey-type ideals.",
     )
     parser.add_argument("--out", help="write the report to this path")
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="subcommand", required=True, action=_Subcommands)
     sub.add_parser("oracle", help="positivity and witness queries", options=_oracle_options)
     sub.add_parser("fs", help="finite sums and sparse bases", options=_fs_options)
     sub.add_parser("canonize", help="canonical coloring classification",

@@ -403,15 +403,25 @@ def test_other_zero_options_are_rejected(argv):
     (("adversary", "--strategy", "r-summable", "--case", "const", "--ground", "0..3",
       "--window", "4", "--phi", "0 1 5\n0 2 5\n0 3 5\n1 2 5\n1 3 5\n2 3 5\n1 0 5\n"),
      ("ParseError", "line 7: pair table gives (0, 1) twice (at position 7)")),
-    # A bundle is a JSON object, and each rnh f row is exactly x, z0, z1.
+    # A bundle is a JSON object, each f row is exactly x, z0, z1 (rnh) or
+    # i, j, value (hnr, final), and each map row a key and a value.
     (("verify", "--what", "hnr", "--bundle", [1, 2, 3]),
      ("MalformedBundle", "bundle must be a JSON object, got list")),
     (("verify", "--what", "rnh", "--bundle",
       dict(RNH_BUNDLE, f=[[1, 1]] + RNH_BUNDLE["f"][1:])),
-     ("ValueError", "not enough values to unpack (expected 3, got 2)")),
+     ("MalformedBundle", "f: row 0 must have 3 items, got [1, 1]")),
     (("verify", "--what", "rnh", "--bundle",
       dict(RNH_BUNDLE, f=[[1, 1, 0, 5]] + RNH_BUNDLE["f"][1:])),
-     ("ValueError", "too many values to unpack (expected 3)")),
+     ("MalformedBundle", "f: row 0 must have 3 items, got [1, 1, 0, 5]")),
+    (("verify", "--what", "hnr", "--bundle",
+      dict(HNR_BUNDLE, f=HNR_BUNDLE["f"][:2] + [[0, 3]] + HNR_BUNDLE["f"][3:])),
+     ("MalformedBundle", "f: row 2 must have 3 items, got [0, 3]")),
+    (("verify", "--what", "final", "--bundle",
+      dict(FINAL_BUNDLE, f=FINAL_BUNDLE["f"] + [[2, 3, 9, 9]])),
+     ("MalformedBundle", "f: row 6 must have 3 items, got [2, 3, 9, 9]")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, map=[[0, 0, 1]] + REDUCTION_BUNDLE["map"][1:])),
+     ("MalformedBundle", "map: row 0 must have 2 items, got [0, 0, 1]")),
     # Each kind reads its window and tables through one typed field check.
     (("verify", "--what", "hnr", "--bundle",
       {"window": 2, "f": [5], "b": [0, 1], "B": [[0, 1], [0, 1]], "D": [1, 3]}),
@@ -481,6 +491,13 @@ def test_other_zero_options_are_rejected(argv):
     (("verify", "--what", "rnh", "--bundle",
       dict(RNH_BUNDLE, case=2, n=[1], j=[0], k=[-1], F=[["0"]])),
      ("MalformedBundle", 'F: row 0 must be a list of ints, got ["0"]')),
+    # A JSON boolean is not an int, though Python's True == 1.
+    (("verify", "--what", "rnh", "--bundle", dict(RNH_BUNDLE, case=True)),
+     ("MalformedBundle", "case must be 1 or 2, got True")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, b=[0, True])),
+     ("MalformedBundle", "b: must be a list of ints, got [0, true]")),
+    (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, window=True)),
+     ("MalformedBundle", "window: must be an int, got true")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"

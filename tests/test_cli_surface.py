@@ -1,9 +1,10 @@
 """The command line's help, usage errors and parsed options, pinned byte for
 byte, and the argparse work one call does.
 
-Each subcommand's options are added the first time that subcommand parses,
-so the pinned help and namespaces catch an option that lazy attachment
-drops, and the action counts catch work done for subcommands not named.
+A subcommand's parser, with its options, is built the first time a call
+names that subcommand, so the pinned help and namespaces catch an option
+that lazy building drops, and the parser and action counts catch work done
+for subcommands not named.
 
 Regenerate the pinned file with ``python tests/test_cli_surface.py`` (only
 for a deliberate change to the command line).
@@ -79,34 +80,63 @@ def subparsers(parser):
     return action.choices
 
 
-def test_a_call_adds_only_the_named_subcommands_options():
-    parser = build_parser()
-    parser.parse_args(PARSES["fs"])
-    for name, sub in subparsers(parser).items():
-        dests = [action.dest for action in sub._actions]
-        if name == "fs":
-            assert dests == ["help", "op", "set", "pool", "k", "x", "y", "offset",
-                             "direction"]
-        else:
-            assert dests == ["help"], name
-    assert build_parser() is not build_parser()
-
-
-@pytest.mark.parametrize("name, added", [
-    ("oracle", 21), ("fs", 16), ("canonize", 14), ("adversary", 18), ("search", 17),
-    ("verify", 15),
-])
-def test_add_argument_calls_per_parse(name, added, monkeypatch):
-    # Two root options and six -h actions are common to every call; the rest
-    # are the named subcommand's own options.
+def counted(monkeypatch, cls, method):
+    """The positional arguments of each later call of cls.method."""
     calls = []
-    add_argument = argparse._ActionsContainer.add_argument
+    original = getattr(cls, method)
 
     def counting(self, *args, **kwargs):
         calls.append(args)
-        return add_argument(self, *args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    monkeypatch.setattr(cls, method, counting)
+    return calls
+
+
+def test_a_call_adds_only_the_named_subcommands_options():
+    parser = build_parser()
+    parser.parse_args(PARSES["fs"])
+    built = {name: sub for name, sub in subparsers(parser).items()
+             if isinstance(sub, argparse.ArgumentParser)}
+    assert list(built) == ["fs"]
+    assert [action.dest for action in built["fs"]._actions] == [
+        "help", "op", "set", "pool", "k", "x", "y", "offset", "direction"]
+    assert list(subparsers(parser)) == list(SUBCOMMANDS)
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_argument_parsers_built_per_call(name, monkeypatch):
+    # The root parser, then the named subcommand's parser and no other.
+    inits = counted(monkeypatch, argparse.ArgumentParser, "__init__")
+    parser = build_parser()
+    assert len(inits) == 1
+    parser.parse_args(PARSES[name])
+    assert len(inits) == 2
+
+
+def test_one_parser_serves_every_subcommand_twice(monkeypatch, capsys):
+    # Each subcommand's help is first asked for after other subcommands
+    # have parsed, then again once its own parser is built and has parsed.
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))["invocations"]
+    parser = build_parser()
+    for _ in range(2):
+        for name, argv in PARSES.items():
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "-h"])
+            assert capsys.readouterr().out == pinned[f"{name}_help"]["stdout"]
+            assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name, added", [
+    ("oracle", 16), ("fs", 11), ("canonize", 9), ("adversary", 13), ("search", 12),
+    ("verify", 10),
+])
+def test_add_argument_calls_per_parse(name, added, monkeypatch):
+    # The root's two options and the named subcommand's -h are common to
+    # every call; the rest are that subcommand's own options.
+    calls = counted(monkeypatch, argparse._ActionsContainer, "add_argument")
     build_parser().parse_args(PARSES[name])
     assert len(calls) == added
 
