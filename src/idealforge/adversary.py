@@ -21,7 +21,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, least_subset
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
-from .ideals import NatSet, reciprocal_sum, scan_ap
+from .ideals import NatSet, progressions, reciprocal_sum
 from .report import Report, jsonable, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
 
@@ -218,8 +218,8 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     for n in range(1, budget.max_steps + 1):
         thr = n * (1 << n)
         top = next((x for x in range(top, -1, -1) if values[x] >= thr), -1)
-        hit = scan_ap((x for x in range(top + 1) if values[x] >= thr),
-                      lambda x: values[x] >= thr, n, top)
+        hit = next(progressions((x for x in range(top + 1) if values[x] >= thr),
+                                lambda x: values[x] >= thr, n, top), None)
         if hit is None:
             raise SearchExhausted(
                 n, f"no {n}-term progression with phi >= {thr} in [0, {bound})"

@@ -367,15 +367,18 @@ _FIELD_TYPES: Dict[str, Callable[[Any], bool]] = {
     "a flat list": lambda v: isinstance(v, list)
     and not any(isinstance(x, (list, dict)) for x in v),
     "a list of ints": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "an int or a pair of ints": lambda v: _is_int(v)
+    or isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
 }
 
 
 def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
-           row: Optional[str] = None, width: Optional[int] = None) -> Any:
+           row: Optional[str] = None, width: Optional[int] = None,
+           item: Optional[str] = None) -> Any:
     """bundle[name] if it is ``kind``, or with ``row`` a list of rows that are
-    each ``row`` (both keys of _FIELD_TYPES) and, with ``width``, each have
-    exactly that many items; else MalformedBundle("<name>: ...").  A missing
-    field stays a KeyError."""
+    each ``row``, of ``width`` items each ``item`` if given (kinds are keys
+    of _FIELD_TYPES); else MalformedBundle("<name>: ...").  A missing field
+    stays a KeyError."""
     value = bundle[name]
     if row is None:
         if not _FIELD_TYPES[kind](value):
@@ -389,6 +392,9 @@ def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
         if width is not None and len(r) != width:
             raise MalformedBundle(
                 f"{name}: row {i} must have {width} items, got {json.dumps(r)}")
+        if item is not None and not all(map(_FIELD_TYPES[item], r)):
+            raise MalformedBundle(
+                f"{name}: row {i} items must each be {item}, got {json.dumps(r)}")
     return value
 
 
@@ -412,7 +418,8 @@ def _cmd_verify(args) -> Dict[str, Any]:
         dst = _bundle_spec(bundle, "dst", params)
         tupled = lambda v: tuple(v) if isinstance(v, list) else v
         entries = [(tupled(key), tupled(value))
-                   for key, value in _field(bundle, "map", row="a list", width=2)]
+                   for key, value in _field(bundle, "map", row="a list", width=2,
+                                            item="an int or a pair of ints")]
         report = verify_reduction(entries, src, dst)
         return {"what": what, "report": report.to_json_dict()}
     if what in ("hnr", "final"):

@@ -199,30 +199,17 @@ class ScaleParams:
 def longest_ap(A: NatSet) -> int:
     """Length of the longest arithmetic progression inside A.
 
-    0 for the empty set, 1 for singletons.  Scans all (start, difference)
-    pairs and extends each maximal start, so O(|A|^2 * L).
+    0 for the empty set, 1 for singletons: the largest k for which
+    ``progressions`` finds a k-term progression.
     """
     if not isinstance(A, NatSet):
         raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     xs = A.elements
-    if not xs:
-        return 0
-    if len(xs) == 1:
-        return 1
-    best = 2
-    for i, a in enumerate(xs):
-        for b in xs[i + 1 :]:
-            d = b - a
-            if a - d in A:
-                continue  # not a maximal start; counted at its true start
-            length = 2
-            nxt = b + d
-            while nxt in A:
-                length += 1
-                nxt += d
-            if length > best:
-                best = length
-    return best
+    top = xs[-1] if xs else -1
+    k = min(len(xs), 2)  # any two members make a progression
+    while next(progressions(xs, A.__contains__, k + 1, top), None) is not None:
+        k += 1
+    return k
 
 
 def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
@@ -236,14 +223,16 @@ def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
         raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return scan_ap(A.elements, A.__contains__, k, A.elements[-1] if A else -1)
+    return next(progressions(A.elements, A.__contains__, k, A.elements[-1] if A else -1), None)
 
 
-def scan_ap(xs: Iterable[int], member: Callable[[int], bool], k: int, top: int
-            ) -> Optional[Tuple[int, int]]:
-    """``find_ap`` over the members xs, in strictly ascending order, of a
-    set whose membership test is ``member``, for k >= 1, among the
-    progressions whose terms are all at most ``top``.
+def progressions(xs: Iterable[int], member: Callable[[int], bool], k: int, top: int
+                 ) -> Iterator[Tuple[int, int]]:
+    """Every (start, difference) of a k-term progression, k >= 1, with all
+    terms at most ``top``, in the set whose members in strictly ascending
+    order are xs and whose membership test is ``member``.  They come by
+    start, then difference, so the first is ``find_ap``'s; for k = 1 each
+    member comes with difference 1.
 
     xs is read only as far as the scan reaches, once: the members read so
     far are kept in ``got``.  The scan asks ``member`` only about points
@@ -261,15 +250,16 @@ def scan_ap(xs: Iterable[int], member: Callable[[int], bool], k: int, top: int
     for i in itertools.count():
         a = got[i] if i < len(got) else next(fresh, None)
         if a is None or a + (k - 1) > top:
-            return None
+            return
         if k == 1:
-            return (a, 1)
+            yield (a, 1)
+            continue
         for b in itertools.chain(itertools.islice(got, i + 1, None), fresh):
             d = b - a
             if a + (k - 1) * d > top:
                 break
             if all(member(a + j * d) for j in range(2, k)):
-                return (a, d)
+                yield (a, d)
 
 
 def reciprocal_sum(A: NatSet) -> Fraction:
@@ -385,7 +375,7 @@ def is_positive(A, ideal: IdealId, params: ScaleParams = ScaleParams()) -> bool:
     A = _carrier(A, ideal, params)
     if ideal is IdealId.VDW:
         top = A.elements[-1] if A else -1
-        return scan_ap(A.elements, A.__contains__, params.ap_len, top) is not None
+        return next(progressions(A.elements, A.__contains__, params.ap_len, top), None) is not None
     if ideal is IdealId.HINDMAN:
         from .sparse import find_fs_subset
 

@@ -15,9 +15,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Union
 
 from .errors import CarrierMismatch, MalformedBundle, TooLarge
-from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_nat_pair, is_positive
+from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_nat_pair, is_positive, \
+    progressions
 from .report import Report, jsonable
-from .sparse import fs, is_sparse
+from .sparse import fs, fs_bases
 
 FINITE_SCALE_CAVEAT = (
     "micro-scale result: evidence about finite truncations only, not a theorem"
@@ -66,19 +67,13 @@ def positive_family(spec: FiniteIdealSpec) -> List:
     distinct-sums bases for HINDMAN, first-crossing reciprocal sets for
     SUMMABLE, half-window subsets for FIN.
     """
-    p = spec.params
+    p, A = spec.params, spec.ground
+    if spec.ideal in (IdealId.VDW, IdealId.HINDMAN, IdealId.SUMMABLE) and len(A) > 20:
+        raise TooLarge(f"carrier size {len(A)} exceeds the cap 20")
     if spec.ideal is IdealId.VDW:
-        A = spec.ground
-        if len(A) > 20:
-            raise TooLarge(f"carrier size {len(A)} exceeds the cap 20")
         k = p.ap_len
-        top = A.max() if A else 0
-        out = []
-        for a in A:
-            for d in range(1, (top - a) // (k - 1) + 1):
-                if all(a + j * d in A for j in range(1, k)):
-                    out.append(NatSet(a + j * d for j in range(k)))
-        return out
+        return [NatSet._trusted(tuple(range(a, a + k * d, d)))
+                for a, d in progressions(A.elements, A.__contains__, k, A.max() if A else -1)]
 
     if spec.ideal is IdealId.RAMSEY:
         n = spec.ground
@@ -90,24 +85,11 @@ def positive_family(spec: FiniteIdealSpec) -> List:
         ]
 
     if spec.ideal is IdealId.HINDMAN:
-        A = spec.ground
-        if len(A) > 20:
-            raise TooLarge(f"carrier size {len(A)} exceeds the cap 20")
-        seen = set()
-        out = []
-        for basis in itertools.combinations(A.elements, p.fs_size):
-            if not is_sparse(NatSet(basis)):
-                continue
-            sums = fs(NatSet(basis))
-            if all(s in A for s in sums) and sums.elements not in seen:
-                seen.add(sums.elements)
-                out.append(sums)
-        return out
+        # A basis with distinct subset sums is read back off its sums,
+        # least first, so distinct bases give distinct sum sets.
+        return [fs(basis) for basis in fs_bases(A, p.fs_size)]
 
     if spec.ideal is IdealId.SUMMABLE:
-        A = spec.ground
-        if len(A) > 20:
-            raise TooLarge(f"carrier size {len(A)} exceeds the cap 20")
         xs = A.elements  # ascending elements = descending reciprocals
         suffix = [Fraction(0)] * (len(xs) + 1)
         for i in range(len(xs) - 1, -1, -1):
@@ -127,7 +109,6 @@ def positive_family(spec: FiniteIdealSpec) -> List:
         return out
 
     if spec.ideal is IdealId.FIN:
-        A = spec.ground
         size = (p.window + 1) // 2
         count = 1
         for i in range(size):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolated, NotInFS, NotSparse, PoolExhausted, TooLarge
 from .ideals import NatSet
@@ -41,11 +41,12 @@ def fs(B) -> NatSet:
 
 
 def is_sparse(D) -> bool:
-    """True iff all 2^|D| - 1 nonempty subset sums are pairwise distinct."""
+    """True iff all 2^|D| - 1 nonempty subset sums are pairwise distinct, as
+    ``SparseBasis(D)`` checks: {0} is sparse, 0 being its one such sum."""
     xs = _as_elements(D)
     if len(xs) > FS_CAP:
         raise TooLarge(f"|D| = {len(xs)} exceeds the sparseness cap {FS_CAP}")
-    return len(fs(NatSet(xs))) == (1 << len(xs)) - 1
+    return len(set(_subset_sums(xs)[1:])) == (1 << len(xs)) - 1
 
 
 def _is_super_increasing(xs: Tuple[int, ...]) -> bool:
@@ -274,13 +275,15 @@ def very_sparse_subset(pool, k: int) -> SparseBasis:
     return basis
 
 
-def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
-    """Least basis B in A with distinct subset sums and fs(B) inside A.
+def fs_bases(A, k: int) -> Iterator[Tuple[int, ...]]:
+    """Every basis B in A of size k with distinct subset sums and fs(B)
+    inside A, as ascending tuples in lexicographic order.
 
     Backtracks over candidates in increasing order.  Each level carries only
     the candidates c with s + c in A for every sum s so far; choosing c
     narrows that list by the sums it adds, so no candidate is checked
-    against an old sum twice.  Singletons of FS(B) force B inside A.
+    against an old sum twice.  Singletons of FS(B) force B inside A.  k and
+    A are checked at the call, not at the first ``next``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -290,9 +293,9 @@ def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
     top = A.max() if A else 0
 
     def dfs(basis: Tuple[int, ...], sums: frozenset, cands: List[int]
-            ) -> Optional[Tuple[int, ...]]:
+            ) -> Iterator[Tuple[int, ...]]:
         if 0 in sums:
-            return None  # s + 0 = s: no further element keeps the sums distinct
+            return  # s + 0 = s: no further element keeps the sums distinct
         need = k - len(basis)
         total = sum(basis)
         for i, c in enumerate(cands):
@@ -303,19 +306,22 @@ def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
             if not sums.isdisjoint(fresh):
                 continue  # a subset-sum collision; basis would not be sparse
             if need == 1:
-                return basis + (c,)
+                yield basis + (c,)
+                continue
             # the largest new sum, total + c, plus d must stay within A
             rest = cands[i + 1 : bisect_right(cands, top - total - c)]
             for f in fresh:
                 rest = [d for d in rest if f + d in members]
-            if len(rest) < need - 1:
-                continue
-            found = dfs(basis + (c,), sums.union(fresh), rest)
-            if found is not None:
-                return found
-        return None
+            if len(rest) >= need - 1:
+                yield from dfs(basis + (c,), sums.union(fresh), rest)
 
-    hit = dfs((), frozenset(), list(A.elements))
+    return dfs((), frozenset(), list(A.elements))
+
+
+def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
+    """Least basis B in A with distinct subset sums and fs(B) inside A: the
+    first of ``fs_bases``, or None."""
+    hit = next(fs_bases(A, k), None)
     return NatSet._trusted(hit) if hit is not None else None
 
 

@@ -65,6 +65,22 @@ def least_ap(members, k: int, top: int):
     return None
 
 
+def every_ap(members, k: int, top: int):
+    """Every (start, difference) of a k-term progression inside members whose
+    terms are all at most top, by start and then difference.
+
+    For each start it tries every difference that keeps the last term at
+    most top, rather than pairing the start with later members as the
+    library's scan does; for k = 1 each member's difference is 1.
+    """
+    S = {m for m in members if m <= top}
+    for a in sorted(S):
+        steps = [1] if k == 1 else range(1, (top - a) // (k - 1) + 1)
+        for d in steps:
+            if all(a + j * d in S for j in range(k)):
+                yield (a, d)
+
+
 def naive_clique(G: EdgeSet, k: int):
     """First k-clique by full enumeration of vertex combinations."""
     if k == 1:
@@ -132,16 +148,21 @@ def naive_very_sparse_counterexample(elements):
     return None
 
 
-def naive_fs_subset(A, k):
-    """Lexicographically least k-subset of A whose nonempty subset sums are
-    distinct and all inside A, by enumerating every k-subset."""
+def every_fs_subset(A, k):
+    """Every k-subset of A, in lexicographic order, whose nonempty subset sums
+    are distinct and all inside A, by enumerating every k-subset."""
     members = set(A)
     for B in itertools.combinations(sorted(members), k):
         sums = [sum(c) for r in range(1, k + 1)
                 for c in itertools.combinations(B, r)]
         if len(set(sums)) == len(sums) and all(s in members for s in sums):
-            return B
-    return None
+            yield B
+
+
+def naive_fs_subset(A, k):
+    """Lexicographically least k-subset of A whose nonempty subset sums are
+    distinct and all inside A: the first of ``every_fs_subset``."""
+    return next(every_fs_subset(A, k), None)
 
 
 def assert_canonical_natset(result: NatSet) -> None:

@@ -498,6 +498,20 @@ def test_other_zero_options_are_rejected(argv):
      ("MalformedBundle", "b: must be a list of ints, got [0, true]")),
     (("verify", "--what", "hnr", "--bundle", dict(HNR_BUNDLE, window=True)),
      ("MalformedBundle", "window: must be an int, got true")),
+    # Nor is it a map key or value, each an int or a pair of ints.
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, map=[[0, 0], [True, 1]] + REDUCTION_BUNDLE["map"][2:])),
+     ("MalformedBundle",
+      "map: row 1 items must each be an int or a pair of ints, got [true, 1]")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, map=[[0, 0], [1, False]] + REDUCTION_BUNDLE["map"][2:])),
+     ("MalformedBundle",
+      "map: row 1 items must each be an int or a pair of ints, got [1, false]")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      {"src": {"ideal": "vdw", "ground": "0..4"}, "dst": {"ideal": "ramsey", "ground": "3"},
+       "map": [[[0, True], 1], [[0, 2], 1], [[1, 2], 1]]}),
+     ("MalformedBundle",
+      "map: row 0 items must each be an int or a pair of ints, got [[0, true], 1]")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"

@@ -20,9 +20,9 @@ from idealforge import (
     tall_witness,
 )
 from idealforge.errors import CannotAvoid, CarrierMismatch
-from idealforge.ideals import scan_ap
+from idealforge.ideals import progressions
 
-from conftest import dp_longest_ap, harmonic, least_ap, naive_clique
+from conftest import dp_longest_ap, every_ap, harmonic, least_ap, naive_clique
 
 
 def test_natset_canonical_form():
@@ -134,7 +134,16 @@ def test_find_ap_examples():
 def test_scan_ap_over_a_filtered_generator_matches_the_least_ap_oracle(members, k, top):
     # Members above top stay in xs: the scan must stop at top on its own.
     xs = (x for x in range(140) if x in members)
-    assert scan_ap(xs, members.__contains__, k, top) == least_ap(members, k, top)
+    assert next(progressions(xs, members.__contains__, k, top), None) == \
+        least_ap(members, k, top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 120), max_size=40), st.integers(1, 6), st.integers(-1, 130))
+def test_progressions_over_a_filtered_generator_yields_every_progression(members, k, top):
+    xs = (x for x in range(140) if x in members)
+    assert list(progressions(xs, members.__contains__, k, top)) == \
+        list(every_ap(members, k, top))
 
 
 @pytest.mark.parametrize("members, k, top, want", [
@@ -147,7 +156,7 @@ def test_scan_ap_over_a_filtered_generator_matches_the_least_ap_oracle(members, 
     ((0, 4, 8, 12, 13), 3, 13, (0, 4)),
 ])
 def test_scan_ap_edges(members, k, top, want):
-    assert scan_ap(iter(members), set(members).__contains__, k, top) == want
+    assert next(progressions(iter(members), set(members).__contains__, k, top), None) == want
     assert least_ap(members, k, top) == want
 
 
@@ -174,8 +183,11 @@ def test_scan_ap_tests_each_point_of_its_filter_at_most_once(members, k, n):
         return x in members
 
     top = max(members)
-    hit = scan_ap((x for x in range(n) if kept(x)), members.__contains__, k, top)
-    assert hit == least_ap(members, k, top)
+    found = progressions((x for x in range(n) if kept(x)), members.__contains__, k, top)
+    assert next(found, None) == least_ap(members, k, top)
+    assert len(tested) == len(set(tested)) <= n
+    # Draining the scan reads the rest of the filter, still once per point.
+    assert list(found) == list(every_ap(members, k, top))[1:]
     assert len(tested) == len(set(tested)) <= n
 
 

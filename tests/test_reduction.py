@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealforge import (
     FiniteIdealSpec,
@@ -16,7 +19,7 @@ from idealforge import (
 )
 from idealforge.errors import CarrierMismatch, MalformedBundle, TooLarge
 
-from conftest import naive_search_reduction
+from conftest import every_ap, every_fs_subset, naive_search_reduction
 
 P3 = ScaleParams(ap_len=3, clique_size=3, fs_size=2, tau=Fraction(2), window=64)
 
@@ -39,6 +42,24 @@ def test_positive_family_hindman_example():
     family = {B.elements for B in positive_family(spec)}
     assert (1, 2, 3) in family and (3, 4, 7) in family
     assert all(b[0] + b[1] == b[2] for b in family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, 40), max_size=20), st.integers(3, 5), st.integers(2, 3))
+def test_positive_family_matches_the_brute_force_families(members, ap_len, fs_size):
+    params = ScaleParams(ap_len=ap_len, fs_size=fs_size, window=64)
+    A = NatSet(members)
+    top = max(members, default=-1)
+    vdw = [tuple(a + j * d for j in range(ap_len)) for a, d in every_ap(members, ap_len, top)]
+    hindman = []
+    for basis in every_fs_subset(members, fs_size):
+        sums = tuple(sorted({sum(c) for r in range(1, fs_size + 1)
+                             for c in itertools.combinations(basis, r)}))
+        if sums not in hindman:
+            hindman.append(sums)
+    for ideal, want in ((IdealId.VDW, vdw), (IdealId.HINDMAN, hindman)):
+        family = positive_family(FiniteIdealSpec(ideal, params, A))
+        assert [B.elements for B in family] == want
 
 
 def test_positive_family_summable_first_crossings():

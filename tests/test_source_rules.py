@@ -1,11 +1,13 @@
 """Rules every library module keeps, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import idealforge
 
 PACKAGE = Path(idealforge.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def test_no_assert_statements_in_the_library():
@@ -55,3 +57,40 @@ def test_only_ideals_reads_the_natset_member_set():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "_members"]
     assert found == []
+
+
+def _traced_names():
+    """(label, owner, attribute) for each library name the benchmark's
+    tracer wraps, read off the SPANNED, SPANNED_METHODS and COUNTED_METHODS
+    assignments in bench/tracing.py without importing it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+
+    def module(node):
+        return importlib.import_module(f"idealforge.{node.id}")
+
+    def owner(node):  # module.Class
+        return getattr(module(node.value), node.attr)
+
+    out = []
+    spanned = tables["SPANNED"]
+    for key, names in zip(spanned.keys, spanned.values):
+        out += [(key.id, module(key), name.value) for name in names.elts]
+    for row in tables["SPANNED_METHODS"].elts:
+        out.append((ast.unparse(row.elts[1]), owner(row.elts[1]), row.elts[2].value))
+    for row in tables["COUNTED_METHODS"].elts:
+        out.append((ast.unparse(row.elts[1]), owner(row.elts[1]), row.elts[2].value))
+    return out
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # Tracer.install looks each name up with getattr (a method in the class
+    # dict), so a library rename would break `bench/run.py --trace 1` while
+    # every other test still passes.
+    traced = _traced_names()
+    assert len(traced) > 20
+    missing = [f"{label}.{name}" for label, owner, name in traced
+               if not (name in vars(owner) if isinstance(owner, type)
+                       else callable(getattr(owner, name, None)))]
+    assert missing == []

@@ -43,7 +43,7 @@ def test_is_sparse_examples():
     assert is_sparse(NatSet([1, 2, 4]))
     assert not is_sparse(NatSet([1, 2, 3]))
     assert is_sparse(NatSet([1, 3, 9]))
-    assert not is_sparse(NatSet([0, 5]))  # empty-vs-{0} sums collide
+    assert not is_sparse(NatSet([0, 5]))  # {5} and {0, 5} share the sum 5
 
 
 def test_sparse_basis_alpha_examples():

@@ -19,14 +19,17 @@ from idealforge import (
     conflict_set,
     find_fs_subset,
     fs,
+    is_sparse,
     is_very_sparse,
     very_sparse_subset,
 )
 from idealforge.errors import NotInFS, NotSparse
+from idealforge.sparse import fs_bases
 
 from conftest import (
     assert_canonical_natset,
     enumerated_decompositions,
+    every_fs_subset,
     first_collision,
     naive_conflict_set,
     naive_fs_subset,
@@ -176,6 +179,32 @@ def test_find_fs_subset_is_the_least_enumerated_basis(A, k):
     else:
         assert got.elements == expected
         assert_canonical_natset(got)
+
+
+@SETTINGS
+@given(ground_sets, st.integers(1, 4))
+def test_fs_bases_yields_every_enumerated_basis_in_order(A, k):
+    assert list(fs_bases(NatSet(A), k)) == list(every_fs_subset(A, k))
+
+
+def test_fs_bases_checks_its_arguments_at_the_call():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        fs_bases(NatSet([1, 2, 3]), 0)
+    with pytest.raises(ValueError, match="natural number expected"):
+        fs_bases([1, -2], 1)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 40), max_size=7, unique=True))
+@example([0])
+def test_is_sparse_iff_the_basis_constructs(D):
+    try:
+        SparseBasis(D)
+    except NotSparse:
+        constructs = False
+    else:
+        constructs = True
+    assert is_sparse(D) == constructs
 
 
 @SETTINGS
