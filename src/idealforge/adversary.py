@@ -11,7 +11,6 @@ nothing.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,16 +241,30 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
                        steps, {"set": witness, "blocks": blocks}, majorant)
 
 
-def preimage_floor(values: Sequence[int]) -> Callable[[int], int]:
-    """The lookup m -> last z with values[z] <= m (-1 if none), in O(log n).
+FLOOR_BLOCK = 256  # values per block minimum in preimage_floor
 
-    The suffix minima of values ascend, and the last z with values[z] <= m
-    is the last z whose suffix minimum is <= m.
+
+def preimage_floor(values: Sequence[int]) -> Callable[[int], int]:
+    """The lookup m -> last z with values[z] <= m (-1 if none).
+
+    values is cut into blocks of ``FLOOR_BLOCK`` and each block's minimum is
+    taken by one C-level ``min``.  A query walks the block minima from the
+    top down to the last block whose minimum is <= m, which holds the answer,
+    and scans that block downward: at most len(values) / FLOOR_BLOCK +
+    FLOOR_BLOCK comparisons.
     """
-    suffix_min = list(itertools.accumulate(reversed(values),
-                                           lambda a, b: b if b < a else a))
-    suffix_min.reverse()
-    return lambda m: bisect.bisect_right(suffix_min, m) - 1
+    n = len(values)
+    mins = [min(values[lo:lo + FLOOR_BLOCK]) for lo in range(0, n, FLOOR_BLOCK)]
+
+    def floor_of(m: int) -> int:
+        for b in range(len(mins) - 1, -1, -1):
+            if mins[b] <= m:
+                lo = b * FLOOR_BLOCK
+                last = min(lo + FLOOR_BLOCK, n) - 1
+                return next(z for z in range(last, lo - 1, -1) if values[z] <= m)
+        return -1
+
+    return floor_of
 
 
 # The non-constant h-summable cases as (threshold(n), points(n)): step n picks a

@@ -10,6 +10,7 @@ column).  All oracles here are pure functions of immutable values.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -200,16 +201,22 @@ def longest_ap(A: NatSet) -> int:
     """Length of the longest arithmetic progression inside A.
 
     0 for the empty set, 1 for singletons: the largest k for which
-    ``progressions`` finds a k-term progression.
+    ``progressions`` finds a k-term progression.  A (k+1)-term progression
+    starts with a k-term one, so the scan for k+1 terms starts at the first
+    k-term progression's start, xs[i].
     """
     if not isinstance(A, NatSet):
         raise CarrierMismatch(f"progression search takes a NatSet, got {type(A).__name__}")
     xs = A.elements
     top = xs[-1] if xs else -1
     k = min(len(xs), 2)  # any two members make a progression
-    while next(progressions(xs, A.__contains__, k + 1, top), None) is not None:
+    i = 0
+    while True:
+        hit = next(progressions(xs[i:], A.__contains__, k + 1, top), None)
+        if hit is None:
+            return k
         k += 1
-    return k
+        i = bisect_left(xs, hit[0], i)
 
 
 def find_ap(A: NatSet, k: int) -> Optional[Tuple[int, int]]:
@@ -263,13 +270,26 @@ def progressions(xs: Iterable[int], member: Callable[[int], bool], k: int, top: 
 
 
 def reciprocal_sum(A: NatSet) -> Fraction:
-    """Exact value of sum over a in A of 1/(a+1)."""
+    """Exact value of sum over a in A of 1/(a+1).
+
+    Summed by binary splitting: each half of the elements sums to an
+    unreduced pair (p, q) worth p/q, two halves (p, q) and (r, s) combine
+    to (p s + r q, q s), and ``Fraction`` reduces once at the end instead of
+    taking a gcd at every term.
+    """
     if not isinstance(A, NatSet):
         raise CarrierMismatch(f"reciprocal sum takes a NatSet, got {type(A).__name__}")
-    total = Fraction(0)
-    for a in A:
-        total += Fraction(1, a + 1)
-    return total
+    xs = A.elements
+
+    def split(lo: int, hi: int) -> Tuple[int, int]:
+        if hi - lo == 1:
+            return 1, xs[lo] + 1
+        mid = (lo + hi) // 2
+        p, q = split(lo, mid)
+        r, s = split(mid, hi)
+        return p * s + r * q, q * s
+
+    return Fraction(*split(0, len(xs))) if xs else Fraction(0)
 
 
 def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:

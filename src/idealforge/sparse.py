@@ -42,8 +42,12 @@ def fs(B) -> NatSet:
 
 def is_sparse(D) -> bool:
     """True iff all 2^|D| - 1 nonempty subset sums are pairwise distinct, as
-    ``SparseBasis(D)`` checks: {0} is sparse, 0 being its one such sum."""
+    ``SparseBasis(D)`` checks: {0} is sparse, 0 being its one such sum.
+    Like ``SparseBasis``, it accepts a super-increasing D of any size without
+    enumerating and raises ``TooLarge`` only for other D above ``FS_CAP``."""
     xs = _as_elements(D)
+    if _is_super_increasing(xs):
+        return True
     if len(xs) > FS_CAP:
         raise TooLarge(f"|D| = {len(xs)} exceeds the sparseness cap {FS_CAP}")
     return len(set(_subset_sums(xs)[1:])) == (1 << len(xs)) - 1

@@ -174,11 +174,16 @@ def assert_canonical_natset(result: NatSet) -> None:
     assert result.issubset(fresh) and fresh.issubset(result)
 
 
-def harmonic(n: int) -> Fraction:
+def sequential_reciprocal_sum(elements) -> Fraction:
+    """Sum of 1/(a+1) over elements, one reduced Fraction addition per term."""
     total = Fraction(0)
-    for i in range(1, n + 1):
-        total += Fraction(1, i)
+    for a in elements:
+        total += Fraction(1, a + 1)
     return total
+
+
+def harmonic(n: int) -> Fraction:
+    return sequential_reciprocal_sum(range(n))
 
 
 def _biconditional_flags(values, same) -> dict:

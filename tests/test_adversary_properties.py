@@ -31,7 +31,7 @@ from idealforge import (
     defeat_r_summable,
     defeat_w_summable,
 )
-from idealforge.adversary import preimage_floor
+from idealforge.adversary import FLOOR_BLOCK, preimage_floor
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError, SearchExhausted
 from idealforge.report import dumps_stable
@@ -137,10 +137,53 @@ def test_preimage_floor_equals_the_downward_scan(values, ms):
     floor_of = preimage_floor(values)
     top = max(values, default=0)
     for m in [-1, min(values, default=0) - 1, top, top + 1, *values, *ms]:
-        want = next((z for z in range(len(values) - 1, -1, -1) if values[z] <= m), -1)
-        assert floor_of(m) == want
+        assert floor_of(m) == _scanned_floor(values, m)
     assert floor_of(-1) == -1
     assert floor_of(top) == len(values) - 1
+
+
+def _scanned_floor(values, m):
+    return next((z for z in range(len(values) - 1, -1, -1) if values[z] <= m), -1)
+
+
+def _boundary_queries(values):
+    """The values on both sides of every block boundary, each with its
+    neighbours, plus -1 and one above the top."""
+    sides = (values[z] for lo in range(0, len(values) + 1, FLOOR_BLOCK)
+             for z in (lo - 1, lo) if 0 <= z < len(values))
+    near = {v + d for v in sides for d in (-1, 0, 1)}
+    return sorted({-1, max(values, default=0) + 1, *near})
+
+
+SHAPES = {
+    "random": lambda vs: vs,
+    "ascending": sorted,
+    "descending": lambda vs: sorted(vs, reverse=True),
+    "sawtooth": lambda vs: sorted(vs[::2]) + sorted(vs[1::2]),
+}
+
+
+@SETTINGS
+@given(st.integers(0, 3 * FLOOR_BLOCK + 1), st.integers(0, 5000),
+       st.sampled_from(sorted(SHAPES)), st.lists(st.integers(-2, 5001), max_size=8),
+       st.randoms(use_true_random=False))
+def test_preimage_floor_across_blocks_equals_the_downward_scan(n, high, shape, ms, rng):
+    """Lists that span several blocks, the last perhaps a single value,
+    queried at every block boundary's values, their neighbours and at random m."""
+    values = SHAPES[shape]([rng.randint(0, high) for _ in range(n)])
+    floor_of = preimage_floor(values)
+    for m in [*_boundary_queries(values), *ms]:
+        assert floor_of(m) == _scanned_floor(values, m)
+
+
+@pytest.mark.parametrize("values", [list(range(1 << 15)), list(range((1 << 15) - 1, -1, -1))],
+                         ids=["ascending", "descending"])
+def test_preimage_floor_on_a_full_identity_read(values):
+    """The 32,768 values of an identity read, as the INJ case reads them, and
+    their reverse."""
+    floor_of = preimage_floor(values)
+    for m in _boundary_queries(values):
+        assert floor_of(m) == _scanned_floor(values, m)
 
 
 @SETTINGS

@@ -1,9 +1,10 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealforge import (
@@ -19,10 +20,12 @@ from idealforge import (
     reciprocal_sum,
     tall_witness,
 )
+from idealforge import ideals
 from idealforge.errors import CannotAvoid, CarrierMismatch
 from idealforge.ideals import progressions
 
-from conftest import dp_longest_ap, every_ap, harmonic, least_ap, naive_clique
+from conftest import dp_longest_ap, every_ap, harmonic, least_ap, naive_clique, \
+    sequential_reciprocal_sum
 
 
 def test_natset_canonical_form():
@@ -98,6 +101,28 @@ def test_longest_ap_monotone(rng):
         big = rng.sample(range(80), 24)
         small = rng.sample(big, 10)
         assert longest_ap(NatSet(small)) <= longest_ap(NatSet(big))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 47), max_size=20))
+def test_longest_ap_scans_on_from_the_first_shorter_progression(members):
+    """The scan for k+1 terms is handed only the members from the start of
+    the least k-term progression on, and tests no point below it."""
+    scans = []
+
+    def spy(xs, member, k, top):
+        xs, tested = list(xs), []
+        scans.append((k, xs, tested))
+        return progressions(xs, lambda x: tested.append(x) or member(x), k, top)
+
+    A = NatSet(members)
+    with mock.patch.object(ideals, "progressions", spy):
+        assert longest_ap(A) == dp_longest_ap(members)
+    top = max(members, default=-1)
+    for k, xs, tested in scans:
+        if xs:
+            start = least_ap(members, k - 1, top)[0]
+            assert min(xs + tested) >= start
 
 
 def test_oracles_monotone_under_inclusion(rng):
@@ -201,6 +226,18 @@ def test_reciprocal_sum_examples():
 def test_reciprocal_sum_harmonic():
     for n in (1, 2, 5, 30):
         assert reciprocal_sum(NatSet(range(n))) == harmonic(n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sets(st.integers(0, 1 << 70), max_size=40)
+       | st.builds(lambda n, bits, rng: {rng.randrange(1 << bits) for _ in range(n)},
+                   st.integers(0, 2000), st.integers(1, 70),
+                   st.randoms(use_true_random=False)))
+@example(set())
+@example({0})
+@example({1 << 70})
+def test_reciprocal_sum_equals_the_sequential_sum(members):
+    assert reciprocal_sum(NatSet(members)) == sequential_reciprocal_sum(sorted(members))
 
 
 def test_find_clique_examples():

@@ -44,6 +44,9 @@ def test_is_sparse_examples():
     assert not is_sparse(NatSet([1, 2, 3]))
     assert is_sparse(NatSet([1, 3, 9]))
     assert not is_sparse(NatSet([0, 5]))  # {5} and {0, 5} share the sum 5
+    assert is_sparse(NatSet(1 << i for i in range(30)))  # super-increasing, past FS_CAP
+    with pytest.raises(TooLarge):
+        is_sparse(NatSet(range(1, 26)))
 
 
 def test_sparse_basis_alpha_examples():

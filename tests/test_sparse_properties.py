@@ -194,9 +194,23 @@ def test_fs_bases_checks_its_arguments_at_the_call():
         fs_bases([1, -2], 1)
 
 
+def _super_increasing(gaps):
+    xs = []
+    for g in gaps:
+        xs.append(sum(xs) + g)
+    return xs
+
+
+# Each element exceeds the sum of those before it, with more elements than
+# the enumeration cap: both sides accept these without enumerating.
+super_increasing = st.lists(st.integers(1, 1 << 20), min_size=25, max_size=40).map(
+    _super_increasing)
+
+
 @SETTINGS
-@given(st.lists(st.integers(0, 40), max_size=7, unique=True))
+@given(st.lists(st.integers(0, 40), max_size=7, unique=True) | super_increasing)
 @example([0])
+@example([1 << i for i in range(30)])
 def test_is_sparse_iff_the_basis_constructs(D):
     try:
         SparseBasis(D)
