@@ -143,18 +143,10 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
 
 
 def _image_points(strategy: str, witness: Dict[str, Any]):
-    """The points whose colors make up a transcript's image: the witness set
-    (w-summable), the finite sums of the basis (h-summable), or the pairs of
-    the selected or grown points (r-summable, r-hindman)."""
-    if strategy == "w-summable":
-        return witness["set"]
-    if strategy == "h-summable":
-        return fs(witness["basis"])
-    if strategy == "r-summable":
-        return itertools.combinations(witness["h"].elements, 2)
-    if strategy == "r-hindman":
-        return itertools.combinations(witness["b"].elements, 2)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    """The points whose colors make up a transcript's image, by STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return STRATEGIES[strategy][2](witness)
 
 
 def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
@@ -478,10 +470,11 @@ def _conflict_union(D: SparseBasis, ys: Sequence[int]) -> NatSet:
     return D.sums_meeting(reach)
 
 
-def defeat_r_hindman(f: PairColoring, D: SparseBasis,
-                     budget: SearchBudget = SearchBudget(max_element=32,
-                                                         max_steps=4,
-                                                         candidate_cap=4),
+# defeat_r_hindman's default budget, on the command line too.
+R_HINDMAN_BUDGET = SearchBudget(max_element=32, max_steps=4, candidate_cap=4)
+
+
+def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_HINDMAN_BUDGET,
                      fs_size: int = 2) -> Transcript:
     """Grow points b_0 < b_1 < ... with nested reservoirs B_n such that pair
     images avoid the decomposition-conflict sets of all earlier pair images
@@ -536,6 +529,16 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis,
     return _transcript(f, "r-hindman",
                        {"depth": budget.max_steps, "window": window, "fs_size": fs_size},
                        steps, {"b": NatSet(b), "reservoirs": reservoirs}, None)
+
+
+# Each strategy's engine, the kind of coloring it reads, and its image rule: the
+# witness set (w), fs(basis) (h), or the pairs of h or of b (r-summable, r-hindman).
+STRATEGIES = {
+    "w-summable": (defeat_w_summable, "nat", lambda w: w["set"]),
+    "h-summable": (defeat_h_summable, "nat", lambda w: fs(w["basis"])),
+    "r-summable": (defeat_r_summable, "pair", lambda w: itertools.combinations(w["h"], 2)),
+    "r-hindman": (defeat_r_hindman, "pair", lambda w: itertools.combinations(w["b"], 2)),
+}
 
 
 def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,

@@ -18,12 +18,13 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from .adversary import GammaMap, RnhCase1Bundle, RnhCase2Bundle, SearchBudget, \
-    check_hnr_conditions, check_rnh_conditions, defeat_h_summable, defeat_r_hindman, \
-    defeat_r_summable, defeat_w_summable, replay_final_contradiction, verify_transcript
+from .adversary import R_HINDMAN_BUDGET, STRATEGIES, GammaMap, RnhCase1Bundle, \
+    RnhCase2Bundle, SearchBudget, check_hnr_conditions, check_rnh_conditions, \
+    replay_final_contradiction, verify_transcript
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, find_block_basis, find_canonical_subset
 from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhausted
@@ -162,8 +163,8 @@ def _scale_params(args: argparse.Namespace, ground: Optional[NatSet] = None) -> 
     }))
 
 
-def _budget(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(**_given(args, {
+def _budget(args: argparse.Namespace, default: SearchBudget = SearchBudget()) -> SearchBudget:
+    return replace(default, **_given(args, {
         "budget_max_element": "max_element", "nmax": "max_steps",
         "candidate_cap": "candidate_cap",
     }))
@@ -215,11 +216,9 @@ def _cmd_oracle(args) -> Dict[str, Any]:
     elif op == "heavy-columns":
         threshold = params.fs_size if args.k is None else args.k
         body["heavy_columns"] = list(heavy_columns(carrier, threshold).elements)
-    elif op == "tall-witness":
+    else:  # tall-witness; argparse allows no other op
         witness = tall_witness(carrier, ideal, params, args.target)
         body["witness"] = jsonable(witness)
-    else:
-        raise ParseError(f"unknown oracle op {op!r}")
     body["params"] = {
         "ap_len": params.ap_len, "clique_size": params.clique_size,
         "fs_size": params.fs_size, "tau": rational_str(params.tau),
@@ -259,12 +258,10 @@ def _cmd_fs(args) -> Dict[str, Any]:
     elif op == "conflict":
         basis = SparseBasis(parse_set_literal(args.set))
         body["conflict_set"] = jsonable(conflict_set(basis, args.y))
-    elif op == "shift":
+    else:  # shift; argparse allows no other op
         body["shifted"] = jsonable(
             shift(parse_set_literal(args.set), args.offset, args.direction)
         )
-    else:
-        raise ParseError(f"unknown fs op {op!r}")
     return body
 
 
@@ -297,37 +294,44 @@ def _cmd_canonize(args) -> Dict[str, Any]:
     return body
 
 
-def _cmd_adversary(args) -> Dict[str, Any]:
+# Per strategy: the window its options imply (--window overrides it), and its engine's inputs.
+def _w_summable_inputs(args):
     budget = _budget(args)
-    strategy = args.strategy
-    if strategy == "w-summable":
-        window = budget.max_element if args.window is None else args.window
-        phi = load_coloring(args.phi, window, "nat")
-        t = defeat_w_summable(phi, budget)
-    elif strategy == "h-summable":
-        _need(args, "basis", "case")
-        pool = BlockBasis(parse_set_literal(args.basis))
-        window = (sum(pool.elements) + 1) if args.window is None else args.window
-        phi = load_coloring(args.phi, window, "nat")
-        t = defeat_h_summable(phi, pool, CanonicalCase(args.case), budget)
-    elif strategy == "r-summable":
-        _need(args, "ground", "case")
-        T = parse_set_literal(args.ground)
-        window = (T.max() + 1) if args.window is None else args.window
-        phi = load_coloring(args.phi, window, "pair")
-        t = defeat_r_summable(phi, T, CanonicalCase(args.case), budget)
-    elif strategy == "r-hindman":
-        _need(args, "basis")
-        basis = SparseBasis(parse_set_literal(args.basis))
-        window = budget.max_element if args.window is None else args.window
-        phi = load_coloring(args.phi, window, "pair")
-        fs_size = 2 if args.fs_size is None else args.fs_size
-        t = defeat_r_hindman(phi, basis, budget, fs_size=fs_size)
-    else:
-        raise ParseError(f"unknown strategy {strategy!r}")
-    check = verify_transcript(t)
-    return {"strategy": strategy, "transcript": t.to_json_dict(),
-            "reverified": check.to_json_dict()}
+    return budget.max_element, (budget,)
+
+
+def _h_summable_inputs(args):
+    budget = _budget(args)
+    _need(args, "basis", "case")
+    pool = BlockBasis(parse_set_literal(args.basis))
+    return sum(pool.elements) + 1, (pool, CanonicalCase(args.case), budget)
+
+
+def _r_summable_inputs(args):
+    budget = _budget(args)
+    _need(args, "ground", "case")
+    T = parse_set_literal(args.ground)  # an empty T gets the least pair window, 2
+    return (T.max() + 1 if T else 2), (T, CanonicalCase(args.case), budget)
+
+
+def _r_hindman_inputs(args):
+    budget = _budget(args, R_HINDMAN_BUDGET)
+    _need(args, "basis")
+    basis = SparseBasis(parse_set_literal(args.basis))
+    return budget.max_element, (basis, budget, 2 if args.fs_size is None else args.fs_size)
+
+
+_STRATEGY_INPUTS = {"w-summable": _w_summable_inputs, "h-summable": _h_summable_inputs,
+                    "r-summable": _r_summable_inputs, "r-hindman": _r_hindman_inputs}
+
+
+def _cmd_adversary(args) -> Dict[str, Any]:
+    engine, kind, _ = STRATEGIES[args.strategy]
+    window, inputs = _STRATEGY_INPUTS[args.strategy](args)
+    phi = load_coloring(args.phi, window if args.window is None else args.window, kind)
+    t = engine(phi, *inputs)
+    return {"strategy": args.strategy, "transcript": t.to_json_dict(),
+            "reverified": verify_transcript(t).to_json_dict()}
 
 
 def _finite_spec(ideal: str, ground: str, params: ScaleParams) -> FiniteIdealSpec:
@@ -439,29 +443,27 @@ def _cmd_verify(args) -> Dict[str, Any]:
                 f, SparseBasis(_field(bundle, "D", "a flat list")), b,
                 NatSet(_field(bundle, "C", "a flat list")))
         return {"what": what, "report": report.to_json_dict()}
-    if what == "rnh":
-        rows = _field(bundle, "f", row="a list of ints", width=3)
-        f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in rows), "f gives point"))
-        X = SparseBasis(_field(bundle, "X", "a flat list"))
-        case = bundle["case"]
-        if not _is_int(case) or case not in (1, 2):
-            raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
-        if case == 1:
-            data = RnhCase1Bundle(
-                k=_field(bundle, "k"), D=SparseBasis(_field(bundle, "D", "a flat list")),
-                xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
-            )
-        else:
-            data = RnhCase2Bundle(
-                ns=_field(bundle, "n", "a list of ints"),
-                js=_field(bundle, "j", "a list of ints"),
-                ks=_field(bundle, "k", "a list of ints"),
-                Fs=[frozenset(F) for F in _field(bundle, "F", row="a list of ints")],
-                xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
-            )
-        report = check_rnh_conditions(data, f, X)
-        return {"what": what, "report": report.to_json_dict()}
-    raise ParseError(f"unknown verify target {what!r}")
+    rows = _field(bundle, "f", row="a list of ints", width=3)  # rnh, the one target left
+    f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in rows), "f gives point"))
+    X = SparseBasis(_field(bundle, "X", "a flat list"))
+    case = bundle["case"]
+    if not _is_int(case) or case not in (1, 2):
+        raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
+    if case == 1:
+        data = RnhCase1Bundle(
+            k=_field(bundle, "k"), D=SparseBasis(_field(bundle, "D", "a flat list")),
+            xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
+        )
+    else:
+        data = RnhCase2Bundle(
+            ns=_field(bundle, "n", "a list of ints"),
+            js=_field(bundle, "j", "a list of ints"),
+            ks=_field(bundle, "k", "a list of ints"),
+            Fs=[frozenset(F) for F in _field(bundle, "F", row="a list of ints")],
+            xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
+        )
+    report = check_rnh_conditions(data, f, X)
+    return {"what": what, "report": report.to_json_dict()}
 
 
 def _scale_options(p: argparse.ArgumentParser) -> None:
@@ -513,8 +515,7 @@ def _canonize_options(p: argparse.ArgumentParser) -> None:
 
 
 def _adversary_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", required=True,
-                   choices=["w-summable", "h-summable", "r-summable", "r-hindman"])
+    p.add_argument("--strategy", required=True, choices=list(STRATEGIES))
     p.add_argument("--phi", required=True, help="builtin name or table file")
     p.add_argument("--case", choices=[c.value for c in CanonicalCase],
                    help="declared canonical case (h/r-summable)")

@@ -184,7 +184,10 @@ class ScaleParams:
     window: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", Fraction(self.tau))
+        try:
+            object.__setattr__(self, "tau", Fraction(self.tau))
+        except ZeroDivisionError:
+            raise ValueError(f"tau {self.tau!r} has a zero denominator") from None
         if self.ap_len < 3:
             raise ValueError("ap_len must be >= 3")
         if self.clique_size < 3:

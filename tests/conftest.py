@@ -16,9 +16,8 @@ import pytest
 
 import idealforge
 from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudget, \
-    Transcript, is_positive
-from idealforge.adversary import TranscriptStep, _pair_check, _transcript
-from idealforge.canonical import classify_pairs_on, high_bit, low_bit
+    is_positive
+from idealforge.canonical import high_bit, low_bit
 from idealforge.errors import CaseMismatch, SearchExhausted
 
 PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
@@ -365,53 +364,64 @@ def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
         {"basis": sorted(chosen)}, image, majorant)
 
 
+def pair_case_oracle(phi, points):
+    """The case of phi on the pairs of the points, by the pairwise scan; None
+    when no case fits."""
+    pairs = list(itertools.combinations(points, 2))
+    flags = pair_flags_oracle(pairs, [phi(p) for p in pairs])
+    alive = [c for c in PAIR_CASES if flags[c]]
+    assert len(alive) <= 1
+    return alive[0] if alive else None
+
+
+def _pair_check_json(phi, pair, relation, bound) -> dict:
+    """One check in JSON form, on the pair in ascending order."""
+    i, j = sorted(pair)
+    return {"kind": "pair", "args": [i, j], "value": phi((i, j)), "relation": relation,
+            "bound": bound}
+
+
+def _pair_step_json(index, chosen, threshold, relation, checks, note) -> dict:
+    return {"index": index, "chosen": list(chosen), "threshold": threshold,
+            "relation": relation, "checks": checks, "note": note}
+
+
 # defeat_r_summable as it stood while every MIN/MAX and INJ step rescanned the
 # ground from its first point, skipping earlier picks by membership.  The
 # engine now resumes after the last pick; transcripts and errors must agree.
 def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
-                             budget: SearchBudget = SearchBudget()) -> Transcript:
-    """Select H inside T whose pair-image has small reciprocal mass.
-
-    MIN and MAX exploit that rows (columns) of the coloring are constant on
-    T with pairwise distinct values; INJ uses the pigeonhole room above
-    n 2^n.  Thresholds are re-recorded against pairs inside H so the
-    certificate depends only on recorded facts plus the verified case, which
-    is checked on the first 12 points of T up front and on H afterwards.
-    """
+                             budget: SearchBudget = SearchBudget()) -> dict:
+    """The per-step rescan of defeat_r_summable, classifying by the pairwise
+    scan, as the transcript's JSON form."""
     if case is CanonicalCase.MINMAX:
         raise CaseMismatch("minmax is not a pair-coloring case")
-    T = T if isinstance(T, NatSet) else NatSet(T)
-    if len(T) < 3:
+    ts = sorted(set(T))
+    if len(ts) < 3:
         raise CaseMismatch("ground set has fewer than 3 points")
-    got = classify_pairs_on(phi, NatSet(T.elements[:12]))
+    got = pair_case_oracle(phi, ts[:12])
     if got is not case:
         raise CaseMismatch(f"declared {case.value}, prefix classifies as "
                            f"{got.value if got else 'none'}")
     n_max = budget.max_steps
-    ts = T.elements
-    steps: List[TranscriptStep] = []
-    position = {t: i for i, t in enumerate(ts)}
+    steps = []
 
     def succ(t: int) -> Optional[int]:
-        i = position[t]
+        i = ts.index(t)
         return ts[i + 1] if i + 1 < len(ts) else None
 
     if case is CanonicalCase.CONST:
-        H = list(ts[: max(2, n_max)])
+        H = ts[: max(2, n_max)]
         const_value = phi((H[0], H[1]))
         checks = []
         for p in itertools.combinations(H, 2):
-            ck = _pair_check(phi, p, "==", const_value)
-            if not ck.holds():
+            ck = _pair_check_json(phi, p, "==", const_value)
+            if ck["value"] != const_value:
                 raise CaseMismatch(f"constant case broken at {p}")
             checks.append(ck)
-        steps.append(TranscriptStep(
-            index=0, chosen=tuple(H), threshold=const_value, relation="==",
-            checks=tuple(checks), note="constant image",
-        ))
+        steps.append(_pair_step_json(0, H, const_value, "==", checks, "constant image"))
     elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
         chosen: List[int] = []
-        pool = [t for t in ts[:-1]] if case is CanonicalCase.MIN else [t for t in ts[1:]]
+        pool = ts[:-1] if case is CanonicalCase.MIN else ts[1:]
         for n in range(n_max):
             thr = 1 << n
             picked = None
@@ -435,15 +445,12 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 partner = hi if t != hi else succ(t)
             else:
                 partner = lo if t != lo else ts[0]
-            ck = _pair_check(phi, (t, partner), ">", 1 << n)
-            if not ck.holds():
+            ck = _pair_check_json(phi, (t, partner), ">", 1 << n)
+            if not ck["value"] > 1 << n:
                 raise CaseMismatch(
                     f"row value of {t} differs between partners; case unstable"
                 )
-            steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=1 << n, relation=">",
-                checks=(ck,), note="row value witness",
-            ))
+            steps.append(_pair_step_json(n, [t], 1 << n, ">", [ck], "row value witness"))
     else:  # INJ
         chosen = []
         for n in range(n_max):
@@ -452,8 +459,8 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
             for t in ts:
                 if t in chosen:
                     continue
-                checks = [_pair_check(phi, (ti, t), ">", thr) for ti in chosen]
-                if all(ck.holds() for ck in checks):
+                checks = [_pair_check_json(phi, (ti, t), ">", thr) for ti in chosen]
+                if all(ck["value"] > thr for ck in checks):
                     picked = (t, checks)
                     break
             if picked is None:
@@ -462,15 +469,12 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 )
             t, checks = picked
             chosen.append(t)
-            steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=thr, relation=">",
-                checks=tuple(checks), note="pairs against earlier picks",
-            ))
+            steps.append(_pair_step_json(n, [t], thr, ">", checks,
+                                         "pairs against earlier picks"))
         H = sorted(chosen)
 
-    Hset = NatSet(H)
-    if len(Hset) >= 3:
-        got = classify_pairs_on(phi, Hset)
+    if len(H) >= 3:
+        got = pair_case_oracle(phi, H)
         if got is not case:
             raise CaseMismatch(
                 f"selected set classifies as {got.value if got else 'none'}, "
@@ -478,9 +482,10 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
             )
     majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
         else sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
-    return _transcript(phi, "r-summable",
-                       {"n_max": n_max, "case": case.value, "ground_size": len(T)},
-                       steps, {"h": Hset}, majorant)
+    image = sorted({phi(p) for p in itertools.combinations(H, 2)})
+    return _transcript_json(
+        "r-summable", {"n_max": n_max, "case": case.value, "ground_size": len(ts)},
+        steps, {"h": H}, image, majorant)
 
 
 def subprocess_env() -> dict:

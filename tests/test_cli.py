@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from idealforge import NatSet
+from idealforge import NatSet, PairColoring, SparseBasis
+from idealforge.adversary import R_HINDMAN_BUDGET, defeat_r_hindman
 from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
-from idealforge.errors import Incomplete, ParseError
+from idealforge.errors import Incomplete, ParseError, SearchExhausted
 from idealforge.report import dumps_stable
 
 from conftest import subprocess_env
@@ -201,6 +203,23 @@ def test_adversary_h_and_r_strategies():
     assert rep["body"]["reverified"]["passed"] is True
 
 
+@pytest.mark.parametrize("nmax, code", [(None, 2), (2, 0)])
+def test_r_hindman_options_left_unset_take_the_engine_defaults(nmax, code):
+    # SearchBudget()'s window of 32,768 would have the engine check f on
+    # every one of its 536,854,528 pairs.
+    extra = () if nmax is None else ("--nmax", str(nmax))
+    got = invoke("adversary", "--strategy", "r-hindman", "--phi", "const:1",
+                 "--basis", "1,2,4", *extra)
+    budget = () if nmax is None else (replace(R_HINDMAN_BUDGET, max_steps=nmax),)
+    try:
+        t = defeat_r_hindman(PairColoring.constant(32, 1), SparseBasis([1, 2, 4]), *budget)
+        want = 0, {"transcript": t.to_json_dict()}
+    except SearchExhausted as exc:
+        want = 2, {"error": {"code": exc.code(), "step": exc.step, "message": str(exc)}}
+    assert got[0] == want[0] == code
+    assert {key: got[1]["body"][key] for key in want[1]} == want[1]
+
+
 def test_search_subcommand():
     code, rep = invoke("search", "--src-ideal", "vdw", "--src-ground", "0..4",
                        "--dst-ideal", "vdw", "--dst-ground", "0..4",
@@ -337,6 +356,14 @@ def test_other_zero_options_are_rejected(argv):
      ("ParseError", "this operation needs --ground")),
     (("adversary", "--strategy", "h-summable", "--phi", "identity", "--basis", "1,2,4"),
      ("ParseError", "this operation needs --case")),
+    # An empty ground is reported by the engine, with or without --window.
+    (("adversary", "--strategy", "r-summable", "--phi", "min", "--case", "min", "--ground", ""),
+     ("CaseMismatch", "ground set has fewer than 3 points")),
+    (("adversary", "--strategy", "r-summable", "--phi", "min", "--case", "min", "--ground", "",
+      "--window", "8"),
+     ("CaseMismatch", "ground set has fewer than 3 points")),
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "1/0"),
+     ("ValueError", "tau '1/0' has a zero denominator")),
     (("oracle", "--ideal", "vdw", "--op", "clique", "--set", "1,2,3"),
      ("CarrierMismatch", "clique search takes an EdgeSet, got NatSet")),
     (("oracle", "--ideal", "ramsey", "--op", "longest-ap", "--edges", "0 1"),

@@ -5,6 +5,8 @@ import importlib
 from pathlib import Path
 
 import idealforge
+from idealforge.adversary import STRATEGIES
+from idealforge.cli import _STRATEGY_INPUTS
 
 PACKAGE = Path(idealforge.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -94,3 +96,18 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
                if not (name in vars(owner) if isinstance(owner, type)
                        else callable(getattr(owner, name, None)))]
     assert missing == []
+
+
+def test_strategy_names_are_dispatched_only_through_the_strategy_table():
+    # A strategy's engine, coloring kind and image rule live in
+    # adversary.STRATEGIES and its options reader in cli._STRATEGY_INPUTS;
+    # a comparison against a strategy's name would be a second dispatch.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                          and leaf.value in STRATEGIES for leaf in ast.walk(node))]
+    assert found == []
+    assert list(_STRATEGY_INPUTS) == list(STRATEGIES)
