@@ -14,9 +14,11 @@ input error, 2 a bounded construction exhausted its budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
+import shutil
 import sys
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -310,8 +312,8 @@ def _h_summable_inputs(args):
 def _r_summable_inputs(args):
     budget = _budget(args)
     _need(args, "ground", "case")
-    T = parse_set_literal(args.ground)  # an empty T gets the least pair window, 2
-    return (T.max() + 1 if T else 2), (T, CanonicalCase(args.case), budget)
+    T = parse_set_literal(args.ground)  # a T of 0 or 1 points gets the least pair window, 2
+    return max(T.max() + 1 if T else 0, 2), (T, CanonicalCase(args.case), budget)
 
 
 def _r_hindman_inputs(args):
@@ -553,7 +555,8 @@ class _Subcommands(argparse._SubParsersAction):
     to a parser) under its name; the first call that names the subcommand
     replaces that record with a parser holding those options, so a call
     builds only the parser it uses.  The choice check, usage and "invalid
-    choice" message read only the names."""
+    choice" message read only the names.  A subcommand's parser formats
+    with the root's formatter, so it wraps to the width the root read."""
 
     def add_parser(self, name, *, help, options):
         self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
@@ -563,16 +566,22 @@ class _Subcommands(argparse._SubParsersAction):
         name = values[0]
         options = self._name_parser_map[name]
         if not isinstance(options, argparse.ArgumentParser):
-            sub = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}")
+            sub = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}",
+                                          formatter_class=parser.formatter_class)
             options(sub)
             self._name_parser_map[name] = sub
         super().__call__(parser, namespace, values, option_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a HelpFormatter for each parser and each add_argument,
+    # and one made without a width reads the terminal size, less 2, itself.
+    # Read it once per parser tree instead; help wraps the same.
+    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog="idealforge",
         description="Finite-scale workbench for Ramsey-type ideals.",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
     )
     parser.add_argument("--out", help="write the report to this path")
     sub = parser.add_subparsers(dest="subcommand", required=True, action=_Subcommands)

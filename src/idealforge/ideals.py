@@ -188,6 +188,8 @@ class ScaleParams:
             object.__setattr__(self, "tau", Fraction(self.tau))
         except ZeroDivisionError:
             raise ValueError(f"tau {self.tau!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"tau {self.tau!r} is not a rational p/q") from None
         if self.ap_len < 3:
             raise ValueError("ap_len must be >= 3")
         if self.clique_size < 3:

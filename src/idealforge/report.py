@@ -38,8 +38,15 @@ def rational_str(q: Fraction) -> str:
     return f"{sign}{_decimal(abs(q.numerator))}/{_decimal(q.denominator)}"
 
 
+# Leaves returned as they are.  Matched by exact type, they skip the
+# isinstance chain below, whose Fraction test is an ABCMeta call.
+_LEAVES = frozenset({int, str, bool, type(None)})
+
+
 def jsonable(value: Any) -> Any:
     """Recursively convert toolkit values into JSON-ready structures."""
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, NatSet):

@@ -19,6 +19,7 @@ from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudge
     is_positive
 from idealforge.canonical import high_bit, low_bit
 from idealforge.errors import CaseMismatch, SearchExhausted
+from idealforge.report import rational_str
 
 PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
               CanonicalCase.INJ)
@@ -514,6 +515,30 @@ def naive_search_reduction(src, dst):
         ):
             return f
     return None
+
+
+def ref_jsonable(value):
+    """report.jsonable as it was before common leaves were matched by exact
+    type: the whole isinstance chain, in its order, for every value."""
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, NatSet):
+        return list(value.elements)
+    if isinstance(value, EdgeSet):
+        return {"n": value.n, "edges": [list(e) for e in sorted(value.edges)]}
+    if isinstance(value, dict):
+        return {str(k): ref_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_jsonable(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [ref_jsonable(v) for v in sorted(value)]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if hasattr(value, "elements"):
+        return list(value.elements)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def random_pool(rng: random.Random, bands: int = 27, per_band: int = 2) -> NatSet:

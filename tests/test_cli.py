@@ -362,8 +362,13 @@ def test_other_zero_options_are_rejected(argv):
     (("adversary", "--strategy", "r-summable", "--phi", "min", "--case", "min", "--ground", "",
       "--window", "8"),
      ("CaseMismatch", "ground set has fewer than 3 points")),
+    # So is a one-point ground at 0, whose own window would hold no pair.
+    (("adversary", "--strategy", "r-summable", "--phi", "min", "--case", "min", "--ground", "0"),
+     ("CaseMismatch", "ground set has fewer than 3 points")),
     (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "1/0"),
      ("ValueError", "tau '1/0' has a zero denominator")),
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "abc"),
+     ("ValueError", "tau 'abc' is not a rational p/q")),
     (("oracle", "--ideal", "vdw", "--op", "clique", "--set", "1,2,3"),
      ("CarrierMismatch", "clique search takes an EdgeSet, got NatSet")),
     (("oracle", "--ideal", "ramsey", "--op", "longest-ap", "--edges", "0 1"),

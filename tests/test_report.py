@@ -8,8 +8,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealforge import EdgeSet, NatSet
 from idealforge.cli import build_parser, run
-from idealforge.report import dumps_stable, rational_str
+from idealforge.report import dumps_stable, jsonable, rational_str
+
+from conftest import ref_jsonable
 
 # CPython's default limit on int-to-decimal conversion, in digits.
 LIMIT = 4300
@@ -36,9 +39,43 @@ def test_dumps_stable_writes_the_bytes_of_json_dumps_indent_2(tree):
     assert dumps_stable(tree) == json.dumps(tree, indent=2) + "\n"
 
 
+# Toolkit values as well: exact rationals, NatSets, EdgeSets, tuples, sets
+# and int-keyed dicts, which jsonable converts before the writer runs.
+fractions = st.builds(Fraction, st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 80))
+natsets = st.builds(NatSet, st.lists(st.integers(0, 1 << 70), max_size=6))
+edgesets = st.integers(2, 6).flatmap(lambda n: st.builds(
+    EdgeSet, st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=6)))
+toolkit_trees = st.recursive(
+    leaves | fractions | natsets | edgesets,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.lists(inner, max_size=6).map(tuple)
+                   | st.sets(st.integers(-(1 << 70), 1 << 70) | fractions, max_size=6)
+                   | st.frozensets(st.integers(0, 50), max_size=6)
+                   | st.dictionaries(st.integers(-5, 1 << 70) | st.text(max_size=3),
+                                     inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toolkit_trees)
+def test_dumps_stable_matches_the_isinstance_chain_on_toolkit_values(tree):
+    assert dumps_stable(tree) == json.dumps(ref_jsonable(tree), indent=2) + "\n"
+
+
+def test_bools_stay_json_booleans():
+    # bool is an int subclass; matched by exact type, it is still a bool.
+    assert jsonable([True, False, 1, 0]) == [True, False, 1, 0]
+    assert [type(v) for v in jsonable([True, 1])] == [bool, int]
+    assert dumps_stable({"a": True, "b": [False, 1]}) == \
+        '{\n  "a": true,\n  "b": [\n    false,\n    1\n  ]\n}\n'
+
+
 def test_every_pinned_report_redumps_to_its_bytes():
     paths = sorted(PINNED.glob("*.json"))
-    assert len(paths) == 11
+    assert len(paths) == 12
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert dumps_stable(json.loads(text)) == text, path.name

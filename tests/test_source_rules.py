@@ -111,3 +111,19 @@ def test_strategy_names_are_dispatched_only_through_the_strategy_table():
                           and leaf.value in STRATEGIES for leaf in ast.walk(node))]
     assert found == []
     assert list(_STRATEGY_INPUTS) == list(STRATEGIES)
+
+
+def test_every_argument_parser_in_the_library_passes_a_formatter_class():
+    # A parser made without one gets argparse's HelpFormatter class, which
+    # reads the terminal size again for each option added; build_parser
+    # reads it once and passes it on in the formatter class.
+    found, made = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) == "ArgumentParser":
+                made += 1
+                if not any(kw.arg == "formatter_class" for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert made >= 2 and found == []
