@@ -21,7 +21,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import NatSet, progressions, reciprocal_sum
-from .report import Report, jsonable, rational_str
+from .report import Report, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
 
 
@@ -64,7 +64,7 @@ class StepCheck:
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
-            "args": list(self.args),
+            "args": self.args,
             "value": self.value,
             "relation": self.relation,
             "bound": self.bound,
@@ -83,10 +83,10 @@ class TranscriptStep:
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "index": self.index,
-            "chosen": list(self.chosen),
+            "chosen": self.chosen,
             "threshold": self.threshold,
             "relation": self.relation,
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": self.checks,
             "note": self.note,
         }
 
@@ -111,16 +111,11 @@ class Transcript:
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "strategy": self.strategy,
-            "params": jsonable(self.params),
-            "steps": [s.to_json_dict() for s in self.steps],
-            "witness": jsonable(self.witness),
-            "image": list(self.image.elements) if self.image is not None else None,
-            "certificate": {
-                "sum": rational_str(self.certified_sum)
-                if self.certified_sum is not None else None,
-                "majorant": rational_str(self.majorant)
-                if self.majorant is not None else None,
-            },
+            "params": self.params,
+            "steps": self.steps,
+            "witness": self.witness,
+            "image": self.image,
+            "certificate": {"sum": self.certified_sum, "majorant": self.majorant},
         }
 
 

@@ -33,7 +33,7 @@ from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhauste
 from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, find_ap, find_clique, \
     heavy_columns, is_positive, longest_ap, reciprocal_sum, tall_witness
 from .reduction import FiniteIdealSpec, one_each, search_reduction, verify_reduction
-from .report import dumps_stable, jsonable, rational_str
+from .report import dumps_stable
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_sparse, \
     is_very_sparse, shift, very_sparse_subset
 
@@ -211,19 +211,17 @@ def _cmd_oracle(args) -> Dict[str, Any]:
         hit = find_ap(carrier, args.k)
         body["progression"] = None if hit is None else {"start": hit[0], "difference": hit[1]}
     elif op == "sum":
-        body["reciprocal_sum"] = rational_str(reciprocal_sum(carrier))
+        body["reciprocal_sum"] = reciprocal_sum(carrier)
     elif op == "clique":
-        hit = find_clique(carrier, args.k if args.k is not None else params.clique_size)
-        body["clique"] = None if hit is None else list(hit.elements)
+        body["clique"] = find_clique(carrier, args.k if args.k is not None else params.clique_size)
     elif op == "heavy-columns":
         threshold = params.fs_size if args.k is None else args.k
-        body["heavy_columns"] = list(heavy_columns(carrier, threshold).elements)
+        body["heavy_columns"] = heavy_columns(carrier, threshold)
     else:  # tall-witness; argparse allows no other op
-        witness = tall_witness(carrier, ideal, params, args.target)
-        body["witness"] = jsonable(witness)
+        body["witness"] = tall_witness(carrier, ideal, params, args.target)
     body["params"] = {
         "ap_len": params.ap_len, "clique_size": params.clique_size,
-        "fs_size": params.fs_size, "tau": rational_str(params.tau),
+        "fs_size": params.fs_size, "tau": params.tau,
         "window": params.window,
     }
     return body
@@ -241,29 +239,25 @@ def _cmd_fs(args) -> Dict[str, Any]:
     body: Dict[str, Any] = {"op": op}
     _need(args, *_FS_NEEDS.get(op, ("set",)))
     if op == "fs":
-        body["fs"] = jsonable(fs(parse_set_literal(args.set)))
+        body["fs"] = fs(parse_set_literal(args.set))
     elif op == "sparse":
         body["sparse"] = is_sparse(parse_set_literal(args.set))
     elif op == "alpha":
         basis = SparseBasis(parse_set_literal(args.set))
-        body["alpha"] = jsonable(basis.alpha(args.x))
+        body["alpha"] = basis.alpha(args.x)
     elif op == "very-sparse":
         flag = is_very_sparse(parse_set_literal(args.set))
         body["verified"] = flag.verified
-        body["counterexample"] = list(flag.counterexample) if flag.counterexample else None
+        body["counterexample"] = flag.counterexample
     elif op == "very-sparse-subset":
-        basis = very_sparse_subset(parse_set_literal(args.pool), args.k)
-        body["basis"] = list(basis.elements)
+        body["basis"] = very_sparse_subset(parse_set_literal(args.pool), args.k)
     elif op == "fs-subset":
-        hit = find_fs_subset(parse_set_literal(args.set), args.k)
-        body["basis"] = None if hit is None else list(hit.elements)
+        body["basis"] = find_fs_subset(parse_set_literal(args.set), args.k)
     elif op == "conflict":
         basis = SparseBasis(parse_set_literal(args.set))
-        body["conflict_set"] = jsonable(conflict_set(basis, args.y))
+        body["conflict_set"] = conflict_set(basis, args.y)
     else:  # shift; argparse allows no other op
-        body["shifted"] = jsonable(
-            shift(parse_set_literal(args.set), args.offset, args.direction)
-        )
+        body["shifted"] = shift(parse_set_literal(args.set), args.offset, args.direction)
     return body
 
 
@@ -280,7 +274,7 @@ def _cmd_canonize(args) -> Dict[str, Any]:
         else:
             hit = find_canonical_subset(phi, args.m)
             body["result"] = None if hit is None else {
-                "set": jsonable(hit[0]), "case": hit[1].value,
+                "set": hit[0], "case": hit[1].value,
             }
     else:
         phi = load_coloring(args.phi, args.window, "nat")
@@ -291,7 +285,7 @@ def _cmd_canonize(args) -> Dict[str, Any]:
         else:
             hit = find_block_basis(phi, pool, args.m)
             body["result"] = None if hit is None else {
-                "basis": list(hit[0].elements), "case": hit[1].value,
+                "basis": hit[0], "case": hit[1].value,
             }
     return body
 
@@ -332,8 +326,7 @@ def _cmd_adversary(args) -> Dict[str, Any]:
     window, inputs = _STRATEGY_INPUTS[args.strategy](args)
     phi = load_coloring(args.phi, window if args.window is None else args.window, kind)
     t = engine(phi, *inputs)
-    return {"strategy": args.strategy, "transcript": t.to_json_dict(),
-            "reverified": verify_transcript(t).to_json_dict()}
+    return {"strategy": args.strategy, "transcript": t, "reverified": verify_transcript(t)}
 
 
 def _finite_spec(ideal: str, ground: str, params: ScaleParams) -> FiniteIdealSpec:
@@ -349,7 +342,7 @@ def _cmd_search(args) -> Dict[str, Any]:
     dst = _finite_spec(args.dst_ideal, args.dst_ground, params_src)
     outcome = search_reduction(src, dst)
     return {"src": args.src_ideal, "dst": args.dst_ideal,
-            "outcome": outcome.to_json_dict()}
+            "outcome": outcome}
 
 
 def _load_json(path: str) -> Any:
@@ -383,9 +376,9 @@ def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
            item: Optional[str] = None) -> Any:
     """bundle[name] if it is ``kind``, or with ``row`` a list of rows that are
     each ``row``, of ``width`` items each ``item`` if given (kinds are keys
-    of _FIELD_TYPES); else MalformedBundle("<name>: ...").  A missing field
-    stays a KeyError."""
-    value = bundle[name]
+    of _FIELD_TYPES); else MalformedBundle("<name>: ..."), which says
+    "missing" for a field the bundle lacks."""
+    value = _present(bundle, name)
     if row is None:
         if not _FIELD_TYPES[kind](value):
             raise MalformedBundle(f"{name}: must be {kind}, got {json.dumps(value)}")
@@ -404,9 +397,16 @@ def _field(bundle: Dict[str, Any], name: str, kind: str = "an int",
     return value
 
 
+def _present(bundle: Dict[str, Any], name: str) -> Any:
+    """bundle[name], or MalformedBundle("<name>: missing")."""
+    if name not in bundle:
+        raise MalformedBundle(f"{name}: missing")
+    return bundle[name]
+
+
 def _bundle_spec(bundle: Dict[str, Any], side: str, params: ScaleParams) -> FiniteIdealSpec:
     spec = _field(bundle, side, "an object")
-    return _finite_spec(spec["ideal"], _field(spec, "ground", "a string"), params)
+    return _finite_spec(_present(spec, "ideal"), _field(spec, "ground", "a string"), params)
 
 
 def _bundle_bases(bundle: Dict[str, Any], name: str) -> List[SparseBasis]:
@@ -427,7 +427,7 @@ def _cmd_verify(args) -> Dict[str, Any]:
                    for key, value in _field(bundle, "map", row="a list", width=2,
                                             item="an int or a pair of ints")]
         report = verify_reduction(entries, src, dst)
-        return {"what": what, "report": report.to_json_dict()}
+        return {"what": what, "report": report}
     if what in ("hnr", "final"):
         rows = _field(bundle, "f", row="a list of ints", width=3)
         f = PairColoring.from_table(_field(bundle, "window"), one_each(
@@ -444,11 +444,11 @@ def _cmd_verify(args) -> Dict[str, Any]:
             report = replay_final_contradiction(
                 f, SparseBasis(_field(bundle, "D", "a flat list")), b,
                 NatSet(_field(bundle, "C", "a flat list")))
-        return {"what": what, "report": report.to_json_dict()}
+        return {"what": what, "report": report}
     rows = _field(bundle, "f", row="a list of ints", width=3)  # rnh, the one target left
     f = GammaMap(one_each(((x, (z0, z1)) for x, z0, z1 in rows), "f gives point"))
     X = SparseBasis(_field(bundle, "X", "a flat list"))
-    case = bundle["case"]
+    case = _present(bundle, "case")
     if not _is_int(case) or case not in (1, 2):
         raise MalformedBundle(f"case must be 1 or 2, got {case!r}")
     if case == 1:
@@ -465,7 +465,7 @@ def _cmd_verify(args) -> Dict[str, Any]:
             xs=_field(bundle, "x", "a list of ints"), Ds=_bundle_bases(bundle, "Dn"),
         )
     report = check_rnh_conditions(data, f, X)
-    return {"what": what, "report": report.to_json_dict()}
+    return {"what": what, "report": report}
 
 
 def _scale_options(p: argparse.ArgumentParser) -> None:
@@ -597,7 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> Tuple[int, Dict[str, Any]]:
-    """Dispatch one parsed invocation; returns (exit code, report dict)."""
+    """Dispatch one parsed invocation; returns (exit code, report).
+
+    The report is a dict of toolkit values as the library returns them
+    (NatSets, rationals, transcripts, reports); ``dumps_stable`` converts
+    them as it writes the JSON."""
     options = {
         key: value for key, value in sorted(vars(args).items())
         if key not in ("func", "out") and value is not None

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from .errors import CarrierMismatch, MalformedBundle, TooLarge
 from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_nat_pair, is_positive, \
     progressions
-from .report import Report, jsonable
+from .report import Report
 from .sparse import fs, fs_bases
 
 FINITE_SCALE_CAVEAT = (
@@ -42,6 +42,8 @@ class FiniteIdealSpec:
         if self.ideal is IdealId.RAMSEY:
             if not isinstance(self.ground, int):
                 raise CarrierMismatch("ramsey ground is a vertex count")
+            if self.ground < 0:
+                raise ValueError("vertex count must be >= 0")
             return list(itertools.combinations(range(self.ground), 2))
         if self.ideal is IdealId.FIN2:
             raise CarrierMismatch(
@@ -195,8 +197,7 @@ class SearchOutcome:
 
     def to_json_dict(self):
         return {
-            "found": None if self.found is None else
-            [[jsonable(k), jsonable(v)] for k, v in sorted(self.found.items())],
+            "found": None if self.found is None else sorted(self.found.items()),
             "exhausted": self.exhausted,
             "nodes": self.nodes,
             "caveat": FINITE_SCALE_CAVEAT,

@@ -1,9 +1,12 @@
 """Itemized check reports and deterministic JSON serialization.
 
 Reports are plain data: an ordered list of named pass/fail items plus free
-metadata.  Serialization keeps insertion order, renders exact rationals as
-"p/q" strings, and never embeds timestamps, so identical inputs give byte
-identical output.
+metadata.  ``dumps_stable`` is the one place where a toolkit value becomes
+JSON.  It walks its argument once and converts each value as it writes it:
+exact rationals as "p/q" strings, NatSets and sets as sorted lists, EdgeSets
+as {"n", "edges"}, and an object through its ``to_json_dict``, which lists
+its fields unconverted.  Output keeps insertion order and never embeds
+timestamps, so identical inputs give byte identical output.
 """
 
 from __future__ import annotations
@@ -38,62 +41,36 @@ def rational_str(q: Fraction) -> str:
     return f"{sign}{_decimal(abs(q.numerator))}/{_decimal(q.denominator)}"
 
 
-# Leaves returned as they are.  Matched by exact type, they skip the
-# isinstance chain below, whose Fraction test is an ABCMeta call.
-_LEAVES = frozenset({int, str, bool, type(None)})
-
-
-def jsonable(value: Any) -> Any:
-    """Recursively convert toolkit values into JSON-ready structures."""
-    if type(value) in _LEAVES:
-        return value
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, NatSet):
-        return list(value.elements)
-    if isinstance(value, EdgeSet):
-        return {"n": value.n, "edges": [list(e) for e in sorted(value.edges)]}
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [jsonable(v) for v in sorted(value)]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
-    if hasattr(value, "elements"):
-        return list(value.elements)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def dumps_stable(obj: Any) -> str:
-    """JSON with fixed (insertion) key order and a trailing newline: the
-    bytes of ``json.dumps(jsonable(obj), indent=2) + "\\n"``."""
-    return _indented(jsonable(obj), "") + "\n"
+    """``obj`` as JSON with fixed (insertion) key order and a trailing
+    newline, converting toolkit values as it writes them: the bytes of
+    ``json.dumps(value, indent=2) + "\\n"`` for the converted value."""
+    return _indented(obj, "") + "\n"
 
 
 _quoted = json.encoder.encode_basestring_ascii
 
 
 def _indented(value: Any, indent: str) -> str:
-    """A jsonable value as json.dumps(value, indent=2) writes it, nested at
-    ``indent``.  json.dumps runs its pure-Python encoder whenever indent is
-    set; this builds the same layout by joins, one join for a list of ints."""
-    if isinstance(value, str):
+    """A toolkit value in JSON, laid out as json.dumps(indent=2) lays out its
+    conversion, nested at ``indent``.  Common types are matched exactly, and
+    subclasses of str, int, list, tuple and dict are written as their base.
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    builds the same layout by joins, one join for a list of ints."""
+    cls = type(value)
+    if cls is str:
         return _quoted(value)
+    if cls is int:
+        return int.__repr__(value)
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+    if cls is list or cls is tuple:
         if not value:
             return "[]"
         if all(type(v) is int for v in value):
@@ -101,12 +78,32 @@ def _indented(value: Any, indent: str) -> str:
         else:
             body = sep.join([_indented(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
+    if cls is dict:
         if not value:
             return "{}"
-        body = sep.join([f"{_quoted(k)}: {_indented(v, inner)}" for k, v in value.items()])
+        body = sep.join([f"{_quoted(str(k))}: {_indented(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if cls is Fraction:
+        return _quoted(rational_str(value))
+    if cls is NatSet:
+        return _indented(value.elements, indent)
+    if cls is EdgeSet:
+        return _indented({"n": value.n, "edges": sorted(value.edges)}, indent)
+    if cls is set or cls is frozenset:
+        return _indented(sorted(value), indent)
+    if hasattr(value, "to_json_dict"):
+        return _indented(value.to_json_dict(), indent)
+    if hasattr(value, "elements"):
+        return _indented(list(value.elements), indent)
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _indented(list(value), indent)
+    if isinstance(value, dict):
+        return _indented(dict(value.items()), indent)
+    raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 @dataclass
@@ -150,6 +147,6 @@ class Report:
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "passed": self.passed,
-            "items": [it.to_json_dict() for it in self.items],
-            "meta": jsonable(self.meta),
+            "items": self.items,
+            "meta": self.meta,
         }

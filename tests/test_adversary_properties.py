@@ -262,7 +262,7 @@ def test_defeat_r_queries_fewer_points_than_the_rescan(fn, case):
     t = defeat_r_summable(PairColoring(400, fn=counted), NatSet(range(400)), case, budget)
     engine_calls = len(calls)
     assert rescan_defeat_r_summable(PairColoring(400, fn=counted), NatSet(range(400)), case,
-                                    budget) == t.to_json_dict()
+                                    budget) == json.loads(dumps_stable(t))
     assert engine_calls < len(calls) - engine_calls
 
 

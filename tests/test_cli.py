@@ -32,7 +32,8 @@ REDUCTION_BUNDLE = {"src": {"ideal": "vdw", "ground": "0..4"},
 
 def invoke(*argv):
     args = build_parser().parse_args(list(argv))
-    return run(args)
+    code, rep = run(args)
+    return code, json.loads(dumps_stable(rep))
 
 
 def test_parse_set_literal():
@@ -213,7 +214,7 @@ def test_r_hindman_options_left_unset_take_the_engine_defaults(nmax, code):
     budget = () if nmax is None else (replace(R_HINDMAN_BUDGET, max_steps=nmax),)
     try:
         t = defeat_r_hindman(PairColoring.constant(32, 1), SparseBasis([1, 2, 4]), *budget)
-        want = 0, {"transcript": t.to_json_dict()}
+        want = 0, {"transcript": json.loads(dumps_stable(t))}
     except SearchExhausted as exc:
         want = 2, {"error": {"code": exc.code(), "step": exc.step, "message": str(exc)}}
     assert got[0] == want[0] == code
@@ -544,6 +545,23 @@ def test_other_zero_options_are_rejected(argv):
        "map": [[[0, True], 1], [[0, 2], 1], [[1, 2], 1]]}),
      ("MalformedBundle",
       "map: row 0 items must each be an int or a pair of ints, got [[0, true], 1]")),
+    # A missing field names itself, as a wrong-typed one does.
+    (("verify", "--what", "hnr", "--bundle",
+      {k: v for k, v in HNR_BUNDLE.items() if k != "f"}),
+     ("MalformedBundle", "f: missing")),
+    (("verify", "--what", "rnh", "--bundle",
+      {k: v for k, v in RNH_BUNDLE.items() if k != "case"}),
+     ("MalformedBundle", "case: missing")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, src={"ground": "0..4"})),
+     ("MalformedBundle", "ideal: missing")),
+    # A Ramsey vertex count is a natural, on either side of a search or map.
+    (("search", "--src-ideal", "vdw", "--src-ground", "0..3", "--dst-ideal", "ramsey",
+      "--dst-ground", "-1"),
+     ("ValueError", "vertex count must be >= 0")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, dst={"ideal": "ramsey", "ground": "-1"}, map=[])),
+     ("ValueError", "vertex count must be >= 0")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"

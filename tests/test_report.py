@@ -2,17 +2,18 @@
 writer's bytes, which are ``json.dumps(indent=2)``'s."""
 
 import json
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealforge import EdgeSet, NatSet
+from idealforge import EdgeSet, NatSet, SparseBasis
 from idealforge.cli import build_parser, run
-from idealforge.report import dumps_stable, jsonable, rational_str
+from idealforge.report import dumps_stable, rational_str
 
-from conftest import ref_jsonable
+from conftest import random_block_basis, ref_jsonable
 
 # CPython's default limit on int-to-decimal conversion, in digits.
 LIMIT = 4300
@@ -39,22 +40,40 @@ def test_dumps_stable_writes_the_bytes_of_json_dumps_indent_2(tree):
     assert dumps_stable(tree) == json.dumps(tree, indent=2) + "\n"
 
 
-# Toolkit values as well: exact rationals, NatSets, EdgeSets, tuples, sets
-# and int-keyed dicts, which jsonable converts before the writer runs.
+# Toolkit values as well, which the writer converts as it writes them: exact
+# rationals, NatSets, EdgeSets, block and sparse bases, tuples, sets,
+# int-keyed dicts, and subclasses of int, str, tuple and dict.
+class Count(int):
+    pass
+
+
+class Label(str):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
 fractions = st.builds(Fraction, st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 80))
 natsets = st.builds(NatSet, st.lists(st.integers(0, 1 << 70), max_size=6))
 edgesets = st.integers(2, 6).flatmap(lambda n: st.builds(
     EdgeSet, st.just(n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
              .filter(lambda e: e[0] != e[1]), max_size=6)))
+block_bases = st.builds(random_block_basis, st.randoms(use_true_random=False),
+                        st.integers(0, 6))
+sparse_bases = st.builds(SparseBasis, st.sets(st.integers(0, 40).map(lambda i: 3 ** i),
+                                              max_size=6))
 toolkit_trees = st.recursive(
-    leaves | fractions | natsets | edgesets,
+    leaves | fractions | natsets | edgesets | block_bases | sparse_bases
+    | st.integers(-(1 << 70), 1 << 70).map(Count) | st.text(max_size=4).map(Label),
     lambda inner: (st.lists(inner, max_size=6)
                    | st.lists(inner, max_size=6).map(tuple)
+                   | st.builds(Pair, inner, inner)
                    | st.sets(st.integers(-(1 << 70), 1 << 70) | fractions, max_size=6)
                    | st.frozensets(st.integers(0, 50), max_size=6)
                    | st.dictionaries(st.integers(-5, 1 << 70) | st.text(max_size=3),
-                                     inner, max_size=6)),
+                                     inner, max_size=6)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=6).map(OrderedDict)),
     max_leaves=40,
 )
 
@@ -67,8 +86,6 @@ def test_dumps_stable_matches_the_isinstance_chain_on_toolkit_values(tree):
 
 def test_bools_stay_json_booleans():
     # bool is an int subclass; matched by exact type, it is still a bool.
-    assert jsonable([True, False, 1, 0]) == [True, False, 1, 0]
-    assert [type(v) for v in jsonable([True, 1])] == [bool, int]
     assert dumps_stable({"a": True, "b": [False, 1]}) == \
         '{\n  "a": true,\n  "b": [\n    false,\n    1\n  ]\n}\n'
 

@@ -127,3 +127,28 @@ def test_every_argument_parser_in_the_library_passes_a_formatter_class():
                 if not any(kw.arg == "formatter_class" for kw in node.keywords):
                     found.append(f"{path.name}:{node.lineno}")
     assert made >= 2 and found == []
+
+
+def test_report_values_are_converted_only_by_the_writer():
+    # report.dumps_stable converts toolkit values (rationals, NatSets, bases)
+    # as it writes them; an object's to_json_dict and a CLI subcommand hand
+    # it their values as the library returns them, so no second conversion
+    # of the same value can drift from the writer's.
+    found, read = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or not (
+                    func.name == "to_json_dict"
+                    or path.name == "cli.py" and func.name.startswith("_cmd_")):
+                continue
+            read += 1
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("rational_str", "jsonable") or name == "list" and any(
+                        isinstance(arg, ast.Attribute) and arg.attr == "elements"
+                        for arg in node.args):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert read >= 12 and found == []
