@@ -12,7 +12,6 @@ nothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -20,33 +19,37 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, least_subset
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
-from .ideals import NatSet, progressions, reciprocal_sum
+from .ideals import FrozenRecord, NatSet, Record, progressions, reciprocal_sum
 from .report import Report, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(FrozenRecord):
     """Bounds for the construction searches."""
 
-    max_element: int = 32768
-    max_steps: int = 10
-    candidate_cap: int = 8
+    __slots__ = ("max_element", "max_steps", "candidate_cap")
 
-    def __post_init__(self):
-        if self.max_element <= 0 or self.max_steps <= 0 or self.candidate_cap <= 0:
+    def __init__(self, max_element: int = 32768, max_steps: int = 10, candidate_cap: int = 8):
+        if max_element <= 0 or max_steps <= 0 or candidate_cap <= 0:
             raise ValueError("budget fields must be positive")
+        put = object.__setattr__
+        put(self, "max_element", max_element)
+        put(self, "max_steps", max_steps)
+        put(self, "candidate_cap", candidate_cap)
 
 
-@dataclass(frozen=True)
-class StepCheck:
-    """One recorded inequality, re-verifiable against the coloring."""
+class StepCheck(FrozenRecord):
+    """One recorded inequality at a "nat" or "pair" point, re-verifiable against the coloring."""
 
-    kind: str  # "nat" or "pair"
-    args: Tuple[int, ...]
-    value: int
-    relation: str  # ">", ">=", "=="
-    bound: int
+    __slots__ = ("kind", "args", "value", "relation", "bound")
+
+    def __init__(self, kind: str, args: Tuple[int, ...], value: int, relation: str, bound: int):
+        put = object.__setattr__
+        put(self, "kind", kind)
+        put(self, "args", args)
+        put(self, "value", value)
+        put(self, "relation", relation)
+        put(self, "bound", bound)
 
     def holds(self) -> bool:
         if self.relation == ">":
@@ -62,51 +65,38 @@ class StepCheck:
         return f"phi({point}) = {self.value} {self.relation} {self.bound}"
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "args": self.args,
-            "value": self.value,
-            "relation": self.relation,
-            "bound": self.bound,
-        }
+        return self.fields()
 
 
-@dataclass
-class TranscriptStep:
-    index: int
-    chosen: Tuple[int, ...]
-    threshold: int
-    relation: str
-    checks: Tuple[StepCheck, ...]
-    note: str = ""
+class TranscriptStep(Record):
+    __slots__ = ("index", "chosen", "threshold", "relation", "checks", "note")
+
+    def __init__(self, index: int, chosen: Tuple[int, ...], threshold: int, relation: str,
+                 checks: Tuple[StepCheck, ...], note: str = ""):
+        self.index, self.chosen, self.threshold = index, chosen, threshold
+        self.relation, self.checks, self.note = relation, checks, note
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "chosen": self.chosen,
-            "threshold": self.threshold,
-            "relation": self.relation,
-            "checks": self.checks,
-            "note": self.note,
-        }
+        return self.fields()
 
 
-@dataclass
-class Transcript:
+class Transcript(Record):
     """Ordered record of a construction plus its exact certificate.
 
     ``coloring`` is a live reference used for re-verification; serialization
     keeps only the structural content.
     """
 
-    strategy: str
-    params: Dict[str, Any]
-    steps: List[TranscriptStep]
-    witness: Dict[str, Any]
-    image: Optional[NatSet]
-    certified_sum: Optional[Fraction]
-    majorant: Optional[Fraction]
-    coloring: Any = None
+    __slots__ = ("strategy", "params", "steps", "witness", "image", "certified_sum",
+                 "majorant", "coloring")
+
+    def __init__(self, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
+                 witness: Dict[str, Any], image: Optional[NatSet],
+                 certified_sum: Optional[Fraction], majorant: Optional[Fraction],
+                 coloring: Any = None):
+        self.strategy, self.params, self.steps, self.witness = strategy, params, steps, witness
+        self.image, self.certified_sum, self.majorant = image, certified_sum, majorant
+        self.coloring = coloring
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -683,26 +673,23 @@ class GammaMap:
         return NatSet(x for x, (z0, z1) in self.table.items() if z1 == m)
 
 
-@dataclass
-class RnhCase1Bundle:
+class RnhCase1Bundle(Record):
     """Finite fragment of the column-avoidance construction."""
 
-    k: int
-    D: SparseBasis
-    xs: List[int]
-    Ds: List[SparseBasis]
+    __slots__ = ("k", "D", "xs", "Ds")
+
+    def __init__(self, k: int, D: SparseBasis, xs: List[int], Ds: List[SparseBasis]):
+        self.k, self.D, self.xs, self.Ds = k, D, xs, Ds
 
 
-@dataclass
-class RnhCase2Bundle:
+class RnhCase2Bundle(Record):
     """Finite fragment of the column-hitting construction."""
 
-    ns: List[int]
-    js: List[int]
-    ks: List[int]
-    Fs: List[frozenset]
-    xs: List[int]
-    Ds: List[SparseBasis]
+    __slots__ = ("ns", "js", "ks", "Fs", "xs", "Ds")
+
+    def __init__(self, ns: List[int], js: List[int], ks: List[int], Fs: List[frozenset],
+                 xs: List[int], Ds: List[SparseBasis]):
+        self.ns, self.js, self.ks, self.Fs, self.xs, self.Ds = ns, js, ks, Fs, xs, Ds
 
 
 def _mask_or_zero(basis: SparseBasis, x: int) -> int:

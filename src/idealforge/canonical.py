@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import Incomplete, InvariantViolated, TooSmall, WindowExceeded
-from .ideals import NatSet
+from .ideals import Elements, NatSet
 from .sparse import fs
 
 
@@ -160,7 +160,7 @@ class PairColoring:
         return cls(n, fn=cantor_pair)
 
 
-class BlockBasis:
+class BlockBasis(Elements):
     """Ascending elements whose binary supports sit in disjoint blocks.
 
     The block condition max alpha(c_i) < min alpha(c_{i+1}) makes every sum
@@ -181,23 +181,6 @@ class BlockBasis:
                     f"block condition fails: max alpha({a}) >= min alpha({b})"
                 )
         self.elements = xs
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other):
-        if isinstance(other, BlockBasis):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        return f"BlockBasis({list(self.elements)!r})"
 
     def prefix(self, m: int) -> "BlockBasis":
         return BlockBasis(self.elements[:m])

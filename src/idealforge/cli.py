@@ -20,7 +20,6 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -150,7 +149,7 @@ def load_coloring(spec: str, window: int, kind: str):
 
 def _given(args: argparse.Namespace, fields: Dict[str, str]) -> Dict[str, Any]:
     """Options the user set, keyed by field name; unset ones (None) are left
-    to the dataclass defaults, and a given 0 reaches its validation."""
+    to the record's defaults, and a given 0 reaches its validation."""
     values = {field: getattr(args, option, None) for option, field in fields.items()}
     return {field: value for field, value in values.items() if value is not None}
 
@@ -166,7 +165,7 @@ def _scale_params(args: argparse.Namespace, ground: Optional[NatSet] = None) -> 
 
 
 def _budget(args: argparse.Namespace, default: SearchBudget = SearchBudget()) -> SearchBudget:
-    return replace(default, **_given(args, {
+    return SearchBudget(**default.fields() | _given(args, {
         "budget_max_element": "max_element", "nmax": "max_steps",
         "candidate_cap": "candidate_cap",
     }))
@@ -219,11 +218,7 @@ def _cmd_oracle(args) -> Dict[str, Any]:
         body["heavy_columns"] = heavy_columns(carrier, threshold)
     else:  # tall-witness; argparse allows no other op
         body["witness"] = tall_witness(carrier, ideal, params, args.target)
-    body["params"] = {
-        "ap_len": params.ap_len, "clique_size": params.clique_size,
-        "fs_size": params.fs_size, "tau": params.tau,
-        "window": params.window,
-    }
+    body["params"] = params.fields()
     return body
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -20,7 +19,66 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 from .errors import CannotAvoid, CarrierMismatch
 
 
-class NatSet:
+class Record:
+    """A plain record: ``==`` field by field and the ``Name(field=value, ...)``
+    repr, both read from ``__slots__``.  A mutable record is unhashable."""
+
+    __slots__ = ()
+
+    def fields(self) -> dict:
+        """Each field's value by name, in slot order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fields() == other.fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that hashes by value and refuses assignment once built."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.fields().values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Elements:
+    """A value held as the ascending tuple ``elements``: iteration, length,
+    ``==`` and hash are the tuple's, and its repr is ``Name([...])``."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.elements)!r})"
+
+
+class NatSet(Elements):
     """Immutable finite set of naturals, kept as an ascending tuple.
 
     Supports O(1) membership, iteration in increasing order, and the two
@@ -60,26 +118,6 @@ class NatSet:
         if members is None:
             members = self._member_set()
         return x in members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __bool__(self) -> bool:
-        return bool(self.elements)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, NatSet):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        return f"NatSet({list(self.elements)!r})"
 
     def __add__(self, n: int) -> "NatSet":
         if n < 0:
@@ -169,37 +207,39 @@ class IdealId(Enum):
     FIN2 = "fin2"
 
 
-@dataclass(frozen=True)
-class ScaleParams:
+class ScaleParams(FrozenRecord):
     """Finite positivity proxies for the ideals.
 
     Defaults are the smallest scales at which every construction in the
     toolkit runs in seconds; they are pragmatic knobs, not canonical values.
     """
 
-    ap_len: int = 5
-    clique_size: int = 4
-    fs_size: int = 3
-    tau: Fraction = Fraction(2)
-    window: int = 256
+    __slots__ = ("ap_len", "clique_size", "fs_size", "tau", "window")
 
-    def __post_init__(self):
+    def __init__(self, ap_len: int = 5, clique_size: int = 4, fs_size: int = 3,
+                 tau: Fraction = Fraction(2), window: int = 256):
         try:
-            object.__setattr__(self, "tau", Fraction(self.tau))
+            rational = Fraction(tau)
         except ZeroDivisionError:
-            raise ValueError(f"tau {self.tau!r} has a zero denominator") from None
+            raise ValueError(f"tau {tau!r} has a zero denominator") from None
         except ValueError:
-            raise ValueError(f"tau {self.tau!r} is not a rational p/q") from None
-        if self.ap_len < 3:
+            raise ValueError(f"tau {tau!r} is not a rational p/q") from None
+        if ap_len < 3:
             raise ValueError("ap_len must be >= 3")
-        if self.clique_size < 3:
+        if clique_size < 3:
             raise ValueError("clique_size must be >= 3")
-        if self.fs_size < 2:
+        if fs_size < 2:
             raise ValueError("fs_size must be >= 2")
-        if self.tau <= 0:
+        if rational <= 0:
             raise ValueError("tau must be > 0")
-        if self.window <= 0:
+        if window <= 0:
             raise ValueError("window must be > 0")
+        put = object.__setattr__
+        put(self, "ap_len", ap_len)
+        put(self, "clique_size", clique_size)
+        put(self, "fs_size", fs_size)
+        put(self, "tau", rational)
+        put(self, "window", window)
 
 
 def longest_ap(A: NatSet) -> int:

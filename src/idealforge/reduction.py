@@ -10,13 +10,12 @@ its job is quantitative evidence, never a theorem, and every report says so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Union
 
 from .errors import CarrierMismatch, MalformedBundle, TooLarge
-from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, is_nat_pair, is_positive, \
-    progressions
+from .ideals import EdgeSet, FrozenRecord, IdealId, NatSet, Record, ScaleParams, is_nat_pair, \
+    is_positive, progressions
 from .report import Report
 from .sparse import fs, fs_bases
 
@@ -25,8 +24,7 @@ FINITE_SCALE_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class FiniteIdealSpec:
+class FiniteIdealSpec(FrozenRecord):
     """A finite truncation: an ideal, its scale, and an explicit carrier.
 
     ``ground`` is a NatSet for the number-carried ideals (an initial
@@ -34,17 +32,24 @@ class FiniteIdealSpec:
     pair-carried Ramsey truncation.
     """
 
-    ideal: IdealId
-    params: ScaleParams
-    ground: Union[NatSet, int]
+    __slots__ = ("ideal", "params", "ground")
+
+    def __init__(self, ideal: IdealId, params: ScaleParams, ground: Union[NatSet, int]):
+        put = object.__setattr__
+        put(self, "ideal", ideal)
+        put(self, "params", params)
+        put(self, "ground", ground)
+
+    def _vertices(self) -> int:
+        if not isinstance(self.ground, int):
+            raise CarrierMismatch("ramsey ground is a vertex count")
+        if self.ground < 0:
+            raise ValueError("vertex count must be >= 0")
+        return self.ground
 
     def carrier(self) -> List:
         if self.ideal is IdealId.RAMSEY:
-            if not isinstance(self.ground, int):
-                raise CarrierMismatch("ramsey ground is a vertex count")
-            if self.ground < 0:
-                raise ValueError("vertex count must be >= 0")
-            return list(itertools.combinations(range(self.ground), 2))
+            return list(itertools.combinations(range(self._vertices()), 2))
         if self.ideal is IdealId.FIN2:
             raise CarrierMismatch(
                 "fin2 truncations have no canonical carrier enumeration; "
@@ -78,7 +83,7 @@ def positive_family(spec: FiniteIdealSpec) -> List:
                 for a, d in progressions(A.elements, A.__contains__, k, A.max() if A else -1)]
 
     if spec.ideal is IdealId.RAMSEY:
-        n = spec.ground
+        n = spec._vertices()
         if n > 8:
             raise TooLarge(f"{n} vertices exceeds the cap 8")
         return [
@@ -187,13 +192,13 @@ def verify_reduction(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Report:
     return report
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of the exhaustive map search."""
 
-    found: Optional[Dict] = None
-    exhausted: bool = False
-    nodes: int = 0
+    __slots__ = ("found", "exhausted", "nodes")
+
+    def __init__(self, found: Optional[Dict] = None, exhausted: bool = False, nodes: int = 0):
+        self.found, self.exhausted, self.nodes = found, exhausted, nodes
 
     def to_json_dict(self):
         return {

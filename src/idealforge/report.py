@@ -12,11 +12,10 @@ timestamps, so identical inputs give byte identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from .ideals import EdgeSet, NatSet
+from .ideals import EdgeSet, NatSet, Record
 
 
 # str() is used only on ints of at most this many bits (about 600 digits).
@@ -36,7 +35,8 @@ def _decimal(n: int) -> str:
 
 
 def rational_str(q: Fraction) -> str:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     sign = "-" if q.numerator < 0 else ""
     return f"{sign}{_decimal(abs(q.numerator))}/{_decimal(q.denominator)}"
 
@@ -106,22 +106,25 @@ def _indented(value: Any, indent: str) -> str:
     raise TypeError(f"cannot serialize {cls.__name__}")
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckItem(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return self.fields()
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Ordered pass/fail items with optional free-form metadata."""
 
-    items: List[CheckItem] = field(default_factory=list)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("items", "meta")
+
+    def __init__(self, items: Optional[List[CheckItem]] = None,
+                 meta: Optional[Dict[str, Any]] = None):
+        self.items = [] if items is None else items
+        self.meta = {} if meta is None else meta
 
     def add(self, name: str, passed: bool, detail: str = "") -> "Report":
         self.items.append(CheckItem(name, bool(passed), detail))

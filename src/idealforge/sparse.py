@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolated, NotInFS, NotSparse, PoolExhausted, TooLarge
-from .ideals import NatSet
+from .ideals import Elements, FrozenRecord, NatSet
 
 FS_CAP = 24  # 2^|B| enumeration bound for fs / sparseness checks
 VERY_SPARSE_CAP = 16  # quadratic scan over FS pairs
@@ -83,7 +82,7 @@ def _first_collision(xs: Tuple[int, ...]) -> Optional[str]:
     return None
 
 
-class SparseBasis:
+class SparseBasis(Elements):
     """Validated ascending basis with unique subset-sum decompositions.
 
     A decomposition is held as an index mask: bit i set means
@@ -126,20 +125,6 @@ class SparseBasis:
             rows = rows[1:]  # the basis {0}: FS leaves out 0, as fs() does
         self._fs = NatSet._trusted(tuple([s for s, _ in rows]))
         self._masks = tuple([m for _, m in rows])
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SparseBasis):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        return f"SparseBasis({list(self.elements)!r})"
 
     def fs_set(self) -> NatSet:
         if self._fs is None:
@@ -201,10 +186,12 @@ class SparseBasis:
         return NatSet._trusted(tuple(out))
 
 
-@dataclass(frozen=True)
-class VerySparseFlag:
-    verified: bool
-    counterexample: Optional[Tuple[int, int]] = None
+class VerySparseFlag(FrozenRecord):
+    __slots__ = ("verified", "counterexample")
+
+    def __init__(self, verified: bool, counterexample: Optional[Tuple[int, int]] = None):
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def __bool__(self) -> bool:
         return self.verified

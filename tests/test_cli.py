@@ -1,12 +1,11 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
 from idealforge import NatSet, PairColoring, SparseBasis
-from idealforge.adversary import R_HINDMAN_BUDGET, defeat_r_hindman
+from idealforge.adversary import R_HINDMAN_BUDGET, SearchBudget, defeat_r_hindman
 from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
 from idealforge.errors import Incomplete, ParseError, SearchExhausted
@@ -211,7 +210,8 @@ def test_r_hindman_options_left_unset_take_the_engine_defaults(nmax, code):
     extra = () if nmax is None else ("--nmax", str(nmax))
     got = invoke("adversary", "--strategy", "r-hindman", "--phi", "const:1",
                  "--basis", "1,2,4", *extra)
-    budget = () if nmax is None else (replace(R_HINDMAN_BUDGET, max_steps=nmax),)
+    budget = () if nmax is None else (
+        SearchBudget(**R_HINDMAN_BUDGET.fields() | {"max_steps": nmax}),)
     try:
         t = defeat_r_hindman(PairColoring.constant(32, 1), SparseBasis([1, 2, 4]), *budget)
         want = 0, {"transcript": json.loads(dumps_stable(t))}

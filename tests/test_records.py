@@ -1,0 +1,95 @@
+"""The library's records are plain slotted classes: each keeps the repr,
+equality and hashing it had as a dataclass."""
+
+from fractions import Fraction
+
+import pytest
+
+from idealforge import FiniteIdealSpec, IdealId, NatSet, Report, RnhCase1Bundle, \
+    RnhCase2Bundle, ScaleParams, SearchBudget, SparseBasis, Transcript, VerySparseFlag
+from idealforge.adversary import StepCheck, TranscriptStep
+from idealforge.ideals import FrozenRecord
+from idealforge.reduction import SearchOutcome
+from idealforge.report import CheckItem
+
+CHECK = StepCheck("nat", (3,), 5, ">", 2)
+
+# Each record beside its repr as a dataclass gave it.
+REPRS = [
+    (SearchBudget(), "SearchBudget(max_element=32768, max_steps=10, candidate_cap=8)"),
+    (CHECK, "StepCheck(kind='nat', args=(3,), value=5, relation='>', bound=2)"),
+    (TranscriptStep(0, (3,), 2, ">", (CHECK,)),
+     "TranscriptStep(index=0, chosen=(3,), threshold=2, relation='>', checks=(StepCheck("
+     "kind='nat', args=(3,), value=5, relation='>', bound=2),), note='')"),
+    (Transcript("w-summable", {"nmax": 1}, [], {"blocks": []}, NatSet([1, 2]),
+                Fraction(3, 2), Fraction(2)),
+     "Transcript(strategy='w-summable', params={'nmax': 1}, steps=[], witness={'blocks': []}, "
+     "image=NatSet([1, 2]), certified_sum=Fraction(3, 2), majorant=Fraction(2, 1), "
+     "coloring=None)"),
+    (RnhCase1Bundle(1, SparseBasis([1, 2]), [3], [SparseBasis([4])]),
+     "RnhCase1Bundle(k=1, D=SparseBasis([1, 2]), xs=[3], Ds=[SparseBasis([4])])"),
+    (RnhCase2Bundle([1], [0], [2], [frozenset({1})], [3], [SparseBasis([4])]),
+     "RnhCase2Bundle(ns=[1], js=[0], ks=[2], Fs=[frozenset({1})], xs=[3], "
+     "Ds=[SparseBasis([4])])"),
+    (ScaleParams(tau="1/3"),
+     "ScaleParams(ap_len=5, clique_size=4, fs_size=3, tau=Fraction(1, 3), window=256)"),
+    (FiniteIdealSpec(IdealId.RAMSEY, ScaleParams(ap_len=3), 4),
+     "FiniteIdealSpec(ideal=<IdealId.RAMSEY: 'ramsey'>, params=ScaleParams(ap_len=3, "
+     "clique_size=4, fs_size=3, tau=Fraction(2, 1), window=256), ground=4)"),
+    (SearchOutcome({0: 1}, False, 3), "SearchOutcome(found={0: 1}, exhausted=False, nodes=3)"),
+    (CheckItem("a", True), "CheckItem(name='a', passed=True, detail='')"),
+    (Report().add("a", False, "x"),
+     "Report(items=[CheckItem(name='a', passed=False, detail='x')], meta={})"),
+    (VerySparseFlag(False, (1, 2)), "VerySparseFlag(verified=False, counterexample=(1, 2))"),
+]
+
+
+@pytest.mark.parametrize("record, text", REPRS, ids=[type(r).__name__ for r, _ in REPRS])
+def test_repr_is_the_dataclass_text(record, text):
+    assert repr(record) == text
+
+
+# Two equal frozen records built apart, and one that differs in the last field.
+FROZEN = [
+    (lambda: SearchBudget(max_steps=4), SearchBudget(max_steps=4, candidate_cap=9)),
+    (lambda: StepCheck("pair", (1, 2), 0, "==", 0), StepCheck("pair", (1, 2), 0, "==", 1)),
+    (lambda: ScaleParams(tau=Fraction(1, 2)), ScaleParams(tau="1/2", window=9)),
+    (lambda: FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0, 1])),
+     FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0]))),
+    (lambda: VerySparseFlag(False, (1, 2)), VerySparseFlag(False, (1, 3))),
+]
+
+
+@pytest.mark.parametrize("make, other", FROZEN, ids=[type(o).__name__ for _, o in FROZEN])
+def test_frozen_records_compare_and_hash_by_value_and_refuse_assignment(make, other):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != other and other not in {a}
+    name = type(a).__slots__[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(a, name, getattr(b, name))
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+MUTABLE = [r for r, _ in REPRS if not isinstance(r, FrozenRecord)]
+
+
+@pytest.mark.parametrize("record", MUTABLE, ids=[type(r).__name__ for r in MUTABLE])
+def test_mutable_records_are_unhashable_and_compare_field_by_field(record):
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    twin = type(record)(**record.fields())
+    assert twin == record and twin is not record
+    assert record != object()
+
+
+def test_report_fields_default_to_fresh_containers():
+    a, b = Report(), Report()
+    a.add("x", True)
+    a.meta["k"] = 1
+    assert b.items == [] and b.meta == {}
+    assert a != b

@@ -131,6 +131,20 @@ def test_positive_family_caps():
         positive_family(FiniteIdealSpec(IdealId.RAMSEY, P3, 12))
 
 
+def test_ramsey_family_checks_its_ground_as_the_carrier_does():
+    # The family reads the same vertex count as carrier(), so a bad ground
+    # gets the carrier's typed error and not an empty family.
+    negative = FiniteIdealSpec(IdealId.RAMSEY, P3, -1)
+    with pytest.raises(ValueError, match="^vertex count must be >= 0$"):
+        positive_family(negative)
+    with pytest.raises(ValueError, match="^vertex count must be >= 0$"):
+        negative.carrier()
+    for ground in (NatSet([1, 2]), "4"):
+        spec = FiniteIdealSpec(IdealId.RAMSEY, P3, ground)
+        with pytest.raises(CarrierMismatch, match="^ramsey ground is a vertex count$"):
+            positive_family(spec)
+
+
 def test_verify_reduction_identity_and_constant():
     spec = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
     assert verify_reduction({x: x for x in range(5)}, spec, spec).passed

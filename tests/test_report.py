@@ -113,6 +113,16 @@ def test_rational_str_matches_str_below_the_limit(n, d):
     assert rational_str(q) == f"{q.numerator}/{q.denominator}"
 
 
+def test_rational_str_copies_only_what_is_not_a_fraction():
+    class Half(Fraction):
+        pass
+
+    assert rational_str(Fraction(-6, 4)) == "-3/2"
+    assert rational_str("-6/4") == "-3/2"
+    assert rational_str(7) == "7/1"
+    assert rational_str(Half(1, 2)) == "1/2"
+
+
 def parse_digits(text: str) -> int:
     """int(text) in chunks of 1,000 digits, each under the conversion limit."""
     value = 0

@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import idealforge
 from idealforge.adversary import STRATEGIES
 from idealforge.cli import _STRATEGY_INPUTS
+
+from conftest import subprocess_env
 
 PACKAGE = Path(idealforge.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -152,3 +156,32 @@ def test_report_values_are_converted_only_by_the_writer():
                         for arg in node.args):
                     found.append(f"{path.name}:{node.lineno}")
     assert read >= 12 and found == []
+
+
+def test_no_library_module_imports_dataclasses():
+    # Importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # @dataclass exec()s its methods: together about half of a CLI start-up.
+    # The records are plain slotted classes instead.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Module names, not a time: a fresh interpreter that imports the CLI
+    # must not pull in either module through any import the package makes.
+    code = ("import sys, idealforge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
