@@ -64,9 +64,6 @@ class StepCheck(FrozenRecord):
         point = self.args[0] if self.kind == "nat" else set(self.args)
         return f"phi({point}) = {self.value} {self.relation} {self.bound}"
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        return self.fields()
-
 
 class TranscriptStep(Record):
     __slots__ = ("index", "chosen", "threshold", "relation", "checks", "note")
@@ -75,9 +72,6 @@ class TranscriptStep(Record):
                  checks: Tuple[StepCheck, ...], note: str = ""):
         self.index, self.chosen, self.threshold = index, chosen, threshold
         self.relation, self.checks, self.note = relation, checks, note
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return self.fields()
 
 
 class Transcript(Record):

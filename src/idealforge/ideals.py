@@ -29,6 +29,10 @@ class Record:
         """Each field's value by name, in slot order."""
         return {name: getattr(self, name) for name in self.__slots__}
 
+    def to_json_dict(self) -> dict:
+        """The report form: the fields, which the writer converts."""
+        return self.fields()
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -59,6 +59,14 @@ class FiniteIdealSpec(FrozenRecord):
             raise CarrierMismatch(f"{self.ideal.value} ground is a NatSet")
         return list(self.ground.elements)
 
+    def carrier_size(self) -> int:
+        """len(self.carrier()), with its errors, but a Ramsey carrier's
+        C(n, 2) pairs are counted, not listed."""
+        if self.ideal is IdealId.RAMSEY:
+            n = self._vertices()
+            return n * (n - 1) // 2
+        return len(self.carrier())
+
     def as_carrier_set(self, elements: Iterable):
         if self.ideal is IdealId.RAMSEY:
             return EdgeSet(self.ground, elements)
@@ -144,7 +152,9 @@ def _checked_map(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Dict:
 
     A table's keys must be exactly the dst carrier's elements, each given
     once; a callable is asked once for each of them.  A fin2 src has no
-    carrier enumeration, so its values need only be pairs of naturals.
+    carrier enumeration, so its values need only be pairs of naturals; a
+    Ramsey src's values are checked as pairs (i, j) of ints with
+    0 <= i < j < n, without listing its C(n, 2) pairs.
     """
     points = dst.carrier()
     if callable(f):
@@ -157,11 +167,15 @@ def _checked_map(f, src: FiniteIdealSpec, dst: FiniteIdealSpec) -> Dict:
         for x in points:
             if x not in table:
                 raise MalformedBundle(f"map has no image for dst element {x!r}")
+    kind = "an element of the src carrier"
     if src.ideal is IdealId.FIN2:
         kind, ok = "a pair of naturals", is_nat_pair
+    elif src.ideal is IdealId.RAMSEY:
+        n = src._vertices()
+        ok = lambda v: (isinstance(v, tuple) and len(v) == 2
+                        and all(isinstance(c, int) for c in v) and 0 <= v[0] < v[1] < n)
     else:
-        kind, values = "an element of the src carrier", src.carrier()
-        ok = lambda v: v in values
+        ok = src.carrier().__contains__
     for x, v in table.items():
         if not ok(v):
             raise MalformedBundle(f"map sends {x!r} to {v!r}, which is not {kind}")
@@ -218,12 +232,10 @@ def search_reduction(src: FiniteIdealSpec, dst: FiniteIdealSpec,
     set has a non-positive image.  Exceeding node_limit raises TooLarge
     rather than faking an exhausted verdict.
     """
-    dst_carrier = dst.carrier()
-    src_carrier = src.carrier()
-    if len(dst_carrier) > 10 or len(src_carrier) > 10:
-        raise TooLarge(
-            f"search space {len(src_carrier)}^{len(dst_carrier)} exceeds the cap"
-        )
+    dst_size, src_size = dst.carrier_size(), src.carrier_size()
+    if dst_size > 10 or src_size > 10:
+        raise TooLarge(f"search space {src_size}^{dst_size} exceeds the cap")
+    dst_carrier, src_carrier = dst.carrier(), src.carrier()
     index = {x: i for i, x in enumerate(dst_carrier)}
     family = positive_family(dst)
     completes_at: List[List[int]] = [[] for _ in dst_carrier]

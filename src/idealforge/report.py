@@ -5,8 +5,10 @@ metadata.  ``dumps_stable`` is the one place where a toolkit value becomes
 JSON.  It walks its argument once and converts each value as it writes it:
 exact rationals as "p/q" strings, NatSets and sets as sorted lists, EdgeSets
 as {"n", "edges"}, and an object through its ``to_json_dict``, which lists
-its fields unconverted.  Output keeps insertion order and never embeds
-timestamps, so identical inputs give byte identical output.
+its fields unconverted.  A record without its own form is written as its
+fields in slot order, straight from its slots; ``Transcript``, ``Report`` and
+``SearchOutcome`` give their own.  Output keeps insertion order and never
+embeds timestamps, so identical inputs give byte identical output.
 """
 
 from __future__ import annotations
@@ -50,13 +52,17 @@ def dumps_stable(obj: Any) -> str:
 
 _quoted = json.encoder.encode_basestring_ascii
 
+# Each written record class with Record's report form: its (slot, '"slot": ')
+# pairs in slot order.
+_heads: Dict[type, List[tuple]] = {}
+
 
 def _indented(value: Any, indent: str) -> str:
     """A toolkit value in JSON, laid out as json.dumps(indent=2) lays out its
     conversion, nested at ``indent``.  Common types are matched exactly, and
     subclasses of str, int, list, tuple and dict are written as their base.
     json.dumps runs its pure-Python encoder whenever indent is set; this
-    builds the same layout by joins, one join for a list of ints."""
+    builds the same layout by joins, one join for a list of ints or a record."""
     cls = type(value)
     if cls is str:
         return _quoted(value)
@@ -83,6 +89,17 @@ def _indented(value: Any, indent: str) -> str:
             return "{}"
         body = sep.join([f"{_quoted(str(k))}: {_indented(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
+    heads = _heads.get(cls)
+    if heads is None and getattr(cls, "to_json_dict", None) is Record.to_json_dict:
+        heads = _heads[cls] = [(name, _quoted(name) + ": ") for name in cls.__slots__]
+    if heads:
+        parts = []
+        for name, head in heads:
+            v = getattr(value, name)
+            t = type(v)
+            parts.append(head + (_quoted(v) if t is str else int.__repr__(v) if t is int
+                                 else _indented(v, inner)))
+        return f"{{\n{inner}{sep.join(parts)}\n{indent}}}"
     if cls is Fraction:
         return _quoted(rational_str(value))
     if cls is NatSet:
@@ -111,9 +128,6 @@ class CheckItem(Record):
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
         self.name, self.passed, self.detail = name, passed, detail
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return self.fields()
 
 
 class Report(Record):

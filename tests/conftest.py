@@ -535,7 +535,7 @@ def ref_jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
+        return ref_jsonable(value.to_json_dict())
     if hasattr(value, "elements"):
         return list(value.elements)
     raise TypeError(f"cannot serialize {type(value).__name__}")

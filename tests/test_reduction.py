@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -230,3 +231,62 @@ def test_search_caps():
     small = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
     with pytest.raises(TooLarge):
         search_reduction(small, small, node_limit=3)
+
+
+def peak_bytes(call) -> int:
+    """The tracemalloc peak while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_sizes_a_ramsey_carrier_before_listing_it():
+    # C(1000, 2) = 499,500 pairs would take about 31 MiB to list.
+    src = FiniteIdealSpec(IdealId.RAMSEY, P3, 1000)
+    dst = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
+
+    def search():
+        with pytest.raises(TooLarge) as exc:
+            search_reduction(src, dst)
+        assert str(exc.value) == "search space 499500^5 exceeds the cap"
+
+    assert peak_bytes(search) < 1 << 20
+
+
+def ramsey_map_values(n):
+    """Map values to try against an n-vertex Ramsey src: ints, bools, pairs
+    in and out of range in either order, lists and tuples of other lengths."""
+    ends = range(-1, n + 2)
+    yield from ends
+    yield from (False, True, (False, True), (True, False), (True, 2), (0, True))
+    for i, j in itertools.product(ends, ends):
+        yield from ((i, j), [i, j], (i, j, j + 1), (i,))
+    yield ()
+
+
+def test_ramsey_map_values_are_checked_as_the_carrier_lists_them():
+    dst = FiniteIdealSpec(IdealId.VDW, P3, NatSet([0]))
+    for n in range(13):
+        src = FiniteIdealSpec(IdealId.RAMSEY, P3, n)
+        carrier = src.carrier()
+        for v in ramsey_map_values(n):
+            expected = None if v in carrier else \
+                f"map sends 0 to {v!r}, which is not an element of the src carrier"
+            try:
+                verify_reduction({0: v}, src, dst)
+                got = None
+            except MalformedBundle as exc:
+                got = str(exc)
+            assert got == expected, (n, v)
+
+
+def test_ramsey_map_values_are_checked_without_listing_the_carrier():
+    src = FiniteIdealSpec(IdealId.RAMSEY, P3, 1000)
+    dst = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
+    f = {x: (x, 999 - x) for x in range(5)}
+    assert peak_bytes(lambda: verify_reduction(f, src, dst)) < 2 << 20
+    with pytest.raises(MalformedBundle, match=r"^map sends 4 to \(4, 1000\), which is not"):
+        verify_reduction({**f, 4: (4, 1000)}, src, dst)

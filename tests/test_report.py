@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealforge import EdgeSet, NatSet, SparseBasis
+from idealforge.adversary import SearchBudget, StepCheck, TranscriptStep
 from idealforge.cli import build_parser, run
-from idealforge.report import dumps_stable, rational_str
+from idealforge.report import CheckItem, Report, dumps_stable, rational_str
 
 from conftest import random_block_basis, ref_jsonable
 
@@ -41,7 +42,7 @@ def test_dumps_stable_writes_the_bytes_of_json_dumps_indent_2(tree):
 
 
 # Toolkit values as well, which the writer converts as it writes them: exact
-# rationals, NatSets, EdgeSets, block and sparse bases, tuples, sets,
+# rationals, NatSets, EdgeSets, block and sparse bases, records, tuples, sets,
 # int-keyed dicts, and subclasses of int, str, tuple and dict.
 class Count(int):
     pass
@@ -63,8 +64,23 @@ block_bases = st.builds(random_block_basis, st.randoms(use_true_random=False),
                         st.integers(0, 6))
 sparse_bases = st.builds(SparseBasis, st.sets(st.integers(0, 40).map(lambda i: 3 ** i),
                                               max_size=6))
+
+# Records, which the writer writes from their slots unless they give their
+# own report form (Report does).
+wide = st.integers(-(1 << 70), 1 << 70)
+relations = st.sampled_from((">", ">=", "=="))
+step_checks = (st.builds(StepCheck, st.just("nat"), st.tuples(wide), wide | wide.map(Count),
+                         relations, wide)
+               | st.builds(StepCheck, st.just("pair"), st.tuples(wide, wide), wide, relations,
+                           wide))
+transcript_steps = st.builds(TranscriptStep, wide, st.lists(wide, max_size=4).map(tuple), wide,
+                             relations, st.lists(step_checks, max_size=3).map(tuple),
+                             st.text(max_size=4) | st.text(max_size=4).map(Label))
+check_items = st.builds(CheckItem, st.text(max_size=4), st.booleans(), st.text(max_size=4))
+budgets = st.builds(SearchBudget, st.integers(1, 1 << 40), st.integers(1, 50), st.integers(1, 9))
+records = step_checks | transcript_steps | check_items | budgets
 toolkit_trees = st.recursive(
-    leaves | fractions | natsets | edgesets | block_bases | sparse_bases
+    leaves | fractions | natsets | edgesets | block_bases | sparse_bases | records
     | st.integers(-(1 << 70), 1 << 70).map(Count) | st.text(max_size=4).map(Label),
     lambda inner: (st.lists(inner, max_size=6)
                    | st.lists(inner, max_size=6).map(tuple)
@@ -73,7 +89,9 @@ toolkit_trees = st.recursive(
                    | st.frozensets(st.integers(0, 50), max_size=6)
                    | st.dictionaries(st.integers(-5, 1 << 70) | st.text(max_size=3),
                                      inner, max_size=6)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=6).map(OrderedDict)),
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=6).map(OrderedDict)
+                   | st.builds(Report, st.lists(check_items, max_size=4),
+                               st.dictionaries(st.text(max_size=3), inner, max_size=4))),
     max_leaves=40,
 )
 
