@@ -344,7 +344,10 @@ def reciprocal_sum(A: NatSet) -> Fraction:
 def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:
     """Lexicographically least k-clique of G, or None.
 
-    Backtracking over ascending vertices with bitset neighborhood
+    Only the vertices of degree at least k - 1 can be in a k-clique.  They
+    are relabelled 0, 1, ... in ascending order, which keeps the least
+    clique least, so the search costs what the edges hold, not G.n.
+    Backtracking over ascending labels with bitset neighborhood
     intersection and a remaining-candidates prune.
     """
     if not isinstance(G, EdgeSet):
@@ -356,10 +359,14 @@ def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:
         return None
     if k == 1:
         return NatSet([0])
-    adj = [0] * n
+    degree = Counter(itertools.chain.from_iterable(G.edges))
+    verts = sorted(v for v, d in degree.items() if d >= k - 1)
+    label = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
     for (i, j) in G.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+        if i in label and j in label:
+            adj[label[i]] |= 1 << label[j]
+            adj[label[j]] |= 1 << label[i]
 
     def dfs(chosen: list, cand: int) -> Optional[Tuple[int, ...]]:
         if len(chosen) == k:
@@ -378,8 +385,8 @@ def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:
                 return found
         return None
 
-    hit = dfs([], (1 << n) - 1)
-    return NatSet(hit) if hit is not None else None
+    hit = dfs([], (1 << len(verts)) - 1)
+    return NatSet._trusted(tuple([verts[v] for v in hit])) if hit is not None else None
 
 
 def heavy_columns(pairs: Iterable[Tuple[int, int]], t: int) -> NatSet:

@@ -16,7 +16,7 @@ from .errors import InvariantViolated, NotInFS, NotSparse, PoolExhausted, TooLar
 from .ideals import Elements, FrozenRecord, NatSet
 
 FS_CAP = 24  # 2^|B| enumeration bound for fs / sparseness checks
-VERY_SPARSE_CAP = 16  # quadratic scan over FS pairs
+VERY_SPARSE_CAP = 16  # quadratic scan over FS pairs of a non-doubling basis
 
 
 def _as_elements(B) -> Tuple[int, ...]:
@@ -45,20 +45,23 @@ def is_sparse(D) -> bool:
     Like ``SparseBasis``, it accepts a super-increasing D of any size without
     enumerating and raises ``TooLarge`` only for other D above ``FS_CAP``."""
     xs = _as_elements(D)
-    if _is_super_increasing(xs):
+    if _outgrows(xs, 1):
         return True
     if len(xs) > FS_CAP:
         raise TooLarge(f"|D| = {len(xs)} exceeds the sparseness cap {FS_CAP}")
     return len(set(_subset_sums(xs)[1:])) == (1 << len(xs)) - 1
 
 
-def _is_super_increasing(xs: Tuple[int, ...]) -> bool:
+def _outgrows(xs: Tuple[int, ...], factor: int) -> bool:
+    """True iff xs is nonempty and each element exceeds factor times the sum
+    of those before it (so the first exceeds 0): factor 1 makes xs
+    super-increasing, factor 2 a *doubling* basis."""
     total = 0
     for x in xs:
-        if x <= total:
+        if x <= factor * total:
             return False
         total += x
-    return bool(xs) and xs[0] > 0
+    return bool(xs)
 
 
 def _subset_sums(xs: Tuple[int, ...]) -> List[int]:
@@ -97,8 +100,9 @@ class SparseBasis(Elements):
     with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``;
     ``sums_meeting`` then copies the runs between the sums that avoid its
     mask instead of testing every mask.  The basis is immutable, so the
-    first ``is_very_sparse`` call stores its verdict here and later calls on
-    the same basis reuse it: one pairwise scan per basis.
+    first ``is_very_sparse`` call on a non-doubling basis stores its verdict
+    here and later calls on the same basis reuse it: one pairwise scan per
+    basis, and none for a doubling one.
     """
 
     __slots__ = ("elements", "_index", "_fs", "_masks", "_verdict")
@@ -110,7 +114,7 @@ class SparseBasis(Elements):
         self._fs: Optional[NatSet] = None
         self._masks: Sequence[int] = ()  # _masks[i] decomposes _fs.elements[i]
         self._verdict: Optional[VerySparseFlag] = None  # set by is_very_sparse
-        if _is_super_increasing(xs):
+        if _outgrows(xs, 1):
             return
         if len(xs) > FS_CAP:
             raise TooLarge(
@@ -200,12 +204,20 @@ class VerySparseFlag(FrozenRecord):
 def is_very_sparse(D) -> VerySparseFlag:
     """Check that overlapping decompositions push sums out of FS(D).
 
-    Scans distinct pairs x < y of FS(D) in lexicographic order and reports
-    the first pair with alpha(x) meeting alpha(y) but x + y back in FS(D).
-    A SparseBasis keeps the verdict of its first scan; any other argument
-    builds a fresh basis and is scanned.
+    A doubling basis D, with d1 > 0 and each d(i+1) > 2 (d1 + ... + di), of
+    any size is checked by the doubling rule without a scan: each number has
+    at most one representation sum e_i d_i with every e_i in {0, 1, 2} (at
+    the top index t where two differ, d_t <= 2 (d1 + ... + d(t-1)) < d_t),
+    so when alpha(x) meets alpha(y), x + y has a digit 2 and is not in FS(D).
+
+    Any other D scans distinct pairs x < y of FS(D) in lexicographic order
+    and reports the first pair with alpha(x) meeting alpha(y) but x + y back
+    in FS(D).  A SparseBasis keeps the verdict of its first scan; any other
+    argument builds a fresh basis and is scanned.
     """
     xs = _as_elements(D)
+    if _outgrows(xs, 2):
+        return VerySparseFlag(True)
     if len(xs) > VERY_SPARSE_CAP:
         raise TooLarge(
             f"|D| = {len(xs)} exceeds the very-sparse cap {VERY_SPARSE_CAP}"
@@ -237,8 +249,8 @@ def very_sparse_subset(pool, k: int) -> SparseBasis:
     """Greedy very sparse sub-basis of size k.
 
     Growth rule: take the next pool element strictly larger than twice the
-    running sum.  That keeps every multiplicity-2 representation unique,
-    hence very-sparseness; the verification pass stays as defense in depth.
+    running sum.  That makes a doubling basis, whose very-sparseness is
+    checked by the doubling rule (see ``is_very_sparse``) for every k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -258,7 +270,7 @@ def very_sparse_subset(pool, k: int) -> SparseBasis:
             f"greedy reached {len(chosen)} of {k}; next element must exceed {2 * total}"
         )
     basis = SparseBasis(NatSet._trusted(tuple(chosen)))
-    flag = is_very_sparse(basis) if k <= VERY_SPARSE_CAP else VerySparseFlag(True)
+    flag = is_very_sparse(basis)
     if not flag.verified:
         raise InvariantViolated(
             f"growth rule produced a non-very-sparse basis {chosen}: {flag.counterexample}"
@@ -290,8 +302,13 @@ def fs_bases(A, k: int) -> Iterator[Tuple[int, ...]]:
         need = k - len(basis)
         total = sum(basis)
         for i, c in enumerate(cands):
-            if len(cands) - i < need:
-                break
+            if need > 1:
+                # the largest new sum, total + c, plus a partner d must stay
+                # within A; c's partners lie in cands[i + 1 : hi], a range
+                # that only shrinks as c grows
+                hi = bisect_right(cands, top - total - c)
+                if hi - i < need:
+                    break
             fresh = [s + c for s in sums]
             fresh.append(c)
             if not sums.isdisjoint(fresh):
@@ -299,8 +316,7 @@ def fs_bases(A, k: int) -> Iterator[Tuple[int, ...]]:
             if need == 1:
                 yield basis + (c,)
                 continue
-            # the largest new sum, total + c, plus d must stay within A
-            rest = cands[i + 1 : bisect_right(cands, top - total - c)]
+            rest = cands[i + 1 : hi]
             for f in fresh:
                 rest = [d for d in rest if f + d in members]
             if len(rest) >= need - 1:

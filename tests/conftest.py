@@ -91,6 +91,36 @@ def naive_clique(G: EdgeSet, k: int):
     return None
 
 
+def dense_clique(G: EdgeSet, k: int):
+    """Least k-clique by backtracking over all G.n vertices with n-bit
+    neighbourhood masks: the dense reference for ``find_clique``, which
+    searches only the vertices of degree at least k - 1."""
+    if k > G.n:
+        return None
+    if k == 1:
+        return (0,)
+    adj = [0] * G.n
+    for (i, j) in G.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    def dfs(chosen, cand):
+        if len(chosen) == k:
+            return tuple(chosen)
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            above = cand >> (v + 1) << (v + 1)
+            if 1 + (adj[v] & above).bit_count() >= k - len(chosen):
+                found = dfs(chosen + [v], adj[v] & above)
+                if found is not None:
+                    return found
+        return None
+
+    return dfs([], (1 << G.n) - 1)
+
+
 def subset_sum_counts(elements) -> Counter:
     """How many nonempty subsets reach each sum; 1 everywhere iff sparse."""
     counts: Counter = Counter()

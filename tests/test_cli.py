@@ -142,6 +142,14 @@ def test_fs_subcommand():
     assert rep["body"]["verified"] is False
     assert rep["body"]["counterexample"] == [1, 3]
 
+    # a doubling basis is decided at any size, any other only up to the cap
+    code, rep = invoke("fs", "--op", "very-sparse", "--set",
+                       ",".join(str(3 ** i) for i in range(17)))
+    assert code == 0 and rep["body"]["verified"] is True
+    assert rep["body"]["counterexample"] is None
+    code, rep = invoke("fs", "--op", "very-sparse", "--set", "pow2(25)")
+    assert code == 1 and rep["body"]["error"]["code"] == "TooLarge"
+
     code, rep = invoke("fs", "--op", "conflict", "--set", "1,3,9", "--y", "1")
     assert rep["body"]["conflict_set"] == [1, 4, 10, 13]
 

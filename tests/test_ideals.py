@@ -24,8 +24,8 @@ from idealforge import ideals
 from idealforge.errors import CannotAvoid, CarrierMismatch
 from idealforge.ideals import progressions
 
-from conftest import dp_longest_ap, every_ap, harmonic, least_ap, naive_clique, \
-    sequential_reciprocal_sum
+from conftest import dense_clique, dp_longest_ap, every_ap, harmonic, least_ap, \
+    naive_clique, sequential_reciprocal_sum
 
 
 def test_natset_canonical_form():
@@ -247,6 +247,22 @@ def test_find_clique_examples():
     assert find_clique(star, 3) is None
     assert find_clique(star, 1) == NatSet([0])
     assert find_clique(EdgeSet(0), 1) is None
+    assert find_clique(EdgeSet(4, [(2, 3)]), 1) == NatSet([0])
+    assert find_clique(EdgeSet(3, [(0, 1)]), 4) is None
+    # only 5, 7 and 99,999 carry edges, so the search never sees n
+    spread = EdgeSet(100_000, [(5, 99_999), (5, 7), (7, 99_999), (0, 3)])
+    assert find_clique(spread, 3) == NatSet([5, 7, 99_999])
+    assert find_clique(spread, 2) == NatSet([0, 3])
+
+
+def test_find_clique_matches_the_dense_search(rng):
+    for _ in range(120):
+        n = rng.randint(0, 40)
+        p = rng.choice([0.05, 0.2, 0.5, 0.8])
+        G = EdgeSet(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for k in range(1, 6):
+            got = find_clique(G, k)
+            assert (got.elements if got is not None else None) == dense_clique(G, k), (n, k)
 
 
 def test_find_clique_against_naive(rng):

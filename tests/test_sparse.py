@@ -1,3 +1,4 @@
+import bisect
 import itertools
 
 import pytest
@@ -17,7 +18,7 @@ from idealforge import (
 from idealforge import sparse
 from idealforge.errors import NotInFS, NotSparse, PoolExhausted, TooLarge
 
-from conftest import random_pool, subset_sum_counts
+from conftest import every_fs_subset, random_pool, subset_sum_counts
 
 
 def test_fs_examples():
@@ -95,6 +96,11 @@ def test_is_very_sparse_examples():
         is_very_sparse(NatSet([1, 2, 3]))
     with pytest.raises(TooLarge):
         is_very_sparse(NatSet(range(1, 19)))
+    # a doubling basis is decided by the doubling rule at any size; others
+    # above the cap still raise
+    assert is_very_sparse(NatSet(3 ** i for i in range(30))).verified
+    with pytest.raises(TooLarge):
+        is_very_sparse(NatSet(1 << i for i in range(25)))
 
 
 def counted_scans(monkeypatch) -> list:
@@ -112,13 +118,21 @@ def counted_scans(monkeypatch) -> list:
 
 def test_one_pairwise_scan_per_basis(monkeypatch):
     scanned = counted_scans(monkeypatch)
-    D = very_sparse_subset(NatSet(range(1, 200)), 4)
-    assert scanned == [(1, 3, 9, 27)]
+    D = SparseBasis((1, 3, 9, 26))  # 26 = 2 * 13: very sparse, not doubling
     assert is_very_sparse(D).verified and is_very_sparse(D).verified
-    assert scanned == [(1, 3, 9, 27)]
+    assert scanned == [(1, 3, 9, 26)]
     # a NatSet argument builds a fresh basis, so it is scanned again
     assert is_very_sparse(NatSet(D.elements)).verified
-    assert scanned == [(1, 3, 9, 27)] * 2
+    assert scanned == [(1, 3, 9, 26)] * 2
+
+
+def test_doubling_bases_are_never_scanned(monkeypatch):
+    scanned = counted_scans(monkeypatch)
+    D = very_sparse_subset(NatSet(range(1, 5000)), 8)
+    assert D.elements == (1, 3, 9, 27, 81, 243, 729, 2187)
+    assert is_very_sparse(D).verified and is_very_sparse(NatSet(D.elements)).verified
+    assert very_sparse_subset(NatSet(3 ** i for i in range(40)), 20).elements[-1] == 3 ** 19
+    assert scanned == []
 
 
 def test_a_stored_false_verdict_keeps_its_counterexample(monkeypatch):
@@ -154,6 +168,31 @@ def test_find_fs_subset_examples():
     A = NatSet([4, 9, 30])
     assert find_fs_subset(A, 1) == NatSet([4])
     assert find_fs_subset(NatSet(), 1) is None
+
+
+def test_fs_bases_stops_at_the_first_candidate_short_of_partners(monkeypatch, rng):
+    """At the top level (total 0) candidate c's partners are the candidates
+    in (c, max(A) - c], and c's visit is its bisect call; no candidate after
+    the first one with fewer than k - 1 partners is visited."""
+    calls = []
+
+    def spy(xs, x):
+        calls.append((xs, x))
+        return bisect.bisect_right(xs, x)
+
+    monkeypatch.setattr(sparse, "bisect_right", spy)
+    grounds = [NatSet(range(1, 21))]
+    grounds += [NatSet(rng.sample(range(1, 80), rng.randint(2, 30))) for _ in range(30)]
+    for A, k in itertools.product(grounds, (2, 3)):
+        calls.clear()
+        assert list(sparse.fs_bases(A, k)) == list(every_fs_subset(A.elements, k))
+        top = A.max()
+        visited = [top - x for xs, x in calls if xs is calls[0][0]]
+        assert visited == list(A.elements[: len(visited)])
+        partners = [sum(c < d <= top - c for d in A.elements) for c in visited]
+        assert all(p >= k - 1 for p in partners[:-1])
+        if len(visited) < len(A) - k + 1:  # stopped early: the last visit was short
+            assert partners[-1] < k - 1
 
 
 def test_find_fs_subset_postcondition(rng):

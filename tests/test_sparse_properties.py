@@ -137,8 +137,27 @@ def test_sums_meeting_on_empty_sums():
         conflict_set(SparseBasis([]), 0)
 
 
+def grown(steps) -> list:
+    """Each element twice the sum before it plus its step: steps > 0 give a
+    doubling basis, a step of 0 after the first a boundary element."""
+    out, total = [], 0
+    for step in steps:
+        out.append(2 * total + step)
+        total += out[-1]
+    return out
+
+
+doubling_bases = st.lists(st.integers(1, 40), min_size=1, max_size=7).map(grown)
+# an element equal to twice the sum before it: very sparse for (1, 3, 9, 26),
+# not for (1, 2, 6), whose 1 + 7 = 2 + 6
+boundary_bases = st.builds(lambda first, rest: grown([first] + rest), st.integers(1, 40),
+                           st.lists(st.just(0) | st.integers(1, 40), min_size=1, max_size=6))
+
+
 @SETTINGS
-@given(bases)
+@given(st.one_of(bases, doubling_bases, boundary_bases))
+@example([1, 3, 9, 26])
+@example([1, 2, 6])
 def test_is_very_sparse_finds_the_first_pairwise_counterexample(elements):
     expected = naive_very_sparse_counterexample(elements)
     for D in (NatSet(elements), SparseBasis(elements)):
