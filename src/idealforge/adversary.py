@@ -170,30 +170,31 @@ def _constant_step(chosen: Sequence[int], checks, broken: Callable[[StepCheck], 
 
 
 def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -> Transcript:
-    """Build progressions F_n inside {x : phi(x) >= n 2^n} for n = 1..n_max.
+    """Build progressions F_n inside {x : phi(x) >= threshold(n)} for n = 1..n_max.
 
     The witness has unbounded progression length while the image reciprocal
-    mass stays under the exact majorant sum of n / (n 2^n + 1).  The window
-    [0, bound) is read once, and membership in each step's good set is read
-    off the values.  The scan filters the window only as far as it reads,
-    and bounds its progressions by the good set's last point, found by
-    scanning down from the previous step's: the thresholds increase, so
-    each good set lies inside the previous one.
+    mass stays under the exact majorant, the sum of term(n); both come from
+    the w-summable rule in STRATEGIES.  The window [0, bound) is read once,
+    and membership in each step's good set is read off the values.  The scan
+    filters the window only as far as it reads, and bounds its progressions
+    by the good set's last point, found by scanning down from the previous
+    step's: the thresholds increase, so each good set lies inside the
+    previous one.
     """
+    threshold, term = STRATEGIES["w-summable"][3][None]
     bound = min(phi.window, budget.max_element)
     values = phi.read(bound)
     top = bound - 1
     steps: List[TranscriptStep] = []
     blocks: List[NatSet] = []
     for n in range(1, budget.max_steps + 1):
-        thr = n * (1 << n)
+        thr = threshold(n)
         top = next((x for x in range(top, -1, -1) if values[x] >= thr), -1)
         hit = next(progressions((x for x in range(top + 1) if values[x] >= thr),
                                 lambda x: values[x] >= thr, n, top), None)
         if hit is None:
             raise SearchExhausted(
-                n, f"no {n}-term progression with phi >= {thr} in [0, {bound})"
-            )
+                n, f"no {n}-term progression with phi >= {thr} in [0, {bound})")
         a, d = hit
         F = NatSet(a + i * d for i in range(n))
         checks = tuple(_nat_check(phi, x, ">=", thr) for x in F)
@@ -204,10 +205,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
         ))
         blocks.append(F)
     witness = NatSet(itertools.chain.from_iterable(b.elements for b in blocks))
-    majorant = sum(
-        (Fraction(n, n * (1 << n) + 1) for n in range(1, budget.max_steps + 1)),
-        Fraction(0),
-    )
+    majorant = sum(map(term, range(1, budget.max_steps + 1)), Fraction(0))
     return _transcript(phi, "w-summable", {"n_max": budget.max_steps, "scan_bound": bound},
                        steps, {"set": witness, "blocks": blocks}, majorant)
 
@@ -238,27 +236,16 @@ def preimage_floor(values: Sequence[int]) -> Callable[[int], int]:
     return floor_of
 
 
-# The non-constant h-summable cases as (threshold(n), points(n)): step n picks a
-# block with value above threshold(n) (MINMAX and INJ demand it of the block's
-# sums with earlier picks too), and the pick brings at most points(n) new image
-# values, each above threshold(n).  The majorant sums points(n) / (threshold(n) + 1).
-_H_RULES = {
-    CanonicalCase.MIN: (lambda n: 1 << n, lambda n: 1),
-    CanonicalCase.MAX: (lambda n: 1 << n, lambda n: 1),
-    CanonicalCase.MINMAX: (lambda n: n * (1 << n), lambda n: n + 1),
-    CanonicalCase.INJ: (lambda n: 1 << (2 * n), lambda n: 1 << n),
-}
-
-
 def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                       budget: SearchBudget = SearchBudget()) -> Transcript:
     """Select a sub-basis D of C whose finite-sums image has small mass.
 
     Case rules: CONST takes a prefix; MIN and MAX pick elements with value
-    above 2^n; MINMAX demands n 2^n on the element and on all pair sums with
-    earlier picks; INJ walks past the finite preimage of [0, m] and demands
-    2^(2n) on the element and on all shifted sums.  The declared case is
-    verified on the first 5 blocks up front and on the selected D afterwards.
+    above the case's threshold in STRATEGIES; MINMAX demands it on the element
+    and on all pair sums with earlier picks; INJ walks past the finite preimage
+    of [0, m] and demands it on the element and on all shifted sums.  The
+    declared case is verified on the first 5 blocks up front and on the
+    selected D afterwards.
     """
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
@@ -288,7 +275,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         ))
         majorant = Fraction(1, value + 1)
     else:
-        threshold, points = _H_RULES[case]
+        threshold, term = STRATEGIES["h-summable"][3][case]
         chosen = []
         last_idx = -1
         total = 0
@@ -334,8 +321,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         if len(chosen) >= 3:
             _require_case(classify_fs_on(phi, BlockBasis(chosen)), case,
                           "selected basis classifies as {got}, not {case}")
-        majorant = sum((Fraction(points(n), threshold(n) + 1) for n in range(n_max)),
-                       Fraction(0))
+        majorant = sum(map(term, range(n_max)), Fraction(0))
 
     return _transcript(phi, "h-summable",
                        {"n_max": n_max, "case": case.value, "window": window},
@@ -347,8 +333,8 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     """Select H inside T whose pair-image has small reciprocal mass.
 
     MIN and MAX exploit that rows (columns) of the coloring are constant on
-    T with pairwise distinct values; INJ uses the pigeonhole room above
-    n 2^n.  Thresholds are re-recorded against pairs inside H so the
+    T with pairwise distinct values; INJ uses the pigeonhole room above its
+    threshold.  Thresholds are re-recorded against pairs inside H so the
     certificate depends only on recorded facts plus the verified case, which
     is checked on the first 12 points of T up front and on H afterwards.
     """
@@ -362,6 +348,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     n_max = budget.max_steps
     ts = T.elements
     steps: List[TranscriptStep] = []
+    rules = STRATEGIES["r-summable"][3]
 
     if case is CanonicalCase.CONST:
         H = ts[: max(2, n_max)]
@@ -376,10 +363,11 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
         # fails every later one (in INJ too, whose checks only gain pairs): each
         # step scans on from the index after the last pick, and the picks ascend.
         is_min = case is CanonicalCase.MIN
+        threshold = rules[case][0]
         H = []
         last = -1 if is_min else 0
         for n in range(n_max):
-            thr = 1 << n
+            thr = threshold(n)
             for i in range(last + 1, len(ts) - 1 if is_min else len(ts)):
                 if phi((ts[i], ts[i + 1] if is_min else ts[0])) > thr:
                     break
@@ -393,20 +381,19 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 partner = H[-1] if n + 1 < len(H) else ts[last + 1]
             else:
                 partner = H[0] if n else ts[0]
-            ck = _pair_check(phi, (t, partner), ">", 1 << n)
+            ck = _pair_check(phi, (t, partner), ">", threshold(n))
             if not ck.holds():
-                raise CaseMismatch(
-                    f"row value of {t} differs between partners; case unstable"
-                )
+                raise CaseMismatch(f"row value of {t} differs between partners; case unstable")
             steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=1 << n, relation=">",
+                index=n, chosen=(t,), threshold=ck.bound, relation=">",
                 checks=(ck,), note="row value witness",
             ))
     else:  # INJ
+        threshold = rules[case][0]
         H = []
         last = -1
         for n in range(n_max):
-            thr = n * (1 << n)
+            thr = threshold(n)
             for i in range(last + 1, len(ts)):
                 checks = [_pair_check(phi, (ti, ts[i]), ">", thr) for ti in H]
                 if all(ck.holds() for ck in checks):
@@ -425,7 +412,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
         _require_case(classify_pairs_on(phi, Hset), case,
                       "selected set classifies as {got}, not {case}")
     majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
-        else sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
+        else sum(map(rules[case][1], range(n_max)), Fraction(0))
     return _transcript(phi, "r-summable",
                        {"n_max": n_max, "case": case.value, "ground_size": len(T)},
                        steps, {"h": Hset}, majorant)
@@ -510,13 +497,26 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
                        steps, {"b": NatSet(b), "reservoirs": reservoirs}, None)
 
 
-# Each strategy's engine, the kind of coloring it reads, and its image rule: the
-# witness set (w), fs(basis) (h), or the pairs of h or of b (r-summable, r-hindman).
+# Each strategy's engine, the kind of coloring it reads, its image rule (the witness
+# set (w), fs(basis) (h), or the pairs of h or of b (r-summable, r-hindman)) and its
+# step rules by case (None for w).  A rule (threshold(n), term(n)) has step n demand
+# values at least (w) or above (h, r) threshold(n); term(n) bounds the reciprocal
+# mass the step adds, and the majorant sums the terms.  CONST keeps 1/(v + 1).
+_MIN_MAX = (CanonicalCase.MIN, CanonicalCase.MAX)
 STRATEGIES = {
-    "w-summable": (defeat_w_summable, "nat", lambda w: w["set"]),
-    "h-summable": (defeat_h_summable, "nat", lambda w: fs(w["basis"])),
-    "r-summable": (defeat_r_summable, "pair", lambda w: itertools.combinations(w["h"], 2)),
-    "r-hindman": (defeat_r_hindman, "pair", lambda w: itertools.combinations(w["b"], 2)),
+    "w-summable": (defeat_w_summable, "nat", lambda w: w["set"], {
+        None: (lambda n: n * 2 ** n, lambda n: Fraction(n, n * 2 ** n + 1)),
+    }),
+    "h-summable": (defeat_h_summable, "nat", lambda w: fs(w["basis"]), {
+        **dict.fromkeys(_MIN_MAX, (lambda n: 2 ** n, lambda n: Fraction(1, 2 ** n + 1))),
+        CanonicalCase.MINMAX: (lambda n: n * 2 ** n, lambda n: Fraction(n + 1, n * 2 ** n + 1)),
+        CanonicalCase.INJ: (lambda n: 4 ** n, lambda n: Fraction(2 ** n, 4 ** n + 1)),
+    }),
+    "r-summable": (defeat_r_summable, "pair", lambda w: itertools.combinations(w["h"], 2), {
+        **dict.fromkeys(_MIN_MAX, (lambda n: 2 ** n, lambda n: Fraction(1, 2 ** n))),
+        CanonicalCase.INJ: (lambda n: n * 2 ** n, lambda n: Fraction(1, 2 ** n)),
+    }),
+    "r-hindman": (defeat_r_hindman, "pair", lambda w: itertools.combinations(w["b"], 2), {}),
 }
 
 

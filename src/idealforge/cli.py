@@ -37,8 +37,14 @@ from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_sparse, \
     is_very_sparse, shift, very_sparse_subset
 
 _TOKEN = re.compile(r"[,\s]+")
-_RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
-_POW2 = re.compile(r"^pow2\((\d+)\)$")
+_RANGE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
+_POW2 = re.compile(r"^pow2\((\d+)\)$", re.ASCII)
+
+
+def _is_nat(token: str) -> bool:
+    """Digits 0-9 only: str.isdigit alone also passes '²' (which int refuses)
+    and '٣' (which int reads as 3)."""
+    return token.isascii() and token.isdigit()
 
 
 def parse_set_literal(text: str) -> NatSet:
@@ -51,7 +57,7 @@ def parse_set_literal(text: str) -> NatSet:
             continue
         at = text.find(token, pos)
         pos = at + len(token)
-        if token.isdigit():
+        if _is_nat(token):
             out.append(int(token))
             continue
         m = _RANGE.match(token)
@@ -77,7 +83,7 @@ def parse_pair_literal(text: str) -> List[Tuple[int, int]]:
         if not chunk:
             continue
         parts = chunk.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(_is_nat, parts)):
             raise ParseError(f"bad pair {chunk!r}", text.find(chunk))
         pairs.append((int(parts[0]), int(parts[1])))
     return pairs
@@ -92,7 +98,7 @@ def _table_lines(path: str) -> List[Tuple[int, List[int]]]:
             if not line:
                 continue
             parts = line.split()
-            if not all(p.isdigit() for p in parts):
+            if not all(map(_is_nat, parts)):
                 raise ParseError(f"line {lineno}: bad entry {line!r}", lineno)
             rows.append((lineno, [int(p) for p in parts]))
     return rows
@@ -127,7 +133,7 @@ def load_coloring(spec: str, window: int, kind: str):
     cls, row_shape, builtins = _KINDS[kind]
     if spec.startswith("const:"):
         v = spec.split(":", 1)[1]
-        if not v.isdigit():
+        if not _is_nat(v):
             raise ParseError(f"bad constant {spec!r}")
         return cls.constant(window, int(v))
     if spec in builtins:
@@ -317,7 +323,7 @@ _STRATEGY_INPUTS = {"w-summable": _w_summable_inputs, "h-summable": _h_summable_
 
 
 def _cmd_adversary(args) -> Dict[str, Any]:
-    engine, kind, _ = STRATEGIES[args.strategy]
+    engine, kind, _, _ = STRATEGIES[args.strategy]
     window, inputs = _STRATEGY_INPUTS[args.strategy](args)
     phi = load_coloring(args.phi, window if args.window is None else args.window, kind)
     t = engine(phi, *inputs)

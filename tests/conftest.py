@@ -318,13 +318,48 @@ def _transcript_json(strategy, params, steps, witness, image, majorant):
     }
 
 
+# The step rules as the engines stated them before adversary.STRATEGIES held
+# them, keyed like its fourth column: (first step, threshold(n), majorant(n_max)).
+# w's steps run 1..n_max; h's and r's run 0..n_max-1.
+def w_majorant_oracle(n_max: int) -> Fraction:
+    return sum((Fraction(n, n * (1 << n) + 1) for n in range(1, n_max + 1)), Fraction(0))
+
+
+def _h_rule_oracle(threshold, points):
+    """Step n brings at most points(n) new image values, each above threshold(n)."""
+    return 0, threshold, lambda n_max: sum(
+        (Fraction(points(n), threshold(n) + 1) for n in range(n_max)), Fraction(0))
+
+
+def r_majorant_oracle(n_max: int) -> Fraction:
+    return sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
+
+
+RULE_ORACLES = {
+    "w-summable": {None: (1, lambda n: n * (1 << n), w_majorant_oracle)},
+    "h-summable": {
+        CanonicalCase.MIN: _h_rule_oracle(lambda n: 1 << n, lambda n: 1),
+        CanonicalCase.MAX: _h_rule_oracle(lambda n: 1 << n, lambda n: 1),
+        CanonicalCase.MINMAX: _h_rule_oracle(lambda n: n * (1 << n), lambda n: n + 1),
+        CanonicalCase.INJ: _h_rule_oracle(lambda n: 1 << (2 * n), lambda n: 1 << n),
+    },
+    "r-summable": {
+        CanonicalCase.MIN: (0, lambda n: 1 << n, r_majorant_oracle),
+        CanonicalCase.MAX: (0, lambda n: 1 << n, r_majorant_oracle),
+        CanonicalCase.INJ: (0, lambda n: n * (1 << n), r_majorant_oracle),
+    },
+    "r-hindman": {},
+}
+
+
 def rescan_defeat_w_summable(phi, budget):
     """defeat_w_summable with a fresh scan of the window at every step, as
     the transcript's JSON form."""
+    _, threshold, majorant = RULE_ORACLES["w-summable"][None]
     bound = min(phi.window, budget.max_element)
     steps, blocks = [], []
     for n in range(1, budget.max_steps + 1):
-        thr = n * (1 << n)
+        thr = threshold(n)
         hit = least_ap([x for x in range(bound) if phi(x) >= thr], n, bound - 1)
         if hit is None:
             raise SearchExhausted(
@@ -335,12 +370,10 @@ def rescan_defeat_w_summable(phi, budget):
                                     f"start {a}, difference {d}, scanned [0, {bound})"))
         blocks.append(F)
     witness = sorted(set().union(*blocks))
-    majorant = sum((Fraction(n, n * (1 << n) + 1)
-                    for n in range(1, budget.max_steps + 1)), Fraction(0))
     return _transcript_json(
         "w-summable", {"n_max": budget.max_steps, "scan_bound": bound}, steps,
         {"set": witness, "blocks": blocks}, sorted({phi(x) for x in witness}),
-        majorant)
+        majorant(budget.max_steps))
 
 
 def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
@@ -351,10 +384,11 @@ def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
     if got is not inj:
         raise CaseMismatch(
             f"declared inj, prefix classifies as {got.value if got else 'none'}")
+    _, threshold, majorant = RULE_ORACLES["h-summable"][inj]
     window, n_max, cs = phi.window, budget.max_steps, C.elements
     chosen, steps, last_idx, total = [], [], -1, 0
     for n in range(n_max):
-        thr = 1 << (2 * n)
+        thr = threshold(n)
         sums = sorted(subset_sum_counts(chosen))
         m = max([thr] + [phi(x) for x in sums])
         scan_floor = -1
@@ -387,12 +421,10 @@ def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
         if got is not inj:
             raise CaseMismatch(f"selected basis classifies as "
                                f"{got.value if got else 'none'}, not inj")
-    majorant = sum((Fraction(1 << n, (1 << (2 * n)) + 1) for n in range(n_max)),
-                   Fraction(0))
     image = sorted({phi(x) for x in subset_sum_counts(chosen)})
     return _transcript_json(
         "h-summable", {"n_max": n_max, "case": "inj", "window": window}, steps,
-        {"basis": sorted(chosen)}, image, majorant)
+        {"basis": sorted(chosen)}, image, majorant(n_max))
 
 
 def pair_case_oracle(phi, points):
@@ -453,8 +485,9 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
         chosen: List[int] = []
         pool = ts[:-1] if case is CanonicalCase.MIN else ts[1:]
+        threshold = RULE_ORACLES["r-summable"][case][1]
         for n in range(n_max):
-            thr = 1 << n
+            thr = threshold(n)
             picked = None
             for t in pool:
                 if t in chosen:
@@ -476,16 +509,17 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 partner = hi if t != hi else succ(t)
             else:
                 partner = lo if t != lo else ts[0]
-            ck = _pair_check_json(phi, (t, partner), ">", 1 << n)
-            if not ck["value"] > 1 << n:
+            ck = _pair_check_json(phi, (t, partner), ">", threshold(n))
+            if not ck["value"] > threshold(n):
                 raise CaseMismatch(
                     f"row value of {t} differs between partners; case unstable"
                 )
-            steps.append(_pair_step_json(n, [t], 1 << n, ">", [ck], "row value witness"))
+            steps.append(_pair_step_json(n, [t], threshold(n), ">", [ck], "row value witness"))
     else:  # INJ
         chosen = []
+        threshold = RULE_ORACLES["r-summable"][case][1]
         for n in range(n_max):
-            thr = n * (1 << n)
+            thr = threshold(n)
             picked = None
             for t in ts:
                 if t in chosen:
@@ -512,7 +546,7 @@ def rescan_defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 f"not {case.value}"
             )
     majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
-        else sum((Fraction(1, 1 << n) for n in range(n_max)), Fraction(0))
+        else RULE_ORACLES["r-summable"][case][2](n_max)
     image = sorted({phi(p) for p in itertools.combinations(H, 2)})
     return _transcript_json(
         "r-summable", {"n_max": n_max, "case": case.value, "ground_size": len(ts)},

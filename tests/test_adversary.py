@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -25,10 +26,13 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
+from idealforge.adversary import STRATEGIES
 from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
 from idealforge.report import dumps_stable
+
+from conftest import RULE_ORACLES
 
 
 def test_fin2_to_h_map():
@@ -441,3 +445,19 @@ def test_rnh_checker_catches_structural_mutations():
         assert not rep.passed, (kind, ns, xs, [d.elements for d in Ds])
         caught += 1
     assert caught > 80
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_every_step_rule_matches_the_rule_oracle(strategy):
+    # Each (threshold(n), term(n)) rule against the formulas the engines stated
+    # before the table held them, with exact rationals well past the n_max 10
+    # of the pinned reports.
+    rules, oracles = STRATEGIES[strategy][3], RULE_ORACLES[strategy]
+    assert list(rules) == list(oracles)
+    for case, (threshold, term) in rules.items():
+        first, want_threshold, want_majorant = oracles[case]
+        for n_max in range(1, 41):
+            steps = range(first, first + n_max)
+            assert [threshold(n) for n in steps] == [want_threshold(n) for n in steps]
+            majorant = sum(map(term, steps), Fraction(0))
+            assert type(majorant) is Fraction and majorant == want_majorant(n_max)

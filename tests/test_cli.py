@@ -570,6 +570,25 @@ def test_other_zero_options_are_rejected(argv):
     (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
       dict(REDUCTION_BUNDLE, dst={"ideal": "ramsey", "ground": "-1"}, map=[])),
      ("ValueError", "vertex count must be >= 0")),
+    # Literals, tables and constants take the digits 0-9 only: str.isdigit and
+    # \d also pass '²', which int refuses, and '٣', which int reads as 3.
+    (("fs", "--op", "fs", "--set", "1,²"), ("ParseError", "bad token '²' (at position 2)")),
+    (("fs", "--op", "fs", "--set", "1,٣"), ("ParseError", "bad token '٣' (at position 2)")),
+    (("fs", "--op", "fs", "--set", "1..٣"),
+     ("ParseError", "bad token '1..٣' (at position 0)")),
+    (("fs", "--op", "fs", "--set", "pow2(٣)"),
+     ("ParseError", "bad token 'pow2(٣)' (at position 0)")),
+    (("oracle", "--ideal", "ramsey", "--edges", "0 ²", "--k", "2"),
+     ("ParseError", "bad pair '0 ²' (at position 0)")),
+    (("adversary", "--strategy", "w-summable", "--window", "1", "--nmax", "1",
+      "--phi", "0 ²\n"),
+     ("ParseError", "line 1: bad entry '0 ²' (at position 1)")),
+    (("adversary", "--strategy", "w-summable", "--window", "1", "--nmax", "1",
+      "--phi", "const:²"),
+     ("ParseError", "bad constant 'const:²'")),
+    (("adversary", "--strategy", "w-summable", "--window", "1", "--nmax", "1",
+      "--phi", "const:٣"),
+     ("ParseError", "bad constant 'const:٣'")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import idealforge
 from idealforge.adversary import STRATEGIES
+from idealforge.canonical import CanonicalCase
 from idealforge.cli import _STRATEGY_INPUTS
 
 from conftest import subprocess_env
@@ -115,6 +116,59 @@ def test_strategy_names_are_dispatched_only_through_the_strategy_table():
                           and leaf.value in STRATEGIES for leaf in ast.walk(node))]
     assert found == []
     assert list(_STRATEGY_INPUTS) == list(STRATEGIES)
+
+
+def _engine_bodies():
+    """Each strategy's engine, by strategy, as its syntax tree."""
+    path = PACKAGE / "adversary.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return {name: funcs[row[0].__name__] for name, row in STRATEGIES.items()}
+
+
+def test_step_rules_are_stated_only_in_the_strategy_table():
+    # Each step threshold and majorant term is a (threshold(n), term(n)) rule
+    # in STRATEGIES' fourth column; an engine that shifts or raises to a power
+    # with its step index, or makes a Fraction for each step, would state a
+    # rule a second time.  One Fraction made outside the step loops (a sum's
+    # start, CONST's 1/(v + 1)) states none.
+    per_step = (ast.For, ast.While, ast.Lambda, ast.GeneratorExp, ast.ListComp, ast.SetComp)
+    powers, fractions = [], []
+    for name, func in _engine_bodies().items():
+        for node in ast.walk(func):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.Pow)) \
+                    and any(isinstance(leaf, ast.Name) and leaf.id == "n"
+                            for leaf in ast.walk(node)):
+                powers.append(f"{name}:{node.lineno}")
+            if isinstance(node, per_step):
+                fractions += [f"{name}:{call.lineno}" for call in ast.walk(node)
+                              if isinstance(call, ast.Call)
+                              and getattr(call.func, "id", None) == "Fraction"]
+    assert powers == [] and fractions == []
+
+
+def _refused_cases(func):
+    """The cases an engine refuses before any search: an ``if case is X``
+    or ``if case in (X, ...)`` at the top of its body whose branch raises."""
+    out = set()
+    for stmt in func.body:
+        test = stmt.test if isinstance(stmt, ast.If) else None
+        if (isinstance(test, ast.Compare) and getattr(test.left, "id", None) == "case"
+                and all(isinstance(part, ast.Raise) for part in stmt.body)):
+            out |= {CanonicalCase[leaf.attr] for leaf in ast.walk(test.comparators[0])
+                    if isinstance(leaf, ast.Attribute)}
+    return out
+
+
+def test_every_case_an_engine_takes_has_a_step_rule():
+    # CONST's one step has its constant value as threshold and 1/(v + 1) as
+    # majorant; every other case an engine takes reads its rule by case.
+    bodies = _engine_bodies()
+    for name in ("h-summable", "r-summable"):
+        taken = set(CanonicalCase) - _refused_cases(bodies[name]) - {CanonicalCase.CONST}
+        assert set(STRATEGIES[name][3]) == taken, name
+    assert _refused_cases(bodies["r-summable"]) == {CanonicalCase.MINMAX}
+    assert list(STRATEGIES["w-summable"][3]) == [None]
 
 
 def test_every_argument_parser_in_the_library_passes_a_formatter_class():
