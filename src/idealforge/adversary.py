@@ -121,18 +121,11 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
     return (k, i - k - 1)
 
 
-def _image_points(strategy: str, witness: Dict[str, Any]):
-    """The points whose colors make up a transcript's image, by STRATEGIES."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return STRATEGIES[strategy][2](witness)
-
-
 def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
                 witness: Dict[str, Any], majorant: Optional[Fraction]) -> Transcript:
     """A finished construction's transcript: its image is phi on the image
     points, and its certificate is the image's exact reciprocal sum."""
-    image = NatSet(phi(p) for p in _image_points(strategy, witness))
+    image = NatSet(phi(p) for p in STRATEGIES[strategy][2](witness))
     return Transcript(
         strategy=strategy, params=params, steps=steps, witness=witness, image=image,
         certified_sum=reciprocal_sum(image), majorant=majorant, coloring=phi,
@@ -889,7 +882,9 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
             report.fail("checks", f"step {step.index}: {ck.describe()} (fresh {fresh})")
             break
 
-    recomputed = NatSet(phi(p) for p in _image_points(t.strategy, t.witness))
+    if t.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {t.strategy!r}")
+    recomputed = NatSet(phi(p) for p in STRATEGIES[t.strategy][2](t.witness))
     report.add("image", recomputed == t.image,
                "" if recomputed == t.image else "image drifted on re-query")
     report.add("certificate", t.certified_sum == reciprocal_sum(recomputed),

@@ -39,6 +39,8 @@ from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_sparse, \
 _TOKEN = re.compile(r"[,\s]+")
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
 _POW2 = re.compile(r"^pow2\((\d+)\)$", re.ASCII)
+_INT = re.compile(r"-?[0-9]+")  # int() alone also reads '٣' as 3, '1_0' as 10 and ' 7' as 7
+_SCALE_OPTIONS = ("window", "ap_len", "clique_size", "fs_size", "tau")
 
 
 def _is_nat(token: str) -> bool:
@@ -164,10 +166,7 @@ def _scale_params(args: argparse.Namespace, ground: Optional[NatSet] = None) -> 
     window = getattr(args, "window", None)
     if window is None:
         window = (ground.max() + 1) if ground else ScaleParams().window
-    return ScaleParams(window=window, **_given(args, {
-        "ap_len": "ap_len", "clique_size": "clique_size", "fs_size": "fs_size",
-        "tau": "tau",
-    }))
+    return ScaleParams(window=window, **_given(args, {o: o for o in _SCALE_OPTIONS[1:]}))
 
 
 def _budget(args: argparse.Namespace, default: SearchBudget = SearchBudget()) -> SearchBudget:
@@ -183,6 +182,13 @@ def _need(args: argparse.Namespace, *options: str) -> None:
     for option in options:
         if getattr(args, option) is None:
             raise ParseError(f"this operation needs --{option}")
+
+
+def _refuse(args: argparse.Namespace, options, reads, what: str) -> None:
+    """Raise ParseError naming the first of these options set but not in ``reads``."""
+    for option in options:
+        if option not in reads and getattr(args, option) is not None:
+            raise ParseError(f"--{option.replace('_', '-')} does not apply to {what}")
 
 
 def _edge_set(args: argparse.Namespace) -> EdgeSet:
@@ -228,7 +234,7 @@ def _cmd_oracle(args) -> Dict[str, Any]:
     return body
 
 
-# The options each fs op needs, where they are not just --set.
+# The options each fs op needs, where they are not just --set; it reads no other operand.
 _FS_NEEDS = {
     "alpha": ("set", "x"), "very-sparse-subset": ("pool", "k"), "fs-subset": ("set", "k"),
     "conflict": ("set", "y"),
@@ -238,7 +244,9 @@ _FS_NEEDS = {
 def _cmd_fs(args) -> Dict[str, Any]:
     op = args.op
     body: Dict[str, Any] = {"op": op}
-    _need(args, *_FS_NEEDS.get(op, ("set",)))
+    needs = _FS_NEEDS.get(op, ("set",))
+    _need(args, *needs)
+    _refuse(args, ("set", "pool", "k", "x", "y"), needs, f"--op {op}")
     if op == "fs":
         body["fs"] = fs(parse_set_literal(args.set))
     elif op == "sparse":
@@ -299,32 +307,39 @@ def _w_summable_inputs(args):
 
 def _h_summable_inputs(args):
     budget = _budget(args)
-    _need(args, "basis", "case")
     pool = BlockBasis(parse_set_literal(args.basis))
     return sum(pool.elements) + 1, (pool, CanonicalCase(args.case), budget)
 
 
 def _r_summable_inputs(args):
     budget = _budget(args)
-    _need(args, "ground", "case")
     T = parse_set_literal(args.ground)  # a T of 0 or 1 points gets the least pair window, 2
     return max(T.max() + 1 if T else 0, 2), (T, CanonicalCase(args.case), budget)
 
 
 def _r_hindman_inputs(args):
     budget = _budget(args, R_HINDMAN_BUDGET)
-    _need(args, "basis")
     basis = SparseBasis(parse_set_literal(args.basis))
     return budget.max_element, (basis, budget, 2 if args.fs_size is None else args.fs_size)
 
 
-_STRATEGY_INPUTS = {"w-summable": _w_summable_inputs, "h-summable": _h_summable_inputs,
-                    "r-summable": _r_summable_inputs, "r-hindman": _r_hindman_inputs}
+# Per strategy: its inputs, and the options it reads beyond --phi, --window and --nmax.
+# Of --basis, --case and --ground, each strategy needs exactly the ones it reads.
+_STRATEGY_INPUTS = {
+    "w-summable": (_w_summable_inputs, ("budget_max_element",)),
+    "h-summable": (_h_summable_inputs, ("basis", "case", "budget_max_element")),
+    "r-summable": (_r_summable_inputs, ("ground", "case")),
+    "r-hindman": (_r_hindman_inputs, ("basis", "budget_max_element", "candidate_cap", "fs_size")),
+}
+_STRATEGY_OPTIONS = ("case", "basis", "ground", "budget_max_element", "candidate_cap", "fs_size")
 
 
 def _cmd_adversary(args) -> Dict[str, Any]:
     engine, kind, _, _ = STRATEGIES[args.strategy]
-    window, inputs = _STRATEGY_INPUTS[args.strategy](args)
+    reader, reads = _STRATEGY_INPUTS[args.strategy]
+    _need(args, *(option for option in reads if option in ("basis", "case", "ground")))
+    _refuse(args, _STRATEGY_OPTIONS, reads, f"--strategy {args.strategy}")
+    window, inputs = reader(args)
     phi = load_coloring(args.phi, window if args.window is None else args.window, kind)
     t = engine(phi, *inputs)
     return {"strategy": args.strategy, "transcript": t, "reverified": verify_transcript(t)}
@@ -333,6 +348,8 @@ def _cmd_adversary(args) -> Dict[str, Any]:
 def _finite_spec(ideal: str, ground: str, params: ScaleParams) -> FiniteIdealSpec:
     ideal_id = IdealId(ideal)
     if ideal_id is IdealId.RAMSEY:
+        if not _INT.fullmatch(ground):
+            raise ParseError(f"bad vertex count {ground!r}")
         return FiniteIdealSpec(ideal_id, params, int(ground))
     return FiniteIdealSpec(ideal_id, params, parse_set_literal(ground))
 
@@ -344,11 +361,6 @@ def _cmd_search(args) -> Dict[str, Any]:
     outcome = search_reduction(src, dst)
     return {"src": args.src_ideal, "dst": args.dst_ideal,
             "outcome": outcome}
-
-
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _is_int(v: Any) -> bool:
@@ -416,7 +428,9 @@ def _bundle_bases(bundle: Dict[str, Any], name: str) -> List[SparseBasis]:
 
 def _cmd_verify(args) -> Dict[str, Any]:
     what = args.what
-    bundle = _load_json(args.bundle)
+    _refuse(args, _SCALE_OPTIONS, _SCALE_OPTIONS if what == "reduction" else (), f"--what {what}")
+    with open(args.bundle, "r", encoding="utf-8") as handle:
+        bundle = json.load(handle)
     if not isinstance(bundle, dict):
         raise MalformedBundle(f"bundle must be a JSON object, got {type(bundle).__name__}")
     if what == "reduction":
@@ -469,11 +483,17 @@ def _cmd_verify(args) -> Dict[str, Any]:
     return {"what": what, "report": report}
 
 
+def _int(text: str) -> int:
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _scale_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int)
-    p.add_argument("--ap-len", dest="ap_len", type=int)
-    p.add_argument("--clique-size", dest="clique_size", type=int)
-    p.add_argument("--fs-size", dest="fs_size", type=int)
+    p.add_argument("--window", type=_int)
+    p.add_argument("--ap-len", dest="ap_len", type=_int)
+    p.add_argument("--clique-size", dest="clique_size", type=_int)
+    p.add_argument("--fs-size", dest="fs_size", type=_int)
     p.add_argument("--tau", type=str)
 
 
@@ -486,9 +506,9 @@ def _oracle_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", help="set literal, e.g. '1,3,9' or '0..8' or 'pow2(6)'")
     p.add_argument("--edges", help="edge list, e.g. '0 1, 0 2, 1 2'")
     p.add_argument("--pairs", help="ordered pairs, e.g. '0 0, 0 1, 1 5'")
-    p.add_argument("--n", type=int, help="vertex count for edge sets")
-    p.add_argument("--k", type=int, help="progression/clique/threshold size")
-    p.add_argument("--target", type=int, default=2, help="tall-witness size")
+    p.add_argument("--n", type=_int, help="vertex count for edge sets")
+    p.add_argument("--k", type=_int, help="progression/clique/threshold size")
+    p.add_argument("--target", type=_int, default=2, help="tall-witness size")
     _scale_options(p)
     p.set_defaults(func=_cmd_oracle)
 
@@ -499,10 +519,10 @@ def _fs_options(p: argparse.ArgumentParser) -> None:
                             "very-sparse-subset", "fs-subset", "conflict", "shift"])
     p.add_argument("--set", help="basis or carrier literal")
     p.add_argument("--pool", help="pool literal for very-sparse-subset")
-    p.add_argument("--k", type=int, help="requested basis size")
-    p.add_argument("--x", type=int, help="value to decompose")
-    p.add_argument("--y", type=int, help="value whose conflict set is wanted")
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--k", type=_int, help="requested basis size")
+    p.add_argument("--x", type=_int, help="value to decompose")
+    p.add_argument("--y", type=_int, help="value whose conflict set is wanted")
+    p.add_argument("--offset", type=_int, default=0)
     p.add_argument("--direction", choices=["up", "down"], default="up")
     p.set_defaults(func=_cmd_fs)
 
@@ -511,9 +531,9 @@ def _canonize_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["pairs", "fs"])
     p.add_argument("--op", default="classify", choices=["classify", "find"])
     p.add_argument("--phi", required=True, help="builtin name or table file")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_int, required=True)
     p.add_argument("--ground", help="T literal (pairs) or block pool literal (fs)")
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=_int, default=3)
     p.set_defaults(func=_cmd_canonize)
 
 
@@ -524,11 +544,11 @@ def _adversary_options(p: argparse.ArgumentParser) -> None:
                    help="declared canonical case (h/r-summable)")
     p.add_argument("--basis", help="block pool (h-summable) or sparse basis (r-hindman)")
     p.add_argument("--ground", help="T literal for r-summable")
-    p.add_argument("--window", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--budget-max-element", dest="budget_max_element", type=int)
-    p.add_argument("--candidate-cap", dest="candidate_cap", type=int)
-    p.add_argument("--fs-size", dest="fs_size", type=int)
+    p.add_argument("--window", type=_int)
+    p.add_argument("--nmax", type=_int)
+    p.add_argument("--budget-max-element", dest="budget_max_element", type=_int)
+    p.add_argument("--candidate-cap", dest="candidate_cap", type=_int)
+    p.add_argument("--fs-size", dest="fs_size", type=_int)
     p.set_defaults(func=_cmd_adversary)
 
 
@@ -617,21 +637,12 @@ def run(args: argparse.Namespace) -> Tuple[int, Dict[str, Any]]:
         body = args.func(args)
         body.setdefault("status", "ok")
         return 0, {"header": header, "body": body}
-    except SearchExhausted as exc:
-        body = {"status": "exhausted", "error": {
-            "code": exc.code(), "step": exc.step, "message": str(exc),
-        }}
-        return 2, {"header": header, "body": body}
-    except IdealforgeError as exc:
-        body = {"status": "error", "error": {
-            "code": exc.code(), "message": str(exc),
-        }}
-        return 1, {"header": header, "body": body}
-    except (ValueError, OSError, KeyError) as exc:
-        body = {"status": "error", "error": {
-            "code": type(exc).__name__, "message": str(exc),
-        }}
-        return 1, {"header": header, "body": body}
+    except (IdealforgeError, ValueError, OSError, KeyError) as exc:
+        exhausted = isinstance(exc, SearchExhausted)
+        error = {"code": type(exc).__name__, **({"step": exc.step} if exhausted else {}),
+                 "message": str(exc)}
+        body = {"status": "exhausted" if exhausted else "error", "error": error}
+        return 2 if exhausted else 1, {"header": header, "body": body}
 
 
 def main(argv: Optional[List[str]] = None) -> None:

@@ -99,13 +99,10 @@ class SparseBasis(Elements):
     A super-increasing basis lists FS(D) ascending in mask order, so the sum
     with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``;
     ``sums_meeting`` then copies the runs between the sums that avoid its
-    mask instead of testing every mask.  The basis is immutable, so the
-    first ``is_very_sparse`` call on a non-doubling basis stores its verdict
-    here and later calls on the same basis reuse it: one pairwise scan per
-    basis, and none for a doubling one.
+    mask instead of testing every mask.
     """
 
-    __slots__ = ("elements", "_index", "_fs", "_masks", "_verdict")
+    __slots__ = ("elements", "_index", "_fs", "_masks")
 
     def __init__(self, elements: Iterable[int]):
         xs = _as_elements(elements)
@@ -113,7 +110,6 @@ class SparseBasis(Elements):
         self._index: Optional[Dict[int, int]] = None  # sum -> mask, with the table
         self._fs: Optional[NatSet] = None
         self._masks: Sequence[int] = ()  # _masks[i] decomposes _fs.elements[i]
-        self._verdict: Optional[VerySparseFlag] = None  # set by is_very_sparse
         if _outgrows(xs, 1):
             return
         if len(xs) > FS_CAP:
@@ -212,8 +208,8 @@ def is_very_sparse(D) -> VerySparseFlag:
 
     Any other D scans distinct pairs x < y of FS(D) in lexicographic order
     and reports the first pair with alpha(x) meeting alpha(y) but x + y back
-    in FS(D).  A SparseBasis keeps the verdict of its first scan; any other
-    argument builds a fresh basis and is scanned.
+    in FS(D).  A SparseBasis is scanned as it is; any other argument builds
+    a fresh basis first.
     """
     xs = _as_elements(D)
     if _outgrows(xs, 2):
@@ -223,10 +219,8 @@ def is_very_sparse(D) -> VerySparseFlag:
             f"|D| = {len(xs)} exceeds the very-sparse cap {VERY_SPARSE_CAP}"
         )
     if not isinstance(D, SparseBasis):
-        return _pairwise_scan(SparseBasis(NatSet._trusted(xs)))  # NotSparse if not sparse
-    if D._verdict is None:
-        D._verdict = _pairwise_scan(D)
-    return D._verdict
+        D = SparseBasis(NatSet._trusted(xs))  # NotSparse if not sparse
+    return _pairwise_scan(D)
 
 
 def _pairwise_scan(basis: SparseBasis) -> VerySparseFlag:

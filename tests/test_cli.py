@@ -1,10 +1,12 @@
+import argparse
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from idealforge import NatSet, PairColoring, SparseBasis
+from idealforge import NatSet, PairColoring, SparseBasis, cli
 from idealforge.adversary import R_HINDMAN_BUDGET, SearchBudget, defeat_r_hindman
 from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
@@ -334,7 +336,7 @@ def test_zero_ap_len_is_rejected_not_defaulted():
      "--fs-size", "0"),
     ("adversary", "--strategy", "w-summable", "--phi", "identity",
      "--budget-max-element", "0"),
-    ("adversary", "--strategy", "w-summable", "--phi", "identity",
+    ("adversary", "--strategy", "r-hindman", "--basis", "1,3,9", "--phi", "const:1",
      "--candidate-cap", "0"),
     ("adversary", "--strategy", "w-summable", "--phi", "identity",
      "--window", "0"),
@@ -589,6 +591,25 @@ def test_other_zero_options_are_rejected(argv):
     (("adversary", "--strategy", "w-summable", "--window", "1", "--nmax", "1",
       "--phi", "const:٣"),
      ("ParseError", "bad constant 'const:٣'")),
+    # So does a Ramsey vertex count: int() alone also reads '1_0' as 10 and ' 3' as 3.
+    (("search", "--src-ideal", "vdw", "--src-ground", "0..3", "--dst-ideal", "ramsey",
+      "--dst-ground", "٣"),
+     ("ParseError", "bad vertex count '٣'")),
+    (("search", "--src-ideal", "ramsey", "--src-ground", "1_0", "--dst-ideal", "ramsey",
+      "--dst-ground", "3"),
+     ("ParseError", "bad vertex count '1_0'")),
+    (("search", "--src-ideal", "vdw", "--src-ground", "0..3", "--dst-ideal", "ramsey",
+      "--dst-ground", " 3"),
+     ("ParseError", "bad vertex count ' 3'")),
+    (("verify", "--what", "reduction", "--ap-len", "3", "--bundle",
+      dict(REDUCTION_BUNDLE, dst={"ideal": "ramsey", "ground": "٣"}, map=[])),
+     ("ParseError", "bad vertex count '٣'")),
+    # A needed option left out is reported before an option the mode does not read.
+    (("adversary", "--strategy", "h-summable", "--phi", "identity", "--basis", "1,2,4",
+      "--ground", "0..3"),
+     ("ParseError", "this operation needs --case")),
+    (("fs", "--op", "alpha", "--set", "1,2,4", "--k", "2"),
+     ("ParseError", "this operation needs --x")),
 ])
 def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     path = tmp_path / "input"
@@ -605,6 +626,125 @@ def test_missing_or_mismatched_option_exits_1(argv, error, tmp_path):
     code, rep = invoke(*map(written, argv))
     assert code == 1
     assert rep["body"]["error"] == {"code": error[0], "message": error[1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("adversary", "--strategy", "w-summable", "--phi", "identity", "--nmax", "٣"),
+    ("adversary", "--strategy", "w-summable", "--phi", "identity", "--window", "1_00"),
+    ("oracle", "--ideal", "vdw", "--op", "find-ap", "--set", "1,2,3", "--k", " 3"),
+    ("fs", "--op", "alpha", "--set", "1,3,9", "--x", "+4"),
+    ("canonize", "--kind", "fs", "--phi", "identity", "--ground", "1,2,4", "--window", "²"),
+    ("search", "--src-ideal", "vdw", "--src-ground", "0..3", "--dst-ideal", "vdw",
+     "--dst-ground", "0..3", "--ap-len", "3\n"),
+])
+def test_int_options_take_ascii_digits_only(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(list(argv))
+    assert exit_info.value.code == 2
+    assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_negative_int_options_still_parse():
+    args = build_parser().parse_args(["fs", "--op", "shift", "--set", "3,5", "--offset", "-2"])
+    assert args.offset == -2
+
+
+# A call per strategy, as option -> value, and for each option the strategy
+# reads beyond --phi, --window and --nmax, a value that changes the call's body.
+STRATEGY_CALLS = {
+    "w-summable": ({"--phi": "identity", "--nmax": "3"}, {"--budget-max-element": "20"}),
+    "h-summable": ({"--phi": "identity", "--case": "inj", "--basis": "pow2(12)", "--nmax": "3"},
+                   {"--basis": "pow2(11)", "--case": "min", "--budget-max-element": "8"}),
+    "r-summable": ({"--phi": "pairing", "--case": "inj", "--ground": "0..30", "--nmax": "3"},
+                   {"--ground": "0..40", "--case": "min"}),
+    "r-hindman": ({"--phi": "const:1", "--basis": "1,2,4", "--nmax": "3"},
+                  {"--basis": "2,4", "--budget-max-element": "16", "--candidate-cap": "2",
+                   "--fs-size": "1"}),
+}
+
+
+def strategy_argv(strategy, options):
+    return ["adversary", "--strategy", strategy, *itertools.chain(*options.items())]
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_CALLS))
+def test_every_option_a_strategy_reads_changes_its_body(strategy):
+    base, changed = STRATEGY_CALLS[strategy]
+    reads = cli._STRATEGY_INPUTS[strategy][1]
+    assert sorted(changed) == sorted(f"--{option.replace('_', '-')}" for option in reads)
+    code, before = invoke(*strategy_argv(strategy, base))
+    assert code == 0
+    for option, value in changed.items():
+        assert invoke(*strategy_argv(strategy, base | {option: value}))[1]["body"] \
+            != before["body"], option
+
+
+# Per subcommand: the option naming its mode, the options its modes may read
+# (each with a value), and per mode a call that runs and the options it reads.
+MODE_GROUPS = {
+    "adversary": ("--strategy", {
+        "--case": "min", "--basis": "1,2,4", "--ground": "0..3", "--budget-max-element": "64",
+        "--candidate-cap": "4", "--fs-size": "2",
+    }, {
+        strategy: (strategy_argv(strategy, base)[3:], set(changed))
+        for strategy, (base, changed) in STRATEGY_CALLS.items()
+    }),
+    "verify": ("--what", {
+        "--window": "8", "--ap-len": "3", "--clique-size": "3", "--fs-size": "2", "--tau": "1",
+    }, {
+        "hnr": (["--bundle", HNR_BUNDLE], set()),
+        "rnh": (["--bundle", RNH_BUNDLE], set()),
+        "final": (["--bundle", FINAL_BUNDLE], set()),
+        "reduction": (["--bundle", REDUCTION_BUNDLE, "--ap-len", "3"],
+                      {"--window", "--ap-len", "--clique-size", "--fs-size", "--tau"}),
+    }),
+    "fs": ("--op", {"--set": "1,2,3", "--pool": "1..50", "--k": "2", "--x": "3", "--y": "1"}, {
+        "fs": (["--set", "1,2,3"], {"--set"}),
+        "sparse": (["--set", "1,2,3"], {"--set"}),
+        "alpha": (["--set", "1,2", "--x", "3"], {"--set", "--x"}),
+        "very-sparse": (["--set", "1,3,9"], {"--set"}),
+        "very-sparse-subset": (["--pool", "1..50", "--k", "2"], {"--pool", "--k"}),
+        "fs-subset": (["--set", "1,2,3", "--k", "2"], {"--set", "--k"}),
+        "conflict": (["--set", "1,2", "--y", "1"], {"--set", "--y"}),
+        "shift": (["--set", "1,2,3", "--offset", "1"], {"--set"}),
+    }),
+}
+MODE_OPTIONS = [
+    (subcommand, mode, option, option in reads)
+    for subcommand, (flag, values, modes) in MODE_GROUPS.items()
+    for mode, (_, reads) in modes.items() for option in values
+]
+
+
+@pytest.mark.parametrize("subcommand", sorted(MODE_GROUPS))
+def test_the_mode_table_covers_every_mode(subcommand):
+    flag, _, modes = MODE_GROUPS[subcommand]
+    parser = argparse.ArgumentParser()
+    getattr(cli, f"_{subcommand}_options")(parser)
+    assert sorted(modes) == sorted(
+        next(a.choices for a in parser._actions if flag in a.option_strings))
+
+
+@pytest.mark.parametrize("subcommand, mode, option, reads", MODE_OPTIONS,
+                         ids=[f"{s}-{m}{o}" for s, m, o, _ in MODE_OPTIONS])
+def test_each_mode_accepts_only_the_options_it_reads(subcommand, mode, option, reads, tmp_path):
+    flag, values, modes = MODE_GROUPS[subcommand]
+    argv = [subcommand, flag, mode]
+    for arg in modes[mode][0]:
+        if isinstance(arg, dict):
+            path = tmp_path / "bundle.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    if option not in argv:
+        argv += [option, values[option]]
+    code, rep = invoke(*argv)
+    if reads:
+        assert code == 0, rep["body"]
+    else:
+        assert code == 1
+        assert rep["body"]["error"] == {
+            "code": "ParseError", "message": f"{option} does not apply to {flag} {mode}"}
 
 
 def test_report_determinism_in_process():
