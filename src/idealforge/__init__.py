@@ -64,6 +64,5 @@ from .sparse import (
     fs,
     is_sparse,
     is_very_sparse,
-    shift,
     very_sparse_subset,
 )

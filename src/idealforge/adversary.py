@@ -242,7 +242,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
     """
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
-    _require_case(classify_fs_on(phi, C.prefix(5)), case,
+    _require_case(classify_fs_on(phi, BlockBasis(C.elements[:5])), case,
                   "declared {case}, prefix classifies as {got}")
     n_max = budget.max_steps
     cs = C.elements
@@ -643,14 +643,6 @@ class GammaMap:
                 raise ValueError(f"f({x}) = ({z0},{z1}) is not a strict pair")
             norm[x] = (z0, z1)
         self.table = norm
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.table
-
-    def __call__(self, x: int) -> Tuple[int, int]:
-        if x not in self.table:
-            raise MalformedBundle(f"f undefined at {x}")
-        return self.table[x]
 
     def get(self, x: int) -> Optional[Tuple[int, int]]:
         return self.table.get(x)

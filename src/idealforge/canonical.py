@@ -131,13 +131,17 @@ class PairColoring:
 
     @classmethod
     def from_table(cls, n: int, table: Dict[Tuple[int, int], int]) -> "PairColoring":
-        """Checks n, then each pair, then totality; pairs in either order."""
+        """Checks n, then each pair, then totality; pairs in either order,
+        but not in both."""
         norm: Dict[Tuple[int, int], int] = {}
         coloring = cls(n, lambda i, j: norm[i, j])
         for (i, j), v in table.items():
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad pair ({i},{j}) for n={n}")
-            norm[(min(i, j), max(i, j))] = v
+            key = (min(i, j), max(i, j))
+            if key in norm:
+                raise ValueError(f"pair ({i},{j}) given twice, in both orders")
+            norm[key] = v
         missing = [p for p in itertools.combinations(range(n), 2) if p not in norm]
         if missing:
             raise Incomplete(missing, kind="pair coloring")
@@ -181,12 +185,6 @@ class BlockBasis(Elements):
                     f"block condition fails: max alpha({a}) >= min alpha({b})"
                 )
         self.elements = xs
-
-    def prefix(self, m: int) -> "BlockBasis":
-        return BlockBasis(self.elements[:m])
-
-    def fs_set(self) -> NatSet:
-        return fs(NatSet(self.elements))
 
 
 def _case(values, keyed, where) -> Optional[CanonicalCase]:

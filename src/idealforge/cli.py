@@ -28,19 +28,21 @@ from .adversary import R_HINDMAN_BUDGET, STRATEGIES, GammaMap, RnhCase1Bundle, \
     replay_final_contradiction, verify_transcript
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, find_block_basis, find_canonical_subset
-from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhausted
+from .errors import IdealforgeError, MalformedBundle, ParseError, SearchExhausted, TooLarge
 from .ideals import EdgeSet, IdealId, NatSet, ScaleParams, find_ap, find_clique, \
     heavy_columns, is_positive, longest_ap, reciprocal_sum, tall_witness
 from .reduction import FiniteIdealSpec, one_each, search_reduction, verify_reduction
 from .report import dumps_stable
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_sparse, \
-    is_very_sparse, shift, very_sparse_subset
+    is_very_sparse, very_sparse_subset
 
 _TOKEN = re.compile(r"[,\s]+")
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
 _POW2 = re.compile(r"^pow2\((\d+)\)$", re.ASCII)
 _INT = re.compile(r"-?[0-9]+")  # int() alone also reads '٣' as 3, '1_0' as 10 and ' 7' as 7
 _SCALE_OPTIONS = ("window", "ap_len", "clique_size", "fs_size", "tau")
+LITERAL_CAP = 1 << 16  # points one set literal may list, counted before expanding
+POW2_CAP = 1024  # largest n in pow2(n), whose last power has n bits
 
 
 def _is_nat(token: str) -> bool:
@@ -51,7 +53,9 @@ def _is_nat(token: str) -> bool:
 
 def parse_set_literal(text: str) -> NatSet:
     """Grammar: naturals, ranges ``a..b``, and ``pow2(n)`` for the first n
-    powers of two, separated by commas or whitespace."""
+    powers of two, separated by commas or whitespace.  A token that takes the
+    literal past ``LITERAL_CAP`` points, or a pow2(n) with n past ``POW2_CAP``,
+    raises TooLarge before it expands."""
     out: List[int] = []
     pos = 0
     for token in _TOKEN.split(text):
@@ -60,20 +64,22 @@ def parse_set_literal(text: str) -> NatSet:
         at = text.find(token, pos)
         pos = at + len(token)
         if _is_nat(token):
-            out.append(int(token))
-            continue
-        m = _RANGE.match(token)
-        if m:
+            points = (int(token),)
+        elif m := _RANGE.match(token):
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo > hi:
                 raise ParseError(f"empty range {token!r}", at)
-            out.extend(range(lo, hi + 1))
-            continue
-        m = _POW2.match(token)
-        if m:
-            out.extend(1 << i for i in range(int(m.group(1))))
-            continue
-        raise ParseError(f"bad token {token!r}", at)
+            points = range(lo, hi + 1)
+        elif m := _POW2.match(token):
+            n = int(m.group(1))
+            if n > POW2_CAP:
+                raise TooLarge(f"{token!r} exceeds the pow2 cap {POW2_CAP}")
+            points = [1 << i for i in range(n)]
+        else:
+            raise ParseError(f"bad token {token!r}", at)
+        if len(out) + len(points) > LITERAL_CAP:
+            raise TooLarge(f"{token!r} takes the literal past {LITERAL_CAP} points")
+        out.extend(points)
     return NatSet(out)
 
 
@@ -266,7 +272,8 @@ def _cmd_fs(args) -> Dict[str, Any]:
         basis = SparseBasis(parse_set_literal(args.set))
         body["conflict_set"] = conflict_set(basis, args.y)
     else:  # shift; argparse allows no other op
-        body["shifted"] = shift(parse_set_literal(args.set), args.offset, args.direction)
+        A = parse_set_literal(args.set)
+        body["shifted"] = A + args.offset if args.direction == "up" else A - args.offset
     return body
 
 

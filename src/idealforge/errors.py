@@ -1,15 +1,12 @@
 """Exception types shared across the toolkit.
 
-Every error that a caller is expected to branch on gets its own class;
-``code()`` gives the machine-readable tag used in CLI reports.
+Every error that a caller is expected to branch on gets its own class.
+A CLI error report tags an error with its class name.
 """
 
 
 class IdealforgeError(Exception):
     """Base class for all toolkit errors."""
-
-    def code(self) -> str:
-        return type(self).__name__
 
 
 class CarrierMismatch(IdealforgeError):
@@ -69,7 +66,6 @@ class SearchExhausted(IdealforgeError):
 
     def __init__(self, step: int, detail: str = ""):
         self.step = step
-        self.detail = detail
         message = f"construction exhausted at step {step}"
         if detail:
             message += f": {detail}"

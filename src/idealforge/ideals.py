@@ -10,6 +10,7 @@ column).  All oracles here are pure functions of immutable values.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from collections import Counter
 from enum import Enum
@@ -28,10 +29,6 @@ class Record:
     def fields(self) -> dict:
         """Each field's value by name, in slot order."""
         return {name: getattr(self, name) for name in self.__slots__}
-
-    def to_json_dict(self) -> dict:
-        """The report form: the fields, which the writer converts."""
-        return self.fields()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -139,9 +136,6 @@ class NatSet(Elements):
     def max(self) -> int:
         return self.elements[-1]
 
-    def union(self, other: Iterable[int]) -> "NatSet":
-        return NatSet(itertools.chain(self.elements, other))
-
     def issubset(self, other: "NatSet") -> bool:
         return self._member_set() <= other._member_set()
 
@@ -177,12 +171,9 @@ class EdgeSet:
     def gamma(self) -> frozenset:
         return frozenset((j, i) for (i, j) in self.edges)
 
-    def has(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def __contains__(self, e) -> bool:
         i, j = e
-        return self.has(i, j)
+        return (min(i, j), max(i, j)) in self.edges
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -223,6 +214,10 @@ class ScaleParams(FrozenRecord):
     def __init__(self, ap_len: int = 5, clique_size: int = 4, fs_size: int = 3,
                  tau: Fraction = Fraction(2), window: int = 256):
         try:
+            # ASCII p, p/q or decimal: Fraction() alone also reads '٣' as 3,
+            # '1_0' as 10, ' 3' as 3 and '1e3' as 1000
+            if isinstance(tau, str) and not re.fullmatch(r"-?(?:[0-9]+/|[0-9]*\.)?[0-9]+", tau):
+                raise ValueError
             rational = Fraction(tau)
         except ZeroDivisionError:
             raise ValueError(f"tau {tau!r} has a zero denominator") from None

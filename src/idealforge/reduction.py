@@ -22,6 +22,7 @@ from .sparse import fs, fs_bases
 FINITE_SCALE_CAVEAT = (
     "micro-scale result: evidence about finite truncations only, not a theorem"
 )
+SEARCH_NODE_LIMIT = 5_000_000  # map-search nodes before TooLarge
 
 
 class FiniteIdealSpec(FrozenRecord):
@@ -223,13 +224,12 @@ class SearchOutcome(Record):
         }
 
 
-def search_reduction(src: FiniteIdealSpec, dst: FiniteIdealSpec,
-                     node_limit: int = 5_000_000) -> SearchOutcome:
+def search_reduction(src: FiniteIdealSpec, dst: FiniteIdealSpec) -> SearchOutcome:
     """Depth-first search for the lexicographically least reduction map.
 
     Assigns destination carrier elements in canonical order with source
     values ascending; prunes the moment a fully assigned minimal positive
-    set has a non-positive image.  Exceeding node_limit raises TooLarge
+    set has a non-positive image.  Exceeding SEARCH_NODE_LIMIT raises TooLarge
     rather than faking an exhausted verdict.
     """
     dst_size, src_size = dst.carrier_size(), src.carrier_size()
@@ -260,8 +260,8 @@ def search_reduction(src: FiniteIdealSpec, dst: FiniteIdealSpec,
             return dict(zip(dst_carrier, assignment))
         for value in src_carrier:
             nodes += 1
-            if nodes > node_limit:
-                raise TooLarge(f"search exceeded {node_limit} nodes")
+            if nodes > SEARCH_NODE_LIMIT:
+                raise TooLarge(f"search exceeded {SEARCH_NODE_LIMIT} nodes")
             assignment[pos] = value
             if all(image_positive(fi) for fi in completes_at[pos]):
                 hit = dfs(pos + 1)

@@ -52,7 +52,7 @@ def dumps_stable(obj: Any) -> str:
 
 _quoted = json.encoder.encode_basestring_ascii
 
-# Each written record class with Record's report form: its (slot, '"slot": ')
+# Each written record class without its own form: its (slot, '"slot": ')
 # pairs in slot order.
 _heads: Dict[type, List[tuple]] = {}
 
@@ -90,7 +90,7 @@ def _indented(value: Any, indent: str) -> str:
         body = sep.join([f"{_quoted(str(k))}: {_indented(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
     heads = _heads.get(cls)
-    if heads is None and getattr(cls, "to_json_dict", None) is Record.to_json_dict:
+    if heads is None and issubclass(cls, Record) and not hasattr(cls, "to_json_dict"):
         heads = _heads[cls] = [(name, _quoted(name) + ": ") for name in cls.__slots__]
     if heads:
         parts = []

@@ -20,9 +20,7 @@ VERY_SPARSE_CAP = 16  # quadratic scan over FS pairs of a non-doubling basis
 
 
 def _as_elements(B) -> Tuple[int, ...]:
-    if isinstance(B, NatSet):
-        return B.elements
-    if isinstance(B, SparseBasis):
+    if isinstance(B, Elements):
         return B.elements
     return NatSet(B).elements
 
@@ -337,11 +335,3 @@ def binary_alpha(x: int) -> NatSet:
         raise ValueError("natural expected")
     return NatSet._trusted(tuple([1 << i for i in range(x.bit_length()) if (x >> i) & 1]))
 
-
-def shift(A: NatSet, n: int, direction: str = "up") -> NatSet:
-    """A + n, or A - n keeping only elements >= n."""
-    if direction == "up":
-        return A + n
-    if direction == "down":
-        return A - n
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")

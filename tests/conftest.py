@@ -18,6 +18,7 @@ import idealforge
 from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudget, \
     is_positive
 from idealforge.canonical import high_bit, low_bit
+from idealforge.ideals import Record
 from idealforge.errors import CaseMismatch, SearchExhausted
 from idealforge.report import rational_str
 
@@ -86,7 +87,7 @@ def naive_clique(G: EdgeSet, k: int):
     if k == 1:
         return (0,) if G.n else None
     for verts in itertools.combinations(range(G.n), k):
-        if all(G.has(i, j) for i, j in itertools.combinations(verts, 2)):
+        if all((i, j) in G for i, j in itertools.combinations(verts, 2)):
             return verts
     return None
 
@@ -600,6 +601,8 @@ def ref_jsonable(value):
         return value
     if hasattr(value, "to_json_dict"):
         return ref_jsonable(value.to_json_dict())
+    if isinstance(value, Record):
+        return ref_jsonable(value.fields())
     if hasattr(value, "elements"):
         return list(value.elements)
     raise TypeError(f"cannot serialize {type(value).__name__}")

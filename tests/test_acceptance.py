@@ -41,6 +41,7 @@ from idealforge import (
     find_canonical_subset,
     find_clique,
     find_fs_subset,
+    fs,
     is_very_sparse,
     reciprocal_sum,
     search_reduction,
@@ -240,7 +241,7 @@ def test_acceptance_6_classifier_recovery_and_oracle_agreement():
         case = list(fs_patterns)[i % 5]
         pattern = fs_patterns[case]
         C = random_block_basis(rng, rng.randint(3, 5))
-        points = C.fs_set()
+        points = fs(C)
         keys = sorted({pattern(x) for x in points})
         rho = dict(zip(keys, rng.sample(range(10 ** 6), len(keys))))
         phi = NatColoring(points.max() + 1, fn=lambda x, r=rho, pat=pattern:

@@ -268,8 +268,7 @@ def test_gamma_map_validation():
         GammaMap({3: (1, 1)})
     g = GammaMap({3: (2, 1), 7: (9, 1), 8: (5, 2)})
     assert g.inv_second(1) == NatSet([3, 7])
-    with pytest.raises(MalformedBundle):
-        g(4)
+    assert g.get(4) is None
 
 
 def powers_of_ten():
@@ -349,7 +348,7 @@ def test_rnh_case2_depth_three_with_branch_middle():
     rep = check_rnh_conditions(bundle, GammaMap(table), Xb)
     assert rep.passed, rep.failed_names()
     # the final point must actually sit in column 7, not ride a default
-    assert GammaMap(table)(1000) == (8, 7)
+    assert GammaMap(table).get(1000) == (8, 7)
 
 
 def test_rnh_case2_single_violations():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from idealforge import (
     classify_pairs_on,
     find_block_basis,
     find_canonical_subset,
+    fs,
 )
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import Incomplete, TooSmall, WindowExceeded
@@ -27,6 +29,17 @@ def test_coloring_totality_enforced():
         PairColoring.from_table(3, {(0, 1): 1, (0, 2): 2})
     phi = PairColoring.from_table(3, {(1, 0): 1, (0, 2): 2, (2, 1): 3})
     assert phi((0, 1)) == 1 and phi((1, 2)) == 3
+
+
+@pytest.mark.parametrize("table, given", [
+    ({(0, 1): 1, (1, 0): 2, (0, 2): 0, (1, 2): 0}, "(1,0)"),
+    ({(2, 1): 0, (0, 1): 0, (0, 2): 0, (1, 2): 5}, "(1,2)"),
+    # the pair check runs before totality, so a short table says the same
+    ({(0, 2): 0, (2, 0): 0}, "(2,0)"),
+])
+def test_pair_table_refuses_a_pair_in_both_orders(table, given):
+    with pytest.raises(ValueError, match=re.escape(f"pair {given} given twice, in both orders")):
+        PairColoring.from_table(3, table)
 
 
 def test_coloring_window_enforced():
@@ -129,7 +142,7 @@ def test_min_case_implies_injective_on_blocks(rng):
     # block supports are disjoint, so low bits differ across the basis
     for _ in range(20):
         C = random_block_basis(rng, 5)
-        phi = NatColoring.min_alpha(max(C.fs_set()) + 1)
+        phi = NatColoring.min_alpha(max(fs(C)) + 1)
         assert classify_fs_on(phi, C) is CanonicalCase.MIN
         values = [phi(c) for c in C]
         assert len(set(values)) == len(values)

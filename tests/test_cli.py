@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from idealforge import NatSet, PairColoring, SparseBasis, cli
+from fractions import Fraction
+
+from idealforge import NatSet, PairColoring, ScaleParams, SparseBasis, cli
 from idealforge.adversary import R_HINDMAN_BUDGET, SearchBudget, defeat_r_hindman
 from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
@@ -54,6 +56,19 @@ def test_parse_set_literal_errors():
         parse_set_literal("5..2")
     with pytest.raises(ParseError):
         parse_set_literal("pow2(x)")
+
+
+def test_set_literals_up_to_the_caps_parse():
+    assert len(parse_set_literal("0..65535")) == cli.LITERAL_CAP
+    assert len(parse_set_literal("0..65534, 0")) == cli.LITERAL_CAP - 1
+    assert parse_set_literal("pow2(1024)").max() == 1 << (cli.POW2_CAP - 1)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("5/2", Fraction(5, 2)), ("100", 100), ("1.5", Fraction(3, 2)), (".5", Fraction(1, 2)),
+])
+def test_tau_forms_that_parse(text, want):
+    assert ScaleParams(tau=text).tau == want
 
 
 def test_parse_pair_literal():
@@ -226,7 +241,7 @@ def test_r_hindman_options_left_unset_take_the_engine_defaults(nmax, code):
         t = defeat_r_hindman(PairColoring.constant(32, 1), SparseBasis([1, 2, 4]), *budget)
         want = 0, {"transcript": json.loads(dumps_stable(t))}
     except SearchExhausted as exc:
-        want = 2, {"error": {"code": exc.code(), "step": exc.step, "message": str(exc)}}
+        want = 2, {"error": {"code": type(exc).__name__, "step": exc.step, "message": str(exc)}}
     assert got[0] == want[0] == code
     assert {key: got[1]["body"][key] for key in want[1]} == want[1]
 
@@ -380,6 +395,24 @@ def test_other_zero_options_are_rejected(argv):
      ("ValueError", "tau '1/0' has a zero denominator")),
     (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "abc"),
      ("ValueError", "tau 'abc' is not a rational p/q")),
+    # A tau string is ASCII digits: an integer, p/q or a decimal.
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "٣"),
+     ("ValueError", "tau '٣' is not a rational p/q")),
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "1_0"),
+     ("ValueError", "tau '1_0' is not a rational p/q")),
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", " 3"),
+     ("ValueError", "tau ' 3' is not a rational p/q")),
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "3/٢"),
+     ("ValueError", "tau '3/٢' is not a rational p/q")),
+    (("oracle", "--ideal", "summable", "--set", "1,2", "--tau", "1e3"),
+     ("ValueError", "tau '1e3' is not a rational p/q")),
+    # A set literal is sized from its tokens before any of them expands.
+    (("fs", "--op", "shift", "--set", "0..65536", "--offset", "1"),
+     ("TooLarge", "'0..65536' takes the literal past 65536 points")),
+    (("fs", "--op", "shift", "--set", "0..40000 0..30000", "--offset", "1"),
+     ("TooLarge", "'0..30000' takes the literal past 65536 points")),
+    (("fs", "--op", "shift", "--set", "1,pow2(1025)", "--offset", "1"),
+     ("TooLarge", "'pow2(1025)' exceeds the pow2 cap 1024")),
     (("oracle", "--ideal", "vdw", "--op", "clique", "--set", "1,2,3"),
      ("CarrierMismatch", "clique search takes an EdgeSet, got NatSet")),
     (("oracle", "--ideal", "ramsey", "--op", "longest-ap", "--edges", "0 1"),

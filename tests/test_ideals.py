@@ -332,7 +332,7 @@ def test_is_positive_upward_closed(rng):
     p = ScaleParams(ap_len=3, window=100)
     for _ in range(40):
         small = NatSet(rng.sample(range(100), 12))
-        big = small.union(rng.sample(range(100), 8))
+        big = NatSet([*small, *rng.sample(range(100), 8)])
         if is_positive(small, IdealId.VDW, p):
             assert is_positive(big, IdealId.VDW, p)
         if not is_positive(big, IdealId.VDW, p):
@@ -351,7 +351,7 @@ def test_union_laws_at_coarsened_scale(rng):
         B = NatSet(rng.sample(range(200), 20))
         for ideal in (IdealId.VDW, IdealId.SUMMABLE):
             if not is_positive(A, ideal, p) and not is_positive(B, ideal, p):
-                assert not is_positive(A.union(B), ideal, coarse)
+                assert not is_positive(NatSet([*A, *B]), ideal, coarse)
     for _ in range(20):
         n = 12
         edges = list(itertools.combinations(range(n), 2))

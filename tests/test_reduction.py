@@ -18,6 +18,7 @@ from idealforge import (
     search_reduction,
     verify_reduction,
 )
+from idealforge import reduction
 from idealforge.errors import CarrierMismatch, MalformedBundle, TooLarge
 
 from conftest import every_ap, every_fs_subset, naive_search_reduction
@@ -224,13 +225,14 @@ def test_search_ramsey_to_ramsey_tiny():
     assert out.found == naive_search_reduction(spec, spec)
 
 
-def test_search_caps():
+def test_search_caps(monkeypatch):
     spec = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(12)))
     with pytest.raises(TooLarge):
         search_reduction(spec, spec)
     small = FiniteIdealSpec(IdealId.VDW, P3, NatSet(range(5)))
+    monkeypatch.setattr(reduction, "SEARCH_NODE_LIMIT", 3)
     with pytest.raises(TooLarge):
-        search_reduction(small, small, node_limit=3)
+        search_reduction(small, small)
 
 
 def peak_bytes(call) -> int:

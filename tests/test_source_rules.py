@@ -211,7 +211,7 @@ def test_report_values_are_converted_only_by_the_writer():
                     found.append(f"{path.name}:{node.lineno}")
     # Record's default form and the three records that give their own.
     forms = [(name, "to_json_dict") for name in
-             ("adversary.py", "ideals.py", "reduction.py", "report.py")]
+             ("adversary.py", "reduction.py", "report.py")]
     commands = [("cli.py", f"_cmd_{name}") for name in
                 ("adversary", "canonize", "fs", "oracle", "search", "verify")]
     assert sorted(read) == sorted(forms + commands)

@@ -12,7 +12,6 @@ from idealforge import (
     fs,
     is_sparse,
     is_very_sparse,
-    shift,
     very_sparse_subset,
 )
 from idealforge import sparse
@@ -236,8 +235,3 @@ def test_alpha_additivity(rng):
             assert set(D.alpha(a + c)) == aa | ac
 
 
-def test_shift_wrapper():
-    assert shift(NatSet([3, 5]), 4, "down") == NatSet([1])
-    assert shift(NatSet([0, 1]), 2, "up") == NatSet([2, 3])
-    with pytest.raises(ValueError):
-        shift(NatSet([1]), 1, "sideways")
