@@ -16,12 +16,13 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
-    classify_fs_on, classify_pairs_on, least_subset
+    classify_fs_on, classify_pairs_on, fs_case, fs_values, least_subset, pair_case, pair_values
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import FrozenRecord, NatSet, Record, progressions, reciprocal_sum
 from .report import Report, rational_str
-from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse
+from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse, \
+    require_fs_cap
 
 
 class SearchBudget(FrozenRecord):
@@ -122,10 +123,14 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
 
 
 def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
-                witness: Dict[str, Any], majorant: Optional[Fraction]) -> Transcript:
+                witness: Dict[str, Any], majorant: Optional[Fraction],
+                values: Optional[Sequence[int]] = None) -> Transcript:
     """A finished construction's transcript: its image is phi on the image
-    points, and its certificate is the image's exact reciprocal sum."""
-    image = NatSet(phi(p) for p in STRATEGIES[strategy][2](witness))
+    points (``values``, when the engine already holds them), and its
+    certificate is the image's exact reciprocal sum."""
+    if values is None:
+        values = [phi(p) for p in STRATEGIES[strategy][2](witness)]
+    image = NatSet(values)
     return Transcript(
         strategy=strategy, params=params, steps=steps, witness=witness, image=image,
         certified_sum=reciprocal_sum(image), majorant=majorant, coloring=phi,
@@ -137,7 +142,9 @@ def _nat_check(phi: NatColoring, x: int, relation: str, bound: int) -> StepCheck
 
 
 def _pair_check(phi: PairColoring, pair, relation: str, bound: int) -> StepCheck:
-    i, j = min(pair), max(pair)
+    i, j = pair
+    if i > j:
+        i, j = j, i
     return StepCheck("pair", (i, j), phi((i, j)), relation, bound)
 
 
@@ -238,7 +245,9 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
     and on all pair sums with earlier picks; INJ walks past the finite preimage
     of [0, m] and demands it on the element and on all shifted sums.  The
     declared case is verified on the first 5 blocks up front and on the
-    selected D afterwards.
+    selected D afterwards.  Past the search, no point of FS(D) is queried
+    twice: INJ and CONST read the values their checks record, and MIN, MAX
+    and MINMAX query FS(D) once, for the closing check and the image alike.
     """
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
@@ -266,6 +275,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             chosen, (_nat_check(phi, x, "==", value) for x in fs(NatSet(chosen))),
             lambda ck: f"constant case broken at {ck.args[0]}: phi = {ck.value} != {value}",
         ))
+        values = [ck.value for ck in steps[0].checks]
         majorant = Fraction(1, value + 1)
     else:
         threshold, term = STRATEGIES["h-summable"][3][case]
@@ -273,16 +283,18 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         last_idx = -1
         total = 0
         if case is CanonicalCase.INJ:
-            # The preimage scan window, read once for every step.
+            # The preimage scan window, read once for every step, and FS(chosen)
+            # ascending with phi on it, grown from each step's checks.
             floor_of = preimage_floor(phi.read(min(window, budget.max_element)))
+            sums: List[int] = []
+            values: List[int] = []
         for n in range(n_max):
             thr = threshold(n)
             scan_floor = -1
             extras = chosen if case is CanonicalCase.MINMAX else ()
             if case is CanonicalCase.INJ:
-                extras = fs(NatSet(chosen)).elements
-                m = max([thr, *(phi(x) for x in extras)])
-                scan_floor = floor_of(m)
+                extras = sums
+                scan_floor = floor_of(max([thr, *values]))
 
             picked = None
             for idx in range(last_idx + 1, len(cs)):
@@ -305,20 +317,29 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             last_idx, c, checks = picked
             total += c
             chosen.append(c)
+            if case is CanonicalCase.INJ:
+                # c exceeds the sum of the earlier blocks, so c and c + FS follow
+                # FS in ascending order; the checks hold phi on them.
+                require_fs_cap(len(chosen))
+                sums += [c, *(c + e for e in sums)]
+                values += [ck.value for ck in checks]
             steps.append(TranscriptStep(
                 index=n, chosen=(c,), threshold=thr, relation=">",
                 checks=tuple(checks),
                 note=f"pool index {last_idx}"
                      + (f", preimage scan floor {scan_floor}" if scan_floor >= 0 else ""),
             ))
+        if case is not CanonicalCase.INJ:
+            sums = fs(NatSet(chosen)).elements
+            values = fs_values(phi, sums)
         if len(chosen) >= 3:
-            _require_case(classify_fs_on(phi, BlockBasis(chosen)), case,
+            _require_case(fs_case(tuple(chosen), sums, values), case,
                           "selected basis classifies as {got}, not {case}")
         majorant = sum(map(term, range(n_max)), Fraction(0))
 
     return _transcript(phi, "h-summable",
                        {"n_max": n_max, "case": case.value, "window": window},
-                       steps, {"basis": NatSet(chosen)}, majorant)
+                       steps, {"basis": NatSet(chosen)}, majorant, values)
 
 
 def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
@@ -330,6 +351,8 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     threshold.  Thresholds are re-recorded against pairs inside H so the
     certificate depends only on recorded facts plus the verified case, which
     is checked on the first 12 points of T up front and on H afterwards.
+    Past the search, the pairs of H are queried once, for that check and
+    the image alike; CONST reads them off its checks.
     """
     if case is CanonicalCase.MINMAX:
         raise CaseMismatch("minmax is not a pair-coloring case")
@@ -350,6 +373,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
             H, (_pair_check(phi, p, "==", const_value) for p in itertools.combinations(H, 2)),
             lambda ck: f"constant case broken at {ck.args}",
         ))
+        values = [ck.value for ck in steps[0].checks]
     elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
         # MIN reads the row of ts[i] at its successor, MAX the column of ts[i]
         # at ts[0].  The thresholds grow with n, so a point that fails one step
@@ -401,14 +425,16 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
             ))
 
     Hset = NatSet(H)
+    if case is not CanonicalCase.CONST:
+        values = pair_values(phi, Hset.elements)
     if len(Hset) >= 3:
-        _require_case(classify_pairs_on(phi, Hset), case,
+        _require_case(pair_case(Hset.elements, values), case,
                       "selected set classifies as {got}, not {case}")
     majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
         else sum(map(rules[case][1], range(n_max)), Fraction(0))
     return _transcript(phi, "r-summable",
                        {"n_max": n_max, "case": case.value, "ground_size": len(T)},
-                       steps, {"h": Hset}, majorant)
+                       steps, {"h": Hset}, majorant, values)
 
 
 def _shifted_image_free(f: PairColoring, anchor: int, pool: Sequence[int],

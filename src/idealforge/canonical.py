@@ -11,6 +11,7 @@ directions.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -42,11 +43,18 @@ def high_bit(x: int) -> int:
     return 0 if x == 0 else 1 << (x.bit_length() - 1)
 
 
+def _require_int(value, point) -> None:
+    """A table's value must be an int (not a bool); a negative one is refused
+    when its point is queried."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"coloring value {value!r} at {point} is not a natural")
+
+
 class NatColoring:
     """Total deterministic coloring of [0, window), given by one evaluator.
 
-    ``from_table`` builds the evaluator from a table and checks its
-    totality.  Querying outside the window raises WindowExceeded.
+    ``from_table`` builds the evaluator from a table and checks its values
+    and totality.  Querying outside the window raises WindowExceeded.
     """
 
     __slots__ = ("window", "_fn")
@@ -79,10 +87,14 @@ class NatColoring:
 
     @classmethod
     def from_table(cls, window: int, table: Dict[int, int]) -> "NatColoring":
+        """Checks the window, then each value, then totality."""
+        coloring = cls(window, dict(table).__getitem__)
+        for x, v in table.items():
+            _require_int(v, x)
         missing = [x for x in range(window) if x not in table]
         if missing:
             raise Incomplete(missing, kind="nat coloring")
-        return cls(window, dict(table).__getitem__)
+        return coloring
 
     @classmethod
     def identity(cls, window: int) -> "NatColoring":
@@ -121,7 +133,8 @@ class PairColoring:
         i, j = pair
         if i == j:
             raise ValueError(f"degenerate pair ({i},{j})")
-        i, j = min(i, j), max(i, j)
+        if i > j:
+            i, j = j, i
         if not (0 <= i and j < self.n):
             raise WindowExceeded(f"pair ({i},{j}) outside [0, {self.n})^2")
         value = self._fn(i, j)
@@ -131,8 +144,8 @@ class PairColoring:
 
     @classmethod
     def from_table(cls, n: int, table: Dict[Tuple[int, int], int]) -> "PairColoring":
-        """Checks n, then each pair, then totality; pairs in either order,
-        but not in both."""
+        """Checks n, then each pair and its value, then totality; pairs in
+        either order, but not in both."""
         norm: Dict[Tuple[int, int], int] = {}
         coloring = cls(n, lambda i, j: norm[i, j])
         for (i, j), v in table.items():
@@ -141,6 +154,7 @@ class PairColoring:
             key = (min(i, j), max(i, j))
             if key in norm:
                 raise ValueError(f"pair ({i},{j}) given twice, in both orders")
+            _require_int(v, f"({i},{j})")
             norm[key] = v
         missing = [p for p in itertools.combinations(range(n), 2) if p not in norm]
         if missing:
@@ -206,26 +220,43 @@ def _case(values, keyed, where) -> Optional[CanonicalCase]:
     return holding[0] if holding else None
 
 
-def _pair_case(phi: PairColoring, points) -> Optional[CanonicalCase]:
+def pair_values(phi: PairColoring, points) -> List[int]:
+    """phi on the pairs of the ascending points, in combinations order."""
+    return [phi(p) for p in itertools.combinations(points, 2)]
+
+
+def pair_case(points, values) -> Optional[CanonicalCase]:
+    """The case of the pair values of the ascending points, given in
+    combinations order as ``pair_values`` gives them."""
     pairs = list(itertools.combinations(points, 2))
-    values = [phi(p) for p in pairs]
     return _case(values, ((CanonicalCase.MIN, [i for i, _ in pairs]),
                           (CanonicalCase.MAX, [j for _, j in pairs])), points)
 
 
-def _fs_case(phi: NatColoring, basis) -> Optional[CanonicalCase]:
-    points = fs(NatSet(basis)).elements
-    values = []
-    for x in points:
-        if x >= phi.window:
-            raise WindowExceeded(
-                f"finite sum {x} outside coloring window [0, {phi.window})"
-            )
-        values.append(phi(x))
-    mins = [low_bit(x) for x in points]
-    maxs = [high_bit(x) for x in points]
+def fs_values(phi: NatColoring, sums) -> List[int]:
+    """phi on the ascending finite sums, in order: the sums inside the window
+    are queried before the first one outside it raises WindowExceeded."""
+    inside = bisect_left(sums, phi.window)
+    values = list(map(phi, sums[:inside]))
+    if inside < len(sums):
+        raise WindowExceeded(
+            f"finite sum {sums[inside]} outside coloring window [0, {phi.window})"
+        )
+    return values
+
+
+def fs_case(basis, sums, values) -> Optional[CanonicalCase]:
+    """The case of the values of phi on FS(basis): ``sums`` lists FS(basis)
+    ascending and ``values`` phi on it, as ``fs_values`` gives them."""
+    mins = [x & -x for x in sums]  # low_bit and high_bit, inline
+    maxs = [1 << x.bit_length() >> 1 for x in sums]
     return _case(values, ((CanonicalCase.MIN, mins), (CanonicalCase.MAX, maxs),
                           (CanonicalCase.MINMAX, list(zip(mins, maxs)))), basis)
+
+
+def _fs_classify(phi: NatColoring, basis) -> Optional[CanonicalCase]:
+    sums = fs(NatSet(basis)).elements
+    return fs_case(basis, sums, fs_values(phi, sums))
 
 
 def least_subset(items, m, accept, chosen=(), start=0):
@@ -257,7 +288,7 @@ def classify_pairs_on(phi: PairColoring, T) -> Optional[CanonicalCase]:
     T = T if isinstance(T, NatSet) else NatSet(T)
     if len(T) < 3:
         raise TooSmall(f"|T| = {len(T)} < 3")
-    return _pair_case(phi, T.elements)
+    return pair_case(T.elements, pair_values(phi, T.elements))
 
 
 def find_canonical_subset(phi: PairColoring, m: int) -> Optional[Tuple[NatSet, CanonicalCase]]:
@@ -273,7 +304,8 @@ def find_canonical_subset(phi: PairColoring, m: int) -> Optional[Tuple[NatSet, C
     # Patterns restrict to subsets, so a prefix of 3 or more points that
     # fits none is pruned.
     hit = least_subset(range(phi.n), m,
-                       lambda points: len(points) < 3 or _pair_case(phi, points))
+                       lambda points: len(points) < 3
+                       or pair_case(points, pair_values(phi, points)))
     if hit is None:
         return None
     points, case = hit
@@ -285,7 +317,7 @@ def classify_fs_on(phi: NatColoring, C: BlockBasis) -> Optional[CanonicalCase]:
     binary expansion, or None."""
     if len(C) < 3:
         raise TooSmall(f"|C| = {len(C)} < 3")
-    return _fs_case(phi, C.elements)
+    return _fs_classify(phi, C.elements)
 
 
 def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
@@ -301,7 +333,7 @@ def find_block_basis(phi: NatColoring, pool: BlockBasis, m: int
     if m > len(pool):
         raise ValueError(f"m = {m} exceeds the pool size {len(pool)}")
     hit = least_subset(pool.elements, m,
-                       lambda points: len(points) < 3 or _fs_case(phi, points))
+                       lambda points: len(points) < 3 or _fs_classify(phi, points))
     if hit is None:
         return None
     points, case = hit

@@ -6,16 +6,18 @@ JSON.  It walks its argument once and converts each value as it writes it:
 exact rationals as "p/q" strings, NatSets and sets as sorted lists, EdgeSets
 as {"n", "edges"}, and an object through its ``to_json_dict``, which lists
 its fields unconverted.  A record without its own form is written as its
-fields in slot order, straight from its slots; ``Transcript``, ``Report`` and
-``SearchOutcome`` give their own.  Output keeps insertion order and never
-embeds timestamps, so identical inputs give byte identical output.
+fields in slot order, straight from its slots, by one format per class and
+indent; ``Transcript``, ``Report`` and ``SearchOutcome`` give their own.
+Output keeps insertion order and never embeds timestamps, so identical
+inputs give byte identical output.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ideals import EdgeSet, NatSet, Record
 
@@ -52,9 +54,57 @@ def dumps_stable(obj: Any) -> str:
 
 _quoted = json.encoder.encode_basestring_ascii
 
-# Each written record class without its own form: its (slot, '"slot": ')
-# pairs in slot order.
-_heads: Dict[type, List[tuple]] = {}
+# Each class the writer has met: its slot names if it is a record without its
+# own form, else ().
+_fields: Dict[type, Tuple[str, ...]] = {}
+# Each (record class, indent) written: the format of one record there, the
+# getter of its fields, the fields' indent, and the open, separator and close
+# of an int tuple field.
+_formats: Dict[tuple, Tuple[str, Callable, str, str, str, str]] = {}
+
+
+def _record_fields(cls: type) -> Tuple[str, ...]:
+    names = _fields.get(cls)
+    if names is None:
+        names = _fields[cls] = (tuple(cls.__slots__) if issubclass(cls, Record)
+                                and not hasattr(cls, "to_json_dict") else ())
+    return names
+
+
+def _records(items: Sequence[Record], indent: str) -> str:
+    """Records of one class without its own form, each written at ``indent``
+    and joined as the items of a list there.  A field that is an exact str,
+    an exact int or a non-empty tuple of exact ints is written inline; any
+    other goes through ``_indented``."""
+    cls = type(items[0])
+    made = _formats.get((cls, indent))
+    if made is None:
+        names = _record_fields(cls)
+        inner = indent + "  "
+        fmt = "{\n" + inner + (",\n" + inner).join(
+            _quoted(name) + ": %s" for name in names) + "\n" + indent + "}"
+        get = one = attrgetter(*names)
+        if len(names) == 1:  # then attrgetter gives the value, not a 1-tuple
+            get = lambda item: (one(item),)
+        deep = inner + "  "
+        made = _formats[cls, indent] = (fmt, get, inner, "[\n" + deep, ",\n" + deep,
+                                        "\n" + inner + "]")
+    fmt, get, inner, open_ints, int_sep, close_ints = made
+    out = []
+    for item in items:
+        cells = []
+        for v in get(item):
+            t = type(v)
+            if t is str:
+                cells.append(_quoted(v))
+            elif t is int:
+                cells.append(int.__repr__(v))
+            elif t is tuple and v and all(type(x) is int for x in v):
+                cells.append(open_ints + int_sep.join(map(int.__repr__, v)) + close_ints)
+            else:
+                cells.append(_indented(v, inner))
+        out.append(fmt % tuple(cells))
+    return (",\n" + indent).join(out)
 
 
 def _indented(value: Any, indent: str) -> str:
@@ -79,8 +129,11 @@ def _indented(value: Any, indent: str) -> str:
     if cls is list or cls is tuple:
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
+        kind = type(value[0])
+        if kind is int and all(type(v) is int for v in value):
             body = sep.join(map(int.__repr__, value))
+        elif _record_fields(kind) and all(type(v) is kind for v in value):
+            body = _records(value, inner)
         else:
             body = sep.join([_indented(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
@@ -89,17 +142,8 @@ def _indented(value: Any, indent: str) -> str:
             return "{}"
         body = sep.join([f"{_quoted(str(k))}: {_indented(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
-    heads = _heads.get(cls)
-    if heads is None and issubclass(cls, Record) and not hasattr(cls, "to_json_dict"):
-        heads = _heads[cls] = [(name, _quoted(name) + ": ") for name in cls.__slots__]
-    if heads:
-        parts = []
-        for name, head in heads:
-            v = getattr(value, name)
-            t = type(v)
-            parts.append(head + (_quoted(v) if t is str else int.__repr__(v) if t is int
-                                 else _indented(v, inner)))
-        return f"{{\n{inner}{sep.join(parts)}\n{indent}}}"
+    if _record_fields(cls):
+        return _records((value,), indent)
     if cls is Fraction:
         return _quoted(rational_str(value))
     if cls is NatSet:

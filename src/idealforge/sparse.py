@@ -25,11 +25,17 @@ def _as_elements(B) -> Tuple[int, ...]:
     return NatSet(B).elements
 
 
+def require_fs_cap(size: int) -> None:
+    """Raise TooLarge if the sums of a basis of ``size`` elements are past
+    the fs cap."""
+    if size > FS_CAP:
+        raise TooLarge(f"|B| = {size} exceeds the fs cap {FS_CAP}")
+
+
 def fs(B) -> NatSet:
     """All sums of nonempty subsets of B, duplicates collapsed."""
     xs = _as_elements(B)
-    if len(xs) > FS_CAP:
-        raise TooLarge(f"|B| = {len(xs)} exceeds the fs cap {FS_CAP}")
+    require_fs_cap(len(xs))
     sums = {0}
     for b in xs:
         sums |= {s + b for s in sums}
@@ -126,10 +132,7 @@ class SparseBasis(Elements):
 
     def fs_set(self) -> NatSet:
         if self._fs is None:
-            if len(self.elements) > FS_CAP:
-                raise TooLarge(
-                    f"|B| = {len(self.elements)} exceeds the fs cap {FS_CAP}"
-                )
+            require_fs_cap(len(self.elements))
             # only a super-increasing basis gets here: its sums ascend by mask
             sums = _subset_sums(self.elements)[1:]
             self._masks = range(1, len(sums) + 1)

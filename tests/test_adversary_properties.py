@@ -30,6 +30,8 @@ from idealforge import (
     defeat_h_summable,
     defeat_r_summable,
     defeat_w_summable,
+    fs,
+    verify_transcript,
 )
 from idealforge.adversary import FLOOR_BLOCK, preimage_floor
 from idealforge.canonical import cantor_pair, high_bit, low_bit
@@ -314,3 +316,126 @@ def test_defeat_h_inj_reads_the_scan_window_once():
     assert rescan_defeat_h_inj(NatColoring(1 << 13, fn=counted), C, budget) == \
         json.loads(dumps_stable(t))
     assert len(rescan_calls) > 8 * scan_bound
+
+
+# Construct-side query counts of the summable engines.  Each engine queries
+# the prefix it classifies up front and the checks of every candidate it
+# tries; h-MIN, h-MAX, h-MINMAX and r-summable outside CONST add one pass over
+# the selected set, which the closing classification and the image share,
+# and h-INJ and h-CONST read both off their checks.
+COUNT_POOL = BlockBasis([1 << j for j in range(16)])
+COUNT_WINDOW = 1 << 20
+PREFIX_SUMS = 2 ** 5 - 1  # FS of the first 5 blocks
+# INJ's scan window: past it, every block after the last pick is tried.
+COUNT_READ = 64
+
+
+def _floor(fn, stop, m):
+    """The last z below stop with fn(z) <= m, or -1."""
+    return max((z for z in range(stop) if fn(z) <= m), default=-1)
+
+
+def _h_search_queries(fn, case, budget, t):
+    """The queries of the candidate search behind an h-summable transcript:
+    the checks of each pool element tried, which is every one from the last
+    pick on to the next, less those INJ skips at or below its scan floor."""
+    cs, basis = COUNT_POOL.elements, t.witness["basis"].elements
+    read = min(COUNT_WINDOW, budget.max_element)
+    total, last = 0, -1
+    for n, (step, c) in enumerate(zip(t.steps, basis)):
+        tried = cs[last + 1:cs.index(c) + 1]
+        if case is CanonicalCase.INJ:
+            m = max([step.threshold, *map(fn, fs(basis[:n]))]) if n else step.threshold
+            tried = [x for x in tried if x > _floor(fn, read, m)]
+            total += len(tried) * 2 ** n
+        else:
+            total += len(tried) * (1 + n if case is CanonicalCase.MINMAX else 1)
+        last = cs.index(c)
+    return total
+
+
+H_COUNT_RUNS = [
+    (CanonicalCase.CONST, lambda x: 5, 6),
+    (CanonicalCase.MIN, low_bit, 7),
+    (CanonicalCase.MAX, high_bit, 7),
+    (CanonicalCase.MINMAX, lambda x: cantor_pair(low_bit(x), high_bit(x)), 5),
+    (CanonicalCase.INJ, lambda x: x, 6),
+    (CanonicalCase.INJ, lambda x: x ^ 0x5555, 6),
+    (CanonicalCase.INJ, lambda x: x * 40503 % 65536, 6),
+    (CanonicalCase.INJ, lambda x: (x + 1) << 16, 8),
+]
+
+
+@pytest.mark.parametrize("case,fn,nmax", H_COUNT_RUNS)
+def test_defeat_h_queries_each_selected_sum_once(case, fn, nmax):
+    budget = SearchBudget(max_element=COUNT_READ, max_steps=nmax)
+    counted, calls = _counting(fn)
+    t = defeat_h_summable(NatColoring(COUNT_WINDOW, fn=counted), COUNT_POOL, case, budget)
+    basis = t.witness["basis"].elements
+    assert len(basis) == nmax
+    selected = 2 ** len(basis) - 1
+    if case is CanonicalCase.CONST:
+        expected = PREFIX_SUMS + 1 + selected  # the constant's value, then the checks
+    elif case is CanonicalCase.INJ:
+        expected = PREFIX_SUMS + budget.max_element + _h_search_queries(fn, case, budget, t)
+    else:
+        expected = PREFIX_SUMS + _h_search_queries(fn, case, budget, t) + selected
+    assert len(calls) == expected
+
+
+def _r_search_queries(ts, case, t):
+    """The queries of the candidate search behind an r-summable transcript:
+    MIN and MAX read one row value per point tried and re-record one check
+    per pick; INJ checks each point tried against every earlier pick."""
+    H = t.witness["h"].elements
+    total, last = 0, 0 if case is CanonicalCase.MAX else -1
+    for n, h in enumerate(H):
+        i = ts.index(h)
+        total += (i - last) * (n if case is CanonicalCase.INJ else 1)
+        last = i
+    return total + (0 if case is CanonicalCase.INJ else len(H))
+
+
+R_COUNT_RUNS = [
+    (CanonicalCase.CONST, lambda i, j: 7, 6),
+    (CanonicalCase.MIN, lambda i, j: i, 8),
+    (CanonicalCase.MAX, lambda i, j: j, 8),
+    (CanonicalCase.INJ, cantor_pair, 7),
+    (CanonicalCase.INJ, lambda i, j: cantor_pair(j, i) ^ 0x3c, 6),
+]
+COUNT_GROUND = NatSet(range(1, 400, 3))
+
+
+@pytest.mark.parametrize("case,fn,nmax", R_COUNT_RUNS)
+def test_defeat_r_queries_each_selected_pair_once(case, fn, nmax):
+    counted, calls = _counting(fn)
+    t = defeat_r_summable(PairColoring(400, fn=counted), COUNT_GROUND, case,
+                          SearchBudget(max_steps=nmax))
+    H = t.witness["h"].elements
+    assert len(H) == nmax
+    prefix = 12 * 11 // 2  # the pairs of the first 12 points
+    selected = len(H) * (len(H) - 1) // 2
+    if case is CanonicalCase.CONST:
+        expected = prefix + 1 + selected  # the constant's value, then the checks
+    else:
+        expected = prefix + _r_search_queries(COUNT_GROUND.elements, case, t) + selected
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("kind,case,fn,nmax",
+                         [("nat", *run) for run in H_COUNT_RUNS]
+                         + [("pair", *run) for run in R_COUNT_RUNS])
+def test_verify_transcript_queries_every_check_and_image_point_afresh(kind, case, fn, nmax):
+    budget = SearchBudget(max_element=COUNT_READ, max_steps=nmax)
+    if kind == "nat":
+        t = defeat_h_summable(NatColoring(COUNT_WINDOW, fn=fn), COUNT_POOL, case, budget)
+        image_points = [(x,) for x in fs(t.witness["basis"])]
+        counted, calls = _counting(fn)
+        phi = NatColoring(COUNT_WINDOW, fn=counted)
+    else:
+        t = defeat_r_summable(PairColoring(400, fn=fn), COUNT_GROUND, case, budget)
+        image_points = list(itertools.combinations(t.witness["h"], 2))
+        counted, calls = _counting(fn)
+        phi = PairColoring(400, fn=counted)
+    assert verify_transcript(t, phi).passed
+    assert calls == [ck.args for step in t.steps for ck in step.checks] + image_points

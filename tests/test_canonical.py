@@ -42,6 +42,31 @@ def test_pair_table_refuses_a_pair_in_both_orders(table, given):
         PairColoring.from_table(3, table)
 
 
+@pytest.mark.parametrize("value", [True, False, "x", 1.0, None, (1,)])
+def test_table_values_must_be_ints(value):
+    # Each entry's value is checked with the entry, so a bad value is refused
+    # before a missing point is.
+    with pytest.raises(ValueError, match=re.escape(f"coloring value {value!r} at 2 is not")):
+        NatColoring.from_table(3, {0: 0, 1: 0, 2: value})
+    with pytest.raises(ValueError, match=re.escape(f"coloring value {value!r} at 2 is not")):
+        NatColoring.from_table(4, {2: value})
+    with pytest.raises(ValueError, match=re.escape(f"coloring value {value!r} at (2,1) is not")):
+        PairColoring.from_table(3, {(0, 1): 0, (0, 2): 0, (2, 1): value})
+    with pytest.raises(ValueError, match=re.escape(f"coloring value {value!r} at (1,2) is not")):
+        PairColoring.from_table(4, {(1, 2): value})
+
+
+def test_negative_table_values_fail_when_queried():
+    phi = NatColoring.from_table(2, {0: -1, 1: 3})
+    assert phi(1) == 3
+    with pytest.raises(ValueError, match=re.escape("coloring value -1 at 0 is not a natural")):
+        phi(0)
+    psi = PairColoring.from_table(3, {(0, 1): 2, (2, 0): -4, (1, 2): 0})
+    assert psi((0, 1)) == 2
+    with pytest.raises(ValueError, match=re.escape("coloring value -4 at (0,2) is not")):
+        psi((2, 0))
+
+
 def test_coloring_window_enforced():
     phi = NatColoring.identity(5)
     with pytest.raises(WindowExceeded):

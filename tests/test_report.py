@@ -69,10 +69,17 @@ sparse_bases = st.builds(SparseBasis, st.sets(st.integers(0, 40).map(lambda i: 3
 # own report form (Report does).
 wide = st.integers(-(1 << 70), 1 << 70)
 relations = st.sampled_from((">", ">=", "=="))
+# Besides the checks the engines record, fields that the writer may not
+# write inline (a bool value, an int-subclass bound, a Label relation,
+# empty args, args holding a bool) and so must hand to the general path.
 step_checks = (st.builds(StepCheck, st.just("nat"), st.tuples(wide), wide | wide.map(Count),
                          relations, wide)
                | st.builds(StepCheck, st.just("pair"), st.tuples(wide, wide), wide, relations,
-                           wide))
+                           wide)
+               | st.builds(StepCheck, st.sampled_from(("nat", "pair")),
+                           st.just(()) | st.tuples(wide, st.booleans()) | st.tuples(wide),
+                           wide | st.booleans(), relations | relations.map(Label),
+                           wide | wide.map(Count)))
 transcript_steps = st.builds(TranscriptStep, wide, st.lists(wide, max_size=4).map(tuple), wide,
                              relations, st.lists(step_checks, max_size=3).map(tuple),
                              st.text(max_size=4) | st.text(max_size=4).map(Label))
@@ -100,6 +107,19 @@ toolkit_trees = st.recursive(
 @given(toolkit_trees)
 def test_dumps_stable_matches_the_isinstance_chain_on_toolkit_values(tree):
     assert dumps_stable(tree) == json.dumps(ref_jsonable(tree), indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(step_checks, min_size=1, max_size=8)
+       | st.lists(step_checks, min_size=1, max_size=4).map(tuple)
+       | st.lists(transcript_steps, min_size=1, max_size=4)
+       | st.lists(step_checks | check_items | transcript_steps | budgets, min_size=2, max_size=6))
+def test_record_lists_match_the_isinstance_chain(items):
+    """Lists of records of one class, written with one format per class and
+    indent, and lists that mix record classes, which are not."""
+    assert dumps_stable(items) == json.dumps(ref_jsonable(items), indent=2) + "\n"
+    assert dumps_stable({"nested": [items]}) == \
+        json.dumps(ref_jsonable({"nested": [items]}), indent=2) + "\n"
 
 
 def test_bools_stay_json_booleans():

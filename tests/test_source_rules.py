@@ -218,6 +218,26 @@ def test_report_values_are_converted_only_by_the_writer():
     assert found == []
 
 
+def test_the_writer_imports_no_engine_layer():
+    # report.py writes any record from its slots, with no hook per record
+    # class, so it needs nothing from the layers whose records it writes.
+    path = PACKAGE / "report.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    layers = {"adversary", "canonical", "sparse", "reduction", "cli"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names
+                                           if node.level and not node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"report.py:{node.lineno}" for name in names
+                  if set(name.split(".")) & layers]
+    assert found == []
+
+
 def test_no_library_module_imports_dataclasses():
     # Importing dataclasses loads inspect, ast, dis and tokenize, and each
     # @dataclass exec()s its methods: together about half of a CLI start-up.
