@@ -12,8 +12,9 @@ nothing.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, fs_case, fs_values, least_subset, pair_case, pair_values
@@ -137,10 +138,6 @@ def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[Transcri
     )
 
 
-def _nat_check(phi: NatColoring, x: int, relation: str, bound: int) -> StepCheck:
-    return StepCheck("nat", (x,), phi(x), relation, bound)
-
-
 def _pair_check(phi: PairColoring, pair, relation: str, bound: int) -> StepCheck:
     i, j = pair
     if i > j:
@@ -169,45 +166,81 @@ def _constant_step(chosen: Sequence[int], checks, broken: Callable[[StepCheck], 
                           relation="==", checks=tuple(kept), note="constant image")
 
 
+READ_BLOCK = 256  # points per block of defeat_w_summable's window read
+
+
 def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -> Transcript:
     """Build progressions F_n inside {x : phi(x) >= threshold(n)} for n = 1..n_max.
 
     The witness has unbounded progression length while the image reciprocal
     mass stays under the exact majorant, the sum of term(n); both come from
-    the w-summable rule in STRATEGIES.  The window [0, bound) is read once,
-    and membership in each step's good set is read off the values.  The scan
-    filters the window only as far as it reads, and bounds its progressions
-    by the good set's last point, found by scanning down from the previous
-    step's: the thresholds increase, so each good set lies inside the
-    previous one.
+    the w-summable rule in STRATEGIES.  Step n takes the least n-term
+    progression of its good set in [0, bound), which depends only on the
+    points the scan asks about.  So phi is read as a prefix of the window
+    that grows in ascending blocks of ``READ_BLOCK`` points, each read only
+    when the scan asks about a point past the prefix: a run evaluates each
+    point of its prefix once, in order, and the checks and the image read
+    their values off it.  A negative value is an error when its block is
+    read.  The good points of the prefix are kept in one ascending list; the
+    thresholds increase, so each good set lies inside the previous one, and
+    a step filters the list by its own threshold.  The scan bounds its
+    progressions by bound - 1: one that ends past the last good point fails
+    at that point, so the first hit is the least one.
     """
     threshold, term = STRATEGIES["w-summable"][3][None]
     bound = min(phi.window, budget.max_element)
-    values = phi.read(bound)
-    top = bound - 1
+    values: List[int] = []  # phi on the prefix [0, len(values))
+    good: List[int] = []  # the prefix's points with phi >= thr, ascending
+    thr = 0
+
+    def read_to(x: int) -> None:
+        """Grow the prefix through the block that holds x."""
+        lo = len(values)
+        hi = min(bound, READ_BLOCK * (x // READ_BLOCK + 1))
+        block = phi.read(lo, hi)
+        values.extend(block)
+        keep = map(operator.le, itertools.repeat(thr), block)
+        good.extend(itertools.compress(range(lo, hi), keep))
+
+    def member(x: int) -> bool:
+        if x >= len(values):
+            read_to(x)
+        return values[x] >= thr
+
+    def good_points() -> Iterator[int]:
+        i = 0
+        while True:
+            if i < len(good):
+                yield good[i]
+                i += 1
+            elif len(values) < bound:
+                read_to(len(values))
+            else:
+                return
+
     steps: List[TranscriptStep] = []
     blocks: List[NatSet] = []
     for n in range(1, budget.max_steps + 1):
         thr = threshold(n)
-        top = next((x for x in range(top, -1, -1) if values[x] >= thr), -1)
-        hit = next(progressions((x for x in range(top + 1) if values[x] >= thr),
-                                lambda x: values[x] >= thr, n, top), None)
+        keep = map(operator.le, itertools.repeat(thr), map(values.__getitem__, good))
+        good[:] = itertools.compress(good, keep)
+        hit = next(progressions(good_points(), member, n, bound - 1), None)
         if hit is None:
             raise SearchExhausted(
                 n, f"no {n}-term progression with phi >= {thr} in [0, {bound})")
         a, d = hit
         F = NatSet(a + i * d for i in range(n))
-        checks = tuple(_nat_check(phi, x, ">=", thr) for x in F)
         steps.append(TranscriptStep(
             index=n, chosen=F.elements, threshold=thr, relation=">=",
-            checks=checks,
+            checks=tuple(StepCheck("nat", (x,), values[x], ">=", thr) for x in F),
             note=f"start {a}, difference {d}, scanned [0, {bound})",
         ))
         blocks.append(F)
     witness = NatSet(itertools.chain.from_iterable(b.elements for b in blocks))
     majorant = sum(map(term, range(1, budget.max_steps + 1)), Fraction(0))
     return _transcript(phi, "w-summable", {"n_max": budget.max_steps, "scan_bound": bound},
-                       steps, {"set": witness, "blocks": blocks}, majorant)
+                       steps, {"set": witness, "blocks": blocks}, majorant,
+                       [values[x] for x in witness])
 
 
 FLOOR_BLOCK = 256  # values per block minimum in preimage_floor
@@ -272,7 +305,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             raise SearchExhausted(0, "window too small for any block")
         value = phi(chosen[0])
         steps.append(_constant_step(
-            chosen, (_nat_check(phi, x, "==", value) for x in fs(NatSet(chosen))),
+            chosen, (StepCheck("nat", (x,), phi(x), "==", value) for x in fs(NatSet(chosen))),
             lambda ck: f"constant case broken at {ck.args[0]}: phi = {ck.value} != {value}",
         ))
         values = [ck.value for ck in steps[0].checks]
@@ -284,8 +317,8 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         total = 0
         if case is CanonicalCase.INJ:
             # The preimage scan window, read once for every step, and FS(chosen)
-            # ascending with phi on it, grown from each step's checks.
-            floor_of = preimage_floor(phi.read(min(window, budget.max_element)))
+            # ascending with phi on it, grown from each kept candidate's points.
+            floor_of = preimage_floor(phi.read(0, min(window, budget.max_element)))
             sums: List[int] = []
             values: List[int] = []
         for n in range(n_max):
@@ -296,6 +329,9 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 extras = sums
                 scan_floor = floor_of(max([thr, *values]))
 
+            # Every point of a candidate is queried before any is judged, so a
+            # bad value raises as if each were checked; only the kept
+            # candidate's values become checks.
             picked = None
             for idx in range(last_idx + 1, len(cs)):
                 c = cs[idx]
@@ -303,29 +339,28 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                     break  # finite sums would leave the coloring's domain
                 if c <= scan_floor:
                     continue
-                checks = [_nat_check(phi, c, ">", thr)]
-                for e in extras:
-                    checks.append(_nat_check(phi, c + e, ">", thr))
-                if all(ck.holds() for ck in checks):
-                    picked = (idx, c, checks)
+                points = [c, *(c + e for e in extras)]
+                got = list(map(phi, points))
+                if min(got) > thr:
+                    picked = (idx, c, points, got)
                     break
             if picked is None:
                 raise SearchExhausted(
                     n, f"no block with phi > {thr} ({case.value} rule) past "
                        f"index {last_idx} within window {window}"
                 )
-            last_idx, c, checks = picked
+            last_idx, c, points, got = picked
             total += c
             chosen.append(c)
             if case is CanonicalCase.INJ:
                 # c exceeds the sum of the earlier blocks, so c and c + FS follow
-                # FS in ascending order; the checks hold phi on them.
+                # FS in ascending order, as its points do.
                 require_fs_cap(len(chosen))
-                sums += [c, *(c + e for e in sums)]
-                values += [ck.value for ck in checks]
+                sums += points
+                values += got
             steps.append(TranscriptStep(
                 index=n, chosen=(c,), threshold=thr, relation=">",
-                checks=tuple(checks),
+                checks=tuple(StepCheck("nat", (x,), v, ">", thr) for x, v in zip(points, got)),
                 note=f"pool index {last_idx}"
                      + (f", preimage scan floor {scan_floor}" if scan_floor >= 0 else ""),
             ))
@@ -412,17 +447,19 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
         for n in range(n_max):
             thr = threshold(n)
             for i in range(last + 1, len(ts)):
-                checks = [_pair_check(phi, (ti, ts[i]), ">", thr) for ti in H]
-                if all(ck.holds() for ck in checks):
+                t = ts[i]
+                got = [phi((ti, t)) for ti in H]
+                if all(v > thr for v in got):
                     break
             else:
                 raise SearchExhausted(n, f"no point with all pair values above {thr}")
             last = i
-            H.append(ts[i])
             steps.append(TranscriptStep(
-                index=n, chosen=(ts[i],), threshold=thr, relation=">",
-                checks=tuple(checks), note="pairs against earlier picks",
+                index=n, chosen=(t,), threshold=thr, relation=">",
+                checks=tuple(StepCheck("pair", (ti, t), v, ">", thr) for ti, v in zip(H, got)),
+                note="pairs against earlier picks",
             ))
+            H.append(t)
 
     Hset = NatSet(H)
     if case is not CanonicalCase.CONST:

@@ -73,16 +73,21 @@ class NatColoring:
             raise ValueError(f"coloring value {value} at {x} is not a natural")
         return value
 
-    def read(self, stop: int) -> List[int]:
-        """[phi(0), ..., phi(stop - 1)] in one pass of the evaluator, with
+    def read(self, start: int, stop: int) -> List[int]:
+        """[phi(start), ..., phi(stop - 1)] in one pass of the evaluator, with
         the error of querying those points in order.  The evaluator runs on
-        every point of the window below stop before the values are checked."""
-        values = list(map(self._fn, range(min(stop, self.window))))
+        every point of the window in [start, stop) before the values are
+        checked, so a caller that needs only a prefix reads it block by
+        block, one call per block."""
+        if start < 0 and start < stop:
+            raise WindowExceeded(f"{start} outside coloring window [0, {self.window})")
+        values = list(map(self._fn, range(start, min(stop, self.window))))
         if values and min(values) < 0:
-            x = next(x for x, v in enumerate(values) if v < 0)
-            raise ValueError(f"coloring value {values[x]} at {x} is not a natural")
-        if stop > self.window:
-            raise WindowExceeded(f"{self.window} outside coloring window [0, {self.window})")
+            i = next(i for i, v in enumerate(values) if v < 0)
+            raise ValueError(f"coloring value {values[i]} at {start + i} is not a natural")
+        if stop > max(start, self.window):
+            raise WindowExceeded(
+                f"{max(start, self.window)} outside coloring window [0, {self.window})")
         return values
 
     @classmethod

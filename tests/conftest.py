@@ -377,6 +377,55 @@ def rescan_defeat_w_summable(phi, budget):
         majorant(budget.max_steps))
 
 
+def w_scan_reach(values, budget):
+    """The farthest point that defeat_w_summable's least-witness scans ask
+    about, re-run by brute force over fully known values (phi on the whole
+    window, a negative value counting as below every threshold).
+
+    Step n walks the starts a of its good set in ascending order, and for
+    each a the later good points b in ascending order, d = b - a; it asks
+    about a + 2d, a + 3d, ... up to the first miss, and stops at its first
+    hit, at the first start or b whose progression would pass bound - 1, or
+    when it runs out of good points, having then looked at the whole window.
+    The run stops at its first step without a hit.
+    """
+    _, threshold, _ = RULE_ORACLES["w-summable"][None]
+    bound = min(len(values), budget.max_element)
+    top = bound - 1
+    far = -1
+    for n in range(1, budget.max_steps + 1):
+        thr = threshold(n)
+        good = [x for x in range(bound) if values[x] >= thr]
+        hit = False
+        for i, a in enumerate(good):
+            far = max(far, a)
+            if a + n - 1 > top:
+                break
+            if n == 1:
+                hit = True
+                break
+            for b in good[i + 1:]:
+                far = max(far, b)
+                d = b - a
+                if a + (n - 1) * d > top:
+                    break
+                terms = [a + j * d for j in range(2, n)]
+                asked = next((j for j, x in enumerate(terms) if values[x] < thr), len(terms) - 1)
+                far = max([far, *terms[:asked + 1]])
+                if all(values[x] >= thr for x in terms):
+                    hit = True
+                    break
+            else:
+                far = top
+            if hit:
+                break
+        else:
+            far = top
+        if not hit:
+            break
+    return far
+
+
 def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
     """The INJ case of defeat_h_summable with a fresh preimage scan of the
     window at every step, as the transcript's JSON form."""

@@ -1,11 +1,15 @@
 """Property tests for the window-reading constructions against the conftest
 per-step-rescan references, plus their coloring-query counts.
 
-``defeat_w_summable`` and the INJ case of ``defeat_h_summable`` read the
-coloring window once per run; the references query it afresh at every step.
-Both sides must give byte-identical transcripts, or the same error type and
-message, on colorings from the builtin families and random tables, either
-one perhaps with a negative value planted at some point.
+``defeat_w_summable`` reads the prefix of the window that its scans reach,
+block by block, and evaluates each point of it once; the INJ case of
+``defeat_h_summable`` reads its scan window once per run.  The references
+query the window afresh at every step.  Both sides must give byte-identical
+transcripts, or the same error type and message, on colorings from the
+builtin families and random tables, either one perhaps with a negative
+value planted at some point.  For w, a planted value is an error only when
+it lies inside the prefix that ``conftest.w_scan_reach`` predicts; past it,
+w gives the reference's outcome on the coloring with the value read as 0.
 
 ``defeat_r_summable`` scans on from its last pick; its reference rescans the
 ground from the first point at every step.  Both sides must agree in the
@@ -33,13 +37,13 @@ from idealforge import (
     fs,
     verify_transcript,
 )
-from idealforge.adversary import FLOOR_BLOCK, preimage_floor
+from idealforge.adversary import FLOOR_BLOCK, READ_BLOCK, preimage_floor
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError, SearchExhausted
 from idealforge.report import dumps_stable
 
 from conftest import rescan_defeat_h_inj, rescan_defeat_r_summable, \
-    rescan_defeat_w_summable, subset_sum_counts
+    rescan_defeat_w_summable, subset_sum_counts, w_scan_reach
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -96,15 +100,51 @@ def _counting(fn):
     return counted, calls
 
 
+def _values(phi):
+    """phi on its whole window, a value that is not a natural as -1."""
+    def at(x):
+        try:
+            return phi(x)
+        except ValueError:
+            return -1
+    return [at(x) for x in range(phi.window)]
+
+
+def _w_prefix(values, budget):
+    """The prefix of the window that defeat_w_summable reads: through the
+    block that holds the farthest point its scans ask about."""
+    bound = min(len(values), budget.max_element)
+    return min(bound, READ_BLOCK * (w_scan_reach(values, budget) // READ_BLOCK + 1))
+
+
+def _check_w_against_the_rescan(phi, budget):
+    """w on phi either raises the error of the least negative point, when it
+    lies inside the predicted prefix, or gives the rescan reference's outcome
+    on phi with its negative values read as 0, evaluating exactly the
+    prefix, each point once and in order."""
+    values = _values(phi)
+    prefix = _w_prefix(values, budget)
+    bad = next((x for x, v in enumerate(values) if v < 0), None)
+    got = _outcome(lambda: defeat_w_summable(phi, budget))
+    if bad is not None and bad < prefix:
+        assert got == ("ValueError", f"coloring value -1 at {bad} is not a natural")
+        return
+    clamped = [max(v, 0) for v in values]
+    assert got == _outcome(lambda: rescan_defeat_w_summable(
+        NatColoring(phi.window, fn=clamped.__getitem__), budget))
+    counted, calls = _counting(values.__getitem__)
+    assert _outcome(lambda: defeat_w_summable(NatColoring(phi.window, fn=counted), budget)) \
+        == got
+    assert calls == [(x,) for x in range(prefix)]
+
+
 @SETTINGS
 @given(families, plants, st.integers(1, 1000), st.integers(1, 1200),
        st.integers(1, 10), st.randoms(use_true_random=False))
 def test_defeat_w_matches_the_per_step_rescan(family, plant, window, max_element,
                                               nmax, rng):
     phi = _coloring(rng, family, window, plant)
-    budget = SearchBudget(max_element=max_element, max_steps=nmax)
-    assert _outcome(lambda: defeat_w_summable(phi, budget)) == \
-        _outcome(lambda: rescan_defeat_w_summable(phi, budget))
+    _check_w_against_the_rescan(phi, SearchBudget(max_element=max_element, max_steps=nmax))
 
 
 @SETTINGS
@@ -124,9 +164,8 @@ def test_defeat_w_matches_the_per_step_rescan_on_sparse_survivors(window, gap, n
     if planted:
         table[rng.randrange(window)] = -1
     phi = NatColoring.from_table(window, table)
-    budget = SearchBudget(max_element=rng.randint(1, window), max_steps=nmax)
-    assert _outcome(lambda: defeat_w_summable(phi, budget)) == \
-        _outcome(lambda: rescan_defeat_w_summable(phi, budget))
+    _check_w_against_the_rescan(
+        phi, SearchBudget(max_element=rng.randint(1, window), max_steps=nmax))
 
 
 @SETTINGS
@@ -275,11 +314,20 @@ def test_defeat_r_queries_fewer_points_than_the_rescan(fn, case):
     (lambda x: x * x, 20000, 4),
 ])
 def test_defeat_w_reads_the_window_once(fn, window, nmax):
+    """w evaluates the prefix its scans reach, each point once, in order."""
     counted, calls = _counting(fn)
     budget = SearchBudget(max_element=32768, max_steps=nmax)
-    t = defeat_w_summable(NatColoring(window, fn=counted), budget)
-    bound = min(window, budget.max_element)
-    assert len(calls) == bound + sum(range(1, nmax + 1)) + len(t.witness["set"])
+    defeat_w_summable(NatColoring(window, fn=counted), budget)
+    values = [fn(x) for x in range(window)]
+    assert calls == [(x,) for x in range(_w_prefix(values, budget))]
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_identity_w_scan_reach_is_the_least_replaying_window(n):
+    """On the identity, step n's first good point is n 2^n and its witness
+    the n points from there, so the run asks about [0, n 2^n + n)."""
+    budget = SearchBudget(max_element=32768, max_steps=n)
+    assert w_scan_reach(list(range(32768)), budget) + 1 == n * 2 ** n + n
 
 
 def test_defeat_w_exhausts_on_a_set_with_no_3_term_progression():

@@ -221,10 +221,11 @@ def _result(call):
 
 @SETTINGS
 @given(st.sampled_from(sorted(READ_BUILTINS) + ["const", "table"]), st.integers(1, 300),
-       st.integers(0, 320), st.one_of(st.none(), st.integers(0, 299)),
+       st.integers(-2, 320), st.integers(0, 320), st.one_of(st.none(), st.integers(0, 299)),
        st.randoms(use_true_random=False))
-def test_bulk_read_equals_the_per_point_loop(family, window, stop, plant, rng):
-    """read(stop) gives the values, or the error, of querying 0..stop-1 in order."""
+def test_bulk_read_equals_the_per_point_loop(family, window, start, stop, plant, rng):
+    """read(start, stop) gives the values, or the error, of querying
+    start..stop-1 in order."""
     if family == "table":
         table = {x: rng.randrange(1 << rng.randint(1, 40)) for x in range(window)}
         if plant is not None:
@@ -237,8 +238,8 @@ def test_bulk_read_equals_the_per_point_loop(family, window, stop, plant, rng):
         if plant is not None:
             bad, fn = plant % window, phi._fn
             phi = NatColoring(window, fn=lambda x: -1 if x == bad else fn(x))
-    if stop > window and plant is None:
+    if 0 <= start < window < stop and plant is None:
         with pytest.raises(WindowExceeded):
-            phi.read(stop)
-    assert _result(lambda: phi.read(stop)) == \
-        _result(lambda: [phi(x) for x in range(stop)])
+            phi.read(start, stop)
+    assert _result(lambda: phi.read(start, stop)) == \
+        _result(lambda: [phi(x) for x in range(start, stop)])

@@ -66,6 +66,21 @@ def test_only_ideals_reads_the_natset_member_set():
     assert found == []
 
 
+def test_only_canonical_reads_a_colorings_evaluator():
+    # A coloring checks each value it evaluates: its window, and that the
+    # value is a natural.  An engine calling ``_fn`` directly would skip
+    # those checks, so engines evaluate through ``__call__`` or
+    # ``read(start, stop)``.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "canonical.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_fn"]
+    assert found == []
+
+
 def _traced_names():
     """(label, owner, attribute) for each library name the benchmark's
     tracer wraps, read off the SPANNED, SPANNED_METHODS and COUNTED_METHODS
