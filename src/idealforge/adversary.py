@@ -243,40 +243,14 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
                        [values[x] for x in witness])
 
 
-FLOOR_BLOCK = 256  # values per block minimum in preimage_floor
-
-
-def preimage_floor(values: Sequence[int]) -> Callable[[int], int]:
-    """The lookup m -> last z with values[z] <= m (-1 if none).
-
-    values is cut into blocks of ``FLOOR_BLOCK`` and each block's minimum is
-    taken by one C-level ``min``.  A query walks the block minima from the
-    top down to the last block whose minimum is <= m, which holds the answer,
-    and scans that block downward: at most len(values) / FLOOR_BLOCK +
-    FLOOR_BLOCK comparisons.
-    """
-    n = len(values)
-    mins = [min(values[lo:lo + FLOOR_BLOCK]) for lo in range(0, n, FLOOR_BLOCK)]
-
-    def floor_of(m: int) -> int:
-        for b in range(len(mins) - 1, -1, -1):
-            if mins[b] <= m:
-                lo = b * FLOOR_BLOCK
-                last = min(lo + FLOOR_BLOCK, n) - 1
-                return next(z for z in range(last, lo - 1, -1) if values[z] <= m)
-        return -1
-
-    return floor_of
-
-
 def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                       budget: SearchBudget = SearchBudget()) -> Transcript:
     """Select a sub-basis D of C whose finite-sums image has small mass.
 
     Case rules: CONST takes a prefix; MIN and MAX pick elements with value
     above the case's threshold in STRATEGIES; MINMAX demands it on the element
-    and on all pair sums with earlier picks; INJ walks past the finite preimage
-    of [0, m] and demands it on the element and on all shifted sums.  The
+    and on all pair sums with earlier picks; INJ demands it on the element and
+    on its sums with FS of the earlier picks, the step's new finite sums.  The
     declared case is verified on the first 5 blocks up front and on the
     selected D afterwards.  Past the search, no point of FS(D) is queried
     twice: INJ and CONST read the values their checks record, and MIN, MAX
@@ -315,19 +289,16 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         chosen = []
         last_idx = -1
         total = 0
+        extras: Sequence[int] = chosen if case is CanonicalCase.MINMAX else ()
         if case is CanonicalCase.INJ:
-            # The preimage scan window, read once for every step, and FS(chosen)
-            # ascending with phi on it, grown from each kept candidate's points.
-            floor_of = preimage_floor(phi.read(0, min(window, budget.max_element)))
+            # FS(chosen) ascending with phi on it, grown from each kept
+            # candidate's points; injectivity across steps is left to the
+            # closing classification.
             sums: List[int] = []
             values: List[int] = []
+            extras = sums
         for n in range(n_max):
             thr = threshold(n)
-            scan_floor = -1
-            extras = chosen if case is CanonicalCase.MINMAX else ()
-            if case is CanonicalCase.INJ:
-                extras = sums
-                scan_floor = floor_of(max([thr, *values]))
 
             # Every point of a candidate is queried before any is judged, so a
             # bad value raises as if each were checked; only the kept
@@ -337,8 +308,6 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 c = cs[idx]
                 if total + c >= window:
                     break  # finite sums would leave the coloring's domain
-                if c <= scan_floor:
-                    continue
                 points = [c, *(c + e for e in extras)]
                 got = list(map(phi, points))
                 if min(got) > thr:
@@ -361,8 +330,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
             steps.append(TranscriptStep(
                 index=n, chosen=(c,), threshold=thr, relation=">",
                 checks=tuple(StepCheck("nat", (x,), v, ">", thr) for x, v in zip(points, got)),
-                note=f"pool index {last_idx}"
-                     + (f", preimage scan floor {scan_floor}" if scan_floor >= 0 else ""),
+                note=f"pool index {last_idx}",
             ))
         if case is not CanonicalCase.INJ:
             sums = fs(NatSet(chosen)).elements

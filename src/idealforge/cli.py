@@ -281,6 +281,8 @@ def _cmd_canonize(args) -> Dict[str, Any]:
     body: Dict[str, Any] = {"kind": args.kind, "op": args.op}
     if args.kind == "fs" or args.op == "classify":
         _need(args, "ground")
+    else:
+        _refuse(args, ("ground",), (), "--kind pairs --op find")
     if args.kind == "pairs":
         phi = load_coloring(args.phi, args.window, "pair")
         if args.op == "classify":
@@ -334,7 +336,7 @@ def _r_hindman_inputs(args):
 # Of --basis, --case and --ground, each strategy needs exactly the ones it reads.
 _STRATEGY_INPUTS = {
     "w-summable": (_w_summable_inputs, ("budget_max_element",)),
-    "h-summable": (_h_summable_inputs, ("basis", "case", "budget_max_element")),
+    "h-summable": (_h_summable_inputs, ("basis", "case")),
     "r-summable": (_r_summable_inputs, ("ground", "case")),
     "r-hindman": (_r_hindman_inputs, ("basis", "budget_max_element", "candidate_cap", "fs_size")),
 }

@@ -427,8 +427,11 @@ def w_scan_reach(values, budget):
 
 
 def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
-    """The INJ case of defeat_h_summable with a fresh preimage scan of the
-    window at every step, as the transcript's JSON form."""
+    """The INJ case of defeat_h_summable by brute force, as the transcript's
+    JSON form.  Each step enumerates FS of the picks afresh and rescans the
+    pool from its first block, skipping the picks, for the first block c
+    with total + c inside the window such that c and every c + e, e in FS of
+    the picks, have phi above the step's threshold."""
     inj = CanonicalCase.INJ
     got = fs_case_oracle(phi, C.elements[:min(len(C), max(3, check_prefix))])
     if got is not inj:
@@ -436,36 +439,29 @@ def rescan_defeat_h_inj(phi, C, budget, check_prefix=5):
             f"declared inj, prefix classifies as {got.value if got else 'none'}")
     _, threshold, majorant = RULE_ORACLES["h-summable"][inj]
     window, n_max, cs = phi.window, budget.max_steps, C.elements
-    chosen, steps, last_idx, total = [], [], -1, 0
+    chosen, steps, total = [], [], 0
     for n in range(n_max):
         thr = threshold(n)
         sums = sorted(subset_sum_counts(chosen))
-        m = max([thr] + [phi(x) for x in sums])
-        scan_floor = -1
-        for z in range(min(window, budget.max_element)):
-            if phi(z) <= m:
-                scan_floor = z
         picked = None
-        for idx in range(last_idx + 1, len(cs)):
-            c = cs[idx]
+        for idx, c in enumerate(cs):
+            if c in chosen:
+                continue
             if total + c >= window:
                 break
-            if c <= scan_floor:
-                continue
             checked = [(x, phi(x)) for x in [c] + [c + e for e in sums]]
             if all(v > thr for _, v in checked):
                 picked = (idx, c, checked)
                 break
         if picked is None:
+            last_idx = cs.index(chosen[-1]) if chosen else -1
             raise SearchExhausted(
                 n, f"no block with phi > {thr} (inj rule) past index {last_idx} "
                    f"within window {window}")
-        last_idx, c, checked = picked
+        idx, c, checked = picked
         total += c
         chosen.append(c)
-        note = f"pool index {last_idx}" + (
-            f", preimage scan floor {scan_floor}" if scan_floor >= 0 else "")
-        steps.append(_nat_step_json(n, [c], thr, ">", checked, note))
+        steps.append(_nat_step_json(n, [c], thr, ">", checked, f"pool index {idx}"))
     if len(chosen) >= 3:
         got = fs_case_oracle(phi, chosen)
         if got is not inj:

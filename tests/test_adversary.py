@@ -129,6 +129,29 @@ def test_defeat_h_exhaustion_on_small_pool():
                           SearchBudget(max_steps=6))
 
 
+def test_defeat_h_inj_replays_past_a_low_value_at_the_top_of_the_window():
+    """A step judges only its own block's points, so a low value at the
+    window's last point, outside every sum the run queries, stops nothing."""
+    window = 1 << 13
+    phi = NatColoring(window, fn=lambda x: 0 if x == window - 1 else x)
+    t = defeat_h_summable(phi, BlockBasis([1 << j for j in range(12)]), CanonicalCase.INJ,
+                          SearchBudget(max_steps=6))
+    assert t.witness["basis"].elements == (2, 8, 32, 128, 512, 2048)
+    assert [step.note for step in t.steps] == [f"pool index {i}" for i in (1, 3, 5, 7, 9, 11)]
+    assert verify_transcript(t).passed
+
+
+def test_defeat_h_inj_closing_classification_guards_injectivity_across_steps():
+    """Each step's sums exceed its own threshold, but phi(40), a sum of the
+    sixth pick, repeats phi(3), a sum of the first two: injective on the
+    prefix, not on the selected FS(D)."""
+    phi = NatColoring(1 << 7, fn=lambda x: 3 << 10 if x == 40 else x << 10)
+    with pytest.raises(CaseMismatch) as info:
+        defeat_h_summable(phi, BlockBasis([1 << j for j in range(7)]), CanonicalCase.INJ,
+                          SearchBudget(max_steps=6))
+    assert str(info.value) == "selected basis classifies as none, not inj"
+
+
 R_CASES = [
     ("const", lambda n: PairColoring.constant(n, 3), CanonicalCase.CONST),
     ("min", PairColoring.minimum, CanonicalCase.MIN),

@@ -3,13 +3,15 @@ per-step-rescan references, plus their coloring-query counts.
 
 ``defeat_w_summable`` reads the prefix of the window that its scans reach,
 block by block, and evaluates each point of it once; the INJ case of
-``defeat_h_summable`` reads its scan window once per run.  The references
-query the window afresh at every step.  Both sides must give byte-identical
+``defeat_h_summable`` queries only the points of the pool blocks it tries,
+from the block after its last pick on.  The references query the window,
+or rescan the pool from its first block, afresh at every step.  Both sides must give byte-identical
 transcripts, or the same error type and message, on colorings from the
 builtin families and random tables, either one perhaps with a negative
 value planted at some point.  For w, a planted value is an error only when
 it lies inside the prefix that ``conftest.w_scan_reach`` predicts; past it,
 w gives the reference's outcome on the coloring with the value read as 0.
+For h-INJ it is an error only when the run queries it.
 
 ``defeat_r_summable`` scans on from its last pick; its reference rescans the
 ground from the first point at every step.  Both sides must agree in the
@@ -37,7 +39,7 @@ from idealforge import (
     fs,
     verify_transcript,
 )
-from idealforge.adversary import FLOOR_BLOCK, READ_BLOCK, preimage_floor
+from idealforge.adversary import READ_BLOCK
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError, SearchExhausted
 from idealforge.report import dumps_stable
@@ -169,65 +171,6 @@ def test_defeat_w_matches_the_per_step_rescan_on_sparse_survivors(window, gap, n
 
 
 @SETTINGS
-@given(st.lists(st.integers(0, 12), max_size=40) | st.lists(st.integers(0, 1 << 70)),
-       st.lists(st.integers(-2, 1 << 71), max_size=8))
-def test_preimage_floor_equals_the_downward_scan(values, ms):
-    """The floor for m is the last z with values[z] <= m, or -1: checked below
-    every value, above every value, at every value (repeats included) and
-    at random m."""
-    floor_of = preimage_floor(values)
-    top = max(values, default=0)
-    for m in [-1, min(values, default=0) - 1, top, top + 1, *values, *ms]:
-        assert floor_of(m) == _scanned_floor(values, m)
-    assert floor_of(-1) == -1
-    assert floor_of(top) == len(values) - 1
-
-
-def _scanned_floor(values, m):
-    return next((z for z in range(len(values) - 1, -1, -1) if values[z] <= m), -1)
-
-
-def _boundary_queries(values):
-    """The values on both sides of every block boundary, each with its
-    neighbours, plus -1 and one above the top."""
-    sides = (values[z] for lo in range(0, len(values) + 1, FLOOR_BLOCK)
-             for z in (lo - 1, lo) if 0 <= z < len(values))
-    near = {v + d for v in sides for d in (-1, 0, 1)}
-    return sorted({-1, max(values, default=0) + 1, *near})
-
-
-SHAPES = {
-    "random": lambda vs: vs,
-    "ascending": sorted,
-    "descending": lambda vs: sorted(vs, reverse=True),
-    "sawtooth": lambda vs: sorted(vs[::2]) + sorted(vs[1::2]),
-}
-
-
-@SETTINGS
-@given(st.integers(0, 3 * FLOOR_BLOCK + 1), st.integers(0, 5000),
-       st.sampled_from(sorted(SHAPES)), st.lists(st.integers(-2, 5001), max_size=8),
-       st.randoms(use_true_random=False))
-def test_preimage_floor_across_blocks_equals_the_downward_scan(n, high, shape, ms, rng):
-    """Lists that span several blocks, the last perhaps a single value,
-    queried at every block boundary's values, their neighbours and at random m."""
-    values = SHAPES[shape]([rng.randint(0, high) for _ in range(n)])
-    floor_of = preimage_floor(values)
-    for m in [*_boundary_queries(values), *ms]:
-        assert floor_of(m) == _scanned_floor(values, m)
-
-
-@pytest.mark.parametrize("values", [list(range(1 << 15)), list(range((1 << 15) - 1, -1, -1))],
-                         ids=["ascending", "descending"])
-def test_preimage_floor_on_a_full_identity_read(values):
-    """The 32,768 values of an identity read, as the INJ case reads them, and
-    their reverse."""
-    floor_of = preimage_floor(values)
-    for m in _boundary_queries(values):
-        assert floor_of(m) == _scanned_floor(values, m)
-
-
-@SETTINGS
 @given(inj_families, plants, st.booleans(), st.integers(3, 12), st.integers(1, 3000),
        st.integers(1, 10), st.randoms(use_true_random=False))
 def test_defeat_h_inj_matches_the_per_step_rescan(family, plant, consecutive, size,
@@ -238,8 +181,24 @@ def test_defeat_h_inj_matches_the_per_step_rescan(family, plant, consecutive, si
     window = sum(prefix) + extra
     phi = _coloring(rng, family, window, plant, distinct=sorted(subset_sum_counts(prefix)))
     budget = SearchBudget(max_element=rng.randint(1, 2 * window), max_steps=nmax)
-    assert _outcome(lambda: defeat_h_summable(phi, C, CanonicalCase.INJ, budget)) == \
-        _outcome(lambda: rescan_defeat_h_inj(phi, C, budget))
+    _check_h_inj_against_the_rescan(phi, C, budget)
+
+
+def _check_h_inj_against_the_rescan(phi, C, budget):
+    """h-INJ on phi either raises the error of its negative point, when its
+    run on phi with negative values read as 0 queries that point, or gives
+    the rescan reference's outcome on that run's coloring."""
+    values = _values(phi)
+    clamped = [max(v, 0) for v in values]
+    counted, calls = _counting(clamped.__getitem__)
+    ok = NatColoring(phi.window, fn=counted)
+    expected = _outcome(lambda: defeat_h_summable(ok, C, CanonicalCase.INJ, budget))
+    bad = next((x for x, v in enumerate(values) if v < 0), None)
+    got = _outcome(lambda: defeat_h_summable(phi, C, CanonicalCase.INJ, budget))
+    if bad is not None and (bad,) in calls:
+        assert got == ("ValueError", f"coloring value -1 at {bad} is not a natural")
+        return
+    assert got == expected == _outcome(lambda: rescan_defeat_h_inj(ok, C, budget))
 
 
 def _random_rows(rng, n):
@@ -349,21 +308,40 @@ def test_defeat_w_exhausts_on_a_set_with_no_3_term_progression():
                                "progression with phi >= 24 in [0, 32768)")
 
 
-def test_defeat_h_inj_reads_the_scan_window_once():
+def _h_inj_queries(C, t):
+    """The points h-INJ queries behind its transcript t, in order: FS of the
+    first 5 blocks for the prefix classification, then at step n each pool
+    block b from the one after the last pick through the pick, with b + e
+    for every e in FS of the n earlier picks."""
+    cs, basis = C.elements, t.witness["basis"].elements
+    points = sorted(subset_sum_counts(cs[:5]))
+    last = -1
+    for n, c in enumerate(basis):
+        earlier = sorted(subset_sum_counts(basis[:n]))
+        for b in cs[last + 1:cs.index(c) + 1]:
+            points += [b, *(b + e for e in earlier)]
+        last = cs.index(c)
+    return [(x,) for x in points]
+
+
+@pytest.mark.parametrize("fn,nmax,evaluated", [
+    (lambda x: (x + 1) << 16, 8, 286),  # every first block passes
+    (lambda x: x, 6, 157),  # step n passes over one block, of 2^n points
+    (lambda x: x * 40503 % 65536, 6, 158),  # step 5 passes over two
+])
+def test_defeat_h_inj_queries_only_the_blocks_it_tries(fn, nmax, evaluated):
+    """The run evaluates the prefix classification and the points of every
+    block it tries, each once and in order, and no other point of its
+    window; the rescan reference gives the same transcript."""
     C = BlockBasis([1 << j for j in range(12)])
-    budget = SearchBudget(max_element=4096, max_steps=8)
-    scan_bound = budget.max_element
-
-    counted, calls = _counting(lambda x: (x + 1) << 16)
-    t = defeat_h_summable(NatColoring(1 << 13, fn=counted), C, CanonicalCase.INJ,
-                          budget)
-    assert len(t.steps) == 8
-    assert len(calls) < 2 * scan_bound
-
-    counted, rescan_calls = _counting(lambda x: (x + 1) << 16)
-    assert rescan_defeat_h_inj(NatColoring(1 << 13, fn=counted), C, budget) == \
+    budget = SearchBudget(max_steps=nmax)
+    counted, calls = _counting(fn)
+    t = defeat_h_summable(NatColoring(1 << 13, fn=counted), C, CanonicalCase.INJ, budget)
+    assert len(t.steps) == nmax
+    assert calls == _h_inj_queries(C, t)
+    assert len(calls) == evaluated
+    assert rescan_defeat_h_inj(NatColoring(1 << 13, fn=fn), C, budget) == \
         json.loads(dumps_stable(t))
-    assert len(rescan_calls) > 8 * scan_bound
 
 
 # Construct-side query counts of the summable engines.  Each engine queries
@@ -374,30 +352,20 @@ def test_defeat_h_inj_reads_the_scan_window_once():
 COUNT_POOL = BlockBasis([1 << j for j in range(16)])
 COUNT_WINDOW = 1 << 20
 PREFIX_SUMS = 2 ** 5 - 1  # FS of the first 5 blocks
-# INJ's scan window: past it, every block after the last pick is tried.
-COUNT_READ = 64
 
 
-def _floor(fn, stop, m):
-    """The last z below stop with fn(z) <= m, or -1."""
-    return max((z for z in range(stop) if fn(z) <= m), default=-1)
-
-
-def _h_search_queries(fn, case, budget, t):
+def _h_search_queries(case, t):
     """The queries of the candidate search behind an h-summable transcript:
     the checks of each pool element tried, which is every one from the last
-    pick on to the next, less those INJ skips at or below its scan floor."""
+    pick on to the next; INJ checks 2^n points at step n."""
     cs, basis = COUNT_POOL.elements, t.witness["basis"].elements
-    read = min(COUNT_WINDOW, budget.max_element)
     total, last = 0, -1
-    for n, (step, c) in enumerate(zip(t.steps, basis)):
-        tried = cs[last + 1:cs.index(c) + 1]
+    for n, c in enumerate(basis):
+        tried = len(cs[last + 1:cs.index(c) + 1])
         if case is CanonicalCase.INJ:
-            m = max([step.threshold, *map(fn, fs(basis[:n]))]) if n else step.threshold
-            tried = [x for x in tried if x > _floor(fn, read, m)]
-            total += len(tried) * 2 ** n
+            total += tried * 2 ** n
         else:
-            total += len(tried) * (1 + n if case is CanonicalCase.MINMAX else 1)
+            total += tried * (1 + n if case is CanonicalCase.MINMAX else 1)
         last = cs.index(c)
     return total
 
@@ -416,7 +384,7 @@ H_COUNT_RUNS = [
 
 @pytest.mark.parametrize("case,fn,nmax", H_COUNT_RUNS)
 def test_defeat_h_queries_each_selected_sum_once(case, fn, nmax):
-    budget = SearchBudget(max_element=COUNT_READ, max_steps=nmax)
+    budget = SearchBudget(max_steps=nmax)
     counted, calls = _counting(fn)
     t = defeat_h_summable(NatColoring(COUNT_WINDOW, fn=counted), COUNT_POOL, case, budget)
     basis = t.witness["basis"].elements
@@ -425,9 +393,9 @@ def test_defeat_h_queries_each_selected_sum_once(case, fn, nmax):
     if case is CanonicalCase.CONST:
         expected = PREFIX_SUMS + 1 + selected  # the constant's value, then the checks
     elif case is CanonicalCase.INJ:
-        expected = PREFIX_SUMS + budget.max_element + _h_search_queries(fn, case, budget, t)
+        expected = PREFIX_SUMS + _h_search_queries(case, t)
     else:
-        expected = PREFIX_SUMS + _h_search_queries(fn, case, budget, t) + selected
+        expected = PREFIX_SUMS + _h_search_queries(case, t) + selected
     assert len(calls) == expected
 
 
@@ -474,7 +442,7 @@ def test_defeat_r_queries_each_selected_pair_once(case, fn, nmax):
                          [("nat", *run) for run in H_COUNT_RUNS]
                          + [("pair", *run) for run in R_COUNT_RUNS])
 def test_verify_transcript_queries_every_check_and_image_point_afresh(kind, case, fn, nmax):
-    budget = SearchBudget(max_element=COUNT_READ, max_steps=nmax)
+    budget = SearchBudget(max_steps=nmax)
     if kind == "nat":
         t = defeat_h_summable(NatColoring(COUNT_WINDOW, fn=fn), COUNT_POOL, case, budget)
         image_points = [(x,) for x in fs(t.witness["basis"])]

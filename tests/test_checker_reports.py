@@ -105,7 +105,7 @@ def w_summable_report() -> str:
 
 
 def h_summable_report() -> str:
-    # INJ records a preimage scan floor and the shifted sums of every pick.
+    # INJ records each pick's pool index and its sums with FS of the earlier picks.
     return engine_report(defeat_h_summable(
         NatColoring.identity(1 << 12), BlockBasis(1 << j for j in range(12)),
         CanonicalCase.INJ, SearchBudget(max_steps=4)))

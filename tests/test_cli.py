@@ -195,6 +195,16 @@ def test_canonize_find_rejects_m_above_the_pool_size():
                                     "message": "m = 5 exceeds the pool size 3"}
 
 
+def test_canonize_pairs_find_refuses_the_ground_it_does_not_read():
+    argv = ("canonize", "--kind", "pairs", "--op", "find", "--phi", "min", "--window", "8")
+    code, rep = invoke(*argv)
+    assert code == 0 and rep["body"]["result"] is not None
+    code, rep = invoke(*argv, "--ground", "0..2")
+    assert code == 1
+    assert rep["body"]["error"] == {
+        "code": "ParseError", "message": "--ground does not apply to --kind pairs --op find"}
+
+
 def test_adversary_subcommand_and_exit_codes():
     code, rep = invoke("adversary", "--strategy", "w-summable",
                        "--phi", "identity", "--nmax", "3")
@@ -687,7 +697,7 @@ def test_negative_int_options_still_parse():
 STRATEGY_CALLS = {
     "w-summable": ({"--phi": "identity", "--nmax": "3"}, {"--budget-max-element": "20"}),
     "h-summable": ({"--phi": "identity", "--case": "inj", "--basis": "pow2(12)", "--nmax": "3"},
-                   {"--basis": "pow2(11)", "--case": "min", "--budget-max-element": "8"}),
+                   {"--basis": "pow2(11)", "--case": "min"}),
     "r-summable": ({"--phi": "pairing", "--case": "inj", "--ground": "0..30", "--nmax": "3"},
                    {"--ground": "0..40", "--case": "min"}),
     "r-hindman": ({"--phi": "const:1", "--basis": "1,2,4", "--nmax": "3"},

@@ -187,7 +187,7 @@ def test_certificate_above_the_limit_prints_and_reverifies(tmp_path):
     table.write_text("".join(f"{x} {x * x + 1}\n" for x in range(8192)), encoding="utf-8")
     code, rep = run(build_parser().parse_args([
         "adversary", "--strategy", "h-summable", "--case", "inj", "--basis", "pow2(13)",
-        "--window", "8192", "--nmax", "11", "--budget-max-element", "64",
+        "--window", "8192", "--nmax", "11",
         "--phi", str(table),
     ]))
     assert code == 0, rep["body"]
