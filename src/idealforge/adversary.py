@@ -21,7 +21,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import FrozenRecord, NatSet, Record, progressions, reciprocal_sum
-from .report import Report, rational_str
+from .report import RELATIONS, Report, StepCheck, StepChecks, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse, \
     require_fs_cap
 
@@ -34,44 +34,14 @@ class SearchBudget(FrozenRecord):
     def __init__(self, max_element: int = 32768, max_steps: int = 10, candidate_cap: int = 8):
         if max_element <= 0 or max_steps <= 0 or candidate_cap <= 0:
             raise ValueError("budget fields must be positive")
-        put = object.__setattr__
-        put(self, "max_element", max_element)
-        put(self, "max_steps", max_steps)
-        put(self, "candidate_cap", candidate_cap)
-
-
-class StepCheck(FrozenRecord):
-    """One recorded inequality at a "nat" or "pair" point, re-verifiable against the coloring."""
-
-    __slots__ = ("kind", "args", "value", "relation", "bound")
-
-    def __init__(self, kind: str, args: Tuple[int, ...], value: int, relation: str, bound: int):
-        put = object.__setattr__
-        put(self, "kind", kind)
-        put(self, "args", args)
-        put(self, "value", value)
-        put(self, "relation", relation)
-        put(self, "bound", bound)
-
-    def holds(self) -> bool:
-        if self.relation == ">":
-            return self.value > self.bound
-        if self.relation == ">=":
-            return self.value >= self.bound
-        if self.relation == "==":
-            return self.value == self.bound
-        raise ValueError(f"unknown relation {self.relation!r}")
-
-    def describe(self) -> str:
-        point = self.args[0] if self.kind == "nat" else set(self.args)
-        return f"phi({point}) = {self.value} {self.relation} {self.bound}"
+        self._fill(max_element, max_steps, candidate_cap)
 
 
 class TranscriptStep(Record):
     __slots__ = ("index", "chosen", "threshold", "relation", "checks", "note")
 
     def __init__(self, index: int, chosen: Tuple[int, ...], threshold: int, relation: str,
-                 checks: Tuple[StepCheck, ...], note: str = ""):
+                 checks: StepChecks | Tuple[StepCheck, ...], note: str = ""):
         self.index, self.chosen, self.threshold = index, chosen, threshold
         self.relation, self.checks, self.note = relation, checks, note
 
@@ -138,13 +108,6 @@ def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[Transcri
     )
 
 
-def _pair_check(phi: PairColoring, pair, relation: str, bound: int) -> StepCheck:
-    i, j = pair
-    if i > j:
-        i, j = j, i
-    return StepCheck("pair", (i, j), phi((i, j)), relation, bound)
-
-
 def _require_case(got: Optional[CanonicalCase], case: CanonicalCase, message: str) -> None:
     """Raise CaseMismatch unless the classifier gave the declared case; the
     message is formatted with the declared ``case`` and the ``got`` one."""
@@ -152,18 +115,27 @@ def _require_case(got: Optional[CanonicalCase], case: CanonicalCase, message: st
         raise CaseMismatch(message.format(case=case.value, got=got.value if got else "none"))
 
 
-def _constant_step(chosen: Sequence[int], checks, broken: Callable[[StepCheck], str]
-                   ) -> TranscriptStep:
-    """The one step of a CONST run.  The checks, all of relation "==" against
-    the constant value, are drawn until one fails, which raises
-    CaseMismatch(broken(check))."""
-    kept = []
-    for ck in checks:
-        if not ck.holds():
-            raise CaseMismatch(broken(ck))
-        kept.append(ck)
-    return TranscriptStep(index=0, chosen=tuple(chosen), threshold=kept[0].bound,
-                          relation="==", checks=tuple(kept), note="constant image")
+def _constant_step(chosen: Sequence[int], kind: str, args: Sequence[tuple], queries: Iterator[int],
+                   value: int, broken: Callable[[tuple, int], str]) -> TranscriptStep:
+    """The one step of a CONST run: an "==" check against the constant ``value``
+    at each of ``args``, valued in order by ``queries``.  The first that differs
+    raises CaseMismatch(broken(its args, its value)) and ends the queries."""
+    got = []
+    for a, v in zip(args, queries):
+        if v != value:
+            raise CaseMismatch(broken(a, v))
+        got.append(v)
+    return TranscriptStep(index=0, chosen=tuple(chosen), threshold=value, relation="==",
+                          checks=StepChecks(kind, "==", value, tuple(args), tuple(got)),
+                          note="constant image")
+
+
+def _steps_only(budget: SearchBudget, strategy: str) -> int:
+    """The budget's max_steps; the fields ``strategy`` does not read must keep their defaults."""
+    for name in ("max_element", "candidate_cap"):
+        if getattr(budget, name) != getattr(SearchBudget(), name):
+            raise ValueError(f"budget.{name} does not apply to {strategy}")
+    return budget.max_steps
 
 
 READ_BLOCK = 256  # points per block of defeat_w_summable's window read
@@ -232,7 +204,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
         F = NatSet(a + i * d for i in range(n))
         steps.append(TranscriptStep(
             index=n, chosen=F.elements, threshold=thr, relation=">=",
-            checks=tuple(StepCheck("nat", (x,), values[x], ">=", thr) for x in F),
+            checks=StepChecks("nat", ">=", thr, tuple(zip(F)), tuple(values[x] for x in F)),
             note=f"start {a}, difference {d}, scanned [0, {bound})",
         ))
         blocks.append(F)
@@ -256,11 +228,11 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
     twice: INJ and CONST read the values their checks record, and MIN, MAX
     and MINMAX query FS(D) once, for the closing check and the image alike.
     """
+    n_max = _steps_only(budget, "h-summable")
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
     _require_case(classify_fs_on(phi, BlockBasis(C.elements[:5])), case,
                   "declared {case}, prefix classifies as {got}")
-    n_max = budget.max_steps
     cs = C.elements
     window = phi.window
     steps: List[TranscriptStep] = []
@@ -278,11 +250,12 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         if not chosen:
             raise SearchExhausted(0, "window too small for any block")
         value = phi(chosen[0])
+        sums = fs(NatSet(chosen)).elements
         steps.append(_constant_step(
-            chosen, (StepCheck("nat", (x,), phi(x), "==", value) for x in fs(NatSet(chosen))),
-            lambda ck: f"constant case broken at {ck.args[0]}: phi = {ck.value} != {value}",
+            chosen, "nat", tuple(zip(sums)), map(phi, sums), value,
+            lambda a, v: f"constant case broken at {a[0]}: phi = {v} != {value}",
         ))
-        values = [ck.value for ck in steps[0].checks]
+        values = steps[0].checks.values
         majorant = Fraction(1, value + 1)
     else:
         threshold, term = STRATEGIES["h-summable"][3][case]
@@ -329,7 +302,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 values += got
             steps.append(TranscriptStep(
                 index=n, chosen=(c,), threshold=thr, relation=">",
-                checks=tuple(StepCheck("nat", (x,), v, ">", thr) for x, v in zip(points, got)),
+                checks=StepChecks("nat", ">", thr, tuple(zip(points)), tuple(got)),
                 note=f"pool index {last_idx}",
             ))
         if case is not CanonicalCase.INJ:
@@ -357,6 +330,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     Past the search, the pairs of H are queried once, for that check and
     the image alike; CONST reads them off its checks.
     """
+    n_max = _steps_only(budget, "r-summable")
     if case is CanonicalCase.MINMAX:
         raise CaseMismatch("minmax is not a pair-coloring case")
     T = T if isinstance(T, NatSet) else NatSet(T)
@@ -364,7 +338,6 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
         raise CaseMismatch("ground set has fewer than 3 points")
     _require_case(classify_pairs_on(phi, NatSet(T.elements[:12])), case,
                   "declared {case}, prefix classifies as {got}")
-    n_max = budget.max_steps
     ts = T.elements
     steps: List[TranscriptStep] = []
     rules = STRATEGIES["r-summable"][3]
@@ -372,11 +345,10 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     if case is CanonicalCase.CONST:
         H = ts[: max(2, n_max)]
         const_value = phi((H[0], H[1]))
-        steps.append(_constant_step(
-            H, (_pair_check(phi, p, "==", const_value) for p in itertools.combinations(H, 2)),
-            lambda ck: f"constant case broken at {ck.args}",
-        ))
-        values = [ck.value for ck in steps[0].checks]
+        pairs = tuple(itertools.combinations(H, 2))
+        steps.append(_constant_step(H, "pair", pairs, map(phi, pairs), const_value,
+                                    lambda a, v: f"constant case broken at {a}"))
+        values = steps[0].checks.values
     elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
         # MIN reads the row of ts[i] at its successor, MAX the column of ts[i]
         # at ts[0].  The thresholds grow with n, so a point that fails one step
@@ -401,12 +373,13 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 partner = H[-1] if n + 1 < len(H) else ts[last + 1]
             else:
                 partner = H[0] if n else ts[0]
-            ck = _pair_check(phi, (t, partner), ">", threshold(n))
-            if not ck.holds():
+            pair = (t, partner) if t < partner else (partner, t)
+            v, thr = phi(pair), threshold(n)
+            if v <= thr:
                 raise CaseMismatch(f"row value of {t} differs between partners; case unstable")
             steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=ck.bound, relation=">",
-                checks=(ck,), note="row value witness",
+                index=n, chosen=(t,), threshold=thr, relation=">",
+                checks=StepChecks("pair", ">", thr, (pair,), (v,)), note="row value witness",
             ))
     else:  # INJ
         threshold = rules[case][0]
@@ -424,7 +397,8 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
             last = i
             steps.append(TranscriptStep(
                 index=n, chosen=(t,), threshold=thr, relation=">",
-                checks=tuple(StepCheck("pair", (ti, t), v, ">", thr) for ti, v in zip(H, got)),
+                checks=StepChecks("pair", ">", thr, tuple(zip(H, itertools.repeat(t))),
+                                  tuple(got)),
                 note="pairs against earlier picks",
             ))
             H.append(t)
@@ -892,6 +866,16 @@ def check_rnh_conditions(bundle, f: GammaMap, X: SparseBasis) -> Report:
     )
 
 
+def _check_rows(step: TranscriptStep) -> Iterator[tuple]:
+    """Each check's (step index, kind, args, value, relation, bound), read
+    off a column record's columns or off each StepCheck of a tuple."""
+    checks, rep = step.checks, itertools.repeat
+    if type(checks) is StepChecks:
+        return zip(rep(step.index), rep(checks.kind), checks.args, checks.values,
+                   rep(checks.relation), rep(checks.bound))
+    return ((step.index, ck.kind, ck.args, ck.value, ck.relation, ck.bound) for ck in checks)
+
+
 def verify_transcript(t: Transcript, coloring=None) -> Report:
     """Re-verify a transcript against a coloring: every recorded inequality
     must hold on fresh queries, the stored image must equal the recomputed
@@ -899,10 +883,12 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
     phi = coloring if coloring is not None else t.coloring
     report = Report(meta={"strategy": t.strategy}).add("checks", True)
     # The scan stops at the first bad check: later checks query phi no further.
-    for step, ck in ((step, ck) for step in t.steps for ck in step.checks):
-        fresh = phi(ck.args[0]) if ck.kind == "nat" else phi(ck.args)
-        if fresh != ck.value or not ck.holds():
-            report.fail("checks", f"step {step.index}: {ck.describe()} (fresh {fresh})")
+    rows = itertools.chain.from_iterable(map(_check_rows, t.steps))
+    for index, kind, args, value, relation, bound in rows:
+        fresh = phi(args[0]) if kind == "nat" else phi(args)
+        if fresh != value or not RELATIONS[relation](value, bound):
+            ck = StepCheck(kind, args, value, relation, bound)
+            report.fail("checks", f"step {index}: {ck.describe()} (fresh {fresh})")
             break
 
     if t.strategy not in STRATEGIES:

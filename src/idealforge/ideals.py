@@ -45,6 +45,11 @@ class FrozenRecord(Record):
 
     __slots__ = ()
 
+    def _fill(self, *values) -> None:
+        """Set the fields in slot order, once, while building."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def __hash__(self) -> int:
         return hash(tuple(self.fields().values()))
 
@@ -233,12 +238,7 @@ class ScaleParams(FrozenRecord):
             raise ValueError("tau must be > 0")
         if window <= 0:
             raise ValueError("window must be > 0")
-        put = object.__setattr__
-        put(self, "ap_len", ap_len)
-        put(self, "clique_size", clique_size)
-        put(self, "fs_size", fs_size)
-        put(self, "tau", rational)
-        put(self, "window", window)
+        self._fill(ap_len, clique_size, fs_size, rational, window)
 
 
 def longest_ap(A: NatSet) -> int:

@@ -36,10 +36,7 @@ class FiniteIdealSpec(FrozenRecord):
     __slots__ = ("ideal", "params", "ground")
 
     def __init__(self, ideal: IdealId, params: ScaleParams, ground: Union[NatSet, int]):
-        put = object.__setattr__
-        put(self, "ideal", ideal)
-        put(self, "params", params)
-        put(self, "ground", ground)
+        self._fill(ideal, params, ground)
 
     def _vertices(self) -> int:
         if not isinstance(self.ground, int):

@@ -7,19 +7,21 @@ exact rationals as "p/q" strings, NatSets and sets as sorted lists, EdgeSets
 as {"n", "edges"}, and an object through its ``to_json_dict``, which lists
 its fields unconverted.  A record without its own form is written as its
 fields in slot order, straight from its slots, by one format per class and
-indent; ``Transcript``, ``Report`` and ``SearchOutcome`` give their own.
+indent; ``Transcript``, ``Report`` and ``SearchOutcome`` give their own.  A
+``StepChecks`` is written as its ``StepCheck`` rows, by one format per step.
 Output keeps insertion order and never embeds timestamps, so identical
 inputs give byte identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter, eq, ge, gt, index
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .ideals import EdgeSet, NatSet, Record
+from .ideals import EdgeSet, FrozenRecord, NatSet, Record
 
 
 # str() is used only on ints of at most this many bits (about 600 digits).
@@ -55,7 +57,7 @@ def dumps_stable(obj: Any) -> str:
 _quoted = json.encoder.encode_basestring_ascii
 
 # Each class the writer has met: its slot names if it is a record without its
-# own form, else ().
+# own form, else ().  A StepChecks is written as its rows.
 _fields: Dict[type, Tuple[str, ...]] = {}
 # Each (record class, indent) written: the format of one record there, the
 # getter of its fields, the fields' indent, and the open, separator and close
@@ -67,16 +69,12 @@ def _record_fields(cls: type) -> Tuple[str, ...]:
     names = _fields.get(cls)
     if names is None:
         names = _fields[cls] = (tuple(cls.__slots__) if issubclass(cls, Record)
+                                and cls is not StepChecks
                                 and not hasattr(cls, "to_json_dict") else ())
     return names
 
 
-def _records(items: Sequence[Record], indent: str) -> str:
-    """Records of one class without its own form, each written at ``indent``
-    and joined as the items of a list there.  A field that is an exact str,
-    an exact int or a non-empty tuple of exact ints is written inline; any
-    other goes through ``_indented``."""
-    cls = type(items[0])
+def _record_format(cls: type, indent: str) -> Tuple[str, Callable, str, str, str, str]:
     made = _formats.get((cls, indent))
     if made is None:
         names = _record_fields(cls)
@@ -89,7 +87,15 @@ def _records(items: Sequence[Record], indent: str) -> str:
         deep = inner + "  "
         made = _formats[cls, indent] = (fmt, get, inner, "[\n" + deep, ",\n" + deep,
                                         "\n" + inner + "]")
-    fmt, get, inner, open_ints, int_sep, close_ints = made
+    return made
+
+
+def _records(items: Sequence[Record], indent: str) -> str:
+    """Records of one class without its own form, each written at ``indent``
+    and joined as the items of a list there.  A field that is an exact str,
+    an exact int or a non-empty tuple of exact ints is written inline; any
+    other goes through ``_indented``."""
+    fmt, get, inner, open_ints, int_sep, close_ints = _record_format(type(items[0]), indent)
     out = []
     for item in items:
         cells = []
@@ -105,6 +111,26 @@ def _records(items: Sequence[Record], indent: str) -> str:
                 cells.append(_indented(v, inner))
         out.append(fmt % tuple(cells))
     return (",\n" + indent).join(out)
+
+
+def _step_checks(checks: StepChecks, indent: str) -> str:
+    """A column record as its rows, by one format for the step: StepCheck's,
+    with kind, relation and bound baked in.  Columns that format would not
+    write inline go through the general path, row by row."""
+    kind, relation, bound, args, values = (checks.kind, checks.relation, checks.bound,
+                                           checks.args, checks.values)
+    width = len(args[0]) if args and type(args[0]) is tuple else 0
+    if not (width and type(kind) is str and type(relation) is str and type(bound) is int
+            and set(map(type, args)) == {tuple} and set(map(len, args)) == {width}
+            and {*map(type, values), *map(type, itertools.chain.from_iterable(args))} == {int}):
+        return _indented(tuple(checks), indent)
+    inner = indent + "  "
+    fmt, _, _, open_ints, int_sep, close_ints = _record_format(StepCheck, inner)
+    # The cells in StepCheck's slot order: kind, args, value, relation, bound.
+    row = fmt % (_quoted(kind).replace("%", "%%"), open_ints + int_sep.join(["%d"] * width)
+                 + close_ints, "%d", _quoted(relation).replace("%", "%%"), int.__repr__(bound))
+    body = (",\n" + inner).join([row % (*a, v) for a, v in zip(args, values)])
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _indented(value: Any, indent: str) -> str:
@@ -142,6 +168,8 @@ def _indented(value: Any, indent: str) -> str:
             return "{}"
         body = sep.join([f"{_quoted(str(k))}: {_indented(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
+    if cls is StepChecks:
+        return _step_checks(value, indent)
     if _record_fields(cls):
         return _records((value,), indent)
     if cls is Fraction:
@@ -165,6 +193,56 @@ def _indented(value: Any, indent: str) -> str:
     if isinstance(value, dict):
         return _indented(dict(value.items()), indent)
     raise TypeError(f"cannot serialize {cls.__name__}")
+
+
+class _Relations(dict):
+    def __missing__(self, relation):  # a ValueError, not a KeyError
+        raise ValueError(f"unknown relation {relation!r}")
+
+
+RELATIONS = _Relations({">": gt, ">=": ge, "==": eq})  # the test of each check relation
+
+
+class StepCheck(FrozenRecord):
+    """One recorded inequality at a "nat" or "pair" point, re-verifiable against the coloring."""
+
+    __slots__ = ("kind", "args", "value", "relation", "bound")
+
+    def __init__(self, kind: str, args: Tuple[int, ...], value: int, relation: str, bound: int):
+        self._fill(kind, args, value, relation, bound)
+
+    def holds(self) -> bool:
+        return RELATIONS[self.relation](self.value, self.bound)
+
+    def describe(self) -> str:
+        point = self.args[0] if self.kind == "nat" else set(self.args)
+        return f"phi({point}) = {self.value} {self.relation} {self.bound}"
+
+
+class StepChecks(FrozenRecord):
+    """A step's checks as columns: the kind, relation and bound they share,
+    and each check's ``args`` and ``value``.  Its length, iteration and
+    indexing give ``StepCheck`` rows, built on demand."""
+
+    __slots__ = ("kind", "relation", "bound", "args", "values")
+
+    def __init__(self, kind: str, relation: str, bound: int, args: Tuple[Tuple[int, ...], ...],
+                 values: Tuple[int, ...]):
+        if len(args) != len(values):
+            raise ValueError(f"{len(args)} check points vs {len(values)} values")
+        self._fill(kind, relation, bound, args, values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[StepCheck]:
+        rep = itertools.repeat
+        return map(StepCheck, rep(self.kind), self.args, self.values, rep(self.relation),
+                   rep(self.bound))
+
+    def __getitem__(self, i: int) -> StepCheck:
+        i = index(i)  # a position, not a slice
+        return StepCheck(self.kind, self.args[i], self.values[i], self.relation, self.bound)
 
 
 class CheckItem(Record):

@@ -191,8 +191,7 @@ class VerySparseFlag(FrozenRecord):
     __slots__ = ("verified", "counterexample")
 
     def __init__(self, verified: bool, counterexample: Optional[Tuple[int, int]] = None):
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "counterexample", counterexample)
+        self._fill(verified, counterexample)
 
     def __bool__(self) -> bool:
         return self.verified

@@ -20,7 +20,7 @@ from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudge
 from idealforge.canonical import high_bit, low_bit
 from idealforge.ideals import Record
 from idealforge.errors import CaseMismatch, SearchExhausted
-from idealforge.report import rational_str
+from idealforge.report import StepChecks, rational_str
 
 PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
               CanonicalCase.INJ)
@@ -646,6 +646,8 @@ def ref_jsonable(value):
         return value
     if hasattr(value, "to_json_dict"):
         return ref_jsonable(value.to_json_dict())
+    if isinstance(value, StepChecks):  # a step's checks, read through their rows
+        return [ref_jsonable(row) for row in value]
     if isinstance(value, Record):
         return ref_jsonable(value.fields())
     if hasattr(value, "elements"):

@@ -26,11 +26,11 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
-from idealforge.adversary import STRATEGIES
+from idealforge.adversary import STRATEGIES, Transcript, TranscriptStep
 from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
-from idealforge.report import dumps_stable
+from idealforge.report import StepCheck, StepChecks, dumps_stable
 
 from conftest import RULE_ORACLES
 
@@ -428,8 +428,7 @@ def test_defeat_h_min_with_fast_growing_relabeling():
     # still a pure min pattern; thresholds and certificate must survive it
     phi = NatColoring(1 << 26, fn=lambda x: (x & -x) ** 2 + 7)
     pool = BlockBasis([1 << j for j in range(20)])
-    t = defeat_h_summable(phi, pool, CanonicalCase.MIN,
-                          SearchBudget(max_element=4096, max_steps=10))
+    t = defeat_h_summable(phi, pool, CanonicalCase.MIN, SearchBudget(max_steps=10))
     for step in t.steps:
         assert all(ck.value > (1 << step.index) for ck in step.checks)
     assert t.certified_sum <= t.majorant
@@ -483,3 +482,127 @@ def test_every_step_rule_matches_the_rule_oracle(strategy):
             assert [threshold(n) for n in steps] == [want_threshold(n) for n in steps]
             majorant = sum(map(term, steps), Fraction(0))
             assert type(majorant) is Fraction and majorant == want_majorant(n_max)
+
+
+@pytest.mark.parametrize("field", ["max_element", "candidate_cap"])
+def test_h_and_r_summable_refuse_the_budget_fields_they_do_not_read(field):
+    budget = SearchBudget(**{field: 4, "max_steps": 3})
+    with pytest.raises(ValueError, match=rf"^budget\.{field} does not apply to h-summable$"):
+        defeat_h_summable(NatColoring.identity(1 << 10), BlockBasis([1 << j for j in range(8)]),
+                          CanonicalCase.INJ, budget)
+    with pytest.raises(ValueError, match=rf"^budget\.{field} does not apply to r-summable$"):
+        defeat_r_summable(PairColoring.pairing(20), NatSet(range(20)), CanonicalCase.INJ, budget)
+
+
+def _w_steps_1_to_3():
+    """The w transcript on the identity for n_max 3: steps 1, 2 and 3 check
+    phi >= 2 at 2, phi >= 8 at 8 and 9, and phi >= 24 at 24, 25 and 26."""
+    t = defeat_w_summable(NatColoring.identity(1 << 10), SearchBudget(max_steps=3))
+    assert [step.checks.args for step in t.steps] == [((2,),), ((8,), (9,)),
+                                                      ((24,), (25,), (26,))]
+    return t
+
+
+def _counted(fn):
+    calls = []
+
+    def counted(*point):
+        calls.append(point)
+        return fn(*point)
+    return counted, calls
+
+
+@pytest.mark.parametrize("strategy", ["h", "r"])
+def test_a_constant_run_stops_querying_at_its_first_mismatch(strategy):
+    if strategy == "h":  # 40 is a sum of the blocks past the classified prefix
+        fn, calls = _counted(lambda x: 9 if x == 40 else 7)
+        with pytest.raises(CaseMismatch, match=r"^constant case broken at 40: phi = 9 != 7$"):
+            defeat_h_summable(NatColoring(1 << 8, fn=fn), BlockBasis([1 << j for j in range(8)]),
+                              CanonicalCase.CONST, SearchBudget(max_steps=8))
+        assert calls[-2:] == [(39,), (40,)]
+    else:  # 13 lies past the 12 classified points
+        fn, calls = _counted(lambda i, j: 9 if (i, j) == (3, 13) else 3)
+        with pytest.raises(CaseMismatch, match=r"^constant case broken at \(3, 13\)$"):
+            defeat_r_summable(PairColoring(20, fn=fn), NatSet(range(20)), CanonicalCase.CONST,
+                              SearchBudget(max_steps=14))
+        assert calls[-2:] == [(3, 12), (3, 13)]
+
+
+def test_verify_reports_a_changed_value_inside_a_column_record():
+    t = _w_steps_1_to_3()
+    third = t.steps[2].checks
+    t.steps[2].checks = StepChecks("nat", ">=", 24, third.args, (24, 26, 26))
+    fn, calls = _counted(lambda x: x)
+    report = verify_transcript(t, NatColoring(1 << 10, fn=fn))
+    assert report.failed_names() == ["checks"]
+    assert report.items[0].detail == "step 3: phi(25) = 26 >= 24 (fresh 25)"
+    # The scan stops at 25; the image is queried afresh after it.
+    assert calls == [(2,), (8,), (9,), (24,), (25,)] + [(x,) for x in t.witness["set"]]
+
+
+def test_verify_stops_at_the_first_bad_check_before_a_point_outside_the_window():
+    t = _w_steps_1_to_3()
+    third = t.steps[2].checks
+    t.steps[2].checks = StepChecks("nat", ">=", 24, third.args + ((5000,),),
+                                   third.values + (5000,))
+    # 5000 lies outside the fresh coloring's window, past the failing 24.
+    report = verify_transcript(t, NatColoring(64, fn=lambda x: 0 if x == 24 else x))
+    assert report.failed_names() == ["checks", "image", "certificate"]
+    assert report.items[0].detail == "step 3: phi(24) = 24 >= 24 (fresh 0)"
+
+
+def _with_row_tuples(t: Transcript) -> Transcript:
+    """t with each step's checks held as a tuple of StepCheck rows."""
+    steps = [TranscriptStep(**step.fields() | {"checks": tuple(step.checks)}) for step in t.steps]
+    return Transcript(**t.fields() | {"steps": steps})
+
+
+ROW_TUPLE_RUNS = [
+    ("w", lambda: defeat_w_summable(NatColoring.identity(1 << 12), SearchBudget(max_steps=5))),
+    ("h-minmax", lambda: defeat_h_summable(
+        NatColoring.minmax_alpha(1 << 12), BlockBasis([1 << j for j in range(12)]),
+        CanonicalCase.MINMAX, SearchBudget(max_steps=4))),
+    ("r-inj", lambda: defeat_r_summable(PairColoring.pairing(40), NatSet(range(40)),
+                                        CanonicalCase.INJ, SearchBudget(max_steps=5))),
+]
+
+
+@pytest.mark.parametrize("name, build", ROW_TUPLE_RUNS, ids=[r[0] for r in ROW_TUPLE_RUNS])
+def test_step_check_tuples_verify_and_write_as_their_column_records(name, build):
+    t = build()
+    rows = _with_row_tuples(t)
+    assert all(type(step.checks) is tuple for step in rows.steps)
+    assert dumps_stable(rows) == dumps_stable(t)
+    assert verify_transcript(rows).passed
+    # A value raised by one in the last multi-check step fails both forms alike.
+    step = max(i for i, s in enumerate(t.steps) if len(s.checks) > 1)
+    cols = t.steps[step].checks
+    bad = StepChecks(cols.kind, cols.relation, cols.bound, cols.args,
+                     cols.values[:1] + (cols.values[1] + 1,) + cols.values[2:])
+    t.steps[step].checks = bad
+    rows.steps[step].checks = tuple(bad)
+    assert dumps_stable(verify_transcript(rows)) == dumps_stable(verify_transcript(t))
+    assert verify_transcript(rows).failed_names()[0] == "checks"
+
+
+def test_engines_build_no_step_check_per_check(monkeypatch):
+    """w, every h case and every r case construct, verify and write their
+    transcripts without building one StepCheck."""
+    built = []
+    init = StepCheck.__init__
+
+    def counted(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+    monkeypatch.setattr(StepCheck, "__init__", counted)
+    pool = BlockBasis([1 << j for j in range(24)])
+    budget = SearchBudget(max_steps=6)
+    runs = [defeat_w_summable(NatColoring.identity(1 << 15), budget)]
+    runs += [defeat_h_summable(maker(1 << 25), pool, case, budget) for _, maker, case in H_CASES]
+    runs += [defeat_r_summable(maker(600), NatSet(range(600)), case, budget)
+             for _, maker, case in R_CASES]
+    for t in runs:
+        assert verify_transcript(t).passed
+        dumps_stable(t)
+    assert sum(len(step.checks) for t in runs for step in t.steps) > 100
+    assert built == []

@@ -180,7 +180,7 @@ def test_defeat_h_inj_matches_the_per_step_rescan(family, plant, consecutive, si
     prefix = C.elements[:5]
     window = sum(prefix) + extra
     phi = _coloring(rng, family, window, plant, distinct=sorted(subset_sum_counts(prefix)))
-    budget = SearchBudget(max_element=rng.randint(1, 2 * window), max_steps=nmax)
+    budget = SearchBudget(max_steps=nmax)
     _check_h_inj_against_the_rescan(phi, C, budget)
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from idealforge import FiniteIdealSpec, IdealId, NatSet, Report, RnhCase1Bundle, \
     RnhCase2Bundle, ScaleParams, SearchBudget, SparseBasis, Transcript, VerySparseFlag
-from idealforge.adversary import StepCheck, TranscriptStep
+from idealforge.adversary import TranscriptStep
 from idealforge.ideals import FrozenRecord
 from idealforge.reduction import SearchOutcome
-from idealforge.report import CheckItem
+from idealforge.report import CheckItem, StepCheck, StepChecks
 
 CHECK = StepCheck("nat", (3,), 5, ">", 2)
 
@@ -18,6 +18,8 @@ CHECK = StepCheck("nat", (3,), 5, ">", 2)
 REPRS = [
     (SearchBudget(), "SearchBudget(max_element=32768, max_steps=10, candidate_cap=8)"),
     (CHECK, "StepCheck(kind='nat', args=(3,), value=5, relation='>', bound=2)"),
+    (StepChecks("nat", ">", 2, ((3,), (4,)), (5, 6)),
+     "StepChecks(kind='nat', relation='>', bound=2, args=((3,), (4,)), values=(5, 6))"),
     (TranscriptStep(0, (3,), 2, ">", (CHECK,)),
      "TranscriptStep(index=0, chosen=(3,), threshold=2, relation='>', checks=(StepCheck("
      "kind='nat', args=(3,), value=5, relation='>', bound=2),), note='')"),
@@ -53,6 +55,8 @@ def test_repr_is_the_dataclass_text(record, text):
 FROZEN = [
     (lambda: SearchBudget(max_steps=4), SearchBudget(max_steps=4, candidate_cap=9)),
     (lambda: StepCheck("pair", (1, 2), 0, "==", 0), StepCheck("pair", (1, 2), 0, "==", 1)),
+    (lambda: StepChecks("pair", "==", 0, ((1, 2), (1, 3)), (0, 0)),
+     StepChecks("pair", "==", 0, ((1, 2), (1, 3)), (0, 1))),
     (lambda: ScaleParams(tau=Fraction(1, 2)), ScaleParams(tau="1/2", window=9)),
     (lambda: FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0, 1])),
      FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0]))),
@@ -85,6 +89,18 @@ def test_mutable_records_are_unhashable_and_compare_field_by_field(record):
     twin = type(record)(**record.fields())
     assert twin == record and twin is not record
     assert record != object()
+
+
+def test_step_checks_give_step_check_rows():
+    checks = StepChecks("pair", ">", 2, ((1, 2), (1, 3)), (5, 6))
+    rows = (StepCheck("pair", (1, 2), 5, ">", 2), StepCheck("pair", (1, 3), 6, ">", 2))
+    assert len(checks) == 2 and tuple(checks) == rows
+    assert (checks[0], checks[-1]) == rows
+    assert checks != rows  # a column record equals only a column record
+    with pytest.raises(TypeError):
+        checks[0:1]
+    with pytest.raises(ValueError, match="1 check points vs 0 values"):
+        StepChecks("nat", ">", 0, ((1,),), ())
 
 
 def test_report_fields_default_to_fresh_containers():

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealforge import EdgeSet, NatSet, SparseBasis
-from idealforge.adversary import SearchBudget, StepCheck, TranscriptStep
+from idealforge.adversary import SearchBudget, TranscriptStep
 from idealforge.cli import build_parser, run
-from idealforge.report import CheckItem, Report, dumps_stable, rational_str
+from idealforge.report import CheckItem, Report, StepCheck, StepChecks, dumps_stable, \
+    rational_str
 
 from conftest import random_block_basis, ref_jsonable
 
@@ -80,12 +81,45 @@ step_checks = (st.builds(StepCheck, st.just("nat"), st.tuples(wide), wide | wide
                            st.just(()) | st.tuples(wide, st.booleans()) | st.tuples(wide),
                            wide | st.booleans(), relations | relations.map(Label),
                            wide | wide.map(Count)))
+
+
+@st.composite
+def column_records(draw):
+    """A step's checks as a column record: nat or pair args of exact ints,
+    and any exact str kind (a "%" in it must survive the row format), which
+    the writer writes by one format per step; or, with one column made odd,
+    one it must write row by row through the general path: a Label kind or
+    relation, a bool or Count bound, a bool or Count value, or args that are
+    empty, of another length or holding a bool."""
+    width = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("nat", "pair", "50%", "%d")) | st.text(max_size=4))
+    relation, bound = draw(relations), draw(wide)
+    args = draw(st.lists(st.tuples(*[wide] * width), max_size=6))
+    values = draw(st.lists(wide, min_size=len(args), max_size=len(args)))
+    odd = draw(st.sampled_from((None, "kind", "relation", "bound", "value", "args")))
+    if odd == "kind":
+        kind = Label(kind)
+    elif odd == "relation":
+        relation = Label(relation)
+    elif odd == "bound":
+        bound = draw(st.booleans() | wide.map(Count))
+    elif odd and args:
+        i = draw(st.integers(0, len(args) - 1))
+        if odd == "value":
+            values[i] = draw(st.booleans() | wide.map(Count))
+        else:
+            args[i] = draw(st.just(()) | st.tuples(*[wide] * (3 - width))
+                           | st.tuples(*[wide] * (width - 1), st.booleans()))
+    return StepChecks(kind, relation, bound, tuple(args), tuple(values))
+
+
 transcript_steps = st.builds(TranscriptStep, wide, st.lists(wide, max_size=4).map(tuple), wide,
-                             relations, st.lists(step_checks, max_size=3).map(tuple),
+                             relations, st.lists(step_checks, max_size=3).map(tuple)
+                             | column_records(),
                              st.text(max_size=4) | st.text(max_size=4).map(Label))
 check_items = st.builds(CheckItem, st.text(max_size=4), st.booleans(), st.text(max_size=4))
 budgets = st.builds(SearchBudget, st.integers(1, 1 << 40), st.integers(1, 50), st.integers(1, 9))
-records = step_checks | transcript_steps | check_items | budgets
+records = step_checks | column_records() | transcript_steps | check_items | budgets
 toolkit_trees = st.recursive(
     leaves | fractions | natsets | edgesets | block_bases | sparse_bases | records
     | st.integers(-(1 << 70), 1 << 70).map(Count) | st.text(max_size=4).map(Label),
@@ -120,6 +154,18 @@ def test_record_lists_match_the_isinstance_chain(items):
     assert dumps_stable(items) == json.dumps(ref_jsonable(items), indent=2) + "\n"
     assert dumps_stable({"nested": [items]}) == \
         json.dumps(ref_jsonable({"nested": [items]}), indent=2) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(column_records(), st.lists(column_records(), max_size=3))
+def test_column_records_write_as_the_rows_they_hold(record, others):
+    """The one-format-per-step writing of a column record gives the bytes of
+    its rows, alone, in a list and inside transcript steps."""
+    assert dumps_stable(record) == json.dumps(ref_jsonable(tuple(record)), indent=2) + "\n"
+    items = [record, *others]
+    assert dumps_stable(items) == json.dumps(ref_jsonable(items), indent=2) + "\n"
+    steps = [TranscriptStep(n, (n,), n, ">", checks) for n, checks in enumerate(items)]
+    assert dumps_stable(steps) == json.dumps(ref_jsonable(steps), indent=2) + "\n"
 
 
 def test_bools_stay_json_booleans():
