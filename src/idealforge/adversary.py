@@ -21,7 +21,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import FrozenRecord, NatSet, Record, progressions, reciprocal_sum
-from .report import RELATIONS, Report, StepCheck, StepChecks, rational_str
+from .report import RELATIONS, Report, StepChecks, rational_str
 from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse, \
     require_fs_cap
 
@@ -41,7 +41,7 @@ class TranscriptStep(Record):
     __slots__ = ("index", "chosen", "threshold", "relation", "checks", "note")
 
     def __init__(self, index: int, chosen: Tuple[int, ...], threshold: int, relation: str,
-                 checks: StepChecks | Tuple[StepCheck, ...], note: str = ""):
+                 checks: StepChecks, note: str = ""):
         self.index, self.chosen, self.threshold = index, chosen, threshold
         self.relation, self.checks, self.note = relation, checks, note
 
@@ -95,12 +95,9 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
 
 def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
                 witness: Dict[str, Any], majorant: Optional[Fraction],
-                values: Optional[Sequence[int]] = None) -> Transcript:
-    """A finished construction's transcript: its image is phi on the image
-    points (``values``, when the engine already holds them), and its
-    certificate is the image's exact reciprocal sum."""
-    if values is None:
-        values = [phi(p) for p in STRATEGIES[strategy][2](witness)]
+                values: Sequence[int]) -> Transcript:
+    """A finished construction's transcript: its image is ``values``, phi on
+    the image points, and its certificate is the image's exact reciprocal sum."""
     image = NatSet(values)
     return Transcript(
         strategy=strategy, params=params, steps=steps, witness=witness, image=image,
@@ -484,7 +481,7 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
         bn = min(x for x in Bn if x > b[-1])
         steps.append(TranscriptStep(
             index=n, chosen=(bn,), threshold=0, relation=">",
-            checks=(),
+            checks=StepChecks("pair", ">", 0, (), ()),
             note=f"reservoir {list(Bn.elements)}, avoided values {ys}",
         ))
         reservoirs.append(Bn)
@@ -492,7 +489,8 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
 
     return _transcript(f, "r-hindman",
                        {"depth": budget.max_steps, "window": window, "fs_size": fs_size},
-                       steps, {"b": NatSet(b), "reservoirs": reservoirs}, None)
+                       steps, {"b": NatSet(b), "reservoirs": reservoirs}, None,
+                       [f(p) for p in itertools.combinations(b, 2)])
 
 
 # Each strategy's engine, the kind of coloring it reads, its image rule (the witness
@@ -866,14 +864,19 @@ def check_rnh_conditions(bundle, f: GammaMap, X: SparseBasis) -> Report:
     )
 
 
-def _check_rows(step: TranscriptStep) -> Iterator[tuple]:
-    """Each check's (step index, kind, args, value, relation, bound), read
-    off a column record's columns or off each StepCheck of a tuple."""
-    checks, rep = step.checks, itertools.repeat
-    if type(checks) is StepChecks:
-        return zip(rep(step.index), rep(checks.kind), checks.args, checks.values,
-                   rep(checks.relation), rep(checks.bound))
-    return ((step.index, ck.kind, ck.args, ck.value, ck.relation, ck.bound) for ck in checks)
+def _first_bad_check(steps: List[TranscriptStep], phi) -> str:
+    """The detail of the first recorded check that fails on a fresh query of
+    phi, or "" if none does; checks after it query phi no further."""
+    for step in steps:
+        checks = step.checks
+        nat, holds, bound = checks.kind == "nat", RELATIONS[checks.relation], checks.bound
+        for args, value in zip(checks.args, checks.values):
+            fresh = phi(args[0]) if nat else phi(args)
+            if fresh != value or not holds(value, bound):
+                point = args[0] if nat else set(args)
+                return (f"step {step.index}: phi({point}) = {value} {checks.relation} {bound}"
+                        f" (fresh {fresh})")
+    return ""
 
 
 def verify_transcript(t: Transcript, coloring=None) -> Report:
@@ -881,15 +884,8 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
     must hold on fresh queries, the stored image must equal the recomputed
     one, and the certificate must match and respect its majorant."""
     phi = coloring if coloring is not None else t.coloring
-    report = Report(meta={"strategy": t.strategy}).add("checks", True)
-    # The scan stops at the first bad check: later checks query phi no further.
-    rows = itertools.chain.from_iterable(map(_check_rows, t.steps))
-    for index, kind, args, value, relation, bound in rows:
-        fresh = phi(args[0]) if kind == "nat" else phi(args)
-        if fresh != value or not RELATIONS[relation](value, bound):
-            ck = StepCheck(kind, args, value, relation, bound)
-            report.fail("checks", f"step {index}: {ck.describe()} (fresh {fresh})")
-            break
+    bad = _first_bad_check(t.steps, phi)
+    report = Report(meta={"strategy": t.strategy}).add("checks", not bad, bad)
 
     if t.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {t.strategy!r}")

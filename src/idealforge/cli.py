@@ -190,33 +190,38 @@ def _need(args: argparse.Namespace, *options: str) -> None:
             raise ParseError(f"this operation needs --{option}")
 
 
+# The defaults of the options that have one; any other option's is None.
+_DEFAULTS = {"offset": 0, "direction": "up", "m": 3}
+
+
 def _refuse(args: argparse.Namespace, options, reads, what: str) -> None:
-    """Raise ParseError naming the first of these options set but not in ``reads``."""
+    """Raise ParseError naming the first of these options not in ``reads``
+    that is set to other than its default."""
     for option in options:
-        if option not in reads and getattr(args, option) is not None:
+        if option not in reads and getattr(args, option) != _DEFAULTS.get(option):
             raise ParseError(f"--{option.replace('_', '-')} does not apply to {what}")
 
 
-def _edge_set(args: argparse.Namespace) -> EdgeSet:
-    _need(args, "edges")
-    pairs = parse_pair_literal(args.edges)
-    n = args.n if args.n is not None else (max((max(p) for p in pairs), default=-1) + 1)
-    return EdgeSet(n, pairs)
+# The carrier options of each ideal, the first of them needed; the others read --set.
+_CARRIERS = {IdealId.RAMSEY: ("edges", "n"), IdealId.FIN2: ("pairs",)}
 
 
 def _cmd_oracle(args) -> Dict[str, Any]:
     ideal = IdealId(args.ideal)
     op = args.op
     body: Dict[str, Any] = {"ideal": ideal.value, "op": op}
-    if ideal in (IdealId.RAMSEY,):
-        carrier = _edge_set(args)
+    reads = _CARRIERS.get(ideal, ("set",))
+    _need(args, reads[0])
+    _refuse(args, ("set", "edges", "n", "pairs"), reads, f"--ideal {ideal.value}")
+    if ideal is IdealId.RAMSEY:
+        pairs = parse_pair_literal(args.edges)
+        n = args.n if args.n is not None else (max((max(p) for p in pairs), default=-1) + 1)
+        carrier = EdgeSet(n, pairs)
         params = _scale_params(args)
     elif ideal is IdealId.FIN2:
-        _need(args, "pairs")
         carrier = frozenset(parse_pair_literal(args.pairs))
         params = _scale_params(args)
     else:
-        _need(args, "set")
         carrier = parse_set_literal(args.set)
         params = _scale_params(args, carrier)
     if op == "positive":
@@ -252,7 +257,8 @@ def _cmd_fs(args) -> Dict[str, Any]:
     body: Dict[str, Any] = {"op": op}
     needs = _FS_NEEDS.get(op, ("set",))
     _need(args, *needs)
-    _refuse(args, ("set", "pool", "k", "x", "y"), needs, f"--op {op}")
+    _refuse(args, ("set", "pool", "k", "x", "y", "offset", "direction"),
+            needs + ("offset", "direction") if op == "shift" else needs, f"--op {op}")
     if op == "fs":
         body["fs"] = fs(parse_set_literal(args.set))
     elif op == "sparse":
@@ -283,6 +289,8 @@ def _cmd_canonize(args) -> Dict[str, Any]:
         _need(args, "ground")
     else:
         _refuse(args, ("ground",), (), "--kind pairs --op find")
+    if args.op == "classify":
+        _refuse(args, ("m",), (), "--op classify")
     if args.kind == "pairs":
         phi = load_coloring(args.phi, args.window, "pair")
         if args.op == "classify":
@@ -531,8 +539,8 @@ def _fs_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_int, help="requested basis size")
     p.add_argument("--x", type=_int, help="value to decompose")
     p.add_argument("--y", type=_int, help="value whose conflict set is wanted")
-    p.add_argument("--offset", type=_int, default=0)
-    p.add_argument("--direction", choices=["up", "down"], default="up")
+    p.add_argument("--offset", type=_int, default=_DEFAULTS["offset"])
+    p.add_argument("--direction", choices=["up", "down"], default=_DEFAULTS["direction"])
     p.set_defaults(func=_cmd_fs)
 
 
@@ -542,7 +550,7 @@ def _canonize_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi", required=True, help="builtin name or table file")
     p.add_argument("--window", type=_int, required=True)
     p.add_argument("--ground", help="T literal (pairs) or block pool literal (fs)")
-    p.add_argument("--m", type=_int, default=3)
+    p.add_argument("--m", type=_int, default=_DEFAULTS["m"])
     p.set_defaults(func=_cmd_canonize)
 
 

@@ -8,7 +8,7 @@ as {"n", "edges"}, and an object through its ``to_json_dict``, which lists
 its fields unconverted.  A record without its own form is written as its
 fields in slot order, straight from its slots, by one format per class and
 indent; ``Transcript``, ``Report`` and ``SearchOutcome`` give their own.  A
-``StepChecks`` is written as its ``StepCheck`` rows, by one format per step.
+``StepChecks`` is written as the list of its check rows, by one format per step.
 Output keeps insertion order and never embeds timestamps, so identical
 inputs give byte identical output.
 """
@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from operator import attrgetter, eq, ge, gt, index
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter, eq, ge, gt
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ideals import EdgeSet, FrozenRecord, NatSet, Record
 
@@ -57,7 +57,7 @@ def dumps_stable(obj: Any) -> str:
 _quoted = json.encoder.encode_basestring_ascii
 
 # Each class the writer has met: its slot names if it is a record without its
-# own form, else ().  A StepChecks is written as its rows.
+# own form, else ().  A StepChecks is written by ``_step_checks``.
 _fields: Dict[type, Tuple[str, ...]] = {}
 # Each (record class, indent) written: the format of one record there, the
 # getter of its fields, the fields' indent, and the open, separator and close
@@ -113,23 +113,24 @@ def _records(items: Sequence[Record], indent: str) -> str:
     return (",\n" + indent).join(out)
 
 
+# One check row of a column record at indent {i}, its fields at {f}: kind,
+# relation and bound baked in, "%d" for each args entry and for the value.
+_CHECK_ROW = ('{{\n{f}"kind": {kind},\n{f}"args": [\n{f}  {args}\n{f}],\n{f}"value": %d,'
+              '\n{f}"relation": {relation},\n{f}"bound": {bound}\n{i}}}')
+
+
 def _step_checks(checks: StepChecks, indent: str) -> str:
-    """A column record as its rows, by one format for the step: StepCheck's,
-    with kind, relation and bound baked in.  Columns that format would not
-    write inline go through the general path, row by row."""
-    kind, relation, bound, args, values = (checks.kind, checks.relation, checks.bound,
-                                           checks.args, checks.values)
-    width = len(args[0]) if args and type(args[0]) is tuple else 0
-    if not (width and type(kind) is str and type(relation) is str and type(bound) is int
-            and set(map(type, args)) == {tuple} and set(map(len, args)) == {width}
-            and {*map(type, values), *map(type, itertools.chain.from_iterable(args))} == {int}):
-        return _indented(tuple(checks), indent)
+    """A column record as the JSON list of its check rows (kind, args, value,
+    relation, bound), by one format for the step.  ``StepChecks`` admits only
+    columns this format writes: its kind and relation hold no "%"."""
+    if not checks.values:
+        return "[]"
     inner = indent + "  "
-    fmt, _, _, open_ints, int_sep, close_ints = _record_format(StepCheck, inner)
-    # The cells in StepCheck's slot order: kind, args, value, relation, bound.
-    row = fmt % (_quoted(kind).replace("%", "%%"), open_ints + int_sep.join(["%d"] * width)
-                 + close_ints, "%d", _quoted(relation).replace("%", "%%"), int.__repr__(bound))
-    body = (",\n" + inner).join([row % (*a, v) for a, v in zip(args, values)])
+    f = inner + "  "
+    row = _CHECK_ROW.format(i=inner, f=f, kind=_quoted(checks.kind),
+                            args=(",\n" + f + "  ").join(["%d"] * len(checks.args[0])),
+                            relation=_quoted(checks.relation), bound=int.__repr__(checks.bound))
+    body = (",\n" + inner).join([row % (*a, v) for a, v in zip(checks.args, checks.values)])
     return f"[\n{inner}{body}\n{indent}]"
 
 
@@ -195,34 +196,17 @@ def _indented(value: Any, indent: str) -> str:
     raise TypeError(f"cannot serialize {cls.__name__}")
 
 
-class _Relations(dict):
-    def __missing__(self, relation):  # a ValueError, not a KeyError
-        raise ValueError(f"unknown relation {relation!r}")
-
-
-RELATIONS = _Relations({">": gt, ">=": ge, "==": eq})  # the test of each check relation
-
-
-class StepCheck(FrozenRecord):
-    """One recorded inequality at a "nat" or "pair" point, re-verifiable against the coloring."""
-
-    __slots__ = ("kind", "args", "value", "relation", "bound")
-
-    def __init__(self, kind: str, args: Tuple[int, ...], value: int, relation: str, bound: int):
-        self._fill(kind, args, value, relation, bound)
-
-    def holds(self) -> bool:
-        return RELATIONS[self.relation](self.value, self.bound)
-
-    def describe(self) -> str:
-        point = self.args[0] if self.kind == "nat" else set(self.args)
-        return f"phi({point}) = {self.value} {self.relation} {self.bound}"
+RELATIONS = {">": gt, ">=": ge, "==": eq}  # the test of each check relation
+_WIDTHS = {"nat": 1, "pair": 2}  # the args width of each check kind
 
 
 class StepChecks(FrozenRecord):
-    """A step's checks as columns: the kind, relation and bound they share,
-    and each check's ``args`` and ``value``.  Its length, iteration and
-    indexing give ``StepCheck`` rows, built on demand."""
+    """A step's checks as columns: the kind ("nat" or "pair"), relation and
+    bound they share, and each check's point (``args``, a tuple of one int
+    for nat, two for pair) and ``value``.  Every bound, value and args entry
+    is an exact int, and the relation a key of ``RELATIONS``; any other
+    column is a ValueError, so every record built can be written and
+    re-verified."""
 
     __slots__ = ("kind", "relation", "bound", "args", "values")
 
@@ -230,19 +214,20 @@ class StepChecks(FrozenRecord):
                  values: Tuple[int, ...]):
         if len(args) != len(values):
             raise ValueError(f"{len(args)} check points vs {len(values)} values")
+        width = _WIDTHS.get(kind) if type(kind) is str else None
+        if width is None:
+            raise ValueError(f"check kind {kind!r} is not 'nat' or 'pair'")
+        if type(relation) is not str or relation not in RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        if type(bound) is not int or not set(map(type, values)) <= {int}:
+            raise ValueError("a check bound or value is not an int")
+        if not (set(map(type, args)) <= {tuple} and set(map(len, args)) <= {width}
+                and set(map(type, itertools.chain.from_iterable(args))) <= {int}):
+            raise ValueError(f"{kind} check args are not tuples of {width} ints")
         self._fill(kind, relation, bound, args, values)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self) -> Iterator[StepCheck]:
-        rep = itertools.repeat
-        return map(StepCheck, rep(self.kind), self.args, self.values, rep(self.relation),
-                   rep(self.bound))
-
-    def __getitem__(self, i: int) -> StepCheck:
-        i = index(i)  # a position, not a slice
-        return StepCheck(self.kind, self.args[i], self.values[i], self.relation, self.bound)
 
 
 class CheckItem(Record):

@@ -646,8 +646,10 @@ def ref_jsonable(value):
         return value
     if hasattr(value, "to_json_dict"):
         return ref_jsonable(value.to_json_dict())
-    if isinstance(value, StepChecks):  # a step's checks, read through their rows
-        return [ref_jsonable(row) for row in value]
+    if isinstance(value, StepChecks):  # a step's checks, as one row dict per check
+        return [ref_jsonable({"kind": value.kind, "args": args, "value": v,
+                              "relation": value.relation, "bound": value.bound})
+                for args, v in zip(value.args, value.values)]
     if isinstance(value, Record):
         return ref_jsonable(value.fields())
     if hasattr(value, "elements"):

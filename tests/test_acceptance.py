@@ -51,7 +51,7 @@ from idealforge import (
 )
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.cli import build_parser, run
-from idealforge.report import dumps_stable
+from idealforge.report import RELATIONS, dumps_stable
 
 from conftest import naive_find_canonical, naive_search_reduction, \
     random_block_basis, random_pool, subprocess_env, subset_sum_counts
@@ -181,9 +181,9 @@ def test_acceptance_5_canonical_case_replays():
         phi = maker(1 << 25)
         t = defeat_h_summable(phi, pool, case, budget)
         for step in t.steps:
-            for ck in step.checks:
-                value = phi(ck.args[0])
-                assert value == ck.value and ck.holds()
+            checks = step.checks
+            for args, value in zip(checks.args, checks.values):
+                assert phi(args[0]) == value and RELATIONS[checks.relation](value, checks.bound)
         assert t.certified_sum <= t.majorant
         assert verify_transcript(t, maker(1 << 25)).passed
         assert time.perf_counter() - lap < 10.0
@@ -200,9 +200,9 @@ def test_acceptance_5_canonical_case_replays():
         phi = maker(600)
         t = defeat_r_summable(phi, T, case, budget)
         for step in t.steps:
-            for ck in step.checks:
-                value = phi(ck.args)
-                assert value == ck.value and ck.holds()
+            checks = step.checks
+            for args, value in zip(checks.args, checks.values):
+                assert phi(args) == value and RELATIONS[checks.relation](value, checks.bound)
         assert t.certified_sum <= t.majorant
         assert verify_transcript(t, maker(600)).passed
         assert time.perf_counter() - lap < 10.0

@@ -26,11 +26,11 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
-from idealforge.adversary import STRATEGIES, Transcript, TranscriptStep
+from idealforge.adversary import STRATEGIES
 from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
-from idealforge.report import StepCheck, StepChecks, dumps_stable
+from idealforge.report import RELATIONS, StepChecks, dumps_stable
 
 from conftest import RULE_ORACLES
 
@@ -111,8 +111,8 @@ def test_defeat_h_all_cases(name, maker, case):
     check = verify_transcript(t)
     assert check.passed, check.failed_names()
     for step in t.steps:
-        for ck in step.checks:
-            assert ck.holds()
+        holds = RELATIONS[step.checks.relation]
+        assert all(holds(v, step.checks.bound) for v in step.checks.values)
 
 
 def test_defeat_h_case_mismatch():
@@ -430,7 +430,7 @@ def test_defeat_h_min_with_fast_growing_relabeling():
     pool = BlockBasis([1 << j for j in range(20)])
     t = defeat_h_summable(phi, pool, CanonicalCase.MIN, SearchBudget(max_steps=10))
     for step in t.steps:
-        assert all(ck.value > (1 << step.index) for ck in step.checks)
+        assert all(v > (1 << step.index) for v in step.checks.values)
     assert t.certified_sum <= t.majorant
     assert verify_transcript(t).passed
 
@@ -540,6 +540,17 @@ def test_verify_reports_a_changed_value_inside_a_column_record():
     assert calls == [(2,), (8,), (9,), (24,), (25,)] + [(x,) for x in t.witness["set"]]
 
 
+def test_verify_names_a_changed_pair_check_by_its_pair():
+    t = defeat_r_summable(PairColoring.pairing(40), NatSet(range(40)), CanonicalCase.INJ,
+                          SearchBudget(max_steps=3))
+    last = t.steps[2].checks
+    assert last == StepChecks("pair", ">", 8, ((0, 3), (2, 3)), (9, 18))
+    t.steps[2].checks = StepChecks("pair", ">", 8, last.args, (9, 19))
+    report = verify_transcript(t)
+    assert report.failed_names() == ["checks"]
+    assert report.items[0].detail == "step 2: phi({2, 3}) = 19 > 8 (fresh 18)"
+
+
 def test_verify_stops_at_the_first_bad_check_before_a_point_outside_the_window():
     t = _w_steps_1_to_3()
     third = t.steps[2].checks
@@ -549,60 +560,3 @@ def test_verify_stops_at_the_first_bad_check_before_a_point_outside_the_window()
     report = verify_transcript(t, NatColoring(64, fn=lambda x: 0 if x == 24 else x))
     assert report.failed_names() == ["checks", "image", "certificate"]
     assert report.items[0].detail == "step 3: phi(24) = 24 >= 24 (fresh 0)"
-
-
-def _with_row_tuples(t: Transcript) -> Transcript:
-    """t with each step's checks held as a tuple of StepCheck rows."""
-    steps = [TranscriptStep(**step.fields() | {"checks": tuple(step.checks)}) for step in t.steps]
-    return Transcript(**t.fields() | {"steps": steps})
-
-
-ROW_TUPLE_RUNS = [
-    ("w", lambda: defeat_w_summable(NatColoring.identity(1 << 12), SearchBudget(max_steps=5))),
-    ("h-minmax", lambda: defeat_h_summable(
-        NatColoring.minmax_alpha(1 << 12), BlockBasis([1 << j for j in range(12)]),
-        CanonicalCase.MINMAX, SearchBudget(max_steps=4))),
-    ("r-inj", lambda: defeat_r_summable(PairColoring.pairing(40), NatSet(range(40)),
-                                        CanonicalCase.INJ, SearchBudget(max_steps=5))),
-]
-
-
-@pytest.mark.parametrize("name, build", ROW_TUPLE_RUNS, ids=[r[0] for r in ROW_TUPLE_RUNS])
-def test_step_check_tuples_verify_and_write_as_their_column_records(name, build):
-    t = build()
-    rows = _with_row_tuples(t)
-    assert all(type(step.checks) is tuple for step in rows.steps)
-    assert dumps_stable(rows) == dumps_stable(t)
-    assert verify_transcript(rows).passed
-    # A value raised by one in the last multi-check step fails both forms alike.
-    step = max(i for i, s in enumerate(t.steps) if len(s.checks) > 1)
-    cols = t.steps[step].checks
-    bad = StepChecks(cols.kind, cols.relation, cols.bound, cols.args,
-                     cols.values[:1] + (cols.values[1] + 1,) + cols.values[2:])
-    t.steps[step].checks = bad
-    rows.steps[step].checks = tuple(bad)
-    assert dumps_stable(verify_transcript(rows)) == dumps_stable(verify_transcript(t))
-    assert verify_transcript(rows).failed_names()[0] == "checks"
-
-
-def test_engines_build_no_step_check_per_check(monkeypatch):
-    """w, every h case and every r case construct, verify and write their
-    transcripts without building one StepCheck."""
-    built = []
-    init = StepCheck.__init__
-
-    def counted(self, *fields):
-        built.append(fields)
-        init(self, *fields)
-    monkeypatch.setattr(StepCheck, "__init__", counted)
-    pool = BlockBasis([1 << j for j in range(24)])
-    budget = SearchBudget(max_steps=6)
-    runs = [defeat_w_summable(NatColoring.identity(1 << 15), budget)]
-    runs += [defeat_h_summable(maker(1 << 25), pool, case, budget) for _, maker, case in H_CASES]
-    runs += [defeat_r_summable(maker(600), NatSet(range(600)), case, budget)
-             for _, maker, case in R_CASES]
-    for t in runs:
-        assert verify_transcript(t).passed
-        dumps_stable(t)
-    assert sum(len(step.checks) for t in runs for step in t.steps) > 100
-    assert built == []

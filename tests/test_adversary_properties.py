@@ -33,7 +33,9 @@ from idealforge import (
     NatSet,
     PairColoring,
     SearchBudget,
+    SparseBasis,
     defeat_h_summable,
+    defeat_r_hindman,
     defeat_r_summable,
     defeat_w_summable,
     fs,
@@ -42,7 +44,7 @@ from idealforge import (
 from idealforge.adversary import READ_BLOCK
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError, SearchExhausted
-from idealforge.report import dumps_stable
+from idealforge.report import StepChecks, dumps_stable
 
 from conftest import rescan_defeat_h_inj, rescan_defeat_r_summable, \
     rescan_defeat_w_summable, subset_sum_counts, w_scan_reach
@@ -454,4 +456,43 @@ def test_verify_transcript_queries_every_check_and_image_point_afresh(kind, case
         counted, calls = _counting(fn)
         phi = PairColoring(400, fn=counted)
     assert verify_transcript(t, phi).passed
-    assert calls == [ck.args for step in t.steps for ck in step.checks] + image_points
+    assert calls == [args for step in t.steps for args in step.checks.args] + image_points
+
+
+# Each engine and case, run on a builtin coloring whose values go through an
+# increasing map g (which keeps the case) for nmax steps.  r-hindman's values
+# must be finite sums of its basis, so its coloring is fixed.
+_H_MAKERS = {CanonicalCase.CONST: lambda x: 7, CanonicalCase.MIN: low_bit,
+             CanonicalCase.MAX: high_bit,
+             CanonicalCase.MINMAX: lambda x: cantor_pair(low_bit(x), high_bit(x)),
+             CanonicalCase.INJ: lambda x: x}
+_R_MAKERS = {CanonicalCase.CONST: lambda i, j: 3, CanonicalCase.MIN: lambda i, j: i,
+             CanonicalCase.MAX: lambda i, j: j, CanonicalCase.INJ: cantor_pair}
+_HNR_TABLE = {(0, 1): 1, (0, 2): 3, (0, 3): 9, (1, 2): 27, (1, 3): 81, (2, 3): 243}
+STEP_RUNS = {
+    "w": lambda g, nmax: defeat_w_summable(NatColoring(1 << 14, fn=g),
+                                           SearchBudget(max_steps=nmax)),
+    **{f"h-{case.value}": (lambda fn, case: lambda g, nmax: defeat_h_summable(
+        NatColoring(1 << 25, fn=lambda x: g(fn(x))), BlockBasis([1 << j for j in range(24)]),
+        case, SearchBudget(max_steps=nmax)))(fn, case) for case, fn in _H_MAKERS.items()},
+    **{f"r-{case.value}": (lambda fn, case: lambda g, nmax: defeat_r_summable(
+        PairColoring(300, fn=lambda i, j: g(fn(i, j))), NatSet(range(300)), case,
+        SearchBudget(max_steps=nmax)))(fn, case) for case, fn in _R_MAKERS.items()},
+    "r-hindman": lambda g, nmax: defeat_r_hindman(
+        PairColoring(4, fn=lambda i, j: _HNR_TABLE[i, j]), SparseBasis([3 ** i for i in range(6)]),
+        SearchBudget(max_element=4, max_steps=min(nmax + 1, 4), candidate_cap=4)),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(STEP_RUNS)), st.integers(0, 3), st.integers(0, 5),
+       st.integers(1, 6))
+def test_every_step_holds_one_check_record_of_its_relation_and_threshold(name, shift, offset,
+                                                                         nmax):
+    t = STEP_RUNS[name](lambda v: (v << shift) + offset, nmax)
+    assert t.steps
+    for step in t.steps:
+        assert type(step.checks) is StepChecks
+        assert step.checks.relation == step.relation
+        assert step.checks.bound == step.threshold
+    assert verify_transcript(t).passed

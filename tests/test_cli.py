@@ -741,7 +741,8 @@ MODE_GROUPS = {
         "reduction": (["--bundle", REDUCTION_BUNDLE, "--ap-len", "3"],
                       {"--window", "--ap-len", "--clique-size", "--fs-size", "--tau"}),
     }),
-    "fs": ("--op", {"--set": "1,2,3", "--pool": "1..50", "--k": "2", "--x": "3", "--y": "1"}, {
+    "fs": ("--op", {"--set": "1,2,3", "--pool": "1..50", "--k": "2", "--x": "3", "--y": "1",
+                    "--offset": "5", "--direction": "down"}, {
         "fs": (["--set", "1,2,3"], {"--set"}),
         "sparse": (["--set", "1,2,3"], {"--set"}),
         "alpha": (["--set", "1,2", "--x", "3"], {"--set", "--x"}),
@@ -749,7 +750,18 @@ MODE_GROUPS = {
         "very-sparse-subset": (["--pool", "1..50", "--k", "2"], {"--pool", "--k"}),
         "fs-subset": (["--set", "1,2,3", "--k", "2"], {"--set", "--k"}),
         "conflict": (["--set", "1,2", "--y", "1"], {"--set", "--y"}),
-        "shift": (["--set", "1,2,3", "--offset", "1"], {"--set"}),
+        "shift": (["--set", "1,2,3", "--offset", "1"], {"--set", "--offset", "--direction"}),
+    }),
+    "oracle": ("--ideal", {"--set": "1,2,3", "--edges": "0 1", "--n": "5", "--pairs": "0 1"}, {
+        **{ideal: (["--set", "1,2,3"], {"--set"})
+           for ideal in ("vdw", "hindman", "summable", "fin")},
+        "ramsey": (["--edges", "0 1"], {"--edges", "--n"}),
+        "fin2": (["--pairs", "0 1"], {"--pairs"}),
+    }),
+    "canonize": ("--op", {"--m": "4"}, {
+        op: (["--kind", "fs", "--phi", "identity", "--window", "64", "--ground", "pow2(5)"],
+             {"--m"} if op == "find" else set())
+        for op in ("classify", "find")
     }),
 }
 MODE_OPTIONS = [
@@ -788,6 +800,17 @@ def test_each_mode_accepts_only_the_options_it_reads(subcommand, mode, option, r
         assert code == 1
         assert rep["body"]["error"] == {
             "code": "ParseError", "message": f"{option} does not apply to {flag} {mode}"}
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["fs", "--op", "fs", "--set", "1,2"], ["--offset", "0", "--direction", "up"]),
+    (["canonize", "--kind", "pairs", "--op", "classify", "--phi", "min", "--window", "8",
+      "--ground", "0..5"], ["--m", "3"]),
+])
+def test_an_unread_option_given_its_default_changes_nothing(argv, defaults):
+    code, rep = invoke(*argv, *defaults)
+    assert code == 0, rep["body"]
+    assert (code, rep) == invoke(*argv)
 
 
 def test_report_determinism_in_process():

@@ -10,19 +10,17 @@ from idealforge import FiniteIdealSpec, IdealId, NatSet, Report, RnhCase1Bundle,
 from idealforge.adversary import TranscriptStep
 from idealforge.ideals import FrozenRecord
 from idealforge.reduction import SearchOutcome
-from idealforge.report import CheckItem, StepCheck, StepChecks
+from idealforge.report import CheckItem, StepChecks
 
-CHECK = StepCheck("nat", (3,), 5, ">", 2)
+CHECKS = StepChecks("nat", ">", 2, ((3,), (4,)), (5, 6))
 
 # Each record beside its repr as a dataclass gave it.
 REPRS = [
     (SearchBudget(), "SearchBudget(max_element=32768, max_steps=10, candidate_cap=8)"),
-    (CHECK, "StepCheck(kind='nat', args=(3,), value=5, relation='>', bound=2)"),
-    (StepChecks("nat", ">", 2, ((3,), (4,)), (5, 6)),
-     "StepChecks(kind='nat', relation='>', bound=2, args=((3,), (4,)), values=(5, 6))"),
-    (TranscriptStep(0, (3,), 2, ">", (CHECK,)),
-     "TranscriptStep(index=0, chosen=(3,), threshold=2, relation='>', checks=(StepCheck("
-     "kind='nat', args=(3,), value=5, relation='>', bound=2),), note='')"),
+    (CHECKS, "StepChecks(kind='nat', relation='>', bound=2, args=((3,), (4,)), values=(5, 6))"),
+    (TranscriptStep(0, (3,), 2, ">", CHECKS),
+     "TranscriptStep(index=0, chosen=(3,), threshold=2, relation='>', checks=StepChecks("
+     "kind='nat', relation='>', bound=2, args=((3,), (4,)), values=(5, 6)), note='')"),
     (Transcript("w-summable", {"nmax": 1}, [], {"blocks": []}, NatSet([1, 2]),
                 Fraction(3, 2), Fraction(2)),
      "Transcript(strategy='w-summable', params={'nmax': 1}, steps=[], witness={'blocks': []}, "
@@ -54,7 +52,6 @@ def test_repr_is_the_dataclass_text(record, text):
 # Two equal frozen records built apart, and one that differs in the last field.
 FROZEN = [
     (lambda: SearchBudget(max_steps=4), SearchBudget(max_steps=4, candidate_cap=9)),
-    (lambda: StepCheck("pair", (1, 2), 0, "==", 0), StepCheck("pair", (1, 2), 0, "==", 1)),
     (lambda: StepChecks("pair", "==", 0, ((1, 2), (1, 3)), (0, 0)),
      StepChecks("pair", "==", 0, ((1, 2), (1, 3)), (0, 1))),
     (lambda: ScaleParams(tau=Fraction(1, 2)), ScaleParams(tau="1/2", window=9)),
@@ -91,14 +88,13 @@ def test_mutable_records_are_unhashable_and_compare_field_by_field(record):
     assert record != object()
 
 
-def test_step_checks_give_step_check_rows():
+def test_step_checks_hold_columns_and_no_rows():
     checks = StepChecks("pair", ">", 2, ((1, 2), (1, 3)), (5, 6))
-    rows = (StepCheck("pair", (1, 2), 5, ">", 2), StepCheck("pair", (1, 3), 6, ">", 2))
-    assert len(checks) == 2 and tuple(checks) == rows
-    assert (checks[0], checks[-1]) == rows
-    assert checks != rows  # a column record equals only a column record
-    with pytest.raises(TypeError):
-        checks[0:1]
+    assert len(checks) == 2 and checks.args == ((1, 2), (1, 3)) and checks.values == (5, 6)
+    assert checks != ((1, 2, 5), (1, 3, 6))  # a column record equals only a column record
+    for rows in (iter, lambda c: c[0]):
+        with pytest.raises(TypeError):
+            rows(checks)
     with pytest.raises(ValueError, match="1 check points vs 0 values"):
         StepChecks("nat", ">", 0, ((1,),), ())
 

@@ -6,14 +6,14 @@ from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealforge import EdgeSet, NatSet, SparseBasis
 from idealforge.adversary import SearchBudget, TranscriptStep
 from idealforge.cli import build_parser, run
-from idealforge.report import CheckItem, Report, StepCheck, StepChecks, dumps_stable, \
-    rational_str
+from idealforge.report import CheckItem, Report, StepChecks, dumps_stable, rational_str
 
 from conftest import random_block_basis, ref_jsonable
 
@@ -70,56 +70,60 @@ sparse_bases = st.builds(SparseBasis, st.sets(st.integers(0, 40).map(lambda i: 3
 # own report form (Report does).
 wide = st.integers(-(1 << 70), 1 << 70)
 relations = st.sampled_from((">", ">=", "=="))
-# Besides the checks the engines record, fields that the writer may not
-# write inline (a bool value, an int-subclass bound, a Label relation,
-# empty args, args holding a bool) and so must hand to the general path.
-step_checks = (st.builds(StepCheck, st.just("nat"), st.tuples(wide), wide | wide.map(Count),
-                         relations, wide)
-               | st.builds(StepCheck, st.just("pair"), st.tuples(wide, wide), wide, relations,
-                           wide)
-               | st.builds(StepCheck, st.sampled_from(("nat", "pair")),
-                           st.just(()) | st.tuples(wide, st.booleans()) | st.tuples(wide),
-                           wide | st.booleans(), relations | relations.map(Label),
-                           wide | wide.map(Count)))
+WIDTHS = {"nat": 1, "pair": 2}  # the args width of each check kind
 
 
 @st.composite
 def column_records(draw):
-    """A step's checks as a column record: nat or pair args of exact ints,
-    and any exact str kind (a "%" in it must survive the row format), which
-    the writer writes by one format per step; or, with one column made odd,
-    one it must write row by row through the general path: a Label kind or
-    relation, a bool or Count bound, a bool or Count value, or args that are
-    empty, of another length or holding a bool."""
-    width = draw(st.sampled_from((1, 2)))
-    kind = draw(st.sampled_from(("nat", "pair", "50%", "%d")) | st.text(max_size=4))
-    relation, bound = draw(relations), draw(wide)
-    args = draw(st.lists(st.tuples(*[wide] * width), max_size=6))
+    """A step's checks as a column record: nat args of one exact int or pair
+    args of two, values and a bound of any size, either sign."""
+    kind = draw(st.sampled_from(sorted(WIDTHS)))
+    args = draw(st.lists(st.tuples(*[wide] * WIDTHS[kind]), max_size=6))
     values = draw(st.lists(wide, min_size=len(args), max_size=len(args)))
-    odd = draw(st.sampled_from((None, "kind", "relation", "bound", "value", "args")))
+    return StepChecks(kind, draw(relations), draw(wide), tuple(args), tuple(values))
+
+
+@st.composite
+def odd_columns(draw):
+    """The columns of a column record with one made odd, which the report's
+    one row format could not write: a kind that is not the exact str "nat"
+    or "pair", a relation that is not an exact str key of RELATIONS, a bool
+    or int-subclass bound or value, or args that are not a tuple of the
+    kind's width holding exact ints."""
+    kind = draw(st.sampled_from(sorted(WIDTHS)))
+    width = WIDTHS[kind]
+    relation, bound = draw(relations), draw(wide)
+    args = draw(st.lists(st.tuples(*[wide] * width), min_size=1, max_size=6))
+    values = draw(st.lists(wide, min_size=len(args), max_size=len(args)))
+    odd = draw(st.sampled_from(("kind", "relation", "bound", "value", "args")))
     if odd == "kind":
-        kind = Label(kind)
+        kind = draw(st.sampled_from(sorted(WIDTHS)).map(Label)
+                    | st.text(max_size=4).filter(lambda k: k not in WIDTHS))
     elif odd == "relation":
-        relation = Label(relation)
+        relation = draw(relations.map(Label)
+                        | st.text(max_size=3).filter(lambda r: r not in (">", ">=", "==")))
     elif odd == "bound":
         bound = draw(st.booleans() | wide.map(Count))
-    elif odd and args:
+    else:
         i = draw(st.integers(0, len(args) - 1))
         if odd == "value":
             values[i] = draw(st.booleans() | wide.map(Count))
         else:
             args[i] = draw(st.just(()) | st.tuples(*[wide] * (3 - width))
-                           | st.tuples(*[wide] * (width - 1), st.booleans()))
-    return StepChecks(kind, relation, bound, tuple(args), tuple(values))
+                           | st.tuples(*[wide] * (width - 1), st.booleans() | wide.map(Count))
+                           | st.lists(wide, min_size=width, max_size=width))
+    return kind, relation, bound, tuple(args), tuple(values)
 
 
-transcript_steps = st.builds(TranscriptStep, wide, st.lists(wide, max_size=4).map(tuple), wide,
-                             relations, st.lists(step_checks, max_size=3).map(tuple)
-                             | column_records(),
+# Besides the fields the engines record, an int-subclass threshold and a bool
+# among the chosen points, which the record writer hands to the general path.
+transcript_steps = st.builds(TranscriptStep, wide,
+                             st.lists(wide | st.booleans(), max_size=4).map(tuple),
+                             wide | wide.map(Count), relations, column_records(),
                              st.text(max_size=4) | st.text(max_size=4).map(Label))
 check_items = st.builds(CheckItem, st.text(max_size=4), st.booleans(), st.text(max_size=4))
 budgets = st.builds(SearchBudget, st.integers(1, 1 << 40), st.integers(1, 50), st.integers(1, 9))
-records = step_checks | column_records() | transcript_steps | check_items | budgets
+records = column_records() | transcript_steps | check_items | budgets
 toolkit_trees = st.recursive(
     leaves | fractions | natsets | edgesets | block_bases | sparse_bases | records
     | st.integers(-(1 << 70), 1 << 70).map(Count) | st.text(max_size=4).map(Label),
@@ -144,10 +148,10 @@ def test_dumps_stable_matches_the_isinstance_chain_on_toolkit_values(tree):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(step_checks, min_size=1, max_size=8)
-       | st.lists(step_checks, min_size=1, max_size=4).map(tuple)
+@given(st.lists(check_items, min_size=1, max_size=8)
+       | st.lists(budgets, min_size=1, max_size=4).map(tuple)
        | st.lists(transcript_steps, min_size=1, max_size=4)
-       | st.lists(step_checks | check_items | transcript_steps | budgets, min_size=2, max_size=6))
+       | st.lists(records, min_size=2, max_size=6))
 def test_record_lists_match_the_isinstance_chain(items):
     """Lists of records of one class, written with one format per class and
     indent, and lists that mix record classes, which are not."""
@@ -160,12 +164,19 @@ def test_record_lists_match_the_isinstance_chain(items):
 @given(column_records(), st.lists(column_records(), max_size=3))
 def test_column_records_write_as_the_rows_they_hold(record, others):
     """The one-format-per-step writing of a column record gives the bytes of
-    its rows, alone, in a list and inside transcript steps."""
-    assert dumps_stable(record) == json.dumps(ref_jsonable(tuple(record)), indent=2) + "\n"
+    its row dicts, alone, in a list and inside transcript steps."""
+    assert dumps_stable(record) == json.dumps(ref_jsonable(record), indent=2) + "\n"
     items = [record, *others]
     assert dumps_stable(items) == json.dumps(ref_jsonable(items), indent=2) + "\n"
     steps = [TranscriptStep(n, (n,), n, ">", checks) for n, checks in enumerate(items)]
     assert dumps_stable(steps) == json.dumps(ref_jsonable(steps), indent=2) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(odd_columns())
+def test_column_records_refuse_the_columns_the_writer_cannot_write(columns):
+    with pytest.raises(ValueError):
+        StepChecks(*columns)
 
 
 def test_bools_stay_json_booleans():

@@ -81,6 +81,19 @@ def test_only_canonical_reads_a_colorings_evaluator():
     assert found == []
 
 
+def test_a_steps_checks_have_one_record():
+    # A step's checks are held, re-verified and written as the columns of
+    # one report.StepChecks; a second class with an ``args`` slot would be a
+    # second record of a check, such as a row beside the columns.
+    path = PACKAGE / "report.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any(isinstance(stmt, ast.Assign)
+                     and any(getattr(target, "id", None) == "__slots__" for target in stmt.targets)
+                     and "args" in ast.literal_eval(stmt.value) for stmt in node.body)]
+    assert found == ["StepChecks"]
+
+
 def _traced_names():
     """(label, owner, attribute) for each library name the benchmark's
     tracer wraps, read off the SPANNED, SPANNED_METHODS and COUNTED_METHODS
