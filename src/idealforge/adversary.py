@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, fs_case, fs_values, least_subset, pair_case, pair_values
@@ -38,16 +38,23 @@ class SearchBudget(FrozenRecord):
 
 
 class TranscriptStep(Record):
+    """One step of a construction: the points it chose and the checks it relied
+    on.  ``threshold`` and ``relation`` are read off the checks' bound and
+    relation; any ``checks`` but a StepChecks is a ValueError."""
+
     __slots__ = ("index", "chosen", "threshold", "relation", "checks", "note")
 
-    def __init__(self, index: int, chosen: Tuple[int, ...], threshold: int, relation: str,
-                 checks: StepChecks, note: str = ""):
-        self.index, self.chosen, self.threshold = index, chosen, threshold
-        self.relation, self.checks, self.note = relation, checks, note
+    def __init__(self, index: int, chosen: Tuple[int, ...], checks: StepChecks, note: str = ""):
+        if type(checks) is not StepChecks:
+            raise ValueError(f"step checks must be a StepChecks, not {type(checks).__name__}")
+        self.index, self.chosen, self.threshold = index, chosen, checks.bound
+        self.relation, self.checks, self.note = checks.relation, checks, note
 
 
 class Transcript(Record):
-    """Ordered record of a construction plus its exact certificate.
+    """Ordered record of a construction plus its exact certificate: the image
+    is the set of the coloring's ``values`` on the image points, and the
+    certificate is the image's exact reciprocal sum.
 
     ``coloring`` is a live reference used for re-verification; serialization
     keeps only the structural content.
@@ -57,11 +64,11 @@ class Transcript(Record):
                  "majorant", "coloring")
 
     def __init__(self, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
-                 witness: Dict[str, Any], image: Optional[NatSet],
-                 certified_sum: Optional[Fraction], majorant: Optional[Fraction],
+                 witness: Dict[str, Any], values: Iterable[int], majorant: Optional[Fraction],
                  coloring: Any = None):
+        image = NatSet(values)
         self.strategy, self.params, self.steps, self.witness = strategy, params, steps, witness
-        self.image, self.certified_sum, self.majorant = image, certified_sum, majorant
+        self.image, self.certified_sum, self.majorant = image, reciprocal_sum(image), majorant
         self.coloring = coloring
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -93,18 +100,6 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
     return (k, i - k - 1)
 
 
-def _transcript(phi, strategy: str, params: Dict[str, Any], steps: List[TranscriptStep],
-                witness: Dict[str, Any], majorant: Optional[Fraction],
-                values: Sequence[int]) -> Transcript:
-    """A finished construction's transcript: its image is ``values``, phi on
-    the image points, and its certificate is the image's exact reciprocal sum."""
-    image = NatSet(values)
-    return Transcript(
-        strategy=strategy, params=params, steps=steps, witness=witness, image=image,
-        certified_sum=reciprocal_sum(image), majorant=majorant, coloring=phi,
-    )
-
-
 def _require_case(got: Optional[CanonicalCase], case: CanonicalCase, message: str) -> None:
     """Raise CaseMismatch unless the classifier gave the declared case; the
     message is formatted with the declared ``case`` and the ``got`` one."""
@@ -113,17 +108,18 @@ def _require_case(got: Optional[CanonicalCase], case: CanonicalCase, message: st
 
 
 def _constant_step(chosen: Sequence[int], kind: str, args: Sequence[tuple], queries: Iterator[int],
-                   value: int, broken: Callable[[tuple, int], str]) -> TranscriptStep:
-    """The one step of a CONST run: an "==" check against the constant ``value``
-    at each of ``args``, valued in order by ``queries``.  The first that differs
-    raises CaseMismatch(broken(its args, its value)) and ends the queries."""
-    got = []
+                   broken: Callable[[tuple, int, int], str]) -> TranscriptStep:
+    """The one step of a CONST run: an "==" check at each of ``args``, valued
+    in order by ``queries``, against the constant, the first check's value.
+    The first that differs raises CaseMismatch(broken(its args, its value,
+    the constant)) and ends the queries."""
+    got: List[int] = []
     for a, v in zip(args, queries):
-        if v != value:
-            raise CaseMismatch(broken(a, v))
+        if got and v != got[0]:
+            raise CaseMismatch(broken(a, v, got[0]))
         got.append(v)
-    return TranscriptStep(index=0, chosen=tuple(chosen), threshold=value, relation="==",
-                          checks=StepChecks(kind, "==", value, tuple(args), tuple(got)),
+    return TranscriptStep(index=0, chosen=tuple(chosen),
+                          checks=StepChecks(kind, "==", got[0], tuple(args), tuple(got)),
                           note="constant image")
 
 
@@ -200,16 +196,16 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
         a, d = hit
         F = NatSet(a + i * d for i in range(n))
         steps.append(TranscriptStep(
-            index=n, chosen=F.elements, threshold=thr, relation=">=",
+            index=n, chosen=F.elements,
             checks=StepChecks("nat", ">=", thr, tuple(zip(F)), tuple(values[x] for x in F)),
             note=f"start {a}, difference {d}, scanned [0, {bound})",
         ))
         blocks.append(F)
     witness = NatSet(itertools.chain.from_iterable(b.elements for b in blocks))
     majorant = sum(map(term, range(1, budget.max_steps + 1)), Fraction(0))
-    return _transcript(phi, "w-summable", {"n_max": budget.max_steps, "scan_bound": bound},
-                       steps, {"set": witness, "blocks": blocks}, majorant,
-                       [values[x] for x in witness])
+    return Transcript("w-summable", {"n_max": budget.max_steps, "scan_bound": bound}, steps,
+                      {"set": witness, "blocks": blocks}, [values[x] for x in witness],
+                      majorant, phi)
 
 
 def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
@@ -237,23 +233,19 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
     if case is CanonicalCase.CONST:
         chosen: List[int] = []
         total = 0
+        # The prefix check has read cs[0] inside the window, so chosen is not empty.
         for c in cs:
-            if len(chosen) == n_max:
-                break
-            if total + c >= window:
+            if len(chosen) == n_max or total + c >= window:
                 break
             chosen.append(c)
             total += c
-        if not chosen:
-            raise SearchExhausted(0, "window too small for any block")
-        value = phi(chosen[0])
         sums = fs(NatSet(chosen)).elements
         steps.append(_constant_step(
-            chosen, "nat", tuple(zip(sums)), map(phi, sums), value,
-            lambda a, v: f"constant case broken at {a[0]}: phi = {v} != {value}",
+            chosen, "nat", tuple(zip(sums)), map(phi, sums),
+            lambda a, v, value: f"constant case broken at {a[0]}: phi = {v} != {value}",
         ))
         values = steps[0].checks.values
-        majorant = Fraction(1, value + 1)
+        majorant = Fraction(1, steps[0].threshold + 1)
     else:
         threshold, term = STRATEGIES["h-summable"][3][case]
         chosen = []
@@ -298,7 +290,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 sums += points
                 values += got
             steps.append(TranscriptStep(
-                index=n, chosen=(c,), threshold=thr, relation=">",
+                index=n, chosen=(c,),
                 checks=StepChecks("nat", ">", thr, tuple(zip(points)), tuple(got)),
                 note=f"pool index {last_idx}",
             ))
@@ -310,9 +302,8 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                           "selected basis classifies as {got}, not {case}")
         majorant = sum(map(term, range(n_max)), Fraction(0))
 
-    return _transcript(phi, "h-summable",
-                       {"n_max": n_max, "case": case.value, "window": window},
-                       steps, {"basis": NatSet(chosen)}, majorant, values)
+    return Transcript("h-summable", {"n_max": n_max, "case": case.value, "window": window},
+                      steps, {"basis": NatSet(chosen)}, values, majorant, phi)
 
 
 def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
@@ -341,10 +332,9 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
 
     if case is CanonicalCase.CONST:
         H = ts[: max(2, n_max)]
-        const_value = phi((H[0], H[1]))
         pairs = tuple(itertools.combinations(H, 2))
-        steps.append(_constant_step(H, "pair", pairs, map(phi, pairs), const_value,
-                                    lambda a, v: f"constant case broken at {a}"))
+        steps.append(_constant_step(H, "pair", pairs, map(phi, pairs),
+                                    lambda a, v, value: f"constant case broken at {a}"))
         values = steps[0].checks.values
     elif case in (CanonicalCase.MIN, CanonicalCase.MAX):
         # MIN reads the row of ts[i] at its successor, MAX the column of ts[i]
@@ -375,8 +365,8 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
             if v <= thr:
                 raise CaseMismatch(f"row value of {t} differs between partners; case unstable")
             steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=thr, relation=">",
-                checks=StepChecks("pair", ">", thr, (pair,), (v,)), note="row value witness",
+                index=n, chosen=(t,), checks=StepChecks("pair", ">", thr, (pair,), (v,)),
+                note="row value witness",
             ))
     else:  # INJ
         threshold = rules[case][0]
@@ -393,7 +383,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                 raise SearchExhausted(n, f"no point with all pair values above {thr}")
             last = i
             steps.append(TranscriptStep(
-                index=n, chosen=(t,), threshold=thr, relation=">",
+                index=n, chosen=(t,),
                 checks=StepChecks("pair", ">", thr, tuple(zip(H, itertools.repeat(t))),
                                   tuple(got)),
                 note="pairs against earlier picks",
@@ -406,11 +396,10 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     if len(Hset) >= 3:
         _require_case(pair_case(Hset.elements, values), case,
                       "selected set classifies as {got}, not {case}")
-    majorant = Fraction(1, const_value + 1) if case is CanonicalCase.CONST \
+    majorant = Fraction(1, steps[0].threshold + 1) if case is CanonicalCase.CONST \
         else sum(map(rules[case][1], range(n_max)), Fraction(0))
-    return _transcript(phi, "r-summable",
-                       {"n_max": n_max, "case": case.value, "ground_size": len(T)},
-                       steps, {"h": Hset}, majorant, values)
+    return Transcript("r-summable", {"n_max": n_max, "case": case.value, "ground_size": len(T)},
+                      steps, {"h": Hset}, values, majorant, phi)
 
 
 def _shifted_image_free(f: PairColoring, anchor: int, pool: Sequence[int],
@@ -480,17 +469,17 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
         Bn = NatSet(hit[0])
         bn = min(x for x in Bn if x > b[-1])
         steps.append(TranscriptStep(
-            index=n, chosen=(bn,), threshold=0, relation=">",
+            index=n, chosen=(bn,),
             checks=StepChecks("pair", ">", 0, (), ()),
             note=f"reservoir {list(Bn.elements)}, avoided values {ys}",
         ))
         reservoirs.append(Bn)
         b.append(bn)
 
-    return _transcript(f, "r-hindman",
-                       {"depth": budget.max_steps, "window": window, "fs_size": fs_size},
-                       steps, {"b": NatSet(b), "reservoirs": reservoirs}, None,
-                       [f(p) for p in itertools.combinations(b, 2)])
+    return Transcript("r-hindman",
+                      {"depth": budget.max_steps, "window": window, "fs_size": fs_size},
+                      steps, {"b": NatSet(b), "reservoirs": reservoirs},
+                      [f(p) for p in itertools.combinations(b, 2)], None, f)
 
 
 # Each strategy's engine, the kind of coloring it reads, its image rule (the witness
@@ -883,12 +872,11 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
     """Re-verify a transcript against a coloring: every recorded inequality
     must hold on fresh queries, the stored image must equal the recomputed
     one, and the certificate must match and respect its majorant."""
+    if t.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {t.strategy!r}")
     phi = coloring if coloring is not None else t.coloring
     bad = _first_bad_check(t.steps, phi)
     report = Report(meta={"strategy": t.strategy}).add("checks", not bad, bad)
-
-    if t.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {t.strategy!r}")
     recomputed = NatSet(phi(p) for p in STRATEGIES[t.strategy][2](t.witness))
     report.add("image", recomputed == t.image,
                "" if recomputed == t.image else "image drifted on re-query")

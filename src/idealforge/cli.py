@@ -84,15 +84,16 @@ def parse_set_literal(text: str) -> NatSet:
 
 
 def parse_pair_literal(text: str) -> List[Tuple[int, int]]:
-    """Pairs ``a b`` separated by commas or semicolons."""
+    """Pairs ``a b`` separated by commas or semicolons; a bad pair's position
+    is where its own chunk starts."""
     pairs = []
-    for chunk in re.split(r"[,;]+", text):
-        chunk = chunk.strip()
-        if not chunk:
+    for m in re.finditer(r"[^,;]+", text):
+        parts = m.group().split()
+        if not parts:
             continue
-        parts = chunk.split()
         if len(parts) != 2 or not all(map(_is_nat, parts)):
-            raise ParseError(f"bad pair {chunk!r}", text.find(chunk))
+            chunk = m.group().strip()
+            raise ParseError(f"bad pair {chunk!r}", text.find(chunk, m.start()))
         pairs.append((int(parts[0]), int(parts[1])))
     return pairs
 

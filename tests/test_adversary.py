@@ -26,11 +26,11 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
-from idealforge.adversary import STRATEGIES
+from idealforge.adversary import STRATEGIES, TranscriptStep
 from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
-from idealforge.report import RELATIONS, StepChecks, dumps_stable
+from idealforge.report import RELATIONS, CheckItem, StepChecks, dumps_stable
 
 from conftest import RULE_ORACLES
 
@@ -170,6 +170,15 @@ def test_defeat_r_all_cases(name, maker, case):
     assert len(t.witness["h"]) == 10
 
 
+def test_defeat_r_min_refuses_a_row_value_that_differs_between_partners():
+    # The search picks 2, 3, 5, 9 and 17 by their row values at their
+    # successors; row 2 reads 0 at its re-recorded partner, the last pick 17.
+    phi = PairColoring(40, fn=lambda i, j: i if j < 12 or j - i < 3 else 0)
+    with pytest.raises(CaseMismatch,
+                       match=r"^row value of 2 differs between partners; case unstable$"):
+        defeat_r_summable(phi, NatSet(range(40)), CanonicalCase.MIN, SearchBudget(max_steps=5))
+
+
 def test_defeat_r_minmax_rejected():
     with pytest.raises(CaseMismatch):
         defeat_r_summable(PairColoring.minimum(10), NatSet(range(10)),
@@ -276,6 +285,27 @@ def test_replay_final_contradiction():
         replay_final_contradiction(f, D, b, NatSet([1, 9]))
 
 
+class _TamperedBasis(SparseBasis):
+    """A basis whose decomposition of 4 was changed to {9} after validation."""
+
+    __slots__ = ()
+
+    def mask(self, x):
+        return 0b100 if x == 4 else super().mask(x)
+
+
+def test_replay_final_contradiction_checks_alpha_additivity_on_disjoint_masks():
+    table = {(0, 1): 1, (0, 2): 3, (1, 2): 4, (0, 3): 9, (1, 3): 9, (2, 3): 9}
+    f = PairColoring(4, fn=lambda i, j: table[(i, j)])
+    b, C = NatSet([0, 1, 2, 3]), NatSet([1, 3])
+    # Over {1, 2, 4, 8}, alpha(3) = {1, 2} meets alpha(1): additivity does not apply.
+    rep = replay_final_contradiction(f, SparseBasis([1, 2, 4, 8]), b, C)
+    assert rep.items[-1] == CheckItem("alpha-additivity", True, "no in-basis sums to inspect")
+    rep = replay_final_contradiction(f, _TamperedBasis([1, 3, 9]), b, C)
+    assert rep.failed_names() == ["alpha-additivity"]
+    assert rep.items[-1].detail == "alpha(3+1) != alpha(3) | alpha(1)"
+
+
 def test_replay_final_contradiction_needs_a_pivot_pair():
     # fs({0, 1}) = {1} sits in the image, but no pair maps to c = 0
     D = SparseBasis([1, 3, 9])
@@ -328,6 +358,17 @@ def test_rnh_case1_valid_and_breaks():
     rep = check_rnh_conditions(bundle, GammaMap(hits_e), Xb)
     assert rep.failed_names() == ["(e)"]
 
+    # (a): x_0 = 10 and x_1 = 110 share the summand 10 of D_0, and 120 leaves FS(D)
+    rep = check_rnh_conditions(RnhCase1Bundle(0, Xb, [10, 110], bundle.Ds), GammaMap(base), Xb)
+    assert rep.failed_names() == ["(a)", "(c)"]
+    assert rep.items[1].detail == "x_1 meets the conflict set of x_0 over D_0"
+
+    # (b): D_1 = {100, 200, 400} is sparse, not very sparse, and leaves FS(D_0)
+    broken = RnhCase1Bundle(0, Xb, [1, 10], [bundle.Ds[0], SparseBasis([100, 200, 400])])
+    rep = check_rnh_conditions(broken, GammaMap(base), Xb)
+    assert rep.failed_names() == ["(b)", "(d)"]
+    assert rep.items[2].detail == "D_1 not very sparse: (100, 300)"
+
 
 def test_rnh_case2_valid():
     Xb, f, bundle = case2_valid_fixture()
@@ -335,17 +376,22 @@ def test_rnh_case2_valid():
     assert rep.passed, rep.failed_names()
 
 
-def test_rnh_case2_branch1_valid():
+def case2_branch1_failures(table, **fields):
+    """The failed items of the valid two-step bundle whose step 1 takes branch
+    1 with k_1 = 0, once ``fields`` replace its lists and ``table`` adds or
+    changes entries of its map."""
     Xb = powers_of_ten()
-    table = {x: (1, 0) for x in Xb.fs_set()}
-    table.update({11: (5, 1), 111: (6, 1), 1011: (3, 1), 1111: (6, 1)})
-    bundle = RnhCase2Bundle(
-        ns=[1, 6], js=[0, 1], ks=[-1, 0], Fs=[frozenset(), frozenset([0])],
-        xs=[11, 111],
-        Ds=[SparseBasis([100, 1000]), SparseBasis([1000])],
-    )
-    rep = check_rnh_conditions(bundle, GammaMap(table), Xb)
-    assert rep.passed, rep.failed_names()
+    f = {x: (1, 0) for x in Xb.fs_set()}
+    f.update({11: (5, 1), 111: (6, 1), 1011: (3, 1), 1111: (6, 1)})
+    f.update(table)
+    bundle = dict(ns=[1, 6], js=[0, 1], ks=[-1, 0], Fs=[frozenset(), frozenset([0])],
+                  xs=[11, 111], Ds=[SparseBasis([100, 1000]), SparseBasis([1000])])
+    bundle.update(fields)
+    return check_rnh_conditions(RnhCase2Bundle(**bundle), GammaMap(f), Xb).failed_names()
+
+
+def test_rnh_case2_branch1_valid():
+    assert case2_branch1_failures({}) == []
 
 
 def test_rnh_case2_depth_three_with_branch_middle():
@@ -403,6 +449,30 @@ def test_rnh_case2_single_violations():
     rep = check_rnh_conditions(broken, GammaMap(table), Xb)
     assert rep.failed_names() == ["(d3a)"]
 
+    # (b2): D_1 = {1000, 2000, 4000} is sparse, not very sparse, and leaves FS(D_0)
+    broken = RnhCase2Bundle(bundle.ns, bundle.js, bundle.ks, bundle.Fs, bundle.xs,
+                            [bundle.Ds[0], SparseBasis([1000, 2000, 4000])])
+    assert check_rnh_conditions(broken, f, Xb).failed_names() == ["(b1)", "(b2)", "(c4)"]
+
+    # (c2): a branch-0 step with a nonempty F
+    broken = RnhCase2Bundle(bundle.ns, bundle.js, bundle.ks, [frozenset(), frozenset([0])],
+                            bundle.xs, bundle.Ds)
+    assert check_rnh_conditions(broken, f, Xb).failed_names() == ["(c2)"]
+
+
+@pytest.mark.parametrize("table, fields, failed", [
+    # (d1): F_0 bans index 0, so k_1 = 0 is not eligible; F_0 also breaks branch 0
+    ({}, {"Fs": [frozenset([0]), frozenset([0])]}, ["(c2)", "(d1)"]),
+    # (d2): F_1 holds 1 beside {k_1, ..., 0} = {0}
+    ({}, {"Fs": [frozenset(), frozenset([0, 1])]}, ["(d2)"]),
+    # (d3b): x_1 = 11 + 10000 maps where it must, but 10000 is not in FS(D_0)
+    ({10011: (6, 1), 11011: (6, 1)}, {"xs": [11, 10011]}, ["(d3b)"]),
+    # (d4): x_1 + 1000 leaves the target (6, 1)
+    ({1111: (7, 1)}, {}, ["(d4)"]),
+], ids=["d1", "d2", "d3b", "d4"])
+def test_rnh_case2_branch1_single_violations(table, fields, failed):
+    assert case2_branch1_failures(table, **fields) == failed
+
 
 def test_rnh_malformed_bundles():
     Xb, f, _ = case2_valid_fixture()
@@ -412,6 +482,15 @@ def test_rnh_malformed_bundles():
         check_rnh_conditions(RnhCase2Bundle(
             ns=[1], js=[0, 0], ks=[-1, -1], Fs=[frozenset(), frozenset()],
             xs=[11, 100], Ds=[SparseBasis([100])] * 2), f, Xb)
+    with pytest.raises(MalformedBundle, match="^branch flags must be 0 or 1$"):
+        check_rnh_conditions(RnhCase2Bundle(
+            ns=[1, 6], js=[0, 2], ks=[-1, -1], Fs=[frozenset(), frozenset()],
+            xs=[11, 100], Ds=[SparseBasis([100, 1000]), SparseBasis([1000])]), f, Xb)
+    Ds = [SparseBasis([10, 100]), SparseBasis([100])]
+    with pytest.raises(MalformedBundle, match="^1 points vs 2 bases$"):
+        check_rnh_conditions(RnhCase1Bundle(0, Xb, [1], Ds), f, Xb)
+    with pytest.raises(MalformedBundle, match="^k must be >= 0$"):
+        check_rnh_conditions(RnhCase1Bundle(-1, Xb, [1, 10], Ds), f, Xb)
 
 
 def test_transcript_serialization_round_trip():
@@ -538,6 +617,27 @@ def test_verify_reports_a_changed_value_inside_a_column_record():
     assert report.items[0].detail == "step 3: phi(25) = 26 >= 24 (fresh 25)"
     # The scan stops at 25; the image is queried afresh after it.
     assert calls == [(2,), (8,), (9,), (24,), (25,)] + [(x,) for x in t.witness["set"]]
+
+
+def test_verify_refuses_an_unknown_strategy_before_any_query():
+    t = _w_steps_1_to_3()
+    t.strategy = "z-summable"
+    fn, calls = _counted(lambda x: x)
+    with pytest.raises(ValueError, match="^unknown strategy 'z-summable'$"):
+        verify_transcript(t, NatColoring(1 << 10, fn=fn))
+    assert calls == []
+
+
+class _Checks(StepChecks):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("checks", [(), ((1,), (2,)), None,
+                                    _Checks("nat", ">=", 2, ((2,),), (2,))],
+                         ids=["empty tuple", "row tuple", "none", "subclass"])
+def test_a_step_refuses_checks_that_are_not_one_column_record(checks):
+    with pytest.raises(ValueError, match="^step checks must be a StepChecks, not "):
+        TranscriptStep(1, (2,), checks)
 
 
 def test_verify_names_a_changed_pair_check_by_its_pair():

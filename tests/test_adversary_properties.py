@@ -393,7 +393,7 @@ def test_defeat_h_queries_each_selected_sum_once(case, fn, nmax):
     assert len(basis) == nmax
     selected = 2 ** len(basis) - 1
     if case is CanonicalCase.CONST:
-        expected = PREFIX_SUMS + 1 + selected  # the constant's value, then the checks
+        expected = PREFIX_SUMS + selected  # the checks; the first gives the constant
     elif case is CanonicalCase.INJ:
         expected = PREFIX_SUMS + _h_search_queries(case, t)
     else:
@@ -434,7 +434,7 @@ def test_defeat_r_queries_each_selected_pair_once(case, fn, nmax):
     prefix = 12 * 11 // 2  # the pairs of the first 12 points
     selected = len(H) * (len(H) - 1) // 2
     if case is CanonicalCase.CONST:
-        expected = prefix + 1 + selected  # the constant's value, then the checks
+        expected = prefix + selected  # the checks; the first gives the constant
     else:
         expected = prefix + _r_search_queries(COUNT_GROUND.elements, case, t) + selected
     assert len(calls) == expected

@@ -1,0 +1,31 @@
+"""The benchmark's own ops run clean against the library: one whole cycle of
+each workload in bench/workloads.py goes through bench/run.run_ops with the
+benchmark's checks and fails no op.  A library change that breaks the
+harness fails here, before a benchmark run."""
+
+import importlib
+import random
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/run.py and bench/workloads.py, imported from the bench directory."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("run"), importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["replay", "sums", "queries"])
+def test_one_cycle_of_each_workload_fails_no_op(bench, name, tmp_path):
+    run, workloads = bench
+    workload = workloads.WORKLOADS[name]
+    ctx = workload.setup(random.Random(f"{name}:1:setup"), str(tmp_path / name))
+    rng = random.Random(f"{name}:1")
+    ops = [op for r in range(workload.cycle) for op in workload.make_round(rng, r, ctx)]
+    latencies, failures = run.run_ops(workload, ops, run._no_span)
+    assert len(latencies) == len(ops) > 0
+    assert failures == []

@@ -75,6 +75,11 @@ def test_parse_pair_literal():
     assert parse_pair_literal("0 0, 0 1; 1 5") == [(0, 0), (0, 1), (1, 5)]
     with pytest.raises(ParseError):
         parse_pair_literal("0 1, nope")
+    # A bad chunk is placed where it stands, not where its text first occurs.
+    for text, chunk, at in (("1 2, 1", "1", 5), ("3 4,4", "4", 4), ("\t5 6 ;; 7", "7", 8)):
+        with pytest.raises(ParseError, match=rf"^bad pair '{chunk}' \(at position {at}\)$") as err:
+            parse_pair_literal(text)
+        assert err.value.position == at
 
 
 def test_load_coloring_builtins(tmp_path):
