@@ -20,7 +20,7 @@ import os
 import re
 import shutil
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .adversary import R_HINDMAN_BUDGET, STRATEGIES, GammaMap, RnhCase1Bundle, \
@@ -40,7 +40,6 @@ _TOKEN = re.compile(r"[,\s]+")
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
 _POW2 = re.compile(r"^pow2\((\d+)\)$", re.ASCII)
 _INT = re.compile(r"-?[0-9]+")  # int() alone also reads '٣' as 3, '1_0' as 10 and ' 7' as 7
-_SCALE_OPTIONS = ("window", "ap_len", "clique_size", "fs_size", "tau")
 LITERAL_CAP = 1 << 16  # points one set literal may list, counted before expanding
 POW2_CAP = 1024  # largest n in pow2(n), whose last power has n bits
 
@@ -170,10 +169,10 @@ def _given(args: argparse.Namespace, fields: Dict[str, str]) -> Dict[str, Any]:
 
 
 def _scale_params(args: argparse.Namespace, ground: Optional[NatSet] = None) -> ScaleParams:
-    window = getattr(args, "window", None)
-    if window is None:
-        window = (ground.max() + 1) if ground else ScaleParams().window
-    return ScaleParams(window=window, **_given(args, {o: o for o in _SCALE_OPTIONS[1:]}))
+    given = _given(args, {dest: dest for dest in map(_dest, _SCALE)})
+    if "window" not in given:
+        given["window"] = (ground.max() + 1) if ground else ScaleParams().window
+    return ScaleParams(**given)
 
 
 def _budget(args: argparse.Namespace, default: SearchBudget = SearchBudget()) -> SearchBudget:
@@ -191,16 +190,14 @@ def _need(args: argparse.Namespace, *options: str) -> None:
             raise ParseError(f"this operation needs --{option}")
 
 
-# The defaults of the options that have one; any other option's is None.
-_DEFAULTS = {"offset": 0, "direction": "up", "m": 3}
-
-
 def _refuse(args: argparse.Namespace, options, reads, what: str) -> None:
     """Raise ParseError naming the first of these options not in ``reads``
-    that is set to other than its default."""
+    that is set to other than its default in the option table."""
+    table = _COMMANDS[args.subcommand].options
     for option in options:
-        if option not in reads and getattr(args, option) != _DEFAULTS.get(option):
-            raise ParseError(f"--{option.replace('_', '-')} does not apply to {what}")
+        flag = "--" + option.replace("_", "-")
+        if option not in reads and getattr(args, option) != table[flag].default:
+            raise ParseError(f"{flag} does not apply to {what}")
 
 
 # The carrier options of each ideal, the first of them needed; the others read --set.
@@ -240,7 +237,7 @@ def _cmd_oracle(args) -> Dict[str, Any]:
     elif op == "heavy-columns":
         threshold = params.fs_size if args.k is None else args.k
         body["heavy_columns"] = heavy_columns(carrier, threshold)
-    else:  # tall-witness; argparse allows no other op
+    else:  # tall-witness; the option table allows no other op
         body["witness"] = tall_witness(carrier, ideal, params, args.target)
     body["params"] = params.fields()
     return body
@@ -278,7 +275,7 @@ def _cmd_fs(args) -> Dict[str, Any]:
     elif op == "conflict":
         basis = SparseBasis(parse_set_literal(args.set))
         body["conflict_set"] = conflict_set(basis, args.y)
-    else:  # shift; argparse allows no other op
+    else:  # shift; the option table allows no other op
         A = parse_set_literal(args.set)
         body["shifted"] = A + args.offset if args.direction == "up" else A - args.offset
     return body
@@ -446,7 +443,8 @@ def _bundle_bases(bundle: Dict[str, Any], name: str) -> List[SparseBasis]:
 
 def _cmd_verify(args) -> Dict[str, Any]:
     what = args.what
-    _refuse(args, _SCALE_OPTIONS, _SCALE_OPTIONS if what == "reduction" else (), f"--what {what}")
+    scale = [_dest(flag) for flag in _SCALE]
+    _refuse(args, scale, scale if what == "reduction" else (), f"--what {what}")
     with open(args.bundle, "r", encoding="utf-8") as handle:
         bundle = json.load(handle)
     if not isinstance(bundle, dict):
@@ -507,132 +505,170 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _scale_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=_int)
-    p.add_argument("--ap-len", dest="ap_len", type=_int)
-    p.add_argument("--clique-size", dest="clique_size", type=_int)
-    p.add_argument("--fs-size", dest="fs_size", type=_int)
-    p.add_argument("--tau", type=str)
+class _Option(NamedTuple):
+    """An option's facts, as ``add_argument`` takes them after its flag; its
+    dest is the flag's name with '_' for '-'."""
+    type: Optional[Callable[[str], Any]] = None
+    choices: Optional[Tuple[str, ...]] = None
+    default: Any = None
+    required: bool = False
+    help: Optional[str] = None
 
 
-def _oracle_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ideal", required=True,
-                   choices=[i.value for i in IdealId])
-    p.add_argument("--op", default="positive",
-                   choices=["positive", "longest-ap", "find-ap", "sum",
-                            "clique", "heavy-columns", "tall-witness"])
-    p.add_argument("--set", help="set literal, e.g. '1,3,9' or '0..8' or 'pow2(6)'")
-    p.add_argument("--edges", help="edge list, e.g. '0 1, 0 2, 1 2'")
-    p.add_argument("--pairs", help="ordered pairs, e.g. '0 0, 0 1, 1 5'")
-    p.add_argument("--n", type=_int, help="vertex count for edge sets")
-    p.add_argument("--k", type=_int, help="progression/clique/threshold size")
-    p.add_argument("--target", type=_int, default=2, help="tall-witness size")
-    _scale_options(p)
-    p.set_defaults(func=_cmd_oracle)
+class _Command(NamedTuple):
+    help: str
+    func: Callable[[argparse.Namespace], Dict[str, Any]]
+    options: Dict[str, _Option]  # by flag, in the order help lists them
 
 
-def _fs_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--op", required=True,
-                   choices=["fs", "sparse", "alpha", "very-sparse",
-                            "very-sparse-subset", "fs-subset", "conflict", "shift"])
-    p.add_argument("--set", help="basis or carrier literal")
-    p.add_argument("--pool", help="pool literal for very-sparse-subset")
-    p.add_argument("--k", type=_int, help="requested basis size")
-    p.add_argument("--x", type=_int, help="value to decompose")
-    p.add_argument("--y", type=_int, help="value whose conflict set is wanted")
-    p.add_argument("--offset", type=_int, default=_DEFAULTS["offset"])
-    p.add_argument("--direction", choices=["up", "down"], default=_DEFAULTS["direction"])
-    p.set_defaults(func=_cmd_fs)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _canonize_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True, choices=["pairs", "fs"])
-    p.add_argument("--op", default="classify", choices=["classify", "find"])
-    p.add_argument("--phi", required=True, help="builtin name or table file")
-    p.add_argument("--window", type=_int, required=True)
-    p.add_argument("--ground", help="T literal (pairs) or block pool literal (fs)")
-    p.add_argument("--m", type=_int, default=_DEFAULTS["m"])
-    p.set_defaults(func=_cmd_canonize)
+_SCALE = {
+    "--window": _Option(_int),
+    "--ap-len": _Option(_int),
+    "--clique-size": _Option(_int),
+    "--fs-size": _Option(_int),
+    "--tau": _Option(str),
+}
+_IDEALS = tuple(i.value for i in IdealId)
+
+# Every subcommand, in the order help lists them, with every option it takes.
+# The table parser and the argparse tree both read it.
+_COMMANDS = {
+    "oracle": _Command("positivity and witness queries", _cmd_oracle, {
+        "--ideal": _Option(required=True, choices=_IDEALS),
+        "--op": _Option(default="positive", choices=(
+            "positive", "longest-ap", "find-ap", "sum", "clique", "heavy-columns",
+            "tall-witness")),
+        "--set": _Option(help="set literal, e.g. '1,3,9' or '0..8' or 'pow2(6)'"),
+        "--edges": _Option(help="edge list, e.g. '0 1, 0 2, 1 2'"),
+        "--pairs": _Option(help="ordered pairs, e.g. '0 0, 0 1, 1 5'"),
+        "--n": _Option(_int, help="vertex count for edge sets"),
+        "--k": _Option(_int, help="progression/clique/threshold size"),
+        "--target": _Option(_int, default=2, help="tall-witness size"),
+        **_SCALE,
+    }),
+    "fs": _Command("finite sums and sparse bases", _cmd_fs, {
+        "--op": _Option(required=True, choices=(
+            "fs", "sparse", "alpha", "very-sparse", "very-sparse-subset", "fs-subset",
+            "conflict", "shift")),
+        "--set": _Option(help="basis or carrier literal"),
+        "--pool": _Option(help="pool literal for very-sparse-subset"),
+        "--k": _Option(_int, help="requested basis size"),
+        "--x": _Option(_int, help="value to decompose"),
+        "--y": _Option(_int, help="value whose conflict set is wanted"),
+        "--offset": _Option(_int, default=0),
+        "--direction": _Option(choices=("up", "down"), default="up"),
+    }),
+    "canonize": _Command("canonical coloring classification", _cmd_canonize, {
+        "--kind": _Option(required=True, choices=("pairs", "fs")),
+        "--op": _Option(default="classify", choices=("classify", "find")),
+        "--phi": _Option(required=True, help="builtin name or table file"),
+        "--window": _Option(_int, required=True),
+        "--ground": _Option(help="T literal (pairs) or block pool literal (fs)"),
+        "--m": _Option(_int, default=3),
+    }),
+    "adversary": _Command("construction strategies", _cmd_adversary, {
+        "--strategy": _Option(required=True, choices=tuple(STRATEGIES)),
+        "--phi": _Option(required=True, help="builtin name or table file"),
+        "--case": _Option(choices=tuple(c.value for c in CanonicalCase),
+                          help="declared canonical case (h/r-summable)"),
+        "--basis": _Option(help="block pool (h-summable) or sparse basis (r-hindman)"),
+        "--ground": _Option(help="T literal for r-summable"),
+        "--window": _Option(_int),
+        "--nmax": _Option(_int),
+        "--budget-max-element": _Option(_int),
+        "--candidate-cap": _Option(_int),
+        "--fs-size": _Option(_int),
+    }),
+    "search": _Command("micro-scale reduction-map search", _cmd_search, {
+        "--src-ideal": _Option(required=True, choices=_IDEALS),
+        "--src-ground": _Option(required=True, help="set literal, or vertex count for ramsey"),
+        "--dst-ideal": _Option(required=True, choices=_IDEALS),
+        "--dst-ground": _Option(required=True),
+        **_SCALE,
+    }),
+    "verify": _Command("re-verify maps, chains, and bundles", _cmd_verify, {
+        "--what": _Option(required=True, choices=("reduction", "hnr", "rnh", "final")),
+        "--bundle": _Option(required=True, help="JSON bundle path"),
+        **_SCALE,
+    }),
+}
 
 
-def _adversary_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", required=True, choices=list(STRATEGIES))
-    p.add_argument("--phi", required=True, help="builtin name or table file")
-    p.add_argument("--case", choices=[c.value for c in CanonicalCase],
-                   help="declared canonical case (h/r-summable)")
-    p.add_argument("--basis", help="block pool (h-summable) or sparse basis (r-hindman)")
-    p.add_argument("--ground", help="T literal for r-summable")
-    p.add_argument("--window", type=_int)
-    p.add_argument("--nmax", type=_int)
-    p.add_argument("--budget-max-element", dest="budget_max_element", type=_int)
-    p.add_argument("--candidate-cap", dest="candidate_cap", type=_int)
-    p.add_argument("--fs-size", dest="fs_size", type=_int)
-    p.set_defaults(func=_cmd_adversary)
+def _parse_plain(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives a plain call, read from the table alone:
+    ``[--out P] <subcommand>`` then ``--flag value`` pairs, each flag the
+    subcommand's own and given at most once, no value starting with '-',
+    every required option given and every value of its type and choices.
+    None for any other argv, which argparse then parses."""
+    out = None
+    if argv[:1] == ["--out"]:
+        if len(argv) < 2 or argv[1].startswith("-"):
+            return None
+        out, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    command = _COMMANDS[argv[0]]
+    values: Dict[str, Any] = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = command.options.get(flag)
+        if option is None or flag in values or text.startswith("-"):
+            return None
+        try:
+            value = text if option.type is None else option.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # argparse catches these three and reports a usage error
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[flag] = value
+    args = argparse.Namespace(out=out, subcommand=argv[0])
+    for flag, option in command.options.items():
+        if flag not in values and option.required:
+            return None
+        setattr(args, _dest(flag), values.get(flag, option.default))
+    args.func = command.func
+    return args
 
 
-def _search_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--src-ideal", required=True, choices=[i.value for i in IdealId])
-    p.add_argument("--src-ground", required=True,
-                   help="set literal, or vertex count for ramsey")
-    p.add_argument("--dst-ideal", required=True, choices=[i.value for i in IdealId])
-    p.add_argument("--dst-ground", required=True)
-    _scale_options(p)
-    p.set_defaults(func=_cmd_search)
-
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--what", required=True,
-                   choices=["reduction", "hnr", "rnh", "final"])
-    p.add_argument("--bundle", required=True, help="JSON bundle path")
-    _scale_options(p)
-    p.set_defaults(func=_cmd_verify)
-
-
-class _Subcommands(argparse._SubParsersAction):
-    """The root parser's subcommand action.  ``add_parser`` records a
-    subcommand's help line and ``options`` (a function that adds its options
-    to a parser) under its name; the first call that names the subcommand
-    replaces that record with a parser holding those options, so a call
-    builds only the parser it uses.  The choice check, usage and "invalid
-    choice" message read only the names.  A subcommand's parser formats
-    with the root's formatter, so it wraps to the width the root read."""
-
-    def add_parser(self, name, *, help, options):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = options
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        options = self._name_parser_map[name]
-        if not isinstance(options, argparse.ArgumentParser):
-            sub = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}",
-                                          formatter_class=parser.formatter_class)
-            options(sub)
-            self._name_parser_map[name] = sub
-        super().__call__(parser, namespace, values, option_string)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _argparse_tree() -> argparse.ArgumentParser:
+    """The argparse parser of the whole command line, built from the table,
+    for the calls ``_parse_plain`` declines: help, usage errors and the
+    argv forms only argparse reads."""
     # argparse makes a HelpFormatter for each parser and each add_argument,
     # and one made without a width reads the terminal size, less 2, itself.
     # Read it once per parser tree instead; help wraps the same.
     width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="idealforge",
         description="Finite-scale workbench for Ramsey-type ideals.",
-        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+        formatter_class=formatter,
     )
     parser.add_argument("--out", help="write the report to this path")
-    sub = parser.add_subparsers(dest="subcommand", required=True, action=_Subcommands)
-    sub.add_parser("oracle", help="positivity and witness queries", options=_oracle_options)
-    sub.add_parser("fs", help="finite sums and sparse bases", options=_fs_options)
-    sub.add_parser("canonize", help="canonical coloring classification",
-                   options=_canonize_options)
-    sub.add_parser("adversary", help="construction strategies", options=_adversary_options)
-    sub.add_parser("search", help="micro-scale reduction-map search", options=_search_options)
-    sub.add_parser("verify", help="re-verify maps, chains, and bundles",
-                   options=_verify_options)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
+        for flag, option in command.options.items():
+            p.add_argument(flag, **option._asdict())
+        p.set_defaults(func=command.func)
     return parser
+
+
+class Parser:
+    """The command line's parser: a plain call is read from the option table
+    and builds no argparse object; any other argv goes to the argparse tree."""
+
+    def parse_args(self, argv: Optional[List[str]] = None) -> argparse.Namespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _parse_plain(argv)
+        return _argparse_tree().parse_args(argv) if args is None else args
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def run(args: argparse.Namespace) -> Tuple[int, Dict[str, Any]]:

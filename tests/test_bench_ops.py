@@ -3,11 +3,14 @@ each workload in bench/workloads.py goes through bench/run.run_ops with the
 benchmark's checks and fails no op.  A library change that breaks the
 harness fails here, before a benchmark run."""
 
+import argparse
 import importlib
 import random
 from pathlib import Path
 
 import pytest
+
+from idealforge import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,3 +32,22 @@ def test_one_cycle_of_each_workload_fails_no_op(bench, name, tmp_path):
     latencies, failures = run.run_ops(workload, ops, run._no_span)
     assert len(latencies) == len(ops) > 0
     assert failures == []
+
+
+def test_a_queries_cycle_is_parsed_without_argparse(bench, tmp_path, monkeypatch):
+    # The table parser answers every argv of one seed-11 cycle, so the
+    # cycle constructs no ArgumentParser and makes no add_argument call.
+    run, workloads = bench
+    workload = workloads.WORKLOADS["queries"]
+    ctx = workload.setup(random.Random("queries:11:setup"), str(tmp_path))
+    rng = random.Random("queries:11")
+    ops = [op for r in range(workload.cycle) for op in workload.make_round(rng, r, ctx)]
+    assert len(ops) == 76
+    assert [op["argv"] for op in ops if cli._parse_plain(op["argv"]) is None] == []
+    calls = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda *args, **kwargs: calls.append("ArgumentParser"))
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda *args, **kwargs: calls.append("add_argument"))
+    latencies, failures = run.run_ops(workload, ops, run._no_span)
+    assert failures == [] and calls == []

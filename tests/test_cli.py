@@ -1,4 +1,3 @@
-import argparse
 import itertools
 import json
 import subprocess
@@ -779,10 +778,7 @@ MODE_OPTIONS = [
 @pytest.mark.parametrize("subcommand", sorted(MODE_GROUPS))
 def test_the_mode_table_covers_every_mode(subcommand):
     flag, _, modes = MODE_GROUPS[subcommand]
-    parser = argparse.ArgumentParser()
-    getattr(cli, f"_{subcommand}_options")(parser)
-    assert sorted(modes) == sorted(
-        next(a.choices for a in parser._actions if flag in a.option_strings))
+    assert sorted(modes) == sorted(cli._COMMANDS[subcommand].options[flag].choices)
 
 
 @pytest.mark.parametrize("subcommand, mode, option, reads", MODE_OPTIONS,

@@ -1,10 +1,10 @@
 """The command line's help, usage errors and parsed options, pinned byte for
 byte, and the argparse work one call does.
 
-A subcommand's parser, with its options, is built the first time a call
-names that subcommand, so the pinned help and namespaces catch an option
-that lazy building drops, and the parser and action counts catch work done
-for subcommands not named.
+A plain call is read from the option table alone and builds no argparse
+object; a help or error call builds the whole argparse tree from the same
+table.  The pinned help and namespaces catch an option either path drops or
+changes, and the work counts catch argparse work on a plain call.
 
 Regenerate the pinned file with ``python tests/test_cli_surface.py`` (only
 for a deliberate change to the command line).
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from idealforge import cli
 from idealforge.cli import build_parser, main
 
 PINNED = Path(__file__).parent / "pinned_reports" / "cli_surface.json"
@@ -94,74 +95,86 @@ def counted(monkeypatch, cls, method):
     return calls
 
 
-def test_a_call_adds_only_the_named_subcommands_options():
-    parser = build_parser()
-    parser.parse_args(PARSES["fs"])
-    built = {name: sub for name, sub in subparsers(parser).items()
-             if isinstance(sub, argparse.ArgumentParser)}
-    assert list(built) == ["fs"]
-    assert [action.dest for action in built["fs"]._actions] == [
-        "help", "op", "set", "pool", "k", "x", "y", "offset", "direction"]
-    assert list(subparsers(parser)) == list(SUBCOMMANDS)
-    assert build_parser() is not build_parser()
+# Calls the table parser declines, each of which builds the argparse tree.
+FALLBACKS = {name: argv for name, argv in INVOCATIONS if name != "no_subcommand"} | {
+    "negative_value": ["fs", "--op", "shift", "--set", "3,5", "--offset", "-2"],
+    "abbreviation": ["fs", "--op", "fs", "--se", "1,2"],
+    "equals": ["fs", "--op=fs", "--set", "1,2"],
+}
+# Per call: ArgumentParsers constructed, add_argument calls and terminal-size
+# reads.  The tree is the root and one parser per subcommand; its 61
+# add_argument calls are the root's -h and --out, each subcommand's -h, and
+# the 53 options of the table.
+PLAIN_WORK = (0, 0, 0)
+TREE_WORK = (1 + len(SUBCOMMANDS), 61, 1)
+WORK = [(name, argv, PLAIN_WORK) for name, argv in PARSES.items()] + [
+    (name, argv, TREE_WORK) for name, argv in [("no_subcommand", []), *FALLBACKS.items()]]
 
 
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_argument_parsers_built_per_call(name, monkeypatch):
-    # The root parser, then the named subcommand's parser and no other.
+def parse(argv):
+    """build_parser().parse_args(argv), help and usage errors silenced."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pass
+
+
+def test_the_argparse_tree_adds_every_subcommands_table_options():
+    tree = cli._argparse_tree()
+    assert list(subparsers(tree)) == list(SUBCOMMANDS) == list(cli._COMMANDS)
+    for name, sub in subparsers(tree).items():
+        assert [action.option_strings for action in sub._actions] == [
+            ["-h", "--help"], *([flag] for flag in cli._COMMANDS[name].options)]
+
+
+@pytest.mark.parametrize("name, argv, work", WORK, ids=[name for name, *_ in WORK])
+def test_argument_parsers_built_per_call(name, argv, work, monkeypatch):
     inits = counted(monkeypatch, argparse.ArgumentParser, "__init__")
-    parser = build_parser()
-    assert len(inits) == 1
-    parser.parse_args(PARSES[name])
-    assert len(inits) == 2
+    parse(argv)
+    assert len(inits) == work[0]
 
 
 def test_one_parser_serves_every_subcommand_twice(monkeypatch, capsys):
-    # Each subcommand's help is first asked for after other subcommands
-    # have parsed, then again once its own parser is built and has parsed.
+    # The argparse tree gives each subcommand's help after other subcommands
+    # have parsed, then again once it has parsed a call of its own; each of
+    # those namespaces equals the table parser's.
     monkeypatch.setenv("COLUMNS", "80")
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))["invocations"]
-    parser = build_parser()
+    tree = cli._argparse_tree()
     for _ in range(2):
         for name, argv in PARSES.items():
             with pytest.raises(SystemExit):
-                parser.parse_args([name, "-h"])
+                tree.parse_args([name, "-h"])
             assert capsys.readouterr().out == pinned[f"{name}_help"]["stdout"]
-            assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+            assert vars(tree.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize("name, added", [
-    ("oracle", 16), ("fs", 11), ("canonize", 9), ("adversary", 13), ("search", 12),
-    ("verify", 10),
-])
-def test_add_argument_calls_per_parse(name, added, monkeypatch):
-    # The root's two options and the named subcommand's -h are common to
-    # every call; the rest are that subcommand's own options.
+@pytest.mark.parametrize("name, argv, work", WORK, ids=[name for name, *_ in WORK])
+def test_add_argument_calls_per_parse(name, argv, work, monkeypatch):
     calls = counted(monkeypatch, argparse._ActionsContainer, "add_argument")
-    build_parser().parse_args(PARSES[name])
-    assert len(calls) == added
+    parse(argv)
+    assert len(calls) == work[1]
 
 
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_one_terminal_size_read_per_parse(name, monkeypatch):
-    # build_parser reads the width once and hands it to every formatter,
-    # which would otherwise each read it: 13.7 reads a call on average.
+@pytest.mark.parametrize("name, argv, work", WORK, ids=[name for name, *_ in WORK])
+def test_terminal_size_reads_per_parse(name, argv, work, monkeypatch):
+    # The argparse tree reads the width once and hands it to every
+    # formatter, which would otherwise each read it; a plain call reads none.
     calls, read = [], shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size",
                         lambda *args: calls.append(args) or read(*args))
-    build_parser().parse_args(PARSES[name])
-    assert len(calls) == 1
+    parse(argv)
+    assert len(calls) == work[2]
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "132"])
 def test_help_wraps_as_a_default_formatter_would(columns, monkeypatch):
-    # The width read when the parser was built gives the same text as
+    # The width read when the tree was built gives the same text as
     # argparse's own formatter, which reads the terminal size itself.
     monkeypatch.setenv("COLUMNS", columns)
-    parser = build_parser()
-    for argv in PARSES.values():
-        parser.parse_args(argv)
-    parsers = [parser, *subparsers(parser).values()]
+    tree = cli._argparse_tree()
+    parsers = [tree, *subparsers(tree).values()]
     assert len(parsers) == 1 + len(SUBCOMMANDS)
     for each in parsers:
         text = each.format_help()

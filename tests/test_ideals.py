@@ -74,6 +74,12 @@ def test_edgeset_normalization_and_gamma():
         EdgeSet(3, [(1, 1)])
     with pytest.raises(ValueError):
         EdgeSet(2, [(0, 5)])
+    # Equal, with one hash, by vertex count and normalized edges.
+    same = EdgeSet(4, [(3, 0), (1, 2), (2, 1)])
+    assert G == same and hash(G) == hash(same) and len({G, same}) == 1
+    assert G != EdgeSet(5, [(1, 2), (0, 3)]) and G != EdgeSet(4, [(1, 2)])
+    assert G != G.edges
+    assert repr(G) == "EdgeSet(n=4, edges=[(0, 3), (1, 2)])"
 
 
 def test_longest_ap_examples():

@@ -106,3 +106,12 @@ def test_report_fields_default_to_fresh_containers():
     a.meta["k"] = 1
     assert b.items == [] and b.meta == {}
     assert a != b
+
+
+def test_a_report_is_true_exactly_when_every_item_passed():
+    report = Report()
+    assert report
+    report.add("a", True)
+    assert report
+    report.add("b", False, "x")
+    assert not report and not report.passed

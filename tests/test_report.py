@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from idealforge import EdgeSet, NatSet, SparseBasis
 from idealforge.adversary import SearchBudget, TranscriptStep
 from idealforge.cli import build_parser, run
+from idealforge.ideals import Record
 from idealforge.report import CheckItem, Report, StepChecks, dumps_stable, rational_str
 
 from conftest import random_block_basis, ref_jsonable
@@ -122,8 +123,20 @@ transcript_steps = st.builds(TranscriptStep, wide,
                              column_records(),
                              st.text(max_size=4) | st.text(max_size=4).map(Label))
 check_items = st.builds(CheckItem, st.text(max_size=4), st.booleans(), st.text(max_size=4))
+
+
+class Tally(Record):
+    """A record of one field, whose getter gives the value, not a 1-tuple."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, count):
+        self.count = count
+
+
+tallies = st.builds(Tally, leaves | wide.map(Count) | st.lists(wide, max_size=3).map(tuple))
 budgets = st.builds(SearchBudget, st.integers(1, 1 << 40), st.integers(1, 50), st.integers(1, 9))
-records = column_records() | transcript_steps | check_items | budgets
+records = column_records() | transcript_steps | check_items | budgets | tallies
 toolkit_trees = st.recursive(
     leaves | fractions | natsets | edgesets | block_bases | sparse_bases | records
     | st.integers(-(1 << 70), 1 << 70).map(Count) | st.text(max_size=4).map(Label),
@@ -151,6 +164,7 @@ def test_dumps_stable_matches_the_isinstance_chain_on_toolkit_values(tree):
 @given(st.lists(check_items, min_size=1, max_size=8)
        | st.lists(budgets, min_size=1, max_size=4).map(tuple)
        | st.lists(transcript_steps, min_size=1, max_size=4)
+       | st.lists(tallies, min_size=1, max_size=4)
        | st.lists(records, min_size=2, max_size=6))
 def test_record_lists_match_the_isinstance_chain(items):
     """Lists of records of one class, written with one format per class and

@@ -201,14 +201,17 @@ def test_every_case_an_engine_takes_has_a_step_rule():
 
 def test_every_argument_parser_in_the_library_passes_a_formatter_class():
     # A parser made without one gets argparse's HelpFormatter class, which
-    # reads the terminal size again for each option added; build_parser
-    # reads it once and passes it on in the formatter class.
+    # reads the terminal size again for each option added; the argparse
+    # tree reads it once and passes it on in the formatter class.  A
+    # subparser's add_parser call makes a parser too, and does not inherit
+    # the root's formatter class.
     found, made = [], 0
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and getattr(
-                    node.func, "attr", getattr(node.func, "id", None)) == "ArgumentParser":
+                    node.func, "attr", getattr(node.func, "id", None)) in (
+                    "ArgumentParser", "add_parser"):
                 made += 1
                 if not any(kw.arg == "formatter_class" for kw in node.keywords):
                     found.append(f"{path.name}:{node.lineno}")
