@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, fs_case, fs_values, least_subset, pair_case, pair_values
@@ -37,7 +38,7 @@ class SearchBudget(FrozenRecord):
         self._fill(max_element, max_steps, candidate_cap)
 
 
-class TranscriptStep(Record):
+class TranscriptStep(FrozenRecord):
     """One step of a construction: the points it chose and the checks it relied
     on.  ``threshold`` and ``relation`` are read off the checks' bound and
     relation; any ``checks`` but a StepChecks is a ValueError."""
@@ -47,8 +48,7 @@ class TranscriptStep(Record):
     def __init__(self, index: int, chosen: Tuple[int, ...], checks: StepChecks, note: str = ""):
         if type(checks) is not StepChecks:
             raise ValueError(f"step checks must be a StepChecks, not {type(checks).__name__}")
-        self.index, self.chosen, self.threshold = index, chosen, checks.bound
-        self.relation, self.checks, self.note = checks.relation, checks, note
+        self._fill(index, chosen, checks.bound, checks.relation, checks, note)
 
 
 class Transcript(Record):
@@ -123,18 +123,23 @@ def _constant_step(chosen: Sequence[int], kind: str, args: Sequence[tuple], quer
                           note="constant image")
 
 
-def _steps_only(budget: SearchBudget, strategy: str) -> int:
-    """The budget's max_steps; the fields ``strategy`` does not read must keep their defaults."""
-    for name in ("max_element", "candidate_cap"):
-        if getattr(budget, name) != getattr(SearchBudget(), name):
+def _row(strategy: str, budget: SearchBudget) -> Strategy:
+    """STRATEGIES[strategy], once ``budget`` keeps the default in each field
+    the row leaves out; the first in slot order that does not is a ValueError."""
+    row = STRATEGIES[strategy]
+    for name in SearchBudget.__slots__:
+        if name not in row.budget and getattr(budget, name) != getattr(_DEFAULT_BUDGET, name):
             raise ValueError(f"budget.{name} does not apply to {strategy}")
-    return budget.max_steps
+    return row
 
 
+# The engines' default budgets, on the command line too; _row checks against the first.
+_DEFAULT_BUDGET = SearchBudget()
+R_HINDMAN_BUDGET = SearchBudget(max_element=32, max_steps=4, candidate_cap=4)
 READ_BLOCK = 256  # points per block of defeat_w_summable's window read
 
 
-def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -> Transcript:
+def defeat_w_summable(phi: NatColoring, budget: SearchBudget = _DEFAULT_BUDGET) -> Transcript:
     """Build progressions F_n inside {x : phi(x) >= threshold(n)} for n = 1..n_max.
 
     The witness has unbounded progression length while the image reciprocal
@@ -152,7 +157,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
     progressions by bound - 1: one that ends past the last good point fails
     at that point, so the first hit is the least one.
     """
-    threshold, term = STRATEGIES["w-summable"][3][None]
+    threshold, term = _row("w-summable", budget).rules[None]
     bound = min(phi.window, budget.max_element)
     values: List[int] = []  # phi on the prefix [0, len(values))
     good: List[int] = []  # the prefix's points with phi >= thr, ascending
@@ -209,7 +214,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = SearchBudget()) -
 
 
 def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
-                      budget: SearchBudget = SearchBudget()) -> Transcript:
+                      budget: SearchBudget = _DEFAULT_BUDGET) -> Transcript:
     """Select a sub-basis D of C whose finite-sums image has small mass.
 
     Case rules: CONST takes a prefix; MIN and MAX pick elements with value
@@ -221,7 +226,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
     twice: INJ and CONST read the values their checks record, and MIN, MAX
     and MINMAX query FS(D) once, for the closing check and the image alike.
     """
-    n_max = _steps_only(budget, "h-summable")
+    rules, n_max = _row("h-summable", budget).rules, budget.max_steps
     if len(C) < 3:
         raise CaseMismatch("pool has fewer than 3 blocks")
     _require_case(classify_fs_on(phi, BlockBasis(C.elements[:5])), case,
@@ -247,7 +252,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         values = steps[0].checks.values
         majorant = Fraction(1, steps[0].threshold + 1)
     else:
-        threshold, term = STRATEGIES["h-summable"][3][case]
+        threshold, term = rules[case]
         chosen = []
         last_idx = -1
         total = 0
@@ -307,7 +312,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
 
 
 def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
-                      budget: SearchBudget = SearchBudget()) -> Transcript:
+                      budget: SearchBudget = _DEFAULT_BUDGET) -> Transcript:
     """Select H inside T whose pair-image has small reciprocal mass.
 
     MIN and MAX exploit that rows (columns) of the coloring are constant on
@@ -318,7 +323,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
     Past the search, the pairs of H are queried once, for that check and
     the image alike; CONST reads them off its checks.
     """
-    n_max = _steps_only(budget, "r-summable")
+    rules, n_max = _row("r-summable", budget).rules, budget.max_steps
     if case is CanonicalCase.MINMAX:
         raise CaseMismatch("minmax is not a pair-coloring case")
     T = T if isinstance(T, NatSet) else NatSet(T)
@@ -328,7 +333,6 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
                   "declared {case}, prefix classifies as {got}")
     ts = T.elements
     steps: List[TranscriptStep] = []
-    rules = STRATEGIES["r-summable"][3]
 
     if case is CanonicalCase.CONST:
         H = ts[: max(2, n_max)]
@@ -420,10 +424,6 @@ def _conflict_union(D: SparseBasis, ys: Sequence[int]) -> NatSet:
     return D.sums_meeting(reach)
 
 
-# defeat_r_hindman's default budget, on the command line too.
-R_HINDMAN_BUDGET = SearchBudget(max_element=32, max_steps=4, candidate_cap=4)
-
-
 def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_HINDMAN_BUDGET,
                      fs_size: int = 2) -> Transcript:
     """Grow points b_0 < b_1 < ... with nested reservoirs B_n such that pair
@@ -434,6 +434,7 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
     (largest feasible size up to the candidate cap) satisfying both
     conditions and still containing a point above the last pick.
     """
+    _row("r-hindman", budget)
     window = min(f.n, budget.max_element)
     fsD = D.fs_set()
     for p in itertools.combinations(range(window), 2):
@@ -482,26 +483,34 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
                       [f(p) for p in itertools.combinations(b, 2)], None, f)
 
 
-# Each strategy's engine, the kind of coloring it reads, its image rule (the witness
-# set (w), fs(basis) (h), or the pairs of h or of b (r-summable, r-hindman)) and its
-# step rules by case (None for w).  A rule (threshold(n), term(n)) has step n demand
-# values at least (w) or above (h, r) threshold(n); term(n) bounds the reciprocal
-# mass the step adds, and the majorant sums the terms.  CONST keeps 1/(v + 1).
+class Strategy(NamedTuple):
+    """A strategy's engine, coloring kind, image rule, step rules by case (None
+    for w) and the SearchBudget fields its engine reads.  A rule (threshold(n),
+    term(n)) has step n demand values at least (w) or above (h, r) threshold(n)
+    and add at most term(n) mass; the majorant sums the terms (CONST: 1/(v + 1))."""
+    engine: Callable[..., Transcript]
+    kind: str
+    image: Callable[[Dict[str, Any]], Iterable]
+    rules: Dict[Optional[CanonicalCase], Tuple[Callable[[int], int], Callable[[int], Fraction]]]
+    budget: Tuple[str, ...]
+
+
 _MIN_MAX = (CanonicalCase.MIN, CanonicalCase.MAX)
 STRATEGIES = {
-    "w-summable": (defeat_w_summable, "nat", lambda w: w["set"], {
+    "w-summable": Strategy(defeat_w_summable, "nat", lambda w: w["set"], {
         None: (lambda n: n * 2 ** n, lambda n: Fraction(n, n * 2 ** n + 1)),
-    }),
-    "h-summable": (defeat_h_summable, "nat", lambda w: fs(w["basis"]), {
+    }, ("max_element", "max_steps")),
+    "h-summable": Strategy(defeat_h_summable, "nat", lambda w: fs(w["basis"]), {
         **dict.fromkeys(_MIN_MAX, (lambda n: 2 ** n, lambda n: Fraction(1, 2 ** n + 1))),
         CanonicalCase.MINMAX: (lambda n: n * 2 ** n, lambda n: Fraction(n + 1, n * 2 ** n + 1)),
         CanonicalCase.INJ: (lambda n: 4 ** n, lambda n: Fraction(2 ** n, 4 ** n + 1)),
-    }),
-    "r-summable": (defeat_r_summable, "pair", lambda w: itertools.combinations(w["h"], 2), {
+    }, ("max_steps",)),
+    "r-summable": Strategy(defeat_r_summable, "pair", lambda w: itertools.combinations(w["h"], 2), {
         **dict.fromkeys(_MIN_MAX, (lambda n: 2 ** n, lambda n: Fraction(1, 2 ** n))),
         CanonicalCase.INJ: (lambda n: n * 2 ** n, lambda n: Fraction(1, 2 ** n)),
-    }),
-    "r-hindman": (defeat_r_hindman, "pair", lambda w: itertools.combinations(w["b"], 2), {}),
+    }, ("max_steps",)),
+    "r-hindman": Strategy(defeat_r_hindman, "pair", lambda w: itertools.combinations(w["b"], 2),
+                          {}, ("max_element", "max_steps", "candidate_cap")),
 }
 
 
@@ -877,7 +886,7 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
     phi = coloring if coloring is not None else t.coloring
     bad = _first_bad_check(t.steps, phi)
     report = Report(meta={"strategy": t.strategy}).add("checks", not bad, bad)
-    recomputed = NatSet(phi(p) for p in STRATEGIES[t.strategy][2](t.witness))
+    recomputed = NatSet(phi(p) for p in STRATEGIES[t.strategy].image(t.witness))
     report.add("image", recomputed == t.image,
                "" if recomputed == t.image else "image drifted on re-query")
     report.add("certificate", t.certified_sum == reciprocal_sum(recomputed),

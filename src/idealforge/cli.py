@@ -40,6 +40,7 @@ _TOKEN = re.compile(r"[,\s]+")
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
 _POW2 = re.compile(r"^pow2\((\d+)\)$", re.ASCII)
 _INT = re.compile(r"-?[0-9]+")  # int() alone also reads '٣' as 3, '1_0' as 10 and ' 7' as 7
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's own: a value, not an option
 LITERAL_CAP = 1 << 16  # points one set literal may list, counted before expanding
 POW2_CAP = 1024  # largest n in pow2(n), whose last power has n bits
 
@@ -176,10 +177,7 @@ def _scale_params(args: argparse.Namespace, ground: Optional[NatSet] = None) -> 
 
 
 def _budget(args: argparse.Namespace, default: SearchBudget = SearchBudget()) -> SearchBudget:
-    return SearchBudget(**default.fields() | _given(args, {
-        "budget_max_element": "max_element", "nmax": "max_steps",
-        "candidate_cap": "candidate_cap",
-    }))
+    return SearchBudget(**default.fields() | _given(args, _BUDGET_OPTIONS))
 
 
 def _need(args: argparse.Namespace, *options: str) -> None:
@@ -338,25 +336,28 @@ def _r_hindman_inputs(args):
     return budget.max_element, (basis, budget, 2 if args.fs_size is None else args.fs_size)
 
 
-# Per strategy: its inputs, and the options it reads beyond --phi, --window and --nmax.
-# Of --basis, --case and --ground, each strategy needs exactly the ones it reads.
+# The SearchBudget field each budget option sets; a strategy reads those its row lists.
+_BUDGET_OPTIONS = {"budget_max_element": "max_element", "nmax": "max_steps",
+                   "candidate_cap": "candidate_cap"}
+# Per strategy: its inputs and the operands it reads; it needs each of them but --fs-size.
 _STRATEGY_INPUTS = {
-    "w-summable": (_w_summable_inputs, ("budget_max_element",)),
+    "w-summable": (_w_summable_inputs, ()),
     "h-summable": (_h_summable_inputs, ("basis", "case")),
     "r-summable": (_r_summable_inputs, ("ground", "case")),
-    "r-hindman": (_r_hindman_inputs, ("basis", "budget_max_element", "candidate_cap", "fs_size")),
+    "r-hindman": (_r_hindman_inputs, ("basis", "fs_size")),
 }
-_STRATEGY_OPTIONS = ("case", "basis", "ground", "budget_max_element", "candidate_cap", "fs_size")
 
 
 def _cmd_adversary(args) -> Dict[str, Any]:
-    engine, kind, _, _ = STRATEGIES[args.strategy]
-    reader, reads = _STRATEGY_INPUTS[args.strategy]
-    _need(args, *(option for option in reads if option in ("basis", "case", "ground")))
-    _refuse(args, _STRATEGY_OPTIONS, reads, f"--strategy {args.strategy}")
+    row = STRATEGIES[args.strategy]
+    reader, operands = _STRATEGY_INPUTS[args.strategy]
+    _need(args, *(option for option in operands if option in ("basis", "case", "ground")))
+    budget = (option for option, field in _BUDGET_OPTIONS.items() if field in row.budget)
+    _refuse(args, map(_dest, _COMMANDS["adversary"].options),
+            ("strategy", "phi", "window", *operands, *budget), f"--strategy {args.strategy}")
     window, inputs = reader(args)
-    phi = load_coloring(args.phi, window if args.window is None else args.window, kind)
-    t = engine(phi, *inputs)
+    phi = load_coloring(args.phi, window if args.window is None else args.window, row.kind)
+    t = row.engine(phi, *inputs)
     return {"strategy": args.strategy, "transcript": t, "reverified": verify_transcript(t)}
 
 
@@ -601,12 +602,12 @@ _COMMANDS = {
 def _parse_plain(argv: List[str]) -> Optional[argparse.Namespace]:
     """The namespace argparse gives a plain call, read from the table alone:
     ``[--out P] <subcommand>`` then ``--flag value`` pairs, each flag the
-    subcommand's own and given at most once, no value starting with '-',
-    every required option given and every value of its type and choices.
-    None for any other argv, which argparse then parses."""
+    subcommand's own and given at most once, no value starting with '-' but
+    a negative number, every required option given and every value of its
+    type and choices.  None for any other argv, which argparse then parses."""
     out = None
     if argv[:1] == ["--out"]:
-        if len(argv) < 2 or argv[1].startswith("-"):
+        if len(argv) < 2 or argv[1].startswith("-") and not _NEGATIVE.match(argv[1]):
             return None
         out, argv = argv[1], argv[2:]
     if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
@@ -615,7 +616,7 @@ def _parse_plain(argv: List[str]) -> Optional[argparse.Namespace]:
     values: Dict[str, Any] = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
         option = command.options.get(flag)
-        if option is None or flag in values or text.startswith("-"):
+        if option is None or flag in values or text.startswith("-") and not _NEGATIVE.match(text):
             return None
         try:
             value = text if option.type is None else option.type(text)

@@ -552,7 +552,7 @@ def test_every_step_rule_matches_the_rule_oracle(strategy):
     # Each (threshold(n), term(n)) rule against the formulas the engines stated
     # before the table held them, with exact rationals well past the n_max 10
     # of the pinned reports.
-    rules, oracles = STRATEGIES[strategy][3], RULE_ORACLES[strategy]
+    rules, oracles = STRATEGIES[strategy].rules, RULE_ORACLES[strategy]
     assert list(rules) == list(oracles)
     for case, (threshold, term) in rules.items():
         first, want_threshold, want_majorant = oracles[case]
@@ -563,14 +563,38 @@ def test_every_step_rule_matches_the_rule_oracle(strategy):
             assert type(majorant) is Fraction and majorant == want_majorant(n_max)
 
 
-@pytest.mark.parametrize("field", ["max_element", "candidate_cap"])
-def test_h_and_r_summable_refuse_the_budget_fields_they_do_not_read(field):
-    budget = SearchBudget(**{field: 4, "max_steps": 3})
-    with pytest.raises(ValueError, match=rf"^budget\.{field} does not apply to h-summable$"):
-        defeat_h_summable(NatColoring.identity(1 << 10), BlockBasis([1 << j for j in range(8)]),
-                          CanonicalCase.INJ, budget)
-    with pytest.raises(ValueError, match=rf"^budget\.{field} does not apply to r-summable$"):
-        defeat_r_summable(PairColoring.pairing(20), NatSet(range(20)), CanonicalCase.INJ, budget)
+# Per strategy, its engine on an input it completes when the budget fields its
+# row lists take NONDEFAULT's values; the other fields keep SearchBudget()'s.
+ENGINE_RUNS = {
+    "w-summable": lambda budget: defeat_w_summable(NatColoring.identity(1 << 10), budget),
+    "h-summable": lambda budget: defeat_h_summable(
+        NatColoring.identity(1 << 10), BlockBasis([1 << j for j in range(8)]), CanonicalCase.INJ,
+        budget),
+    "r-summable": lambda budget: defeat_r_summable(
+        PairColoring.pairing(20), NatSet(range(20)), CanonicalCase.INJ, budget),
+    "r-hindman": lambda budget: defeat_r_hindman(
+        bucket_map(), SparseBasis([1, 3, 9, 27, 81, 243]), budget),
+}
+NONDEFAULT = {"max_element": 512, "max_steps": 3, "candidate_cap": 3}
+
+
+@pytest.mark.parametrize("strategy, field", [
+    (strategy, field) for strategy in STRATEGIES for field in SearchBudget.__slots__])
+def test_every_engine_refuses_exactly_the_budget_fields_its_row_leaves_out(strategy, field):
+    listed = STRATEGIES[strategy].budget
+    budget = SearchBudget(**{name: NONDEFAULT[name] for name in (*listed, field)})
+    if field in listed:
+        assert ENGINE_RUNS[strategy](budget).strategy == strategy
+    else:
+        with pytest.raises(ValueError, match=rf"^budget\.{field} does not apply to {strategy}$"):
+            ENGINE_RUNS[strategy](budget)
+
+
+@pytest.mark.parametrize("strategy", ["h-summable", "r-summable"])
+def test_the_first_refused_budget_field_is_the_first_in_slot_order(strategy):
+    budget = SearchBudget(candidate_cap=3, max_element=512)
+    with pytest.raises(ValueError, match=rf"^budget\.max_element does not apply to {strategy}$"):
+        ENGINE_RUNS[strategy](budget)
 
 
 def _w_steps_1_to_3():
@@ -580,6 +604,11 @@ def _w_steps_1_to_3():
     assert [step.checks.args for step in t.steps] == [((2,),), ((8,), (9,)),
                                                       ((24,), (25,), (26,))]
     return t
+
+
+def _with_checks(step, checks):
+    """The step rebuilt with other checks: a step refuses assignment."""
+    return TranscriptStep(step.index, step.chosen, checks, step.note)
 
 
 def _counted(fn):
@@ -610,7 +639,7 @@ def test_a_constant_run_stops_querying_at_its_first_mismatch(strategy):
 def test_verify_reports_a_changed_value_inside_a_column_record():
     t = _w_steps_1_to_3()
     third = t.steps[2].checks
-    t.steps[2].checks = StepChecks("nat", ">=", 24, third.args, (24, 26, 26))
+    t.steps[2] = _with_checks(t.steps[2], StepChecks("nat", ">=", 24, third.args, (24, 26, 26)))
     fn, calls = _counted(lambda x: x)
     report = verify_transcript(t, NatColoring(1 << 10, fn=fn))
     assert report.failed_names() == ["checks"]
@@ -645,7 +674,7 @@ def test_verify_names_a_changed_pair_check_by_its_pair():
                           SearchBudget(max_steps=3))
     last = t.steps[2].checks
     assert last == StepChecks("pair", ">", 8, ((0, 3), (2, 3)), (9, 18))
-    t.steps[2].checks = StepChecks("pair", ">", 8, last.args, (9, 19))
+    t.steps[2] = _with_checks(t.steps[2], StepChecks("pair", ">", 8, last.args, (9, 19)))
     report = verify_transcript(t)
     assert report.failed_names() == ["checks"]
     assert report.items[0].detail == "step 2: phi({2, 3}) = 19 > 8 (fresh 18)"
@@ -654,8 +683,8 @@ def test_verify_names_a_changed_pair_check_by_its_pair():
 def test_verify_stops_at_the_first_bad_check_before_a_point_outside_the_window():
     t = _w_steps_1_to_3()
     third = t.steps[2].checks
-    t.steps[2].checks = StepChecks("nat", ">=", 24, third.args + ((5000,),),
-                                   third.values + (5000,))
+    t.steps[2] = _with_checks(t.steps[2], StepChecks("nat", ">=", 24, third.args + ((5000,),),
+                                                     third.values + (5000,)))
     # 5000 lies outside the fresh coloring's window, past the failing 24.
     report = verify_transcript(t, NatColoring(64, fn=lambda x: 0 if x == 24 else x))
     assert report.failed_names() == ["checks", "image", "certificate"]

@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 
 from idealforge import NatSet, PairColoring, ScaleParams, SparseBasis, cli
-from idealforge.adversary import R_HINDMAN_BUDGET, SearchBudget, defeat_r_hindman
+from idealforge.adversary import R_HINDMAN_BUDGET, STRATEGIES, SearchBudget, defeat_r_hindman
 from idealforge.cli import build_parser, load_coloring, main, parse_pair_literal, \
     parse_set_literal, run
 from idealforge.errors import Incomplete, ParseError, SearchExhausted
@@ -717,7 +717,9 @@ def strategy_argv(strategy, options):
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_CALLS))
 def test_every_option_a_strategy_reads_changes_its_body(strategy):
     base, changed = STRATEGY_CALLS[strategy]
-    reads = cli._STRATEGY_INPUTS[strategy][1]
+    budget = [option for option, field in cli._BUDGET_OPTIONS.items()
+              if field in STRATEGIES[strategy].budget and option != "nmax"]
+    reads = cli._STRATEGY_INPUTS[strategy][1] + tuple(budget)
     assert sorted(changed) == sorted(f"--{option.replace('_', '-')}" for option in reads)
     code, before = invoke(*strategy_argv(strategy, base))
     assert code == 0

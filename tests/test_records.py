@@ -58,6 +58,7 @@ FROZEN = [
     (lambda: FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0, 1])),
      FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0]))),
     (lambda: VerySparseFlag(False, (1, 2)), VerySparseFlag(False, (1, 3))),
+    (lambda: TranscriptStep(0, (3,), CHECKS), TranscriptStep(0, (3,), CHECKS, "x")),
 ]
 
 
@@ -83,7 +84,7 @@ MUTABLE = [r for r, _ in REPRS if not isinstance(r, FrozenRecord)]
 def test_mutable_records_are_unhashable_and_compare_field_by_field(record):
     with pytest.raises(TypeError, match="unhashable"):
         hash(record)
-    twin = copy.copy(record)  # a step or transcript derives some fields, so no re-build
+    twin = copy.copy(record)  # a transcript derives some fields, so no re-build
     assert twin == record and twin is not record
     setattr(twin, type(record).__slots__[-1], object())
     assert twin != record and record != object()

@@ -9,11 +9,12 @@ from pathlib import Path
 import idealforge
 from idealforge.adversary import STRATEGIES
 from idealforge.canonical import CanonicalCase
-from idealforge.cli import _STRATEGY_INPUTS
+from idealforge.cli import _BUDGET_OPTIONS, _STRATEGY_INPUTS
 
 from conftest import subprocess_env
 
 PACKAGE = Path(idealforge.__file__).parent
+TESTS = Path(__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -132,9 +133,10 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 
 
 def test_strategy_names_are_dispatched_only_through_the_strategy_table():
-    # A strategy's engine, coloring kind and image rule live in
-    # adversary.STRATEGIES and its options reader in cli._STRATEGY_INPUTS;
-    # a comparison against a strategy's name would be a second dispatch.
+    # A strategy's engine, coloring kind, image rule, step rules and budget
+    # fields live in its adversary.STRATEGIES row, and its options reader and
+    # operands in cli._STRATEGY_INPUTS; a comparison against a strategy's
+    # name would be a second dispatch.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -151,12 +153,12 @@ def _engine_bodies():
     path = PACKAGE / "adversary.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    return {name: funcs[row[0].__name__] for name, row in STRATEGIES.items()}
+    return {name: funcs[row.engine.__name__] for name, row in STRATEGIES.items()}
 
 
 def test_step_rules_are_stated_only_in_the_strategy_table():
     # Each step threshold and majorant term is a (threshold(n), term(n)) rule
-    # in STRATEGIES' fourth column; an engine that shifts or raises to a power
+    # in a STRATEGIES row's rules; an engine that shifts or raises to a power
     # with its step index, or makes a Fraction for each step, would state a
     # rule a second time.  One Fraction made outside the step loops (a sum's
     # start, CONST's 1/(v + 1)) states none.
@@ -194,9 +196,79 @@ def test_every_case_an_engine_takes_has_a_step_rule():
     bodies = _engine_bodies()
     for name in ("h-summable", "r-summable"):
         taken = set(CanonicalCase) - _refused_cases(bodies[name]) - {CanonicalCase.CONST}
-        assert set(STRATEGIES[name][3]) == taken, name
+        assert set(STRATEGIES[name].rules) == taken, name
     assert _refused_cases(bodies["r-summable"]) == {CanonicalCase.MINMAX}
-    assert list(STRATEGIES["w-summable"][3]) == [None]
+    assert list(STRATEGIES["w-summable"].rules) == [None]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_ROW = object()  # what a loop over STRATEGIES' values or items binds
+
+
+def _scope_nodes(scope):
+    """The nodes of one scope, not those of the functions and classes it holds."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _is_table(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "STRATEGIES"
+
+
+def _bindings(node):
+    """(target, value) of each binding node makes; a loop over STRATEGIES'
+    values, or the second target of one over its items, binds _ROW."""
+    if isinstance(node, ast.Assign):
+        return [(target, node.value) for target in node.targets]
+    if isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+        return [(node.target, node.value)]
+    method = getattr(getattr(node, "iter", None), "func", None)
+    if isinstance(node, (ast.For, ast.comprehension)) and isinstance(method, ast.Attribute) \
+            and _is_table(method.value):
+        if method.attr == "values":
+            return [(node.target, _ROW)]
+        if method.attr == "items" and isinstance(node.target, ast.Tuple):
+            return [(node.target.elts[1], _ROW)]
+    return []
+
+
+def _positional_row_reads(tree):
+    """The line of each read of a STRATEGIES row by position: a subscript of
+    ``STRATEGIES[...]`` or of a name bound to a row, an unpacking of a row,
+    or a row starred into a call."""
+    found = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, _SCOPES))]:
+        nodes, rows = list(_scope_nodes(scope)), set()
+
+        def is_row(node):
+            return node is _ROW or isinstance(node, ast.Name) and node.id in rows \
+                or isinstance(node, ast.Subscript) and _is_table(node.value)
+
+        for target, value in (pair for node in nodes for pair in _bindings(node)):
+            if is_row(value) and isinstance(target, ast.Name):
+                rows.add(target.id)
+            elif is_row(value) and isinstance(target, (ast.Tuple, ast.List)):
+                found.append(target.lineno)
+        found += [node.lineno for node in nodes
+                  if isinstance(node, (ast.Subscript, ast.Starred)) and is_row(node.value)]
+    return sorted(found)
+
+
+def test_a_strategy_row_is_read_by_field_name_only():
+    # A row's fields are named, so a read by position would break silently
+    # when a field is added; and a strategy's budget fields are stated in its
+    # row alone, so its options reader names none of the budget options.
+    found = []
+    for path in [*sorted(PACKAGE.rglob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _positional_row_reads(tree)]
+    assert found == []
+    for _, operands in _STRATEGY_INPUTS.values():
+        assert set(operands).isdisjoint(_BUDGET_OPTIONS)
 
 
 def test_every_argument_parser_in_the_library_passes_a_formatter_class():
