@@ -23,8 +23,8 @@ import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
-from .adversary import R_HINDMAN_BUDGET, STRATEGIES, GammaMap, RnhCase1Bundle, \
-    RnhCase2Bundle, SearchBudget, check_hnr_conditions, check_rnh_conditions, \
+from .adversary import R_HINDMAN_BUDGET, R_HINDMAN_FS_SIZE, STRATEGIES, GammaMap, \
+    RnhCase1Bundle, RnhCase2Bundle, SearchBudget, check_hnr_conditions, check_rnh_conditions, \
     replay_final_contradiction, verify_transcript
 from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, find_block_basis, find_canonical_subset
@@ -333,7 +333,8 @@ def _r_summable_inputs(args):
 def _r_hindman_inputs(args):
     budget = _budget(args, R_HINDMAN_BUDGET)
     basis = SparseBasis(parse_set_literal(args.basis))
-    return budget.max_element, (basis, budget, 2 if args.fs_size is None else args.fs_size)
+    fs_size = R_HINDMAN_FS_SIZE if args.fs_size is None else args.fs_size
+    return budget.max_element, (basis, budget, fs_size)
 
 
 # The SearchBudget field each budget option sets; a strategy reads those its row lists.
@@ -469,7 +470,7 @@ def _cmd_verify(args) -> Dict[str, Any]:
                 _field(bundle, "b", "a list of ints"),
                 [NatSet(B) for B in _field(bundle, "B", row="a flat list")], f,
                 SparseBasis(_field(bundle, "D", "a flat list")),
-                fs_size=_field(bundle, "fs_size") if "fs_size" in bundle else 2,
+                fs_size=_field(bundle, "fs_size") if "fs_size" in bundle else R_HINDMAN_FS_SIZE,
             )
         else:
             b = NatSet(_field(bundle, "b", "a flat list"))

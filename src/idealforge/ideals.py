@@ -21,10 +21,17 @@ from .errors import CannotAvoid, CarrierMismatch
 
 
 class Record:
-    """A plain record: ``==`` field by field and the ``Name(field=value, ...)``
-    repr, both read from ``__slots__``.  A mutable record is unhashable."""
+    """A record frozen once built: ``==``, hash and the
+    ``Name(field=value, ...)`` repr are read from ``__slots__``, which
+    ``_fill`` sets once and nothing may assign or delete after.  A record
+    holding a list or a dict is unhashable, as a tuple holding one is."""
 
     __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        """Set the fields in slot order, once, while building."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def fields(self) -> dict:
         """Each field's value by name, in slot order."""
@@ -35,23 +42,12 @@ class Record:
             return NotImplemented
         return self.fields() == other.fields()
 
+    def __hash__(self) -> int:
+        return hash(tuple(self.fields().values()))
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.fields().items())
         return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A record that hashes by value and refuses assignment once built."""
-
-    __slots__ = ()
-
-    def _fill(self, *values) -> None:
-        """Set the fields in slot order, once, while building."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.fields().values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -207,7 +203,7 @@ class IdealId(Enum):
     FIN2 = "fin2"
 
 
-class ScaleParams(FrozenRecord):
+class ScaleParams(Record):
     """Finite positivity proxies for the ideals.
 
     Defaults are the smallest scales at which every construction in the

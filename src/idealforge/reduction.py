@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Union
 
 from .errors import CarrierMismatch, MalformedBundle, TooLarge
-from .ideals import EdgeSet, FrozenRecord, IdealId, NatSet, Record, ScaleParams, is_nat_pair, \
+from .ideals import EdgeSet, IdealId, NatSet, Record, ScaleParams, is_nat_pair, \
     is_positive, progressions
 from .report import Report
 from .sparse import fs, fs_bases
@@ -25,7 +25,7 @@ FINITE_SCALE_CAVEAT = (
 SEARCH_NODE_LIMIT = 5_000_000  # map-search nodes before TooLarge
 
 
-class FiniteIdealSpec(FrozenRecord):
+class FiniteIdealSpec(Record):
     """A finite truncation: an ideal, its scale, and an explicit carrier.
 
     ``ground`` is a NatSet for the number-carried ideals (an initial
@@ -210,7 +210,7 @@ class SearchOutcome(Record):
     __slots__ = ("found", "exhausted", "nodes")
 
     def __init__(self, found: Optional[Dict] = None, exhausted: bool = False, nodes: int = 0):
-        self.found, self.exhausted, self.nodes = found, exhausted, nodes
+        self._fill(found, exhausted, nodes)
 
     def to_json_dict(self):
         return {

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import attrgetter, eq, ge, gt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .ideals import EdgeSet, FrozenRecord, NatSet, Record
+from .ideals import EdgeSet, NatSet, Record
 
 
 # str() is used only on ints of at most this many bits (about 600 digits).
@@ -200,7 +200,7 @@ RELATIONS = {">": gt, ">=": ge, "==": eq}  # the test of each check relation
 _WIDTHS = {"nat": 1, "pair": 2}  # the args width of each check kind
 
 
-class StepChecks(FrozenRecord):
+class StepChecks(Record):
     """A step's checks as columns: the kind ("nat" or "pair"), relation and
     bound they share, and each check's point (``args``, a tuple of one int
     for nat, two for pair) and ``value``.  Every bound, value and args entry
@@ -234,7 +234,7 @@ class CheckItem(Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name, self.passed, self.detail = name, passed, detail
+        self._fill(name, passed, detail)
 
 
 class Report(Record):
@@ -244,19 +244,18 @@ class Report(Record):
 
     def __init__(self, items: Optional[List[CheckItem]] = None,
                  meta: Optional[Dict[str, Any]] = None):
-        self.items = [] if items is None else items
-        self.meta = {} if meta is None else meta
+        self._fill([] if items is None else items, {} if meta is None else meta)
 
     def add(self, name: str, passed: bool, detail: str = "") -> "Report":
         self.items.append(CheckItem(name, bool(passed), detail))
         return self
 
     def fail(self, name: str, detail: str) -> None:
-        """Mark the added item ``name`` failed; an item keeps the detail of
-        its first failure."""
-        item = self.items[[it.name for it in self.items].index(name)]
-        if item.passed:
-            item.passed, item.detail = False, detail
+        """Replace the added item ``name`` by a failed one with ``detail``;
+        an item keeps the detail of its first failure."""
+        at = [item.name for item in self.items].index(name)
+        if self.items[at].passed:
+            self.items[at] = CheckItem(name, False, detail)
 
     @property
     def passed(self) -> bool:

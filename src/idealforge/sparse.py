@@ -13,7 +13,7 @@ from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolated, NotInFS, NotSparse, PoolExhausted, TooLarge
-from .ideals import Elements, FrozenRecord, NatSet
+from .ideals import Elements, NatSet, Record
 
 FS_CAP = 24  # 2^|B| enumeration bound for fs / sparseness checks
 VERY_SPARSE_CAP = 16  # quadratic scan over FS pairs of a non-doubling basis
@@ -187,7 +187,7 @@ class SparseBasis(Elements):
         return NatSet._trusted(tuple(out))
 
 
-class VerySparseFlag(FrozenRecord):
+class VerySparseFlag(Record):
     __slots__ = ("verified", "counterexample")
 
     def __init__(self, verified: bool, counterexample: Optional[Tuple[int, int]] = None):

@@ -26,7 +26,7 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
-from idealforge.adversary import STRATEGIES, TranscriptStep
+from idealforge.adversary import STRATEGIES, Transcript, TranscriptStep
 from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
@@ -649,12 +649,24 @@ def test_verify_reports_a_changed_value_inside_a_column_record():
 
 
 def test_verify_refuses_an_unknown_strategy_before_any_query():
-    t = _w_steps_1_to_3()
-    t.strategy = "z-summable"
+    w = _w_steps_1_to_3()
+    t = Transcript("z-summable", w.params, w.steps, w.witness, w.image, w.majorant, w.coloring)
     fn, calls = _counted(lambda x: x)
     with pytest.raises(ValueError, match="^unknown strategy 'z-summable'$"):
         verify_transcript(t, NatColoring(1 << 10, fn=fn))
     assert calls == []
+
+
+def test_a_transcript_refuses_assignment_so_its_certificate_stays_its_images():
+    t = _w_steps_1_to_3()
+    image, certified = t.image, t.certified_sum
+    with pytest.raises(AttributeError, match="^cannot assign to field 'image'$"):
+        t.image = NatSet([1])
+    with pytest.raises(AttributeError, match="^cannot assign to field 'strategy'$"):
+        t.strategy = "h-summable"
+    assert t.strategy == "w-summable" and t.image == image
+    assert t.certified_sum == certified == reciprocal_sum(image)
+    assert verify_transcript(t, NatColoring.identity(1 << 10)).passed
 
 
 class _Checks(StepChecks):

@@ -1,15 +1,17 @@
-"""The library's records are plain slotted classes: each keeps the repr,
-equality and hashing it had as a dataclass."""
+"""The library's records are plain slotted classes, frozen once built: each
+keeps the repr, equality and hashing it had as a dataclass."""
 
-import copy
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import idealforge
 from idealforge import FiniteIdealSpec, IdealId, NatSet, Report, RnhCase1Bundle, \
     RnhCase2Bundle, ScaleParams, SearchBudget, SparseBasis, Transcript, VerySparseFlag
 from idealforge.adversary import TranscriptStep
-from idealforge.ideals import FrozenRecord
+from idealforge.ideals import Record
 from idealforge.reduction import SearchOutcome
 from idealforge.report import CheckItem, StepChecks
 
@@ -49,8 +51,8 @@ def test_repr_is_the_dataclass_text(record, text):
     assert repr(record) == text
 
 
-# Two equal frozen records built apart, and one that differs in the last field.
-FROZEN = [
+# Two equal hashable records built apart, and one that differs in the last field.
+HASHABLE = [
     (lambda: SearchBudget(max_steps=4), SearchBudget(max_steps=4, candidate_cap=9)),
     (lambda: StepChecks("pair", "==", 0, ((1, 2), (1, 3)), (0, 0)),
      StepChecks("pair", "==", 0, ((1, 2), (1, 3)), (0, 1))),
@@ -59,11 +61,12 @@ FROZEN = [
      FiniteIdealSpec(IdealId.VDW, ScaleParams(), NatSet([0]))),
     (lambda: VerySparseFlag(False, (1, 2)), VerySparseFlag(False, (1, 3))),
     (lambda: TranscriptStep(0, (3,), CHECKS), TranscriptStep(0, (3,), CHECKS, "x")),
+    (lambda: CheckItem("a", False), CheckItem("a", False, "x")),
 ]
 
 
-@pytest.mark.parametrize("make, other", FROZEN, ids=[type(o).__name__ for _, o in FROZEN])
-def test_frozen_records_compare_and_hash_by_value_and_refuse_assignment(make, other):
+@pytest.mark.parametrize("make, other", HASHABLE, ids=[type(o).__name__ for _, o in HASHABLE])
+def test_hashable_records_compare_and_hash_by_value_and_refuse_assignment(make, other):
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != other and other not in {a}
@@ -77,17 +80,52 @@ def test_frozen_records_compare_and_hash_by_value_and_refuse_assignment(make, ot
     assert a == b
 
 
-MUTABLE = [r for r, _ in REPRS if not isinstance(r, FrozenRecord)]
+def test_every_record_class_in_the_library_is_in_the_repr_table():
+    for info in pkgutil.iter_modules(idealforge.__path__):
+        importlib.import_module(f"idealforge.{info.name}")
+    classes, todo = set(), [Record]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("idealforge.") and cls is not Record:
+            classes.add(cls)
+    assert classes == {type(r) for r, _ in REPRS}
 
 
-@pytest.mark.parametrize("record", MUTABLE, ids=[type(r).__name__ for r in MUTABLE])
-def test_mutable_records_are_unhashable_and_compare_field_by_field(record):
+@pytest.mark.parametrize("record, text", REPRS, ids=[type(r).__name__ for r, _ in REPRS])
+def test_every_record_refuses_assignment_and_deletion_of_each_field(record, text):
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert repr(record) == text
+
+
+def _built(cls, *values):
+    record = object.__new__(cls)  # a transcript derives some fields, so no re-build
+    record._fill(*values)
+    return record
+
+
+# The records that hold a list or a dict, as a tuple may hold one.
+HOLDERS = [r for r, _ in REPRS
+           if any(type(v) in (list, dict) for v in r.fields().values())]
+
+
+@pytest.mark.parametrize("record", HOLDERS, ids=[type(r).__name__ for r in HOLDERS])
+def test_a_record_holding_a_list_or_a_dict_is_unhashable_and_compares_field_by_field(record):
     with pytest.raises(TypeError, match="unhashable"):
         hash(record)
-    twin = copy.copy(record)  # a transcript derives some fields, so no re-build
+    values = list(record.fields().values())
+    twin = _built(type(record), *values)
     assert twin == record and twin is not record
-    setattr(twin, type(record).__slots__[-1], object())
-    assert twin != record and record != object()
+    assert _built(type(record), *values[:-1], object()) != record and record != object()
+
+
+def test_the_records_holding_a_list_or_a_dict_are_the_five_containers():
+    assert [type(r).__name__ for r in HOLDERS] == [
+        "Transcript", "RnhCase1Bundle", "RnhCase2Bundle", "SearchOutcome", "Report"]
 
 
 def test_step_checks_hold_columns_and_no_rows():

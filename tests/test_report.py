@@ -131,7 +131,7 @@ class Tally(Record):
     __slots__ = ("count",)
 
     def __init__(self, count):
-        self.count = count
+        self._fill(count)
 
 
 tallies = st.builds(Tally, leaves | wide.map(Count) | st.lists(wide, max_size=3).map(tuple))

@@ -341,6 +341,26 @@ def test_the_writer_imports_no_engine_layer():
     assert found == []
 
 
+def test_only_record_fill_sets_a_slot_past_the_records_refusal():
+    # Every record refuses assignment once built; ``Record._fill`` is the one
+    # way to set its slots, so no record is filled, or changed, any other way.
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                found.append((path.name, ".".join(scope)))
+            visit(child, path, scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, ())
+    assert found == [("ideals.py", "Record._fill")]
+
+
 def test_no_library_module_imports_dataclasses():
     # Importing dataclasses loads inspect, ast, dis and tokenize, and each
     # @dataclass exec()s its methods: together about half of a CLI start-up.
