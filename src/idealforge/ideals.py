@@ -55,6 +55,17 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        """Copy, deepcopy and pickle rebuild the record through ``_fill``."""
+        return _refilled, (type(self), tuple(self.fields().values()))
+
+
+def _refilled(cls, values: tuple) -> Record:
+    """A ``cls`` record whose fields, in slot order, are ``values``."""
+    record = object.__new__(cls)
+    record._fill(*values)
+    return record
+
 
 class Elements:
     """A value held as the ascending tuple ``elements``: iteration, length,

@@ -101,9 +101,13 @@ class SparseBasis(Elements):
     basis builds the table up front from a full subset-sum sweep.
 
     A super-increasing basis lists FS(D) ascending in mask order, so the sum
-    with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``;
-    ``sums_meeting`` then copies the runs between the sums that avoid its
-    mask instead of testing every mask.
+    with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``.
+    ``sums_meeting(m)`` then cuts out the sums avoiding m without testing
+    every mask.  Those form aligned blocks of t masks, t the lowest bit of
+    m, repeating with period p, twice its highest bit below 2^k.  When
+    there are fewer blocks than avoiding residues mod p (2^k < p t), it
+    copies the runs between blocks, one slice each; otherwise it deletes
+    each avoiding residue from a mask-indexed copy with one strided slice.
     """
 
     __slots__ = ("elements", "_index", "_fs", "_masks")
@@ -172,18 +176,34 @@ class SparseBasis(Elements):
         masks = self._masks
         if type(masks) is not range:
             return NatSet._trusted(tuple([x for x, mx in zip(points, masks) if mx & m]))
-        # Mask order: the sums avoiding m sit at s - 1 for the nonempty
-        # subsets s of the complement c, which s = (s - c) & c visits in
-        # increasing order; the runs between them are the sums meeting m.
-        c = len(masks) & ~m  # len(masks) = 2^k - 1 is the full mask
-        out: List[int] = []
-        lo = 0
-        s = c & -c
-        while s:
-            out += points[lo : s - 1]
-            lo = s
-            s = (s - c) & c
-        out += points[lo:]
+        # Mask order, cut by blocks or by residues: see the class docstring.
+        full = len(masks)  # 2^k - 1, the full mask
+        m &= full
+        t = m & -m
+        p = 1 << m.bit_length()
+        if p * t > full + 1:  # fewer blocks than residues
+            # the block starts are the subsets s of c, which s = (s - c) & c
+            # visits in increasing order; the runs between are the sums
+            c = full & ~m & -t
+            out: List[int] = []
+            lo = t - 1
+            s = c & -c
+            while s:
+                out += points[lo : s - 1]
+                lo = s + t - 1
+                s = (s - c) & c
+            out += points[lo:]
+        else:
+            # index the sums by mask, 0 a placeholder; deleting the highest
+            # avoiding residue r first leaves each lower one at stride p - 1
+            # (m = 0 has p = 1, so its one delete empties the list)
+            out = [0, *points]
+            c = (p - 1) & ~m
+            r, width = c, p
+            while r:
+                del out[r::width]
+                r, width = (r - 1) & c, width - 1
+            del out[::width]
         return NatSet._trusted(tuple(out))
 
 

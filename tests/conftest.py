@@ -4,6 +4,7 @@ The oracles deliberately use different algorithms from the library (dynamic
 programming, full enumeration, counters) so cross-checks are meaningful.
 """
 
+import functools
 import itertools
 import os
 import random
@@ -160,9 +161,15 @@ def first_collision(elements):
     return None
 
 
+@functools.lru_cache(maxsize=4)
+def _decompositions_of(xs: tuple) -> dict:
+    """``enumerated_decompositions`` of a tuple, kept for repeated queries."""
+    return enumerated_decompositions(xs)
+
+
 def naive_conflict_set(elements, y) -> list:
     """Sorted nonzero sums whose decomposition shares a summand with y's."""
-    decomp = enumerated_decompositions(elements)
+    decomp = _decompositions_of(tuple(elements))
     return sorted(x for x, parts in decomp.items()
                   if x != 0 and parts & decomp[y])
 

@@ -1,7 +1,9 @@
 """The library's records are plain slotted classes, frozen once built: each
 keeps the repr, equality and hashing it had as a dataclass."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -100,6 +102,23 @@ def test_every_record_refuses_assignment_and_deletion_of_each_field(record, text
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(record, name)
     assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, text", REPRS, ids=[type(r).__name__ for r, _ in REPRS])
+def test_every_record_survives_copy_deepcopy_and_a_pickle_round_trip(record, text):
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin is not record
+        assert twin == record and repr(twin) == text
+        name = type(record).__slots__[0]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(twin, name, None)
+    # a shallow copy shares each field; a deep copy shares no container
+    shallow, deep = copy.copy(record), copy.deepcopy(record)
+    for name, value in record.fields().items():
+        assert getattr(shallow, name) is value
+        if type(value) in (list, dict):
+            assert getattr(deep, name) is not value
 
 
 def _built(cls, *values):

@@ -97,8 +97,11 @@ def super_increasing(gaps) -> list:
     return out
 
 
-# Super-increasing bases take the run path of sums_meeting (FS(D) ascends
-# in mask order); every other sparse basis takes the per-sum mask test.
+# Super-increasing bases take one of the two cuts of sums_meeting (FS(D)
+# ascends in mask order); every other sparse basis takes the per-sum mask
+# test.  Of the masks that meet the full mask, the ones whose lowest bit t
+# and highest bit h have 2 h t > 2^k take block runs, the rest strided
+# residue deletes.
 super_increasing_bases = st.lists(st.integers(0, 40), min_size=1, max_size=10).map(
     super_increasing)
 ordinary_sparse_bases = sparse_bases.filter(lambda xs: not is_super_increasing(xs))
@@ -118,14 +121,43 @@ def test_sums_meeting_matches_enumeration_on_every_mask(elements):
     points = sorted(mask_of)
     assert D.fs_set().elements == tuple(points)
     assert isinstance(D._masks, range) == is_super_increasing(elements)
-    full = (1 << len(xs)) - 1
-    for m in range(full + 1):
+    # masks with bits past k, and negative ones, meet by their bits below k
+    span = 2 << len(xs)
+    for m in range(-span, span):
         got = D.sums_meeting(m)
-        assert got.elements == tuple(x for x in points if mask_of[x] & m)
-        assert_canonical_natset(got)
-    # the full mask and each single bit, through conflict_set and the oracle
-    for y in [sum(xs)] + list(xs):
+        assert got.elements == tuple([x for x in points if mask_of[x] & m])
+        if 0 <= m < span // 2:
+            assert_canonical_natset(got)
+    for y in points:
         assert list(conflict_set(D, y).elements) == naive_conflict_set(elements, y)
+
+
+def test_sums_meeting_takes_both_cuts_on_a_twelve_element_basis():
+    D = SparseBasis(super_increasing([3, 0, 5, 1, 0, 2, 9, 0, 4, 1, 7, 0]))
+    points = sorted(enumerated_decompositions(D.elements))  # ascending in mask order
+    full = (1 << 12) - 1
+    runs = [m for m in range(1, full + 1)
+            if 2 * (1 << m.bit_length() - 1) * (m & -m) > full + 1]
+    assert 0 < len(runs) < full  # block runs for these, strided deletes for the rest
+    for m in range(full + 1):
+        assert D.sums_meeting(m).elements == tuple(
+            [x for s, x in enumerate(points, 1) if s & m])
+
+
+@pytest.mark.parametrize("elements", [
+    very_sparse_subset(random_pool(random.Random(11)), 8).elements,  # both cuts
+    (3, 5, 6, 20, 40),  # the table path
+])
+def test_sums_meeting_leaves_the_basis_unchanged(elements):
+    D = SparseBasis(elements)
+    points = D.fs_set().elements
+    before = (points, list(D._masks), dict(D._index))
+    results = [D.sums_meeting(m) for m in range(-1, 1 << len(elements))]
+    assert D.fs_set().elements is points
+    assert (D.fs_set().elements, list(D._masks), dict(D._index)) == before
+    for got in results:
+        assert_canonical_natset(got)
+        assert got.elements is not points
 
 
 def test_sums_meeting_on_empty_sums():
@@ -213,21 +245,14 @@ def test_fs_bases_checks_its_arguments_at_the_call():
         fs_bases([1, -2], 1)
 
 
-def _super_increasing(gaps):
-    xs = []
-    for g in gaps:
-        xs.append(sum(xs) + g)
-    return xs
-
-
 # Each element exceeds the sum of those before it, with more elements than
 # the enumeration cap: both sides accept these without enumerating.
-super_increasing = st.lists(st.integers(1, 1 << 20), min_size=25, max_size=40).map(
-    _super_increasing)
+long_super_increasing_bases = st.lists(
+    st.integers(0, (1 << 20) - 1), min_size=25, max_size=40).map(super_increasing)
 
 
 @SETTINGS
-@given(st.lists(st.integers(0, 40), max_size=7, unique=True) | super_increasing)
+@given(st.lists(st.integers(0, 40), max_size=7, unique=True) | long_super_increasing_bases)
 @example([0])
 @example([1 << i for i in range(30)])
 def test_is_sparse_iff_the_basis_constructs(D):
