@@ -17,6 +17,10 @@ from .ideals import Elements, NatSet, Record
 
 FS_CAP = 24  # 2^|B| enumeration bound for fs / sparseness checks
 VERY_SPARSE_CAP = 16  # quadratic scan over FS pairs of a non-doubling basis
+# The strided cut of SparseBasis.sums_meeting shifts about p t list pointers
+# per run the block cut would slice; a slice costs about as much as shifting
+# 1,000-2,000 pointers (timed at k = 8..20 on a 2-vCPU Xeon, CPython 3.11.7).
+STRIDED_MOVES_CAP = 1 << 10
 
 
 def _as_elements(B) -> Tuple[int, ...]:
@@ -104,10 +108,13 @@ class SparseBasis(Elements):
     with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``.
     ``sums_meeting(m)`` then cuts out the sums avoiding m without testing
     every mask.  Those form aligned blocks of t masks, t the lowest bit of
-    m, repeating with period p, twice its highest bit below 2^k.  When
-    there are fewer blocks than avoiding residues mod p (2^k < p t), it
-    copies the runs between blocks, one slice each; otherwise it deletes
-    each avoiding residue from a mask-indexed copy with one strided slice.
+    m, repeating with period p, twice its highest bit below 2^k.  The block
+    cut copies the runs between the B blocks, one slice each.  The strided
+    cut deletes each of the R avoiding residues mod p from a mask-indexed
+    copy with one strided slice, and each delete shifts the rest of the
+    list: R 2^k = B p t pointers.  So the strided cut is taken only when it
+    needs no more slices (p t <= 2^k) and shifts at most
+    ``STRIDED_MOVES_CAP`` pointers per run it spares (p t <= 1024).
     """
 
     __slots__ = ("elements", "_index", "_fs", "_masks")
@@ -181,7 +188,7 @@ class SparseBasis(Elements):
         m &= full
         t = m & -m
         p = 1 << m.bit_length()
-        if p * t > full + 1:  # fewer blocks than residues
+        if p * t > min(full + 1, STRIDED_MOVES_CAP):  # cut by blocks
             # the block starts are the subsets s of c, which s = (s - c) & c
             # visits in increasing order; the runs between are the sums
             c = full & ~m & -t

@@ -7,6 +7,7 @@ may collide.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -99,9 +100,8 @@ def super_increasing(gaps) -> list:
 
 # Super-increasing bases take one of the two cuts of sums_meeting (FS(D)
 # ascends in mask order); every other sparse basis takes the per-sum mask
-# test.  Of the masks that meet the full mask, the ones whose lowest bit t
-# and highest bit h have 2 h t > 2^k take block runs, the rest strided
-# residue deletes.
+# test.  Past ten elements the shift cap sends to the blocks some masks a
+# smaller basis would cut by residues; the twelve-element example has both.
 super_increasing_bases = st.lists(st.integers(0, 40), min_size=1, max_size=10).map(
     super_increasing)
 ordinary_sparse_bases = sparse_bases.filter(lambda xs: not is_super_increasing(xs))
@@ -113,35 +113,42 @@ ordinary_sparse_bases = sparse_bases.filter(lambda xs: not is_super_increasing(x
 @example([3, 5, 6])
 @example([1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
 @example([7])
+@example(super_increasing([3, 0, 5, 1, 0, 2, 9, 0, 4, 1, 7, 0]))
 def test_sums_meeting_matches_enumeration_on_every_mask(elements):
     D = SparseBasis(elements)
     xs = D.elements
     decomp = enumerated_decompositions(elements)
     mask_of = {x: sum(1 << xs.index(p) for p in parts) for x, parts in decomp.items()}
     points = sorted(mask_of)
+    masks = [mask_of[x] for x in points]
     assert D.fs_set().elements == tuple(points)
     assert isinstance(D._masks, range) == is_super_increasing(elements)
-    # masks with bits past k, and negative ones, meet by their bits below k
+    # masks with bits past k, and negative ones, meet by their bits below k;
+    # past ten elements only the masks below 2^k, and neither the
+    # canonical check nor the per-point oracle
+    small = len(xs) <= 10
     span = 2 << len(xs)
-    for m in range(-span, span):
+    for m in range(-span if small else 0, span if small else span // 2):
         got = D.sums_meeting(m)
-        assert got.elements == tuple([x for x in points if mask_of[x] & m])
-        if 0 <= m < span // 2:
+        assert got.elements == tuple([x for x, mx in zip(points, masks) if mx & m])
+        if small and 0 <= m < span // 2:
             assert_canonical_natset(got)
-    for y in points:
+    for y in points if small else ():
         assert list(conflict_set(D, y).elements) == naive_conflict_set(elements, y)
 
 
-def test_sums_meeting_takes_both_cuts_on_a_twelve_element_basis():
-    D = SparseBasis(super_increasing([3, 0, 5, 1, 0, 2, 9, 0, 4, 1, 7, 0]))
-    points = sorted(enumerated_decompositions(D.elements))  # ascending in mask order
-    full = (1 << 12) - 1
-    runs = [m for m in range(1, full + 1)
-            if 2 * (1 << m.bit_length() - 1) * (m & -m) > full + 1]
-    assert 0 < len(runs) < full  # block runs for these, strided deletes for the rest
-    for m in range(full + 1):
-        assert D.sums_meeting(m).elements == tuple(
-            [x for s, x in enumerate(points, 1) if s & m])
+def test_sums_meeting_on_a_twenty_element_basis_takes_no_quadratic_cut():
+    # these masks have 2^18 and 2^9 avoiding residues: a strided cut would
+    # shift the 2^20-sum list once per residue
+    D = SparseBasis(super_increasing([g % 3 for g in range(20)]))
+    points = D.fs_set().elements
+    for m in (1 << 19 | 1, 1 << 10 | 1):
+        started = time.perf_counter()
+        got = D.sums_meeting(m).elements
+        cut = time.perf_counter() - started
+        started = time.perf_counter()
+        assert got == tuple([x for s, x in enumerate(points, 1) if s & m])
+        assert cut < 10 * (time.perf_counter() - started)
 
 
 @pytest.mark.parametrize("elements", [
