@@ -414,15 +414,13 @@ def _shifted_image_free(f: PairColoring, anchor: int, pool: Sequence[int],
     return find_fs_subset(shifted, fs_size) is None
 
 
-def _conflict_union(D: SparseBasis, ys: Sequence[int]) -> NatSet:
-    """Union of the conflict sets of ys: the sums whose decomposition meets
-    some alpha(y)."""
-    if not ys:
-        return NatSet()
+def _reach(D: SparseBasis, ys: Sequence[int]) -> int:
+    """The union of the masks of alpha(y), y in ys: a sum x of FS(D) lies in
+    the conflict set of some y iff mask(x) & reach."""
     reach = 0
     for y in ys:
         reach |= D.mask(y)
-    return D.sums_meeting(reach)
+    return reach
 
 
 def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_HINDMAN_BUDGET,
@@ -437,12 +435,10 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
     """
     _row("r-hindman", budget)
     window = min(f.n, budget.max_element)
-    fsD = D.fs_set()
     for p in itertools.combinations(range(window), 2):
-        if f(p) not in fsD:
-            raise ValueError(
-                f"f({set(p)}) = {f(p)} lies outside the finite sums of the basis"
-            )
+        v = f(p)  # 0 is in no FS(D), though the table of the basis {0} decomposes it
+        if v == 0 or v not in D:
+            raise ValueError(f"f({set(p)}) = {v} lies outside the finite sums of the basis")
 
     b = [0]
     reservoirs: List[NatSet] = [NatSet(range(window))]
@@ -451,14 +447,15 @@ def defeat_r_hindman(f: PairColoring, D: SparseBasis, budget: SearchBudget = R_H
     for n in range(1, budget.max_steps):
         prev = reservoirs[-1].elements
         ys = sorted({f(p) for p in itertools.combinations(b, 2)})
-        conflicts = _conflict_union(D, ys)
+        reach = _reach(D, ys)
 
         # A prefix passes when its last point's pairs with the earlier ones miss
         # the conflict sets and no shifted row carries a basis on it; a full
-        # subset must also reach above the last pick.
+        # subset must also reach above the last pick.  Every pair image below
+        # the window is in FS(D), so its mask tells whether it hits.
         for size in range(min(budget.candidate_cap, len(prev)), 0, -1):
             hit = least_subset(prev, size, lambda sub: (
-                all(f((u, sub[-1])) not in conflicts for u in sub[:-1])
+                not any(D.mask(f((u, sub[-1]))) & reach for u in sub[:-1])
                 and all(_shifted_image_free(f, bi, sub, y, fs_size) for bi in b for y in ys)
                 and (len(sub) < size or sub[-1] > b[-1])))
             if hit is not None:
@@ -547,11 +544,12 @@ def check_hnr_conditions(b: Sequence[int], B: Sequence[NatSet], f: PairColoring,
         if len(set(b[:n])) < n:
             break  # a repeated pick fails (a) and has no pair image
         ys = sorted({f(p) for p in itertools.combinations(b[:n], 2)})
-        conflicts = _conflict_union(D, ys)
+        reach = _reach(D, ys)
         if "(c)" not in report.failed_names():
             for p in itertools.combinations(B[n].elements, 2):
-                if f(p) in conflicts:
-                    report.fail("(c)", f"f({set(p)}) = {f(p)} hits a conflict set at step {n}")
+                v = f(p)  # a hit is a sum of FS(D), which never holds 0, meeting reach
+                if v and v in D and D.mask(v) & reach:
+                    report.fail("(c)", f"f({set(p)}) = {v} hits a conflict set at step {n}")
                     break
         if "(d)" not in report.failed_names():
             for i, y in itertools.product(range(n), ys):

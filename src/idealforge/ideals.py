@@ -22,20 +22,30 @@ from .errors import CannotAvoid, CarrierMismatch
 
 class Record:
     """A record frozen once built: ``==``, hash and the
-    ``Name(field=value, ...)`` repr are read from ``__slots__``, which
+    ``Name(field=value, ...)`` repr are read from its fields, which
     ``_fill`` sets once and nothing may assign or delete after.  A record
-    holding a list or a dict is unhashable, as a tuple holding one is."""
+    holding a list or a dict is unhashable, as a tuple holding one is.
+
+    The fields are the slots of every class in the MRO, base classes first,
+    named once per class in ``_field_names``; so a subclass that declares
+    ``__slots__ = ()`` keeps its parent's fields."""
 
     __slots__ = ()
+    _field_names: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_names = tuple(name for klass in reversed(cls.__mro__)
+                                 for name in klass.__dict__.get("__slots__", ()))
 
     def _fill(self, *values) -> None:
-        """Set the fields in slot order, once, while building."""
-        for name, value in zip(self.__slots__, values):
+        """Set the fields in order, once, while building."""
+        for name, value in zip(self._field_names, values):
             object.__setattr__(self, name, value)
 
     def fields(self) -> dict:
-        """Each field's value by name, in slot order."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        """Each field's value by name, in field order."""
+        return {name: getattr(self, name) for name in self._field_names}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +71,7 @@ class Record:
 
 
 def _refilled(cls, values: tuple) -> Record:
-    """A ``cls`` record whose fields, in slot order, are ``values``."""
+    """A ``cls`` record whose fields, in field order, are ``values``."""
     record = object.__new__(cls)
     record._fill(*values)
     return record
@@ -106,7 +116,8 @@ class NatSet(Elements):
     def __init__(self, iterable: Iterable[int] = ()):
         members = frozenset(iterable)
         for x in members:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            # an exact int skips both isinstance calls: the common case
+            if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))) or x < 0:
                 raise ValueError(f"natural number expected, got {x!r}")
         self.elements: Tuple[int, ...] = tuple(sorted(members))
         self._members = members

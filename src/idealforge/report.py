@@ -56,7 +56,7 @@ def dumps_stable(obj: Any) -> str:
 
 _quoted = json.encoder.encode_basestring_ascii
 
-# Each class the writer has met: its slot names if it is a record without its
+# Each class the writer has met: its field names if it is a record without its
 # own form, else ().  A StepChecks is written by ``_step_checks``.
 _fields: Dict[type, Tuple[str, ...]] = {}
 # Each (record class, indent) written: the format of one record there, the
@@ -68,7 +68,7 @@ _formats: Dict[tuple, Tuple[str, Callable, str, str, str, str]] = {}
 def _record_fields(cls: type) -> Tuple[str, ...]:
     names = _fields.get(cls)
     if names is None:
-        names = _fields[cls] = (tuple(cls.__slots__) if issubclass(cls, Record)
+        names = _fields[cls] = (cls._field_names if issubclass(cls, Record)
                                 and cls is not StepChecks
                                 and not hasattr(cls, "to_json_dict") else ())
     return names

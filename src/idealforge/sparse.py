@@ -102,7 +102,9 @@ class SparseBasis(Elements):
     Super-increasing bases (each element larger than the sum of its
     predecessors) are accepted without the exponential enumeration and
     decompose by greedy descent until the table is first needed; every other
-    basis builds the table up front from a full subset-sum sweep.
+    basis builds the table up front from a full subset-sum sweep.  ``mask``
+    and ``alpha`` read the table's sum -> mask dict when it exists, and
+    ``alpha`` walks only the set bits of the mask.
 
     A super-increasing basis lists FS(D) ascending in mask order, so the sum
     with mask s sits at index s - 1 and ``_masks`` is ``range(1, 2^k)``.
@@ -167,15 +169,26 @@ class SparseBasis(Elements):
 
     def mask(self, x: int) -> int:
         """Index mask of alpha(x): bit i set iff elements[i] is a summand."""
-        m = self._find_mask(x)
+        index = self._index
+        m = index.get(x) if index is not None else self._find_mask(x)
         if m is None:
             raise NotInFS(f"{x} has no decomposition over {list(self.elements)}")
         return m
 
     def alpha(self, x: int) -> NatSet:
-        """The unique subset of the basis summing to x."""
-        m = self.mask(x)
-        return NatSet._trusted(tuple([d for i, d in enumerate(self.elements) if m >> i & 1]))
+        """The unique subset of the basis summing to x, read off the set bits
+        of its mask, lowest first."""
+        index = self._index
+        m = index.get(x) if index is not None else None
+        if m is None:
+            m = self.mask(x)  # descends, or raises NotInFS
+        xs = self.elements
+        out = []
+        while m:
+            low = m & -m
+            out.append(xs[low.bit_length() - 1])
+            m ^= low
+        return NatSet._trusted(tuple(out))
 
     def sums_meeting(self, m: int) -> NatSet:
         """All x in FS(D) whose decomposition shares a summand with mask m."""
@@ -306,14 +319,14 @@ def fs_bases(A, k: int) -> Iterator[Tuple[int, ...]]:
     Backtracks over candidates in increasing order.  Each level carries only
     the candidates c with s + c in A for every sum s so far; choosing c
     narrows that list by the sums it adds, so no candidate is checked
-    against an old sum twice.  Singletons of FS(B) force B inside A.  k and
-    A are checked at the call, not at the first ``next``.
+    against an old sum twice, and a list already too short to complete the
+    basis is not narrowed further.  At the top level c is the only sum, so
+    no collision test runs.  Membership reads A's own member set.
+    Singletons of FS(B) force B inside A.  k and A are checked at the call,
+    not at the first ``next``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not isinstance(A, NatSet):
-        A = NatSet(A)
-    members = frozenset(A.elements)
+    A = _fs_search_ground(A, k)
+    members = A._member_set()
     top = A.max() if A else 0
 
     def dfs(basis: Tuple[int, ...], sums: frozenset, cands: List[int]
@@ -330,15 +343,20 @@ def fs_bases(A, k: int) -> Iterator[Tuple[int, ...]]:
                 hi = bisect_right(cands, top - total - c)
                 if hi - i < need:
                     break
-            fresh = [s + c for s in sums]
-            fresh.append(c)
-            if not sums.isdisjoint(fresh):
-                continue  # a subset-sum collision; basis would not be sparse
+            if sums:
+                fresh = [s + c for s in sums]
+                fresh.append(c)
+                if not sums.isdisjoint(fresh):
+                    continue  # a subset-sum collision; basis would not be sparse
+            else:
+                fresh = (c,)  # the top level: c is the only sum
             if need == 1:
                 yield basis + (c,)
                 continue
             rest = cands[i + 1 : hi]
             for f in fresh:
+                if len(rest) < need - 1:
+                    break  # too short already; filtering keeps it short
                 rest = [d for d in rest if f + d in members]
             if len(rest) >= need - 1:
                 yield from dfs(basis + (c,), sums.union(fresh), rest)
@@ -346,9 +364,24 @@ def fs_bases(A, k: int) -> Iterator[Tuple[int, ...]]:
     return dfs((), frozenset(), list(A.elements))
 
 
+def _fs_search_ground(A, k: int) -> NatSet:
+    """A as a NatSet, once k >= 1 and A's members are checked."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return A if isinstance(A, NatSet) else NatSet(A)
+
+
 def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
     """Least basis B in A with distinct subset sums and fs(B) inside A: the
-    first of ``fs_bases``, or None."""
+    first of ``fs_bases``, or None.
+
+    A size-k basis has 2^k - 1 distinct sums, all in A, so a set with fewer
+    members returns None before any search: ``(|A| + 1) >> k == 0``, which
+    builds no 2^k for a huge k.  k and A are checked first, as ``fs_bases``
+    checks them."""
+    A = _fs_search_ground(A, k)
+    if (len(A) + 1) >> k == 0:
+        return None
     hit = next(fs_bases(A, k), None)
     return NatSet._trusted(hit) if hit is not None else None
 

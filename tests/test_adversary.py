@@ -237,6 +237,16 @@ def test_defeat_r_hindman_rejects_values_outside_sums():
                                             candidate_cap=3))
 
 
+def test_zero_is_no_finite_sum_for_r_hindman_even_over_the_basis_zero():
+    # SparseBasis([0]) decomposes 0, yet its FS(D) is empty, as fs() says
+    D = SparseBasis([0])
+    f = PairColoring(4, fn=lambda i, j: 0)
+    with pytest.raises(ValueError, match=r"^f\(\{0, 1\}\) = 0 lies outside the finite sums"):
+        defeat_r_hindman(f, D, SearchBudget(max_element=4, max_steps=3, candidate_cap=4))
+    report = check_hnr_conditions([0, 1, 2], [NatSet(range(4))] * 3, f, D)
+    assert report.passed
+
+
 def test_check_hnr_manual_breaks():
     D = SparseBasis([1, 3, 9, 27, 81, 243])
     f = bucket_map()

@@ -21,6 +21,7 @@ queries the coloring more often than the reference.
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +42,14 @@ from idealforge import (
     fs,
     verify_transcript,
 )
+from idealforge.adversary import check_hnr_conditions
 from idealforge.adversary import READ_BLOCK
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError, SearchExhausted
 from idealforge.report import StepChecks, dumps_stable
 
-from conftest import rescan_defeat_h_inj, rescan_defeat_r_summable, \
-    rescan_defeat_w_summable, subset_sum_counts, w_scan_reach
+from conftest import enumerated_decompositions, naive_conflict_set, rescan_defeat_h_inj, \
+    rescan_defeat_r_summable, rescan_defeat_w_summable, subset_sum_counts, w_scan_reach
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -496,3 +498,56 @@ def test_every_step_holds_one_check_record_of_its_relation_and_threshold(name, s
         assert step.checks.relation == step.relation
         assert step.checks.bound == step.threshold
     assert verify_transcript(t).passed
+
+
+def _random_basis(rng) -> list:
+    """A super-increasing basis (descent until the table is built) or any
+    other sparse one (table from the start)."""
+    if rng.random() < 0.5:
+        out, total = [], 0
+        for _ in range(rng.randint(1, 5)):
+            out.append(total + 1 + rng.randint(0, 6))
+            total += out[-1]
+        return out
+    while True:
+        out = rng.sample(range(1, 60), rng.randint(1, 5))
+        if enumerated_decompositions(out) is not None:
+            return sorted(out)
+
+
+def _naive_item_c(b, B, f, elements):
+    """Item (c) by ``conftest.naive_conflict_set``: the first reservoir pair,
+    step by step, whose image lies in the conflict set of an earlier pair
+    image of the picks."""
+    for n in range(len(b)):
+        ys = {f(p) for p in itertools.combinations(b[:n], 2)}
+        conflicts = set().union(*[naive_conflict_set(elements, y) for y in ys])
+        for p in itertools.combinations(B[n].elements, 2):
+            if f(p) in conflicts:
+                return False, f"f({set(p)}) = {f(p)} hits a conflict set at step {n}"
+    return True, ""
+
+
+@SETTINGS
+@given(st.integers(0, 10**6))
+def test_check_hnr_item_c_matches_the_enumerated_conflict_sets(seed):
+    # Pair images of the picks are finite sums (an earlier image must
+    # decompose); a reservoir pair may take any natural, 0 and values
+    # outside FS(D) among them.
+    rng = random.Random(seed)
+    elements = _random_basis(rng)
+    sums = sorted(fs(NatSet(elements)))
+    n = rng.randint(2, 7)
+    b = sorted(rng.sample(range(n), rng.randint(1, n)))
+    table = {p: rng.choice(sums) if rng.random() < 0.6 or set(p) <= set(b)
+             else rng.randint(0, sums[-1] + 3)
+             for p in itertools.combinations(range(n), 2)}
+    f = PairColoring.from_table(n, table)
+    B = [NatSet(rng.sample(range(n), rng.randint(0, n))) for _ in b]
+    expected = _naive_item_c(b, B, f, elements)
+    D = SparseBasis(elements)
+    for built in (False, True):
+        if built:
+            D.fs_set()
+        item = check_hnr_conditions(b, B, f, D).items[2]
+        assert item.name == "(c)" and (item.passed, item.detail) == expected

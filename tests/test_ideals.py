@@ -1,5 +1,7 @@
 import itertools
+import re
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 from unittest import mock
 
@@ -35,6 +37,28 @@ def test_natset_canonical_form():
     assert list(A) == [1, 3, 5]
     with pytest.raises(ValueError):
         NatSet([-1])
+
+
+class _Digit(IntEnum):
+    SEVEN = 7
+    MINUS = -1
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "a", -1, _Digit.MINUS, None, (1,)])
+def test_natset_refuses_each_non_natural_by_name(bad):
+    with pytest.raises(ValueError) as err:
+        NatSet([3, bad])
+    assert str(err.value) == f"natural number expected, got {bad!r}"
+
+
+def test_natset_takes_int_subclasses_but_bool_and_names_the_first_offender():
+    A = NatSet([_Digit.SEVEN, 3])
+    assert A.elements == (3, 7) and type(A.elements[1]) is _Digit
+    items = [4, "a", -1, True, 2.5, 0, -7]
+    first = next(x for x in frozenset(items)
+                 if not isinstance(x, int) or isinstance(x, bool) or x < 0)
+    with pytest.raises(ValueError, match=f"^natural number expected, got {re.escape(repr(first))}$"):
+        NatSet(items)
 
 
 small_sets = st.lists(st.integers(0, 30), max_size=8)

@@ -121,6 +121,28 @@ def test_every_record_survives_copy_deepcopy_and_a_pickle_round_trip(record, tex
             assert getattr(deep, name) is not value
 
 
+class _Slotless(StepChecks):
+    """A record subclass that declares no slot of its own."""
+
+    __slots__ = ()
+
+
+def test_a_subclass_without_slots_of_its_own_keeps_its_parents_fields():
+    a = _Slotless("nat", ">=", 2, ((3,),), (3,))
+    b = _Slotless("nat", ">=", 9, ((4,),), (9,))
+    assert _Slotless._field_names == StepChecks._field_names == StepChecks.__slots__
+    assert a.fields() == {"kind": "nat", "relation": ">=", "bound": 2, "args": ((3,),),
+                          "values": (3,)}
+    assert repr(a) == "_Slotless(kind='nat', relation='>=', bound=2, args=((3,),), values=(3,))"
+    assert a != b and a == _Slotless("nat", ">=", 2, ((3,),), (3,))
+    assert a != StepChecks("nat", ">=", 2, ((3,),), (3,))  # another class
+    assert hash(a) == hash(tuple(a.fields().values())) != hash(())
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is _Slotless and twin == a and repr(twin) == repr(a)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'bound'$"):
+        a.bound = 3
+
+
 def _built(cls, *values):
     record = object.__new__(cls)  # a transcript derives some fields, so no re-build
     record._fill(*values)

@@ -24,6 +24,7 @@ from idealforge import (
     is_very_sparse,
     very_sparse_subset,
 )
+from idealforge import sparse
 from idealforge.errors import NotInFS, NotSparse
 from idealforge.sparse import fs_bases
 
@@ -250,6 +251,85 @@ def test_fs_bases_checks_its_arguments_at_the_call():
         fs_bases(NatSet([1, 2, 3]), 0)
     with pytest.raises(ValueError, match="natural number expected"):
         fs_bases([1, -2], 1)
+
+
+def _sets_about_the_bound(k: int, rng: random.Random) -> list:
+    """Sets of 2^k - 2, 2^k - 1 and 2^k members: FS(1, 2, ..., 2^(k-1)),
+    which holds its basis, with one member dropped or one added, and random
+    sets of each size."""
+    full = list(range(1, 1 << k))
+    out = [full[:-1], full, full + [1 << k]]
+    for size in ((1 << k) - 2, (1 << k) - 1, 1 << k):
+        out += [rng.sample(range(3 << k), size) for _ in range(6)]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_find_fs_subset_matches_the_oracle_about_the_size_bound(k):
+    rng = random.Random(k)
+    for A in _sets_about_the_bound(k, rng):
+        expected = naive_fs_subset(sorted(A), k)
+        got = find_fs_subset(NatSet(A), k)
+        assert (got is None) == (expected is None)
+        if expected is not None:
+            assert got.elements == expected
+    assert find_fs_subset(NatSet(range(1, 1 << k)), k) == NatSet([1 << i for i in range(k)])
+
+
+def test_find_fs_subset_searches_no_set_below_the_size_bound(monkeypatch):
+    calls = []
+
+    def spy(A, k):
+        calls.append((len(A), k))
+        return fs_bases(A, k)
+
+    monkeypatch.setattr(sparse, "fs_bases", spy)
+    assert find_fs_subset(NatSet(range(5)), 10**6) is None
+    for k in range(1, 6):
+        assert find_fs_subset(NatSet(range(1, (1 << k) - 1)), k) is None
+        assert find_fs_subset(list(range((1 << k) - 2)), k) is None  # a list is checked too
+    assert find_fs_subset(NatSet(), 1) is None
+    assert calls == []
+    # at the bound the search runs
+    assert find_fs_subset(NatSet(range(1, 8)), 3) == NatSet([1, 2, 4])
+    assert calls == [(7, 3)]
+
+
+def test_find_fs_subset_checks_k_and_its_set_before_the_size_bound():
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        find_fs_subset(NatSet(), 0)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        find_fs_subset([-1], 0)  # k first, as fs_bases checks it
+    with pytest.raises(ValueError, match="^natural number expected, got -1$"):
+        find_fs_subset([-1], 3)  # below the bound, yet refused
+    with pytest.raises(ValueError, match="^natural number expected, got True$"):
+        find_fs_subset([True], 10**6)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(super_increasing_bases, ordinary_sparse_bases))
+@example([0])
+@example([1, 2, 4, 8, 16, 32, 64, 128])
+def test_alpha_and_mask_match_enumeration_before_and_after_the_table(elements):
+    """A super-increasing basis decomposes by descent until its table is
+    built; any other basis reads the table from the start.  alpha reads the
+    set bits of the same mask either way."""
+    decomp = enumerated_decompositions(elements)
+    xs = tuple(sorted(elements))
+    missing = max(decomp) + 1
+    message = f"{missing} has no decomposition over {list(xs)}"
+    D = SparseBasis(elements)
+    for built in (False, True):
+        if built:
+            D.fs_set()
+        for x, parts in decomp.items():
+            assert D.alpha(x).elements == tuple(sorted(parts))
+            assert D.mask(x) == sum(1 << xs.index(d) for d in parts)
+        for call in (D.alpha, D.mask):
+            with pytest.raises(NotInFS) as err:
+                call(missing)
+            assert str(err.value) == message
 
 
 # Each element exceeds the sum of those before it, with more elements than
