@@ -58,7 +58,6 @@ from .report import Report, rational_str
 from .sparse import (
     SparseBasis,
     VerySparseFlag,
-    binary_alpha,
     conflict_set,
     find_fs_subset,
     fs,

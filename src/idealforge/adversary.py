@@ -23,8 +23,7 @@ from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
 from .ideals import NatSet, Record, progressions, reciprocal_sum
 from .report import RELATIONS, Report, StepChecks, rational_str
-from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_very_sparse, \
-    require_fs_cap
+from .sparse import SparseBasis, find_fs_subset, fs, is_very_sparse, require_fs_cap
 
 
 class SearchBudget(Record):
@@ -410,6 +409,8 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
 def _shifted_image_free(f: PairColoring, anchor: int, pool: Sequence[int],
                         y: int, fs_size: int) -> bool:
     values = {f((anchor, b)) for b in pool if b != anchor}
+    if fs_size > 0 and (len(values) + 1) >> fs_size == 0:
+        return True  # fewer values than a basis has sums, as find_fs_subset bounds them
     shifted = NatSet(v - y for v in values if v >= y)
     return find_fs_subset(shifted, fs_size) is None
 
@@ -581,14 +582,8 @@ def replay_final_contradiction(f: PairColoring, D: SparseBasis, b: NatSet,
             "no admissible C at this scale"
         )
     c = C.min()
-    pivot = None
-    for j in range(len(pts)):
-        for n in range(j + 1, len(pts)):
-            if f((pts[j], pts[n])) == c:
-                pivot = (j, n)
-                break
-        if pivot:
-            break
+    pivot = next((p for p in itertools.combinations(range(len(pts)), 2)
+                  if f((pts[p[0]], pts[p[1]])) == c), None)
     if pivot is None:
         raise NoSuchC(f"no pair of the grown points maps to c = {c}")
     _, n_idx = pivot
@@ -643,9 +638,6 @@ class GammaMap:
                 raise ValueError(f"f({x}) = ({z0},{z1}) is not a strict pair")
             norm[x] = (z0, z1)
         self.table = norm
-
-    def get(self, x: int) -> Optional[Tuple[int, int]]:
-        return self.table.get(x)
 
     def inv_second(self, m: int) -> NatSet:
         """Preimage of the column {(z0, m) : z0 > m}."""
@@ -711,7 +703,7 @@ def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Rep
             report.fail("(c)", f"finite sums of x_0..x_{n} escape the ambient sums")
         if not Ds[n].fs_set().issubset(prev.fs_set()):
             report.fail("(d)", f"FS(D_{n}) not inside FS(D_{n-1})")
-        fsn = set(Ds[n].fs_set())
+        fsn = Ds[n].fs_set()
         for i in range(1, n + 2):
             col = f.inv_second(k + i)
             for x in fs(NatSet(xs[: n + 1])):
@@ -739,12 +731,8 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
                 "(f)", "(g1)", "(g2)"):
         report.add(key, True)
     bases = [X, *Ds]  # bases[i] is the basis before step i
-
-    def banned(i: int) -> set:
-        out: set = set()
-        for q in range(i + 1):
-            out |= set(Fs[q])
-        return out
+    image = f.table.get  # a partial map: None off its domain
+    banned: set = set()  # the indices in F_0, ..., F_(i-1); F_i joins before (e)
 
     for i in range(depth):
         prev = bases[i]
@@ -753,7 +741,7 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
             report.fail("(a1)", f"n_{i} = {ns[i]} does not increase")
         coord_bound = 0
         for x in fs(NatSet(xs[:i])):
-            got = f.get(x)  # image of a partial map skips undefined points
+            got = image(x)  # the image skips undefined points
             if got is not None:
                 coord_bound = max(coord_bound, got[0])
         if ns[i] <= coord_bound:
@@ -771,65 +759,61 @@ def _check_rnh_case2(bundle: RnhCase2Bundle, f: GammaMap, X: SparseBasis) -> Rep
                 report.fail("(c1)", f"k_{i} = {ks[i]} but the branch flag is 0")
             if set(Fs[i]):
                 report.fail("(c2)", f"F_{i} nonempty on branch 0")
-            got = f.get(xs[i])
+            got = image(xs[i])
             if xs[i] not in prev or got is None or got[1] != ns[i]:
                 report.fail("(c3)", f"x_{i} not a previous-basis sum landing in column {ns[i]}")
             for d in Ds[i].fs_set():
-                got = f.get(xs[i] + d)
+                got = image(xs[i] + d)
                 if got is None or got[1] != ns[i]:
                     report.fail("(c4)", f"x_{i} + {d} does not land in column {ns[i]}")
                     break
         else:
-            eligible = {u for u in range(i)
-                        if u not in banned(i - 1) and js[u] == 0}
+            eligible = {u for u in range(i) if u not in banned and js[u] == 0}
             if ks[i] not in eligible:
                 report.fail("(d1)", f"k_{i} = {ks[i]} not an eligible branch-0 index")
             if set(Fs[i]) != set(range(ks[i], i)):
                 report.fail("(d2)", f"F_{i} != {{k_{i}, ..., {i - 1}}}")
             target = (ns[i], ns[ks[i]]) if 0 <= ks[i] < depth else None
-            if target is None or f.get(xs[i]) != target:
+            if target is None or image(xs[i]) != target:
                 report.fail("(d3a)", f"x_{i} does not map to ({ns[i]}, n_k)")
-            mids = {0} | set(fs(NatSet(
-                xs[r] for r in range(ks[i] + 1, i) if r not in banned(i - 1)
-            )))
-            hit = any(
-                xs[i] == xs[ks[i]] + mid + d
-                for mid in mids for d in prev.fs_set()
-            ) if 0 <= ks[i] < depth else False
-            if not hit:
+            mids = {0, *fs(NatSet(xs[r] for r in range(ks[i] + 1, i) if r not in banned))}
+            fs_prev = prev.fs_set()  # not prev: the basis {0} decomposes 0, FS({0}) is empty
+            if not (0 <= ks[i] < depth
+                    and any(xs[i] - xs[ks[i]] - mid in fs_prev for mid in mids)):
                 report.fail("(d3b)", f"x_{i} not reachable from x_k plus middle sums "
                                      f"plus FS(D_{i-1})")
             if target is not None:
                 for d in Ds[i].fs_set():
-                    if f.get(xs[i] + d) != target:
+                    if image(xs[i] + d) != target:
                         report.fail("(d4)", f"x_{i} + {d} does not map to {target}")
                         break
+        banned.update(Fs[i])
         # (e)
-        allowed = [t for t in range(i) if t not in banned(i)]
+        allowed = [t for t in range(i) if t not in banned]
         for r in range(1, len(allowed) + 1):
             for S in itertools.combinations(allowed, r):
                 x = sum(xs[t] for t in S)
                 target = (ns[i], ns[S[0]])
                 for d in Ds[i].fs_set():
-                    if f.get(x + xs[i] + d) == target:
+                    if image(x + xs[i] + d) == target:
                         report.fail("(e1)", f"x + x_{i} + FS(D_{i}) hits {target}")
                         break
                 for d in Ds[i].fs_set():
-                    if f.get(x + d) == target:
+                    if image(x + d) == target:
                         report.fail("(e2)", f"x + FS(D_{i}) hits {target}")
                         break
-                if f.get(x + xs[i]) == target:
+                if image(x + xs[i]) == target:
                     report.fail("(e3)", f"x + x_{i} maps to {target}")
-        # (f)
+        # (f): a sum y of FS(D_i) is never 0, so y in Dt means y is in FS(Dt)
         for t, Dt in enumerate(bases[: i + 1], -1):
             for u in range(i + 1):
                 if xs[u] not in Dt:
                     continue
-                hits = conflict_set(Dt, xs[u])
-                if any(y in hits for y in Ds[i].fs_set()):
+                mask_u = Dt.mask(xs[u])
+                if any(y in Dt and Dt.mask(y) & mask_u for y in Ds[i].fs_set()):
                     report.fail("(f)", f"FS(D_{i}) meets the conflict set of x_{u} over D_{t}")
         # (g)
-        allowed_incl = [t for t in range(i + 1) if t not in banned(i)]
+        allowed_incl = [t for t in range(i + 1) if t not in banned]
         if not fs(NatSet(xs[t] for t in allowed_incl)).issubset(X.fs_set()):
             report.fail("(g1)", f"allowed sums up to {i} escape FS(X)")
         for r in range(2, len(allowed_incl) + 1):

@@ -389,11 +389,3 @@ def find_fs_subset(A: NatSet, k: int) -> Optional[NatSet]:
 def conflict_set(D: SparseBasis, y: int) -> NatSet:
     """All x in FS(D) whose decomposition meets the decomposition of y."""
     return D.sums_meeting(D.mask(y))
-
-
-def binary_alpha(x: int) -> NatSet:
-    """Decomposition over the base of powers of two: the binary expansion."""
-    if x < 0:
-        raise ValueError("natural expected")
-    return NatSet._trusted(tuple([1 << i for i in range(x.bit_length()) if (x >> i) & 1]))
-

@@ -174,6 +174,71 @@ def naive_conflict_set(elements, y) -> list:
                   if x != 0 and parts & decomp[y])
 
 
+def plain_subset_sums(values) -> set:
+    """The sums of every subset of the distinct values, 0 for the empty one."""
+    vs = sorted(set(values))
+    return {sum(c) for r in range(len(vs) + 1) for c in itertools.combinations(vs, r)}
+
+
+def naive_rnh_case2_items(ns, js, ks, Fs, xs, bases, table) -> dict:
+    """Items (d1), (d3b), (e1)-(e3), (f), (g1) and (g2) of a case-2 bundle as
+    (passed, detail of the first failure), re-derived from the definitions.
+
+    ``bases`` lists the elements of X, D_0, ..., D_(depth-1), each a sparse
+    basis of positive numbers; ``table`` is the map f as a dict.  FS of a
+    basis is the key set of ``enumerated_decompositions``, conflict sets come
+    from ``naive_conflict_set``, the sums of points are plain subset sums, and
+    the banned indices of step i are F_0 | ... | F_i, formed afresh."""
+    depth = len(xs)
+    sums = [set(_decompositions_of(tuple(sorted(e)))) for e in bases]  # FS, by index
+    out = {}
+
+    def fail(name, detail):
+        if name not in out:
+            out[name] = (False, detail)
+
+    def banned(i):
+        return set().union(*[set(F) for F in Fs[: i + 1]])
+
+    for i in range(depth):
+        valid_k = 0 <= ks[i] < depth
+        if js[i] == 1:
+            if not any(ks[i] == u and js[u] == 0 and u not in banned(i - 1)
+                       for u in range(i)):
+                fail("(d1)", f"k_{i} = {ks[i]} not an eligible branch-0 index")
+            middle = [xs[r] for r in range(ks[i] + 1, i) if r not in banned(i - 1)]
+            if not (valid_k and any(xs[ks[i]] + mid + d == xs[i]
+                                    for mid in plain_subset_sums(middle) for d in sums[i])):
+                fail("(d3b)", f"x_{i} not reachable from x_k plus middle sums "
+                              f"plus FS(D_{i-1})")
+        allowed = [t for t in range(i) if t not in banned(i)]
+        for r in range(1, len(allowed) + 1):
+            for S in itertools.combinations(allowed, r):
+                x = sum(xs[t] for t in S)
+                target = (ns[i], ns[S[0]])
+                if any(table.get(x + xs[i] + d) == target for d in sums[i + 1]):
+                    fail("(e1)", f"x + x_{i} + FS(D_{i}) hits {target}")
+                if any(table.get(x + d) == target for d in sums[i + 1]):
+                    fail("(e2)", f"x + FS(D_{i}) hits {target}")
+                if table.get(x + xs[i]) == target:
+                    fail("(e3)", f"x + x_{i} maps to {target}")
+        for t in range(-1, i):
+            for u in range(i + 1):
+                if xs[u] in sums[t + 1]:
+                    conflicts = set(naive_conflict_set(tuple(sorted(bases[t + 1])), xs[u]))
+                    if conflicts & sums[i + 1]:
+                        fail("(f)", f"FS(D_{i}) meets the conflict set of x_{u} over D_{t}")
+        allowed_incl = [t for t in range(i + 1) if t not in banned(i)]
+        if not plain_subset_sums(xs[t] for t in allowed_incl) - {0} <= sums[0]:
+            fail("(g1)", f"allowed sums up to {i} escape FS(X)")
+        for r in range(2, len(allowed_incl) + 1):
+            for S in itertools.combinations(allowed_incl, r):
+                if sum(xs[t] for t in S[1:]) not in sums[S[0] + 1]:
+                    fail("(g2)", f"sum over {S} not in x_{S[0]} + FS(D_{S[0]})")
+    names = ("(d1)", "(d3b)", "(e1)", "(e2)", "(e3)", "(f)", "(g1)", "(g2)")
+    return {name: out.get(name, (True, "")) for name in names}
+
+
 def naive_very_sparse_counterexample(elements):
     """First pair x < y of nonzero sums, in lexicographic order, whose
     decompositions overlap while x + y is again a subset sum; None if none."""

@@ -331,7 +331,7 @@ def test_gamma_map_validation():
         GammaMap({3: (1, 1)})
     g = GammaMap({3: (2, 1), 7: (9, 1), 8: (5, 2)})
     assert g.inv_second(1) == NatSet([3, 7])
-    assert g.get(4) is None
+    assert g.table.get(4) is None
 
 
 def powers_of_ten():
@@ -427,7 +427,16 @@ def test_rnh_case2_depth_three_with_branch_middle():
     rep = check_rnh_conditions(bundle, GammaMap(table), Xb)
     assert rep.passed, rep.failed_names()
     # the final point must actually sit in column 7, not ride a default
-    assert GammaMap(table).get(1000) == (8, 7)
+    assert GammaMap(table).table[1000] == (8, 7)
+
+
+def test_rnh_case2_d3b_asks_fs_of_the_previous_basis():
+    # x_1 = x_0 + 0, and the basis {0} decomposes 0 while FS({0}) is empty,
+    # so x_1 reaches x_0 by no sum of D_0 (and maps to (5, 1), not (6, 1))
+    bundle = RnhCase2Bundle(ns=[1, 6], js=[0, 1], ks=[-1, 0], Fs=[frozenset(), frozenset([0])],
+                            xs=[11, 11], Ds=[SparseBasis([0]), SparseBasis([0])])
+    rep = check_rnh_conditions(bundle, GammaMap({11: (5, 1)}), powers_of_ten())
+    assert rep.failed_names() == ["(d3a)", "(d3b)"]
 
 
 def test_rnh_case2_single_violations():

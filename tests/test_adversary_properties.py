@@ -42,14 +42,16 @@ from idealforge import (
     fs,
     verify_transcript,
 )
-from idealforge.adversary import check_hnr_conditions
+from idealforge.adversary import GammaMap, RnhCase2Bundle, check_hnr_conditions, \
+    check_rnh_conditions
 from idealforge.adversary import READ_BLOCK
 from idealforge.canonical import cantor_pair, high_bit, low_bit
 from idealforge.errors import IdealforgeError, SearchExhausted
 from idealforge.report import StepChecks, dumps_stable
 
-from conftest import enumerated_decompositions, naive_conflict_set, rescan_defeat_h_inj, \
-    rescan_defeat_r_summable, rescan_defeat_w_summable, subset_sum_counts, w_scan_reach
+from conftest import enumerated_decompositions, naive_conflict_set, naive_rnh_case2_items, \
+    plain_subset_sums, rescan_defeat_h_inj, rescan_defeat_r_summable, rescan_defeat_w_summable, \
+    subset_sum_counts, w_scan_reach
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -551,3 +553,59 @@ def test_check_hnr_item_c_matches_the_enumerated_conflict_sets(seed):
             D.fs_set()
         item = check_hnr_conditions(b, B, f, D).items[2]
         assert item.name == "(c)" and (item.passed, item.detail) == expected
+
+
+def _random_case2(rng):
+    """A small case-2 bundle as plain lists: ns, js, ks, Fs, xs and the
+    elements of X, D_0, ..., D_(depth-1).  Each D_i is mostly a sparse basis
+    of sums of the one before, each x_i mostly a sum of the basis before it,
+    and a branch-1 step mostly takes its F, and an x reaching x_k by a middle
+    sum and a sum of the basis before it, so that items pass and fail alike."""
+    bases = [_random_basis(rng)]
+    depth = rng.randint(2, 4)
+    for _ in range(depth):
+        pool = sorted(fs(NatSet(bases[-1])))
+        pick = sorted(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        sparse = rng.random() < 0.8 and enumerated_decompositions(pick) is not None
+        bases.append(pick if sparse else _random_basis(rng))
+    ns, js, ks, Fs, xs = [], [], [], [], []
+    for i in range(depth):
+        Fi = frozenset(rng.sample(range(depth + 1), rng.randint(1, 2)) if rng.random() < 0.3
+                       else ())
+        xi = rng.choice(sorted(fs(NatSet(bases[i])))) if rng.random() < 0.7 \
+            else rng.randint(0, 300)
+        j = rng.randint(0, 1) if i else 0
+        k = rng.randint(-1, depth) if j else -1
+        if j and 0 <= k < i and rng.random() < 0.7:
+            Fi = frozenset(range(k, i))
+            middle = [xs[r] for r in range(k + 1, i) if rng.random() < 0.5]
+            xi = xs[k] + rng.choice(sorted(plain_subset_sums(middle))) + \
+                rng.choice(sorted(fs(NatSet(bases[i]))))
+        ns.append(rng.randint(0, 3))
+        js.append(j)
+        ks.append(k)
+        Fs.append(Fi)
+        xs.append(xi)
+    return ns, js, ks, Fs, xs, bases
+
+
+@SETTINGS
+@given(st.integers(0, 10**6))
+def test_check_rnh_case2_items_match_a_brute_force_rederivation(seed):
+    # f maps a random part of [0, top] into small column pairs, so the
+    # (e) targets (n_i, n_t) are met as often as missed.
+    rng = random.Random(seed)
+    ns, js, ks, Fs, xs, bases = _random_case2(rng)
+    top = sum(xs) + max(fs(NatSet(bases[0])))
+    density = rng.random()
+    table = {}
+    for x in range(top + 1):
+        if rng.random() < density:
+            z1 = rng.randint(0, 2)
+            table[x] = (rng.randint(z1 + 1, 3), z1)
+    expected = naive_rnh_case2_items(ns, js, ks, Fs, xs, bases, table)
+    bundle = RnhCase2Bundle(ns, js, ks, Fs, xs, [SparseBasis(e) for e in bases[1:]])
+    report = check_rnh_conditions(bundle, GammaMap(table), SparseBasis(bases[0]))
+    got = {item.name: (item.passed, item.detail) for item in report.items
+           if item.name in expected}
+    assert got == expected

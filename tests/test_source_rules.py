@@ -341,6 +341,24 @@ def test_the_writer_imports_no_engine_layer():
     assert found == []
 
 
+def test_the_engines_decide_conflicts_by_mask_not_by_building_conflict_sets():
+    # A sum x of FS(D) meets the conflict set of y iff D.mask(x) & D.mask(y),
+    # so the engines and checkers ask that of each sum they test; a built
+    # conflict set would be a second formulation of the same question.
+    path = PACKAGE / "adversary.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"adversary.py:{node.lineno}" for alias in node.names
+                      if alias.name.split(".")[-1] == "conflict_set"]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("conflict_set", "sums_meeting"):
+                found.append(f"adversary.py:{node.lineno}")
+    assert found == []
+
+
 def test_only_record_fill_sets_a_slot_past_the_records_refusal():
     # Every record refuses assignment once built; ``Record._fill`` is the one
     # way to set its slots, so no record is filled, or changed, any other way.

@@ -6,7 +6,6 @@ import pytest
 from idealforge import (
     NatSet,
     SparseBasis,
-    binary_alpha,
     conflict_set,
     find_fs_subset,
     fs,
@@ -78,12 +77,6 @@ def test_alpha_roundtrip_with_uniqueness_oracle(rng):
         for x in basis.fs_set():
             assert counts[x] == 1
             assert sum(basis.alpha(x)) == x
-
-
-def test_binary_alpha():
-    assert binary_alpha(0) == NatSet()
-    assert binary_alpha(13) == NatSet([1, 4, 8])
-    assert sum(binary_alpha(12345)) == 12345
 
 
 def test_is_very_sparse_examples():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from idealforge import (
     NatSet,
     SparseBasis,
-    binary_alpha,
     conflict_set,
     find_fs_subset,
     fs,
@@ -365,14 +364,6 @@ def test_very_sparse_subset_follows_the_growth_rule(seed, k):
     assert D.elements == tuple(chosen)
     assert naive_very_sparse_counterexample(chosen) is None
     assert_canonical_natset(D.fs_set())
-
-
-@SETTINGS
-@given(st.integers(0, 1 << 40))
-def test_binary_alpha_is_canonical(x):
-    bits = binary_alpha(x)
-    assert sum(bits) == x
-    assert_canonical_natset(bits)
 
 
 def test_zero_basis_keeps_zero_out_of_its_sums():
