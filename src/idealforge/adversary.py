@@ -11,6 +11,7 @@ nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .canonical import BlockBasis, CanonicalCase, NatColoring, PairColoring, \
     classify_fs_on, classify_pairs_on, fs_case, fs_values, least_subset, pair_case, pair_values
 from .errors import CaseMismatch, DegeneratePair, MalformedBundle, NoSuchC, \
     SearchExhausted, ZeroInput
-from .ideals import NatSet, Record, progressions, reciprocal_sum
+from .ideals import NatSet, Record, progressions, reciprocal_sum, reciprocal_terms
 from .report import RELATIONS, Report, StepChecks, rational_str
 from .sparse import SparseBasis, find_fs_subset, fs, is_very_sparse, require_fs_cap
 
@@ -98,6 +99,12 @@ def fin2_to_r_map(pair) -> Tuple[int, int]:
     return (k, i - k - 1)
 
 
+@functools.lru_cache(maxsize=128)
+def _majorant(term: Callable[[int], Fraction], steps: range) -> Fraction:
+    """The exact sum of term(n) over the steps, once per rule and step range."""
+    return sum(map(term, steps), Fraction(0))
+
+
 def _require_case(got: Optional[CanonicalCase], case: CanonicalCase, message: str) -> None:
     """Raise CaseMismatch unless the classifier gave the declared case; the
     message is formatted with the declared ``case`` and the ``got`` one."""
@@ -167,7 +174,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = _DEFAULT_BUDGET) 
         """Grow the prefix through the block that holds x."""
         lo = len(values)
         hi = min(bound, READ_BLOCK * (x // READ_BLOCK + 1))
-        block = phi.read(lo, hi)
+        block = phi.values(range(lo, hi))
         values.extend(block)
         keep = map(operator.le, itertools.repeat(thr), block)
         good.extend(itertools.compress(range(lo, hi), keep))
@@ -207,7 +214,7 @@ def defeat_w_summable(phi: NatColoring, budget: SearchBudget = _DEFAULT_BUDGET) 
         ))
         blocks.append(F)
     witness = NatSet(itertools.chain.from_iterable(b.elements for b in blocks))
-    majorant = sum(map(term, range(1, budget.max_steps + 1)), Fraction(0))
+    majorant = _majorant(term, range(1, budget.max_steps + 1))
     return Transcript("w-summable", {"n_max": budget.max_steps, "scan_bound": bound}, steps,
                       {"set": witness, "blocks": blocks}, [values[x] for x in witness],
                       majorant, phi)
@@ -276,7 +283,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
                 if total + c >= window:
                     break  # finite sums would leave the coloring's domain
                 points = [c, *(c + e for e in extras)]
-                got = list(map(phi, points))
+                got = phi.values(points)
                 if min(got) > thr:
                     picked = (idx, c, points, got)
                     break
@@ -305,7 +312,7 @@ def defeat_h_summable(phi: NatColoring, C: BlockBasis, case: CanonicalCase,
         if len(chosen) >= 3:
             _require_case(fs_case(tuple(chosen), sums, values), case,
                           "selected basis classifies as {got}, not {case}")
-        majorant = sum(map(term, range(n_max)), Fraction(0))
+        majorant = _majorant(term, range(n_max))
 
     return Transcript("h-summable", {"n_max": n_max, "case": case.value, "window": window},
                       steps, {"basis": NatSet(chosen)}, values, majorant, phi)
@@ -401,7 +408,7 @@ def defeat_r_summable(phi: PairColoring, T: NatSet, case: CanonicalCase,
         _require_case(pair_case(Hset.elements, values), case,
                       "selected set classifies as {got}, not {case}")
     majorant = Fraction(1, steps[0].threshold + 1) if case is CanonicalCase.CONST \
-        else sum(map(rules[case][1], range(n_max)), Fraction(0))
+        else _majorant(rules[case][1], range(n_max))
     return Transcript("r-summable", {"n_max": n_max, "case": case.value, "ground_size": len(T)},
                       steps, {"h": Hset}, values, majorant, phi)
 
@@ -699,14 +706,15 @@ def _check_rnh_case1(bundle: RnhCase1Bundle, f: GammaMap, X: SparseBasis) -> Rep
         flag = is_very_sparse(Ds[n])
         if not flag:
             report.fail("(b)", f"D_{n} not very sparse: {flag.counterexample}")
-        if not fs(NatSet(xs[: n + 1])).issubset(D.fs_set()):
+        sums = fs(NatSet(xs[: n + 1]))  # FS(x_0..x_n), for (c) and each column of (e)
+        if not sums.issubset(D.fs_set()):
             report.fail("(c)", f"finite sums of x_0..x_{n} escape the ambient sums")
         if not Ds[n].fs_set().issubset(prev.fs_set()):
             report.fail("(d)", f"FS(D_{n}) not inside FS(D_{n-1})")
         fsn = Ds[n].fs_set()
         for i in range(1, n + 2):
             col = f.inv_second(k + i)
-            for x in fs(NatSet(xs[: n + 1])):
+            for x in sums:
                 for z in col:
                     if z >= x and (z - x) in fsn:
                         report.fail("(e)", f"column {k + i} shifted by {x} meets "
@@ -865,11 +873,13 @@ def verify_transcript(t: Transcript, coloring=None) -> Report:
     phi = coloring if coloring is not None else t.coloring
     bad = _first_bad_check(t.steps, phi)
     report = Report(meta={"strategy": t.strategy}).add("checks", not bad, bad)
-    recomputed = NatSet(phi(p) for p in STRATEGIES[t.strategy].image(t.witness))
+    recomputed = NatSet(phi.values(list(STRATEGIES[t.strategy].image(t.witness))))
     report.add("image", recomputed == t.image,
                "" if recomputed == t.image else "image drifted on re-query")
-    report.add("certificate", t.certified_sum == reciprocal_sum(recomputed),
-               rational_str(t.certified_sum))
+    # The recomputed sum p/q, left unreduced, equals c = n/d exactly when p d == n q.
+    p, q = reciprocal_terms(recomputed.elements)
+    c = t.certified_sum
+    report.add("certificate", p * c.denominator == c.numerator * q, rational_str(c))
     if t.majorant is not None:
         report.add("majorant", t.certified_sum <= t.majorant,
                    f"{rational_str(t.certified_sum)} <= {rational_str(t.majorant)}")

@@ -11,6 +11,7 @@ directions.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -73,21 +74,17 @@ class NatColoring:
             raise ValueError(f"coloring value {value} at {x} is not a natural")
         return value
 
-    def read(self, start: int, stop: int) -> List[int]:
-        """[phi(start), ..., phi(stop - 1)] in one pass of the evaluator, with
-        the error of querying those points in order.  The evaluator runs on
-        every point of the window in [start, stop) before the values are
-        checked, so a caller that needs only a prefix reads it block by
-        block, one call per block."""
-        if start < 0 and start < stop:
-            raise WindowExceeded(f"{start} outside coloring window [0, {self.window})")
-        values = list(map(self._fn, range(start, min(stop, self.window))))
+    def values(self, points) -> List[int]:
+        """[phi(x) for x in points], or that loop's first error, from one map of
+        the evaluator when every point of the sequence (of a range: both ends)
+        lies in the window; a negative value then raises after the whole map."""
+        ends = (points[0], points[-1]) if type(points) is range and points else points
+        if points and (min(ends) < 0 or max(ends) >= self.window):
+            return [self(x) for x in points]
+        values = list(map(self._fn, points))
         if values and min(values) < 0:
-            i = next(i for i, v in enumerate(values) if v < 0)
-            raise ValueError(f"coloring value {values[i]} at {start + i} is not a natural")
-        if stop > max(start, self.window):
-            raise WindowExceeded(
-                f"{max(start, self.window)} outside coloring window [0, {self.window})")
+            x, v = next((x, v) for x, v in zip(points, values) if v < 0)
+            raise ValueError(f"coloring value {v} at {x} is not a natural")
         return values
 
     @classmethod
@@ -146,6 +143,19 @@ class PairColoring:
         if value < 0:
             raise ValueError(f"coloring value {value} at ({i},{j}) is not a natural")
         return value
+
+    def values(self, pairs) -> List[int]:
+        """[phi(p) for p in pairs], as ``NatColoring.values`` gives it: one map
+        when every pair of the sequence is (i, j) with 0 <= i < j < n."""
+        if {*map(len, pairs)} == {2}:
+            lows, highs = zip(*pairs)
+            if min(lows) >= 0 and max(highs) < self.n and all(map(operator.lt, lows, highs)):
+                values = list(map(self._fn, lows, highs))
+                if min(values) < 0:
+                    i, j, v = next(ijv for ijv in zip(lows, highs, values) if ijv[2] < 0)
+                    raise ValueError(f"coloring value {v} at ({i},{j}) is not a natural")
+                return values
+        return [self(p) for p in pairs]
 
     @classmethod
     def from_table(cls, n: int, table: Dict[Tuple[int, int], int]) -> "PairColoring":
@@ -227,7 +237,7 @@ def _case(values, keyed, where) -> Optional[CanonicalCase]:
 
 def pair_values(phi: PairColoring, points) -> List[int]:
     """phi on the pairs of the ascending points, in combinations order."""
-    return [phi(p) for p in itertools.combinations(points, 2)]
+    return phi.values(list(itertools.combinations(points, 2)))
 
 
 def pair_case(points, values) -> Optional[CanonicalCase]:
@@ -242,7 +252,7 @@ def fs_values(phi: NatColoring, sums) -> List[int]:
     """phi on the ascending finite sums, in order: the sums inside the window
     are queried before the first one outside it raises WindowExceeded."""
     inside = bisect_left(sums, phi.window)
-    values = list(map(phi, sums[:inside]))
+    values = phi.values(sums[:inside])
     if inside < len(sums):
         raise WindowExceeded(
             f"finite sum {sums[inside]} outside coloring window [0, {phi.window})"

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CannotAvoid, CarrierMismatch
 
@@ -332,26 +332,32 @@ def progressions(xs: Iterable[int], member: Callable[[int], bool], k: int, top: 
 
 
 def reciprocal_sum(A: NatSet) -> Fraction:
-    """Exact value of sum over a in A of 1/(a+1).
-
-    Summed by binary splitting: each half of the elements sums to an
-    unreduced pair (p, q) worth p/q, two halves (p, q) and (r, s) combine
-    to (p s + r q, q s), and ``Fraction`` reduces once at the end instead of
-    taking a gcd at every term.
-    """
+    """Exact value of sum over a in A of 1/(a+1): ``reciprocal_terms``, reduced once."""
     if not isinstance(A, NatSet):
         raise CarrierMismatch(f"reciprocal sum takes a NatSet, got {type(A).__name__}")
-    xs = A.elements
+    return Fraction(*reciprocal_terms(A.elements))
+
+
+RECIPROCAL_LEAF = 16  # terms per leaf of reciprocal_terms' product tree
+
+
+def reciprocal_terms(xs: Sequence[int]) -> Tuple[int, int]:
+    """(p, q), q > 0 and unreduced, with p/q the sum of 1/(x+1) over xs: a
+    balanced product tree whose leaves, runs of at most RECIPROCAL_LEAF terms,
+    are summed in a plain loop, and whose halves combine as (p s + r q, q s)."""
 
     def split(lo: int, hi: int) -> Tuple[int, int]:
-        if hi - lo == 1:
-            return 1, xs[lo] + 1
+        if hi - lo <= RECIPROCAL_LEAF:
+            p, q = 0, 1
+            for x in xs[lo:hi]:
+                p, q = p * (x + 1) + q, q * (x + 1)
+            return p, q
         mid = (lo + hi) // 2
         p, q = split(lo, mid)
         r, s = split(mid, hi)
         return p * s + r * q, q * s
 
-    return Fraction(*split(0, len(xs))) if xs else Fraction(0)
+    return split(0, len(xs))
 
 
 def find_clique(G: EdgeSet, k: int) -> Optional[NatSet]:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,13 @@ from idealforge import (
     reciprocal_sum,
     verify_transcript,
 )
+from idealforge import adversary
 from idealforge.adversary import STRATEGIES, Transcript, TranscriptStep
 from idealforge.cli import build_parser, run
 from idealforge.errors import CaseMismatch, DegeneratePair, MalformedBundle, \
     NoSuchC, SearchExhausted, ZeroInput
-from idealforge.report import RELATIONS, CheckItem, StepChecks, dumps_stable
+from idealforge.ideals import _refilled
+from idealforge.report import RELATIONS, CheckItem, StepChecks, dumps_stable, rational_str
 
 from conftest import RULE_ORACLES
 
@@ -380,6 +383,18 @@ def test_rnh_case1_valid_and_breaks():
     assert rep.items[2].detail == "D_1 not very sparse: (100, 300)"
 
 
+def test_rnh_case1_builds_the_finite_sums_of_each_step_once(monkeypatch):
+    Xb = powers_of_ten()
+    bundle = RnhCase1Bundle(k=0, D=Xb, xs=[1, 10],
+                            Ds=[SparseBasis([10, 100]), SparseBasis([100])])
+    f = GammaMap({x: (1, 0) for x in Xb.fs_set()})
+    built, fs = [], adversary.fs
+    monkeypatch.setattr(adversary, "fs", lambda A: built.append(A.elements) or fs(A))
+    assert check_rnh_conditions(bundle, f, Xb).passed
+    # FS(x_0..x_n) serves item (c) and every column of item (e) at step n.
+    assert built == [(1,), (1, 10)]
+
+
 def test_rnh_case2_valid():
     Xb, f, bundle = case2_valid_fixture()
     rep = check_rnh_conditions(bundle, f, Xb)
@@ -686,6 +701,25 @@ def test_a_transcript_refuses_assignment_so_its_certificate_stays_its_images():
     assert t.strategy == "w-summable" and t.image == image
     assert t.certified_sum == certified == reciprocal_sum(image)
     assert verify_transcript(t, NatColoring.identity(1 << 10)).passed
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("rebuild", ["pickle", "_refilled"])
+def test_a_rebuilt_transcript_with_a_moved_certificate_fails_its_certificate(rebuild, delta):
+    # min_alpha's evaluator is a module function, so the transcript pickles.
+    t = defeat_h_summable(NatColoring.min_alpha(1 << 12), BlockBasis([1 << j for j in range(10)]),
+                          CanonicalCase.MIN, SearchBudget(max_steps=4))
+    fields = t.fields()
+    c = fields["certified_sum"]
+    fields["certified_sum"] = Fraction(c.numerator + delta, c.denominator)
+    moved = _refilled(Transcript, tuple(fields.values()))
+    if rebuild == "pickle":
+        moved = pickle.loads(pickle.dumps(moved))
+    assert moved.certified_sum == fields["certified_sum"] != c
+    report = verify_transcript(moved)
+    assert report.failed_names() == ["certificate"]
+    assert report.items[2].detail == rational_str(moved.certified_sum)
+    assert verify_transcript(pickle.loads(pickle.dumps(t))).passed
 
 
 class _Checks(StepChecks):

@@ -204,11 +204,16 @@ def test_table_errors_come_in_order_size_pair_totality(n, rng):
         assert exc.value.missing == [x for x in range(n) if x not in points]
 
 
-READ_BUILTINS = {
+NAT_BUILTINS = {
     "identity": NatColoring.identity,
     "min-alpha": NatColoring.min_alpha,
     "max-alpha": NatColoring.max_alpha,
     "minmax-alpha": NatColoring.minmax_alpha,
+}
+PAIR_BUILTINS = {
+    "minimum": PairColoring.minimum,
+    "maximum": PairColoring.maximum,
+    "pairing": PairColoring.pairing,
 }
 
 
@@ -219,27 +224,77 @@ def _result(call):
         return type(exc).__name__, str(exc)
 
 
-@SETTINGS
-@given(st.sampled_from(sorted(READ_BUILTINS) + ["const", "table"]), st.integers(1, 300),
-       st.integers(-2, 320), st.integers(0, 320), st.one_of(st.none(), st.integers(0, 299)),
-       st.randoms(use_true_random=False))
-def test_bulk_read_equals_the_per_point_loop(family, window, start, stop, plant, rng):
-    """read(start, stop) gives the values, or the error, of querying
-    start..stop-1 in order."""
+def _builtin_nat(rng, family, window):
     if family == "table":
-        table = {x: rng.randrange(1 << rng.randint(1, 40)) for x in range(window)}
-        if plant is not None:
-            for x in rng.sample(range(window), rng.randint(1, min(3, window))):
-                table[x] = -rng.randint(1, 9)
-        phi = NatColoring.from_table(window, table)
+        return NatColoring.from_table(window, {x: rng.randrange(1 << rng.randint(1, 40))
+                                               for x in range(window)})
+    if family == "const":
+        return NatColoring.constant(window, rng.randint(0, 64))
+    return NAT_BUILTINS[family](window)
+
+
+def _builtin_pair(rng, family, n):
+    if family == "table":
+        return PairColoring.from_table(n, {p: rng.randrange(1 << rng.randint(1, 40))
+                                           for p in itertools.combinations(range(n), 2)})
+    if family == "const":
+        return PairColoring.constant(n, rng.randint(0, 64))
+    return PAIR_BUILTINS[family](n)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 40), st.randoms(use_true_random=False))
+def test_bulk_values_equal_the_per_point_loop(data, size, rng):
+    """values(points) gives the values, or the first error, of querying the
+    points one by one, on arbitrary lists: unsorted and repeated points,
+    points below and past the window, swapped, degenerate and out-of-range
+    pairs, and planted negative values; when it gives the values, the
+    evaluator ran once on each point."""
+    kind = data.draw(st.sampled_from(["nat", "pair"]))
+    coord = st.integers(0, size - 1)
+    outside = st.sampled_from([-2, -1, size, size + 1])
+    if kind == "nat":
+        family = data.draw(st.sampled_from(sorted(NAT_BUILTINS) + ["const", "table"]))
+        phi = _builtin_nat(rng, family, size)
+        inside, strays = coord, outside
     else:
-        phi = NatColoring.constant(window, rng.randint(0, 64)) if family == "const" \
-            else READ_BUILTINS[family](window)
-        if plant is not None:
-            bad, fn = plant % window, phi._fn
-            phi = NatColoring(window, fn=lambda x: -1 if x == bad else fn(x))
-    if 0 <= start < window < stop and plant is None:
-        with pytest.raises(WindowExceeded):
-            phi.read(start, stop)
-    assert _result(lambda: phi.read(start, stop)) == \
-        _result(lambda: [phi(x) for x in range(start, stop)])
+        family = data.draw(st.sampled_from(sorted(PAIR_BUILTINS) + ["const", "table"]))
+        phi = _builtin_pair(rng, family, size)
+        inside = st.tuples(coord, coord)
+        strays = (st.tuples(coord, outside) | st.tuples(outside, coord)
+                  | st.tuples(outside, outside) | coord.map(lambda i: (i, i)))
+    # points in the domain, with a few strays at random places among them
+    points = data.draw(st.lists(inside, max_size=30))
+    for stray in data.draw(st.lists(strays, max_size=3)):
+        points.insert(data.draw(st.integers(0, len(points))), stray)
+    planted = data.draw(st.sets(st.sampled_from(points), max_size=3)) if points else set()
+    negative = {p if kind == "nat" else (min(p), max(p)) for p in planted}
+    fn, calls = phi._fn, []
+
+    def counted(*args):
+        calls.append(args)
+        if (args[0] if kind == "nat" else args) in negative:
+            return -1 - len(calls) % 5
+        return fn(*args)
+
+    phi = type(phi)(size, fn=counted)
+    got = _result(lambda: phi.values(points))
+    bulk_calls, calls[:] = len(calls), []
+    assert got == _result(lambda: [phi(p) for p in points])
+    if got[0] == "ok":
+        assert bulk_calls == len(points)
+
+
+@pytest.mark.parametrize("phi,points", [
+    (NatColoring.identity(5), [0, 4, -1]), (NatColoring.identity(5), [5, 0]),
+    (NatColoring(5, fn=lambda x: 3 - x), [0, 4, 5]),
+    (NatColoring.identity(5), range(2, 6)), (NatColoring.identity(5), range(-1, 3)),
+    (NatColoring.identity(5), range(4, -1, -2)), (NatColoring(5, fn=lambda x: 3 - x), range(5)),
+    (PairColoring.pairing(5), [(0, 1), (-1, 3)]), (PairColoring.pairing(5), [(4, 5)]),
+    (PairColoring.pairing(5), [(3, 1), (2, 2)]), (PairColoring.pairing(5), [(1, 2, 3)]),
+    (PairColoring(5, fn=lambda i, j: 2 - j), [(0, 4), (5, 1)]),
+], ids=["nat below", "nat past", "nat negative before past", "range past", "range below",
+        "range descending", "range negative", "pair below", "pair past",
+        "pair degenerate", "pair of three", "pair negative first"])
+def test_bulk_values_at_the_edge_of_the_domain(phi, points):
+    assert _result(lambda: phi.values(points)) == _result(lambda: [phi(p) for p in points])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 from enum import IntEnum
@@ -24,7 +25,7 @@ from idealforge import (
 )
 from idealforge import ideals
 from idealforge.errors import CannotAvoid, CarrierMismatch
-from idealforge.ideals import progressions
+from idealforge.ideals import RECIPROCAL_LEAF, progressions, reciprocal_terms
 
 from conftest import dense_clique, dp_longest_ap, every_ap, harmonic, least_ap, \
     naive_clique, sequential_reciprocal_sum
@@ -268,6 +269,19 @@ def test_reciprocal_sum_harmonic():
 @example({1 << 70})
 def test_reciprocal_sum_equals_the_sequential_sum(members):
     assert reciprocal_sum(NatSet(members)) == sequential_reciprocal_sum(sorted(members))
+
+
+def test_the_product_tree_sums_exactly_at_every_size():
+    # Every size up to 40, the sizes around one, two and four leaves, and
+    # the 511 sums of a 9-block finite-sums image.
+    sizes = {*range(41), *(RECIPROCAL_LEAF * k + d for k in (1, 2, 4) for d in (-1, 0, 1)), 511}
+    for size in sorted(sizes):
+        rng = random.Random(size)
+        shift = rng.choice((0, 45))  # sums below 2^25 or below 2^70
+        xs = tuple(sorted(x << shift for x in rng.sample(range(1 << 25), size)))
+        p, q = reciprocal_terms(xs)
+        assert q > 0 and Fraction(p, q) == sequential_reciprocal_sum(xs), size
+        assert reciprocal_sum(NatSet(xs)) == sequential_reciprocal_sum(xs)
 
 
 def test_find_clique_examples():

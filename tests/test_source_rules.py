@@ -71,7 +71,7 @@ def test_only_canonical_reads_a_colorings_evaluator():
     # A coloring checks each value it evaluates: its window, and that the
     # value is a natural.  An engine calling ``_fn`` directly would skip
     # those checks, so engines evaluate through ``__call__`` or
-    # ``read(start, stop)``.
+    # ``values(points)``.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "canonical.py":
@@ -79,6 +79,28 @@ def test_only_canonical_reads_a_colorings_evaluator():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "_fn"]
+    assert found == []
+
+
+def test_majorants_have_one_sum_and_no_module_reads_a_coloring_window():
+    # A rule's majorant depends only on the rule and the step range, so
+    # adversary sums the terms only in ``_majorant``, which caches each
+    # (term, steps); a sum with a start value anywhere else would be a
+    # second, uncached majorant.  Colorings are queried through
+    # ``__call__`` or ``values``, so no module calls a ``read`` method.
+    path = PACKAGE / "adversary.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_majorant")
+    started = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "sum" and len(node.args) == 2]
+    assert started and all(node in ast.walk(helper) for node in started)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "read"]
     assert found == []
 
 
