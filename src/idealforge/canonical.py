@@ -91,8 +91,9 @@ class NatColoring:
     def from_table(cls, window: int, table: Dict[int, int]) -> "NatColoring":
         """Checks the window, then each value, then totality."""
         coloring = cls(window, dict(table).__getitem__)
-        for x, v in table.items():
-            _require_int(v, x)
+        if not {*map(type, table.values())} <= {int}:  # else name the first non-int
+            for x, v in table.items():
+                _require_int(v, x)
         missing = [x for x in range(window) if x not in table]
         if missing:
             raise Incomplete(missing, kind="nat coloring")

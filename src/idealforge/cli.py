@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import pathlib
 import re
 import shutil
 import sys
@@ -37,6 +38,10 @@ from .sparse import SparseBasis, conflict_set, find_fs_subset, fs, is_sparse, \
     is_very_sparse, very_sparse_subset
 
 _TOKEN = re.compile(r"[,\s]+")
+# Literals whose every token the loops below read as int(token): ASCII digits
+# between separators that str.split and those loops treat alike.
+_PLAIN_SET = re.compile(r"[0-9,\s]*", re.ASCII)
+_PLAIN_PAIRS = re.compile(r"(?:{0}[,;])*{0}".format(r"\s*(?:[0-9]+\s+[0-9]+\s*)?"), re.ASCII)
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$", re.ASCII)
 _POW2 = re.compile(r"^pow2\((\d+)\)$", re.ASCII)
 _INT = re.compile(r"-?[0-9]+")  # int() alone also reads '٣' as 3, '1_0' as 10 and ' 7' as 7
@@ -55,7 +60,12 @@ def parse_set_literal(text: str) -> NatSet:
     """Grammar: naturals, ranges ``a..b``, and ``pow2(n)`` for the first n
     powers of two, separated by commas or whitespace.  A token that takes the
     literal past ``LITERAL_CAP`` points, or a pow2(n) with n past ``POW2_CAP``,
-    raises TooLarge before it expands."""
+    raises TooLarge before it expands.  A plain list is read in one pass; the
+    token loop reads the rest and raises every error."""
+    if _PLAIN_SET.fullmatch(text):
+        tokens = text.replace(",", " ").split()
+        if len(tokens) <= LITERAL_CAP:
+            return NatSet(map(int, tokens))
     out: List[int] = []
     pos = 0
     for token in _TOKEN.split(text):
@@ -85,7 +95,10 @@ def parse_set_literal(text: str) -> NatSet:
 
 def parse_pair_literal(text: str) -> List[Tuple[int, int]]:
     """Pairs ``a b`` separated by commas or semicolons; a bad pair's position
-    is where its own chunk starts."""
+    is where its own chunk starts.  Plain pairs are read in one pass."""
+    if _PLAIN_PAIRS.fullmatch(text):
+        it = map(int, text.replace(",", " ").replace(";", " ").split())
+        return list(zip(it, it))
     pairs = []
     for m in re.finditer(r"[^,;]+", text):
         parts = m.group().split()
@@ -96,21 +109,6 @@ def parse_pair_literal(text: str) -> List[Tuple[int, int]]:
             raise ParseError(f"bad pair {chunk!r}", text.find(chunk, m.start()))
         pairs.append((int(parts[0]), int(parts[1])))
     return pairs
-
-
-def _table_lines(path: str) -> List[Tuple[int, List[int]]]:
-    """The (line number, row) of each non-blank line of a table file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if not all(map(_is_nat, parts)):
-                raise ParseError(f"line {lineno}: bad entry {line!r}", lineno)
-            rows.append((lineno, [int(p) for p in parts]))
-    return rows
 
 
 # Per coloring kind: its class, the shape of a table row, and its builtins.
@@ -128,6 +126,56 @@ _KINDS = {
     }),
 }
 
+# Per kind: a table file each line of which is blank or one row of ASCII digits.
+_PLAIN_ROWS = {kind: re.compile(r"(?:{0}\n)*{0}".format(
+    r"[ \t]*(?:[0-9]+" + r"[ \t]+[0-9]+" * (len(shape.split()) - 1) + r"[ \t]*)?"))
+    for kind, (_, shape, _) in _KINDS.items()}
+
+
+def _table_rows(lines, kind: str) -> Dict[Any, int]:
+    """A table's points and values read line by line, the source of every
+    table error: each names its line, and bad entries come before bad rows."""
+    row_shape = _KINDS[kind][1]
+    width = len(row_shape.split())
+    rows = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if not all(map(_is_nat, parts)):
+            raise ParseError(f"line {lineno}: bad entry {line!r}", lineno)
+        rows.append((lineno, [int(p) for p in parts]))
+    table = {}
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ParseError(f"line {lineno}: {kind} table rows are '{row_shape}', got {row}",
+                             lineno)
+        key = row[0] if width == 2 else (min(row[:2]), max(row[:2]))
+        if key in table:
+            raise ParseError(f"line {lineno}: {kind} table gives {key} twice", lineno)
+        table[key] = row[-1]
+    return table
+
+
+def _read_table(path: str, kind: str) -> Dict[Any, int]:
+    """A table file's points and values: in one pass when each line is blank
+    or one row of ASCII digits and no point repeats, else by ``_table_rows``."""
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:  # iteration decodes 8 KiB at a time: it names the byte
+        with open(path, "r", encoding="utf-8") as handle:
+            return _table_rows(handle, kind)
+    if _PLAIN_ROWS[kind].fullmatch(text):
+        width = len(_KINDS[kind][1].split())
+        nums = list(map(int, text.split()))
+        cols = [nums[c::width] for c in range(width)]
+        keys = cols[0] if width == 2 else zip(map(min, *cols[:2]), map(max, *cols[:2]))
+        table = dict(zip(keys, cols[-1]))
+        if len(table) * width == len(nums):  # no point repeats
+            return table
+    return _table_rows(text.split("\n"), kind)  # as iteration does, lines end at "\n" only
+
 
 def load_coloring(spec: str, window: int, kind: str):
     """A coloring from a builtin name or a table file.
@@ -139,7 +187,7 @@ def load_coloring(spec: str, window: int, kind: str):
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be nat or pair, got {kind!r}")
-    cls, row_shape, builtins = _KINDS[kind]
+    cls, _, builtins = _KINDS[kind]
     if spec.startswith("const:"):
         v = spec.split(":", 1)[1]
         if not _is_nat(v):
@@ -150,16 +198,7 @@ def load_coloring(spec: str, window: int, kind: str):
     if not os.path.exists(spec):
         known = ", ".join(sorted(builtins) + ["const:v"])
         raise ParseError(f"{spec!r} is neither a file nor a builtin ({known})")
-    width = len(row_shape.split())
-    table = {}
-    for lineno, row in _table_lines(spec):
-        if len(row) != width:
-            raise ParseError(f"{kind} table rows are '{row_shape}', got {row}")
-        key = row[0] if width == 2 else (min(row[:2]), max(row[:2]))
-        if key in table:
-            raise ParseError(f"line {lineno}: {kind} table gives {key} twice", lineno)
-        table[key] = row[-1]
-    return cls.from_table(window, table)
+    return cls.from_table(window, _read_table(spec, kind))
 
 
 def _given(args: argparse.Namespace, fields: Dict[str, str]) -> Dict[str, Any]:

@@ -8,6 +8,7 @@ import functools
 import itertools
 import os
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +21,7 @@ from idealforge import CanonicalCase, EdgeSet, NatSet, PairColoring, SearchBudge
     is_positive
 from idealforge.canonical import high_bit, low_bit
 from idealforge.ideals import Record
-from idealforge.errors import CaseMismatch, SearchExhausted
+from idealforge.errors import CaseMismatch, ParseError, SearchExhausted, TooLarge
 from idealforge.report import StepChecks, rational_str
 
 PAIR_CASES = (CanonicalCase.CONST, CanonicalCase.MIN, CanonicalCase.MAX,
@@ -727,6 +728,86 @@ def ref_jsonable(value):
     if hasattr(value, "elements"):
         return list(value.elements)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# The command line's readers as they were when every input went through the
+# per-token and per-line loops, kept as the reference for the one-pass readers.
+# The one change: a table row of the wrong width names its line.
+
+def _ref_is_nat(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def ref_parse_set_literal(text: str) -> NatSet:
+    """cli.parse_set_literal, token by token; reads the caps from cli."""
+    from idealforge import cli
+
+    out = []
+    pos = 0
+    for token in re.split(r"[,\s]+", text):
+        if not token:
+            continue
+        at = text.find(token, pos)
+        pos = at + len(token)
+        if _ref_is_nat(token):
+            points = (int(token),)
+        elif m := re.match(r"^(\d+)\.\.(\d+)$", token, re.ASCII):
+            lo, hi = int(m.group(1)), int(m.group(2))
+            if lo > hi:
+                raise ParseError(f"empty range {token!r}", at)
+            points = range(lo, hi + 1)
+        elif m := re.match(r"^pow2\((\d+)\)$", token, re.ASCII):
+            n = int(m.group(1))
+            if n > cli.POW2_CAP:
+                raise TooLarge(f"{token!r} exceeds the pow2 cap {cli.POW2_CAP}")
+            points = [1 << i for i in range(n)]
+        else:
+            raise ParseError(f"bad token {token!r}", at)
+        if len(out) + len(points) > cli.LITERAL_CAP:
+            raise TooLarge(f"{token!r} takes the literal past {cli.LITERAL_CAP} points")
+        out.extend(points)
+    return NatSet(out)
+
+
+def ref_parse_pair_literal(text: str):
+    """cli.parse_pair_literal, chunk by chunk."""
+    pairs = []
+    for m in re.finditer(r"[^,;]+", text):
+        parts = m.group().split()
+        if not parts:
+            continue
+        if len(parts) != 2 or not all(map(_ref_is_nat, parts)):
+            chunk = m.group().strip()
+            raise ParseError(f"bad pair {chunk!r}", text.find(chunk, m.start()))
+        pairs.append((int(parts[0]), int(parts[1])))
+    return pairs
+
+
+def ref_read_table(path: str, kind: str) -> dict:
+    """A table file's points and values as load_coloring gives them to
+    from_table, read by iterating the open file line by line."""
+    row_shape = {"nat": "x value", "pair": "i j value"}[kind]
+    width = len(row_shape.split())
+    rows = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if not all(map(_ref_is_nat, parts)):
+                raise ParseError(f"line {lineno}: bad entry {line!r}", lineno)
+            rows.append((lineno, [int(p) for p in parts]))
+    table = {}
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ParseError(f"line {lineno}: {kind} table rows are '{row_shape}', got {row}",
+                             lineno)
+        key = row[0] if width == 2 else (min(row[:2]), max(row[:2]))
+        if key in table:
+            raise ParseError(f"line {lineno}: {kind} table gives {key} twice", lineno)
+        table[key] = row[-1]
+    return table
 
 
 def random_pool(rng: random.Random, bands: int = 27, per_band: int = 2) -> NatSet:

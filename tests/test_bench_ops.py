@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -54,13 +55,32 @@ def test_a_queries_cycle_is_parsed_without_argparse(bench, tmp_path, monkeypatch
     assert failures == [] and calls == []
 
 
+def test_a_queries_cycle_reads_its_tables_and_plain_lists_in_one_pass(bench, tmp_path,
+                                                                      monkeypatch):
+    # Of one seed-11 cycle's inputs only the ranges and pow2 literals take
+    # the per-token loop, and no table file takes the per-line loop.
+    run, workloads = bench
+    workload = workloads.WORKLOADS["queries"]
+    ctx = workload.setup(random.Random("queries:11:setup"), str(tmp_path))
+    rng = random.Random("queries:11")
+    ops = [op for r in range(workload.cycle) for op in workload.make_round(rng, r, ctx)]
+    rows, tokens = mock.Mock(wraps=cli._table_rows), mock.Mock(wraps=cli._TOKEN)
+    monkeypatch.setattr(cli, "_table_rows", rows)
+    monkeypatch.setattr(cli, "_TOKEN", tokens)
+    latencies, failures = run.run_ops(workload, ops, run._no_span)
+    looped = [call.args[0] for call in tokens.split.call_args_list]
+    assert failures == [] and rows.call_count == 0
+    assert looped and all(".." in text or "pow2(" in text for text in looped)
+
+
 # sha256 of repr(outputs) for one seed-11 cycle: the list of what
-# workload.execute returns for each op, in op order.  A kernel change that
-# keeps these hashes gives byte-identical output on the cycle.  queries is
-# left out: its reports embed the paths of the table files set-up writes.
+# workload.execute returns for each op, in op order, with the set-up workdir
+# (which queries' reports name in --phi and --bundle) read as "<workdir>".
+# A change that keeps these hashes gives byte-identical output on the cycle.
 OUTPUT_SHA256 = {
     "replay": "f4799afd3d3baab7911048cdadcdebb2a11986c1f72d5aeb1540985679952c6e",
     "sums": "1fe2726e354c4dfc61c73927f1833fc8e43963728da2c7dc4f83dbacfdd1c3a0",
+    "queries": "fc3070eb54de8d0733027de52a7ab3a9fe04b8bcd6495995089cda779d693d71",
 }
 
 
@@ -71,5 +91,6 @@ def test_a_seed_11_cycle_gives_the_pinned_outputs(bench, name, tmp_path):
     ctx = workload.setup(random.Random(f"{name}:11:setup"), str(tmp_path))
     rng = random.Random(f"{name}:11")
     ops = [op for r in range(workload.cycle) for op in workload.make_round(rng, r, ctx)]
-    outputs = [workload.execute(op, run._no_span) for op in ops]
-    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == OUTPUT_SHA256[name]
+    outputs = repr([workload.execute(op, run._no_span) for op in ops])
+    digest = hashlib.sha256(outputs.replace(str(tmp_path), "<workdir>").encode()).hexdigest()
+    assert digest == OUTPUT_SHA256[name]

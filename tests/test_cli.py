@@ -493,6 +493,16 @@ def test_other_zero_options_are_rejected(argv):
     (("adversary", "--strategy", "r-summable", "--case", "const", "--ground", "0..3",
       "--window", "4", "--phi", "0 1 5\n0 2 5\n0 3 5\n1 2 5\n1 3 5\n2 3 5\n1 0 5\n"),
      ("ParseError", "line 7: pair table gives (0, 1) twice (at position 7)")),
+    # A row of the wrong width names its line too, after every bad entry of the file.
+    (("adversary", "--strategy", "w-summable", "--window", "2", "--nmax", "1",
+      "--phi", "0 1\n1 1 1\n"),
+     ("ParseError", "line 2: nat table rows are 'x value', got [1, 1, 1] (at position 2)")),
+    (("adversary", "--strategy", "r-summable", "--case", "const", "--ground", "0..2",
+      "--window", "3", "--phi", "0 1 5\n0 2\n1 2 5\n"),
+     ("ParseError", "line 2: pair table rows are 'i j value', got [0, 2] (at position 2)")),
+    (("adversary", "--strategy", "w-summable", "--window", "2", "--nmax", "1",
+      "--phi", "0 1 1\n1 one\n"),
+     ("ParseError", "line 2: bad entry '1 one' (at position 2)")),
     # A bundle is a JSON object, each f row is exactly x, z0, z1 (rnh) or
     # i, j, value (hnr, final), and each map row a key and a value.
     (("verify", "--what", "hnr", "--bundle", [1, 2, 3]),
